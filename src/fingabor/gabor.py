@@ -21,11 +21,10 @@ from .group import (
     GroupElement,
     GroupMismatch,
     GroupSpec,
-    annihilator_indices,
     coset_representatives,
     phase_spec,
     residue_grid,
-    subgroup_indices,
+    tile_indices,
 )
 from .norms import Exponents
 from .operators import OperatorMatrix
@@ -56,10 +55,7 @@ class QuasiLattice:
     @property
     def tile_offsets(self) -> np.ndarray:
         """Flat phase indices of U = K x K_perp."""
-        n = self.group.order
-        k = subgroup_indices(self.group)
-        a = annihilator_indices(self.group)
-        return (k[:, None] * n + a[None, :]).reshape(-1)
+        return tile_indices(self.group)
 
     @property
     def redundancy(self) -> float:
@@ -72,17 +68,20 @@ def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
     d1, d2 = coset_representatives(spec)
     points = tuple((w, mu) for w in d1 for mu in d2)
     lattice = QuasiLattice(spec, points)
-    pspec = phase_spec(spec)
-    mods = np.asarray(pspec.factors)
-    grid = residue_grid(pspec)
-    pts = grid[lattice.flat_indices]
-    offs = grid[lattice.tile_offsets]
-    covered = (pts[:, None, :] + offs[None, :, :]) % mods
-    flat = np.ravel_multi_index(np.moveaxis(covered, 2, 0), pspec.factors)
-    counts = np.bincount(flat.reshape(-1), minlength=spec.order ** 2)
+    counts = np.bincount(_tile_cover(lattice).reshape(-1), minlength=spec.order ** 2)
     if not np.all(counts == 1):
         raise GroupMismatch("quasi-lattice translates of the tile do not partition")
     return lattice
+
+
+def _tile_cover(lattice: QuasiLattice) -> np.ndarray:
+    """(points, tile) flat phase indices of each lattice point plus the tile."""
+    pspec = phase_spec(lattice.group)
+    grid = residue_grid(pspec)
+    pts = grid[lattice.flat_indices]
+    offs = grid[lattice.tile_offsets]
+    covered = (pts[:, None, :] + offs[None, :, :]) % np.asarray(pspec.factors)
+    return np.ravel_multi_index(np.moveaxis(covered, 2, 0), pspec.factors)
 
 
 def lattice_from_points(
@@ -217,16 +216,8 @@ def discrete_modnorm(
 
 def quotient_coefficients(f: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
     """Per-coset maxima of |V_g f| over the tile around each lattice point."""
-    spec = f.group
-    pspec = phase_spec(spec)
     V = np.abs(stft(f, g).values)
-    grid = residue_grid(pspec)
-    mods = np.asarray(pspec.factors)
-    pts = grid[lattice.flat_indices]
-    offs = grid[lattice.tile_offsets]
-    covered = (pts[:, None, :] + offs[None, :, :]) % mods
-    flat = np.ravel_multi_index(np.moveaxis(covered, 2, 0), pspec.factors)
-    return V[flat].max(axis=1)
+    return V[_tile_cover(lattice)].max(axis=1)
 
 
 def representative_independence_residual(

@@ -338,6 +338,16 @@ def annihilator_indices(spec: GroupSpec) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=32)
+def tile_indices(spec: GroupSpec) -> np.ndarray:
+    """Flat phase-space indices of the tile K x K_perp, K outer."""
+    k = subgroup_indices(spec)
+    a = annihilator_indices(spec)
+    idx = (k[:, None] * spec.order + a[None, :]).reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
 def annihilator(spec: GroupSpec) -> list[DualElement]:
     """Characters that are identically 1 on the subgroup K."""
     return [spec.dual_at(i) for i in annihilator_indices(spec)]

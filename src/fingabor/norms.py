@@ -28,10 +28,9 @@ from .group import (
     GroupElement,
     GroupMismatch,
     GroupSpec,
-    annihilator_indices,
     phase_spec,
     residue_grid,
-    subgroup_indices,
+    tile_indices,
     translation_perm,
 )
 from .signal import PhaseFunction, Signal, convolve_phase, norm_l2
@@ -133,11 +132,7 @@ def unit_window(spec: GroupSpec) -> WindowSet:
 
 def canonical_window(spec: GroupSpec) -> WindowSet:
     """Offsets K x K_perp; the natural tile of the quasi-lattice."""
-    n = spec.order
-    k = subgroup_indices(spec)
-    a = annihilator_indices(spec)
-    flat = (k[:, None] * n + a[None, :]).reshape(-1)
-    return WindowSet(spec, tuple(int(i) for i in flat))
+    return WindowSet(spec, tuple(int(i) for i in tile_indices(spec)))
 
 
 def full_window(spec: GroupSpec) -> WindowSet:

@@ -24,14 +24,14 @@ from .group import (
     GroupElement,
     GroupMismatch,
     GroupSpec,
-    annihilator_indices,
     character_table,
     diff_table,
+    neg_index,
     phase_spec,
     residue_grid,
-    subgroup_indices,
+    tile_indices,
 )
-from .norms import Exponents, Weight, canonical_window, modulation_norm
+from .norms import Exponents, Weight, _inv, canonical_window, modulation_norm
 from .signal import PhaseFunction, Signal, convolve, convolve_phase, fourier, inner, tf_shift
 from .tfa import gaussian_circ, gaussian_window, rihaczek, stft
 
@@ -145,13 +145,10 @@ def gabor_matrix_closed_form(
     so each sample is a short sum over that tile.
     """
     spec = sigma.group
-    n = spec.order
     pspec = phase_spec(spec)
     phi = gaussian_window(spec)
     Phi = rihaczek(phi, phi)
-    k_idx = subgroup_indices(spec)
-    a_idx = annihilator_indices(spec)
-    supp_flat = (k_idx[:, None] * n + a_idx[None, :]).reshape(-1)
+    supp_flat = tile_indices(spec)
     supp_res = residue_grid(pspec)[supp_flat]                    # (s, 2k)
     supp_vals = np.conj(Phi.values[supp_flat]) * pspec.mass
     mods = np.asarray(pspec.factors)
@@ -266,11 +263,8 @@ def rihaczek_continuity_probe(
         vvals = np.ones(n * n)
     else:
         vvals = v.values
-    neg = np.asarray([int((-spec.dual_at(i)).index) for i in range(n)])
-    col = np.empty(n * n)
-    for omega in range(n):
-        for u in range(n):
-            col[omega * n + u] = vvals[u * n + neg[omega]]      # v(J^{-1}(omega, u))
+    # col[omega * n + u] = v(J^{-1}(omega, u)) = v(u, -omega)
+    col = vvals.reshape(n, n)[:, neg_index(spec)].T.reshape(-1)
     wmat = Weight.tensor(np.ones(n * n), col)
     lhs = modulation_norm(R, Phi, e_out, wmat, canonical_window(pspec))
     weight = None if v is None else v
@@ -323,9 +317,3 @@ def convolution_relation_probe(
         g, phi, e_g, Weight.tensor(v1, v2 / nuvals)
     )
     return float(lhs), float(rhs)
-
-
-def _inv(p: float) -> float:
-    import math
-
-    return 0.0 if math.isinf(p) else 1.0 / p

@@ -1,11 +1,12 @@
 """Hermitian eigendecomposition and time-frequency decay diagnostics.
 
-The eigensolver is a cyclic Jacobi iteration for complex Hermitian
-matrices: each 2 x 2 pivot block is phased to a real symmetric block and
-rotated exactly, sweeping row by row until the off-diagonal Frobenius mass
-falls below 1e-13 times the matrix norm.  Eigenpairs come out sorted by
-decreasing |lambda| with each vector's first significant component rotated
-to the positive real axis, so results are reproducible bit for bit.
+The eigensolver symmetrizes the matrix and hands it to LAPACK through
+``np.linalg.eigh``.  Eigenpairs come out sorted by decreasing |lambda|
+(ties broken toward the larger lambda, then the lower LAPACK index) with
+each vector's first significant component rotated to the positive real
+axis, so results are reproducible bit for bit.  Within a degenerate
+eigenspace the basis is whichever one LAPACK returns; ``decay_comparison``
+flags such eigenvalues in its ``ties`` field.
 
 Random draws use the Philox counter-based generator keyed by
 (seed, trial), which makes serial and parallel evaluation agree exactly.
@@ -39,54 +40,14 @@ class EigenPair:
     vector: Signal
 
 
-def hermitian_eigen(
-    M: OperatorMatrix, tol: float = 1e-13, max_sweeps: int = 100
-) -> list[EigenPair]:
-    """Full spectrum of a Hermitian matrix by cyclic Jacobi rotations."""
+def hermitian_eigen(M: OperatorMatrix) -> list[EigenPair]:
+    """Full spectrum of a Hermitian matrix by LAPACK's Hermitian solver."""
     A = M.entries
     n = A.shape[0]
     scale = float(np.linalg.norm(A))
     if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(scale, 1.0):
         raise NotHermitian("matrix deviates from its conjugate transpose")
-    H = ((A + A.conj().T) / 2.0).astype(np.complex128)
-    V = np.eye(n, dtype=np.complex128)
-    target = tol * scale
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(np.abs(H) ** 2) - np.sum(np.abs(np.diag(H)) ** 2)), 0.0))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = H[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                app = H[p, p].real
-                aqq = H[q, q].real
-                tau = (app - aqq) / (2.0 * r)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # W = diag(phase, 1) @ [[c, -s], [s, c]] zeroes the pivot
-                col_p = H[:, p] * (phase * c) + H[:, q] * s
-                col_q = H[:, p] * (-phase * s) + H[:, q] * c
-                H[:, p] = col_p
-                H[:, q] = col_q
-                row_p = H[p, :] * np.conj(phase * c) + H[q, :] * s
-                row_q = H[p, :] * np.conj(-phase * s) + H[q, :] * c
-                H[p, :] = row_p
-                H[q, :] = row_q
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-                vec_p = V[:, p] * (phase * c) + V[:, q] * s
-                vec_q = V[:, p] * (-phase * s) + V[:, q] * c
-                V[:, p] = vec_p
-                V[:, q] = vec_q
-    values = np.real(np.diag(H))
+    values, V = np.linalg.eigh((A + A.conj().T) / 2.0)
     order = sorted(range(n), key=lambda i: (-abs(values[i]), -values[i], i))
     mass = M.group.mass
     pairs = []

@@ -84,6 +84,27 @@ def test_eigen_is_deterministic():
         assert np.array_equal(pa.vector.values, pb.vector.values)
 
 
+def test_eigen_degenerate_top_eigenspace():
+    spec = make_group([6], [3])
+    rng = np.random.default_rng(6)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    M = OperatorMatrix(spec, U @ np.diag([2.0, 2.0, 1.0, 0.5, -0.25, 0.125]) @ U.conj().T)
+    pairs = hermitian_eigen(M)
+    np.testing.assert_allclose([p.value for p in pairs[:3]], [2.0, 2.0, 1.0], atol=1e-12)
+    for p in pairs:
+        vec = p.vector.values
+        assert np.linalg.norm(M.entries @ vec - p.value * vec) < 1e-12
+        assert norm_l2(p.vector) == pytest.approx(1.0, rel=1e-12)
+        mags = np.abs(vec)
+        lead = vec[int(np.argmax(mags > 1e-12 * mags.max()))]
+        assert abs(lead.imag) < 1e-12
+        assert lead.real > 0
+    # the two vectors of the tied eigenvalue span its eigenspace
+    assert abs(np.vdot(pairs[0].vector.values, pairs[1].vector.values)) < 1e-12
+    rep = decay_comparison(M, trials=20, seed=0, top_k=3)
+    assert rep["ties"] == [True, True, False]
+
+
 def test_eigen_rejects_non_hermitian():
     spec = make_group([4], [2])
     with pytest.raises(NotHermitian):
