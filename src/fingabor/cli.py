@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -61,6 +62,16 @@ _EXTRA_KEYS = {
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _is_finite_number(value) -> bool:
+    """JSON number that is not a bool, Infinity, NaN or beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _int_list(value, what: str) -> list[int]:
@@ -131,15 +142,15 @@ def validate_config(cfg) -> dict:
             known = set(identity_names())
             for k, v in tols.items():
                 _expect(k in known, f"tolerance for unknown identity: {k!r}")
-                _expect(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0,
-                        f"tolerance for {k!r} must be a non-negative number")
+                _expect(_is_finite_number(v) and v >= 0,
+                        f"tolerance for {k!r} must be a finite non-negative number")
             norm["tolerances"] = {k: float(v) for k, v in tols.items()}
     elif exp == "decay":
         gammas = cfg.get("gammas", [0.5, 1.0, 2.0])
         _expect(isinstance(gammas, list) and gammas, "'gammas' must be a non-empty list")
         for g in gammas:
-            _expect(isinstance(g, (int, float)) and not isinstance(g, bool) and g > 0,
-                    "'gammas' entries must be positive numbers")
+            _expect(_is_finite_number(g) and g > 0,
+                    "'gammas' entries must be finite positive numbers")
         norm["gammas"] = [float(g) for g in gammas]
         top_k = cfg.get("top_k", 3)
         _expect(isinstance(top_k, int) and not isinstance(top_k, bool) and top_k >= 1,

@@ -29,8 +29,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Full index/character tables are cached only up to this many elements;
-# larger groups fall back to chunked, on-demand rows.
+# Full index/character tables are cached only up to this many elements.
+# Above it, character_table and diff_table raise, so stft, rihaczek and the
+# kn_* operators refuse such orders; only fourier, inverse_fourier and
+# convolve fall back to chunked, on-demand rows.
 _TABLE_LIMIT = 4096
 
 

@@ -194,6 +194,19 @@ def test_run_bad_group(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"tolerances": {"fourier-parseval": float("inf")}},
+    {"experiment": "decay", "gammas": [0.5, float("inf")]},
+    {"experiment": "decay", "gammas": [10 ** 400]},
+], ids=["tolerances-infinity", "gammas-infinity", "gammas-beyond-float"])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, overrides):
+    # json.dumps writes float("inf") as the non-standard literal Infinity
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_reports_tolerance_failures(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

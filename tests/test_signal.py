@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from fingabor.group import GroupMismatch, GroupSpec, dual_spec, make_group
+from fingabor.group import (
+    GroupMismatch,
+    GroupSpec,
+    character_table,
+    diff_table,
+    dual_spec,
+    make_group,
+)
 from fingabor.signal import (
     PhaseFunction,
     Signal,
@@ -215,18 +222,39 @@ def test_convolve_diagonalized_by_fourier():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_convolve_phase_uses_phase_mass():
-    spec = make_group([4], [2])
+@pytest.mark.parametrize("spec", [
+    make_group([4], [2]),
+    make_group([6, 2], [3, 2]),
+    GroupSpec((6,), (3,), 1 / 6),
+    GroupSpec((3, 4), (3, 2), 0.5),
+], ids=["z4", "z6xz2", "z6-mass-sixth", "z3xz4-mass-half"])
+def test_convolve_phase_uses_phase_mass(spec):
     from fingabor.group import phase_spec
 
     ps = phase_spec(spec)
     rng = np.random.default_rng(8)
-    F = PhaseFunction(spec, rng.standard_normal(16) + 0j)
-    H = PhaseFunction(spec, rng.standard_normal(16) + 0j)
+    size = spec.order ** 2
+    F = PhaseFunction(spec, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    H = PhaseFunction(spec, rng.standard_normal(size) + 1j * rng.standard_normal(size))
     out = convolve_phase(F, H)
     brute = brute_convolve(F.as_signal(), H.as_signal())
     np.testing.assert_allclose(out.values, brute, atol=1e-13)
     assert ps.mass == pytest.approx(spec.mass * spec.mass_dual)
+
+
+def test_convolve_phase_builds_no_phase_space_table():
+    # the only table behind a phase convolution is the base character table
+    spec = make_group([64], [8])
+    diff_table.cache_clear()
+    character_table.cache_clear()
+    F = PhaseFunction(spec, np.ones(spec.order ** 2))
+    out = convolve_phase(F, F)
+    assert diff_table.cache_info().currsize == 0
+    assert character_table.cache_info().currsize == 1
+    character_table(spec)
+    assert character_table.cache_info().misses == 1
+    # a constant convolved with itself is its total phase-space mass
+    np.testing.assert_allclose(out.values, spec.order, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
