@@ -175,7 +175,8 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        # strict JSON has no Infinity or NaN
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 

@@ -35,13 +35,13 @@ from .norms import (
     Exponents,
     Weight,
     canonical_window,
+    check_young_exponents,
     inclusion_check,
     mixed_quasi_norm,
     modulation_norm,
     polynomial_weight,
     rnorm_subadditivity_residual,
     unit_window,
-    young_verify,
 )
 from .operators import (
     OperatorMatrix,
@@ -57,6 +57,7 @@ from .signal import (
     PhaseFunction,
     Signal,
     convolve,
+    convolve_phase,
     fourier,
     inner,
     inverse_fourier,
@@ -644,19 +645,25 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
         for ax1 in _YOUNG_AXIS
         for ax2 in _YOUNG_AXIS
     ]
+    exps = [
+        (Exponents.of(p3, q3), Exponents.of(p1, q1), Exponents.of(p2, q2))
+        for (p1, p2, p3), (q1, q2, q3) in combos
+    ]
+    for e_out, e_left, e_right in exps:
+        check_young_exponents(e_out, e_left, e_right)
+    outs, lefts, rights = (set(col) for col in zip(*exps))
     worst = {i: 0.0 for i in range(len(combos))}
     violations = 0
     for _ in range(trials):
         F = random_phase_function(spec, rng)
         H = random_phase_function(spec, rng)
-        for i, ((p1, p2, p3), (q1, q2, q3)) in enumerate(combos):
-            lhs, rhs = young_verify(
-                F,
-                H,
-                Exponents.of(p3, q3),
-                Exponents.of(p1, q1),
-                Exponents.of(p2, q2),
-            )
+        # both sides of young_verify, with each distinct norm taken once
+        FH = convolve_phase(F, H)
+        n_out = {e: mixed_quasi_norm(FH, e) for e in outs}
+        n_left = {e: mixed_quasi_norm(F, e) for e in lefts}
+        n_right = {e: mixed_quasi_norm(H, e) for e in rights}
+        for i, (e_out, e_left, e_right) in enumerate(exps):
+            lhs, rhs = n_out[e_out], n_left[e_left] * n_right[e_right]
             if rhs > 0:
                 worst[i] = max(worst[i], lhs / rhs)
             if lhs > rhs * (1.0 + 1e-10):
@@ -835,12 +842,14 @@ def run_decay(
     report = decay_comparison(
         A, phi, gammas=tuple(gammas), trials=trials, seed=seed, top_k=top_k
     )
+    rows = [row for prof in report["profiles"] for row in prof]
     controls = []
     for cs in control_seeds:
         B = OperatorMatrix(spec, _control_matrix(spec.order, cs))
         crep = decay_comparison(
             B, phi, gammas=tuple(gammas), trials=trials, seed=cs, top_k=1
         )
+        rows += crep["profiles"][0]
         controls.append(
             {
                 "seed": cs,
@@ -848,6 +857,10 @@ def run_decay(
                 "top_ratio": crep["profiles"][0][0]["ratio"],
             }
         )
+    # an overflowing power sum makes a norm infinite and its percentile meaningless
+    bad = {r["gamma"] for r in rows if not all(map(math.isfinite, (r["norm"], r["ratio"])))}
+    for g in sorted(bad):
+        failures.append(f"decay gamma {g!r}: non-finite norm or ratio")
     summary = {
         "experiment": "decay",
         "group": spec.to_json(),

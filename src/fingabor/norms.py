@@ -207,14 +207,21 @@ def mixed_quasi_norm(
         if m.values.shape != (n * n,):
             raise GroupMismatch("weight does not match the phase space")
         W = W * m.values
-    W = W.reshape(n, n)
+    return _mixed_norm_stack(spec, W.reshape(1, n, n), e)[0]
+
+
+def _mixed_norm_stack(spec: GroupSpec, W: np.ndarray, e: Exponents) -> list[float]:
+    """Unweighted mixed quasi-norm of each nonnegative W[b, x, xi]."""
     if math.isinf(e.p):
-        inner = W.max(axis=0)
+        inner = W.max(axis=1)
     else:
-        inner = (spec.mass * (W ** e.p).sum(axis=0)) ** (1.0 / e.p)
+        inner = (spec.mass * (W ** e.p).sum(axis=1)) ** (1.0 / e.p)
     if math.isinf(e.q):
-        return float(inner.max())
-    return float((spec.mass_dual * (inner ** e.q).sum()) ** (1.0 / e.q))
+        return inner.max(axis=1).tolist()
+    outer = spec.mass_dual * (inner ** e.q).sum(axis=1)
+    # The last power per element on Python floats, which is libm pow: an
+    # ndarray ** 2.0 squares instead and can differ in the last bit.
+    return [s ** (1.0 / e.q) for s in outer.tolist()]
 
 
 def rnorm_subadditivity_residual(
@@ -250,18 +257,31 @@ def maximal_function(F: PhaseFunction, Q: WindowSet) -> PhaseFunction:
     """(M_Q F)(z) = max over q in Q of |F(z + q)|."""
     if Q.group != F.group:
         raise GroupMismatch("window set belongs to a different group")
-    pspec = phase_spec(F.group)
-    mags = np.abs(F.values)
-    if len(Q.offsets) * pspec.order <= 2**22:
-        rows = _window_gather(F.group, Q)
-        out = mags[rows].max(axis=0)
-    else:
-        grid = residue_grid(pspec)
-        out = np.zeros(mags.shape)
-        for off in Q.offsets:
-            perm = translation_perm(pspec, grid[off])
-            np.maximum(out, mags[perm], out=out)
-    return PhaseFunction(F.group, out.astype(np.complex128))
+    return PhaseFunction(F.group, _maximal_stack(F.group, np.abs(F.values)[None, :], Q)[0])
+
+
+def _maximal_stack(spec: GroupSpec, mags: np.ndarray, Q: WindowSet) -> np.ndarray:
+    """Maximal function of each row of mags[b, z] >= 0 over the window set Q.
+
+    The canonical window K x K_perp is the subgroup of the phase space, so
+    there the maximum over z + Q is the maximum over the coset of z: each
+    phase axis N_j splits into (N_j / step_j, step_j), the subgroup axis is
+    reduced and the result broadcast back.  Other windows gather shifts.
+    """
+    pspec = phase_spec(spec)
+    if Q == canonical_window(spec):
+        shape = [mags.shape[0]]
+        for n, step in zip(pspec.factors, pspec.subgroup_divisors):
+            shape += [n // step, step]
+        coset = np.reshape(mags, shape).max(axis=tuple(range(1, len(shape), 2)), keepdims=True)
+        return np.broadcast_to(coset, shape).reshape(mags.shape)
+    if mags.shape[0] * len(Q.offsets) * pspec.order <= 2**22:
+        return mags[:, _window_gather(spec, Q)].max(axis=1)
+    grid = residue_grid(pspec)
+    out = np.zeros(mags.shape)
+    for off in Q.offsets:
+        np.maximum(out, mags[:, translation_perm(pspec, grid[off])], out=out)
+    return out
 
 
 def wiener_norm(
@@ -359,11 +379,16 @@ def young_verify(
     e_out = Exponents.of(e_out)
     e_left = Exponents.of(e_left)
     e_right = Exponents.of(e_right)
+    check_young_exponents(e_out, e_left, e_right)
+    lhs = mixed_quasi_norm(convolve_phase(F, H), e_out, m)
+    rhs = mixed_quasi_norm(F, e_left, m) * mixed_quasi_norm(H, e_right, v)
+    return float(lhs), float(rhs)
+
+
+def check_young_exponents(e_out: Exponents, e_left: Exponents, e_right: Exponents) -> None:
+    """Raise ValueError unless 1/p_i + 1/q_i = 1 + 1/r_i with all in [1, inf]."""
     for p, q, r in ((e_left.p, e_right.p, e_out.p), (e_left.q, e_right.q, e_out.q)):
         if min(p, q, r) < 1.0:
             raise ValueError("convolution inequality needs exponents >= 1")
         if abs(_inv(p) + _inv(q) - 1.0 - _inv(r)) > 1e-12:
             raise ValueError(f"exponents ({p}, {q}, {r}) are not convolution-admissible")
-    lhs = mixed_quasi_norm(convolve_phase(F, H), e_out, m)
-    rhs = mixed_quasi_norm(F, e_left, m) * mixed_quasi_norm(H, e_right, v)
-    return float(lhs), float(rhs)

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fingabor.cli import ConfigError, main, validate_config
@@ -219,6 +220,30 @@ def test_run_reports_tolerance_failures(tmp_path, capsys):
     assert "status: fail (1 check(s) exceeded tolerance)" in out
     # artifacts are still written for inspection
     data = json.loads((tmp_path / "out" / "identities_summary.json").read_text())
+    assert data["failures"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("gamma", [5000, 0.001])
+def test_run_decay_reports_non_finite_norms(tmp_path, capsys, gamma):
+    # a power sum overflows at these exponents on Z_16
+    cfg = write_config(
+        tmp_path, experiment="decay", trials=20,
+        group={"factors": [16], "subgroup_divisors": [4]},
+        control_seeds=[0], gammas=[gamma],
+    )
+    with np.errstate(over="ignore"):
+        assert main(["run", str(cfg)]) == 2
+    out = capsys.readouterr().out
+    assert f"failure: decay gamma {float(gamma)!r}: non-finite norm or ratio" in out
+    text = (tmp_path / "out" / "decay_summary.json").read_text()
+    data = json.loads(text, parse_constant=_reject_constant)
+    rows = [row for prof in data["localization"]["profiles"] for row in prof]
+    assert any(row["norm"] is None for row in rows if row["gamma"] == gamma)
+    assert all(row["norm"] is not None for row in rows if row["gamma"] == 0.5)
     assert data["failures"]
 
 

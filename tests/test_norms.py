@@ -31,8 +31,11 @@ from fingabor.norms import (
     unit_window,
     wiener_norm,
     young_verify,
+    _window_gather,
 )
+from fingabor.operators import OperatorMatrix
 from fingabor.signal import PhaseFunction, Signal, norm_l2
+from fingabor.spectral import decay_comparison
 from fingabor.tfa import gaussian_window, stft
 
 GRID = [0.5, 1.0, 2.0, math.inf]
@@ -204,8 +207,15 @@ def test_mixed_norm_weight_shape_checked():
 # maximal function and wiener norm
 
 
-def test_maximal_function_matches_brute_force():
-    spec = make_group([6], [3])
+@pytest.mark.parametrize("spec", [
+    make_group([6], [3]),
+    make_group([6, 2], [3, 2]),
+    make_group([2, 4], [1, 2]),
+    GroupSpec((4, 3), (2, 3), 0.5),
+    make_group([8], [8]),          # trivial K
+    make_group([8], [1]),          # K = G
+], ids=["z6", "z6xz2", "z2xz4", "z4xz3-mass", "trivial-K", "K-is-G"])
+def test_maximal_function_matches_brute_force(spec):
     pspec = phase_spec(spec)
     grid = residue_grid(pspec)
     mods = np.array(pspec.factors)
@@ -222,6 +232,17 @@ def test_maximal_function_matches_brute_force():
                 j = int(np.ravel_multi_index(res, pspec.factors))
                 brute[i] = max(brute[i], mags[j])
         np.testing.assert_array_equal(M.values, brute)
+
+
+def test_decay_baseline_builds_no_window_gather():
+    # the canonical window takes the coset maximum, so no (|Q|, n^2) index
+    # table is cached for it
+    spec = make_group([64], [8])
+    rng = np.random.default_rng(15)
+    Z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    _window_gather.cache_clear()
+    decay_comparison(OperatorMatrix(spec, Z + Z.conj().T), trials=20, seed=0, top_k=1)
+    assert _window_gather.cache_info().currsize == 0
 
 
 def test_unit_window_maximal_is_identity():

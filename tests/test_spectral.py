@@ -9,6 +9,7 @@ from fingabor.spectral import (
     NotHermitian,
     decay_comparison,
     decay_profile,
+    haar_baseline,
     haar_random_unit,
     hermitian_eigen,
 )
@@ -180,6 +181,27 @@ def test_decay_comparison_is_deterministic():
     a = decay_comparison(M, trials=40, seed=11, top_k=1)
     b = decay_comparison(M, trials=40, seed=11, top_k=1)
     assert a == b
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([64], [8]),
+    make_group([6, 2], [3, 2]),
+    GroupSpec((12,), (3,), 0.25),
+    make_group([4, 8], [2, 4]),
+], ids=["z64", "z6xz2", "z12-mass", "z4xz8"])
+def test_haar_baseline_blocks_equal_serial_profiles(spec):
+    gammas = (0.5, 1.0, 2.0)
+    trials = 37                       # not a multiple of the block size
+    serial = np.array([
+        decay_profile(haar_random_unit(spec, 3, t), None, gammas).ratios
+        for t in range(trials)
+    ])
+    assert np.array_equal(haar_baseline(spec, None, gammas, trials, seed=3), serial)
+    # decay_comparison ranks against exactly this baseline
+    rep = decay_comparison(random_hermitian(spec, 6), trials=trials, seed=3, top_k=1)
+    v = rep["profiles"][0][0]["ratio"]
+    rank = np.count_nonzero(serial[:, 0] < v) + 0.5 * np.count_nonzero(serial[:, 0] == v)
+    assert rep["percentiles"] == [100.0 * rank / trials]
 
 
 def test_decay_comparison_rejects_null_operator():
