@@ -103,7 +103,6 @@ from .operators import (
     loc_to_kn_symbol,
     localization_apply,
     localization_matrix,
-    matrix_from_apply,
     rihaczek_continuity_probe,
 )
 from .spectral import (

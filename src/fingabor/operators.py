@@ -10,6 +10,16 @@ second variable.  A localization operator with symbol a and windows
 (psi1, psi2) equals the quantization of a convolved with R(psi2, psi1),
 where the convolution runs over phase space with mass * mass_dual per
 point; both routes are implemented independently so they can be compared.
+
+The structured kernels use only the base group's character table
+T[xi, x] = <xi, x> and difference table, never the route they are checked
+against.  With S = conj(R(phi, phi)) * mass * mass_dual for the canonical
+window phi, the Gabor matrix entry of row point (w, mu) and column point
+(u, nu), and the localization matrix (a convolution over x for each y - y'), are
+
+    conj(T[nu, w - u]) * sum_{k in K, kappa in K_perp} sigma(w + k, nu + kappa)
+        * conj(T[mu - nu, w + k] T[u - w, nu + kappa]) * S[k, kappa],
+    L[y, y'] = mass^2 * mass_dual * sum_x (a @ T)[x, y - y'] psi2(y - x) conj(psi1(y' - x)).
 """
 
 from __future__ import annotations
@@ -24,11 +34,12 @@ from .group import (
     GroupElement,
     GroupMismatch,
     GroupSpec,
+    annihilator_indices,
     character_table,
     diff_table,
     neg_index,
     phase_spec,
-    residue_grid,
+    subgroup_indices,
     tile_indices,
 )
 from .norms import Exponents, Weight, _inv, canonical_window, modulation_norm
@@ -55,17 +66,6 @@ class OperatorMatrix:
         if f.group != self.group:
             raise GroupMismatch("operator and signal live on different groups")
         return Signal(self.group, self.entries @ f.values)
-
-
-def matrix_from_apply(spec: GroupSpec, apply) -> OperatorMatrix:
-    """Assemble a matrix column by column from an apply callable."""
-    from .signal import delta
-
-    n = spec.order
-    cols = np.empty((n, n), dtype=np.complex128)
-    for c in range(n):
-        cols[:, c] = apply(delta(spec, spec.element_at(c))).values
-    return OperatorMatrix(spec, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -137,44 +137,33 @@ def gabor_matrix_closed_form(
     sigma: PhaseFunction,
     points: Sequence[tuple[GroupElement, DualElement]],
 ) -> np.ndarray:
-    """Gabor matrix of the quantization for the canonical window.
+    """Gabor matrix of the quantization for the canonical window phi.
 
-    Uses the closed form: the (w mu, u nu) entry is a character prefactor
-    times one sample of the STFT of the symbol against R(phi, phi) at a
-    rotated phase point.  The window transform is supported on K x K_perp,
-    so each sample is a short sum over that tile.
+    Entry (i, j), for row point (w_i, mu_i) and column point (u_j, nu_j), is
+    conj(T[nu_j, w_i - u_j]) times the sum over (k, kappa) in K x K_perp of
+    sigma(w_i + k, nu_j + kappa) conj(T[mu_i - nu_j, w_i + k])
+    conj(T[u_j - w_i, nu_j + kappa]) S[k, kappa], S = conj(R(phi, phi)) *
+    mass * mass_dual: one gather of sigma and two contractions, with index
+    work on (m, |K|), (m, |K_perp|) and (m, m) arrays only.
     """
     spec = sigma.group
-    pspec = phase_spec(spec)
+    T = character_table(spec)
+    D = diff_table(spec)                                        # D[a, b] = index(a - b)
+    neg_k = neg_index(spec)[subgroup_indices(spec)]
+    neg_a = neg_index(spec)[annihilator_indices(spec)]
     phi = gaussian_window(spec)
-    Phi = rihaczek(phi, phi)
-    supp_flat = tile_indices(spec)
-    supp_res = residue_grid(pspec)[supp_flat]                    # (s, 2k)
-    supp_vals = np.conj(Phi.values[supp_flat]) * pspec.mass
-    mods = np.asarray(pspec.factors)
-    gmods = np.asarray(spec.factors)
-    m = len(points)
-    x_res = np.asarray([x.residues for x, _ in points])          # (m, k)
-    f_res = np.asarray([xi.residues for _, xi in points])        # (m, k)
-    # z(i, j) = (w_i, nu_j); xi(i, j) = (mu_i - nu_j, u_j - w_i)
-    z_res = np.concatenate(
-        (np.broadcast_to(x_res[:, None, :], (m, m, x_res.shape[1])),
-         np.broadcast_to(f_res[None, :, :], (m, m, f_res.shape[1]))),
-        axis=2,
-    )
-    xi_res = np.concatenate(
-        ((f_res[:, None, :] - f_res[None, :, :]) % gmods,
-         (x_res[None, :, :] - x_res[:, None, :]) % gmods),
-        axis=2,
-    )
-    y_res = (z_res[:, :, None, :] + supp_res[None, None, :, :]) % mods
-    y_flat = np.ravel_multi_index(np.moveaxis(y_res, 3, 0), pspec.factors)
-    t = (((xi_res[:, :, None, :] * y_res) % mods) / mods).sum(axis=3)
-    samples = np.sum(sigma.values[y_flat] * np.exp(-2j * np.pi * t) * supp_vals, axis=2)
-    # prefactor conj<nu_j, w_i - u_j>
-    wd = (x_res[:, None, :] - x_res[None, :, :]) % gmods
-    tpre = (((f_res[None, :, :] * wd) % gmods) / gmods).sum(axis=2)
-    return np.exp(-2j * np.pi * tpre) * samples
+    S = np.conj(rihaczek(phi, phi).values[tile_indices(spec)]) * (spec.mass * spec.mass_dual)
+    S = S.reshape(len(neg_k), len(neg_a))
+    x, xi = np.array([(p.index, q.index) for p, q in points]).T
+    rows = D[x[:, None], neg_k]                                 # index(w_i + k)
+    cols = D[xi[:, None], neg_a]                                # index(nu_j + kappa)
+    dx = D[x[:, None], x]                                       # index(w_i - u_j)
+    dxi = D[xi[:, None], xi]                                    # index(mu_i - nu_j)
+    A = np.conj(T[dxi[:, :, None], rows[:, None, :]])           # [i, j, k]
+    B = np.conj(T[dx.T[:, :, None], cols[None, :, :]])          # [i, j, kappa]
+    G = sigma.mat[rows][:, :, cols]                             # [i, k, j, kappa]
+    inner_sum = np.einsum("ikjl,kl,ijl->ijk", G, S, B)
+    return np.conj(T[xi[None, :], dx]) * np.einsum("ijk,ijk->ij", inner_sum, A)
 
 
 def gabor_matrix_residual(
@@ -191,34 +180,34 @@ def gabor_matrix_residual(
 # localization operators
 
 
-def _shift_stack(spec: GroupSpec, psi: Signal) -> np.ndarray:
-    """(order^2, order) stack of pi(x, xi) psi in canonical phase order."""
-    n = spec.order
-    T = character_table(spec)
-    shifted = psi.values[diff_table(spec).T]                    # [x, y] = psi(y - x)
-    stack = shifted[:, None, :] * T[None, :, :]                 # [x, xi, y]
-    return stack.reshape(n * n, n)
-
-
 def localization_apply(
     a: PhaseFunction, psi1: Signal, psi2: Signal, f: Signal
 ) -> Signal:
-    """A f = integral of a(z) V_psi1 f(z) pi(z) psi2 over phase space."""
+    """A f = integral of a(z) V_psi1 f(z) pi(z) psi2 over phase space, as
+    mass * mass_dual * sum_x psi2(y - x) ((a V_psi1 f) @ T)[x, y]."""
     spec = f.group
     if a.group != spec or psi1.group != spec or psi2.group != spec:
         raise GroupMismatch("localization pieces live on different groups")
-    coeff = a.values * stft(f, psi1).values * (spec.mass * spec.mass_dual)
-    return Signal(spec, coeff @ _shift_stack(spec, psi2))
+    coeff = (a.mat * stft(f, psi1).mat) @ character_table(spec)
+    shifted = psi2.values[diff_table(spec).T]                   # [x, y] = psi2(y - x)
+    return Signal(spec, np.sum(shifted * coeff, axis=0) * (spec.mass * spec.mass_dual))
 
 
 def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> OperatorMatrix:
-    """Dense matrix of the localization operator."""
+    """Dense matrix of the localization operator.
+
+    L[y, y'] = c * sum_x A[x, y - y'] psi2(y - x) conj(psi1(y' - x)), with
+    A = a @ T and c = mass^2 * mass_dual, is a convolution on G for each
+    d = y - y': L'[y, d] = T @ ((conj(T) @ A) * (conj(T) @ h)) / order with
+    h[t, d] = psi2(t) conj(psi1(t - d)), then L[y, y'] = L'[y, y - y'].
+    """
     spec = a.group
-    P1 = _shift_stack(spec, psi1)
-    P2 = _shift_stack(spec, psi2)
-    w = a.values * (spec.mass * spec.mass_dual)
-    entries = (P2 * w[:, None]).T @ np.conj(P1) * spec.mass
-    return OperatorMatrix(spec, entries)
+    T = character_table(spec)
+    D = diff_table(spec)                                        # D[y, y'] = index(y - y')
+    h = psi2.values[:, None] * np.conj(psi1.values[D])
+    Lp = T @ ((np.conj(T) @ (a.mat @ T)) * (np.conj(T) @ h)) / spec.order
+    L = np.take_along_axis(Lp, D, axis=1)                       # L[y, y'] = Lp[y, y - y']
+    return OperatorMatrix(spec, L * (spec.mass ** 2 * spec.mass_dual))
 
 
 def loc_to_kn_symbol(a: PhaseFunction, psi1: Signal, psi2: Signal) -> PhaseFunction:

@@ -10,10 +10,10 @@ flags such eigenvalues in its ``ties`` field.
 
 Random draws use the Philox counter-based generator keyed by
 (seed, trial), which makes serial and parallel evaluation agree exactly.
-The Haar baseline of ``decay_comparison`` draws those same vectors and
-evaluates them in blocks of trials: one stacked STFT, one coset maximum
-and one mixed-norm reduction per block, bit-identical to a
-``decay_profile`` per trial.
+The Haar baseline of ``decay_comparison`` draws those same vectors, from
+one generator whose state is reset per trial, and evaluates them in
+blocks of trials: one stacked STFT, one coset maximum and one mixed-norm
+reduction per block, bit-identical to a ``decay_profile`` per trial.
 """
 
 from __future__ import annotations
@@ -106,12 +106,23 @@ def _profiles(F: np.ndarray, window: Signal, gammas) -> tuple[np.ndarray, np.nda
 
 def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:
     """Unit vector with Haar-uniform direction, keyed by (seed, trial)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    z = rng.standard_normal(2 * spec.order)
-    vec = z[: spec.order] + 1j * z[spec.order :]
-    vec = vec / (np.linalg.norm(vec) * math.sqrt(spec.mass))
-    return Signal(spec, vec)
+    return Signal(spec, _haar_rows(spec, seed, [trial])[0])
+
+
+def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
+    """haar_random_unit values for each trial, from one Philox generator whose
+    state is reset to that of a fresh (seed, t)-keyed one before each trial."""
+    n = spec.order
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    fresh, rng = bitgen.state, np.random.Generator(bitgen)   # counter 0, empty buffer
+    rows = []
+    for t in trials:
+        fresh["state"]["key"] = np.array([seed & 0xFFFFFFFFFFFFFFFF, t], dtype=np.uint64)
+        bitgen.state = fresh
+        z = rng.standard_normal(2 * n)
+        vec = z[:n] + 1j * z[n:]
+        rows.append(vec / (np.linalg.norm(vec) * math.sqrt(spec.mass)))
+    return np.stack(rows)
 
 
 # Haar trials per baseline block: the (b, n, n) complex STFT stack stays
@@ -137,7 +148,7 @@ def haar_baseline(
     out = np.empty((trials, len(gammas)))
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
-        F = np.stack([haar_random_unit(spec, seed, t).values for t in block])
+        F = _haar_rows(spec, seed, block)
         out[block.start : block.stop] = _profiles(F, window, gammas)[1]
     return out
 

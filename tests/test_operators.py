@@ -3,8 +3,9 @@ import cmath
 import numpy as np
 import pytest
 
+from fingabor import operators
 from fingabor.gabor import quasi_lattice
-from fingabor.group import GroupMismatch, GroupSpec, make_group
+from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
 from fingabor.norms import Weight, polynomial_weight
 from fingabor.operators import (
     OperatorMatrix,
@@ -21,18 +22,29 @@ from fingabor.operators import (
     loc_to_kn_symbol,
     localization_apply,
     localization_matrix,
-    matrix_from_apply,
     rihaczek_continuity_probe,
 )
 from fingabor.signal import (
     PhaseFunction,
     Signal,
+    delta,
     fourier,
     inner,
     inverse_fourier,
     tf_shift,
 )
-from fingabor.tfa import gaussian_window
+from fingabor.tfa import gaussian_window, stft
+
+# Groups for the structured operator kernels: a cyclic group, a product
+# with a non-cyclic tile, a point mass other than 1, unequal factors and
+# the order-64 reference group.
+KERNEL_GROUPS = [
+    pytest.param(make_group([6], [3]), id="z6"),
+    pytest.param(make_group([6, 2], [3, 2]), id="z6xz2"),
+    pytest.param(GroupSpec((12,), (3,), 0.25), id="z12-mass"),
+    pytest.param(make_group([4, 8], [2, 4]), id="z4xz8"),
+    pytest.param(make_group([64], [8]), id="z64"),
+]
 
 
 def rand_signal(spec, rng):
@@ -42,6 +54,39 @@ def rand_signal(spec, rng):
 def rand_symbol(spec, rng):
     n2 = spec.order ** 2
     return PhaseFunction(spec, rng.standard_normal(n2) + 1j * rng.standard_normal(n2))
+
+
+def matrix_from_apply(spec, apply):
+    """Assemble a matrix column by column from an apply callable."""
+    n = spec.order
+    cols = np.empty((n, n), dtype=np.complex128)
+    for c in range(n):
+        cols[:, c] = apply(delta(spec, spec.element_at(c))).values
+    return OperatorMatrix(spec, cols)
+
+
+def shift_stack(spec, psi):
+    """(order^2, order) stack of pi(x, xi) psi in canonical phase order."""
+    n = spec.order
+    shifted = psi.values[diff_table(spec).T]                    # [x, y] = psi(y - x)
+    stack = shifted[:, None, :] * character_table(spec)[None, :, :]
+    return stack.reshape(n * n, n)
+
+
+def oracle_localization_apply(a, psi1, psi2, f):
+    """A f as the phase-space sum of a V_psi1 f times the shifted windows."""
+    spec = f.group
+    coeff = a.values * stft(f, psi1).values * (spec.mass * spec.mass_dual)
+    return coeff @ shift_stack(spec, psi2)
+
+
+def oracle_localization_matrix(a, psi1, psi2):
+    """Sum over phase space of a(z) pi(z) psi2 (x) conj(pi(z) psi1)."""
+    spec = a.group
+    w = a.values * (spec.mass * spec.mass_dual)
+    P1 = shift_stack(spec, psi1)
+    P2 = shift_stack(spec, psi2)
+    return (P2 * w[:, None]).T @ np.conj(P1) * spec.mass
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +194,8 @@ def test_closed_form_on_all_phase_points():
     np.testing.assert_allclose(closed, direct, atol=1e-12)
 
 
-@pytest.mark.parametrize("factors,divisors", [([6], [3]), ([6, 2], [3, 2])])
-def test_closed_form_on_lattice_points(factors, divisors):
-    spec = make_group(factors, divisors)
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_closed_form_on_lattice_points(spec):
     rng = np.random.default_rng(8)
     for _ in range(5):
         sigma = rand_symbol(spec, rng)
@@ -172,8 +216,8 @@ def test_unit_mask_reproduces_inversion_formula():
     np.testing.assert_allclose(M, inner(psi2, psi1) * np.eye(8), atol=1e-11)
 
 
-def test_localization_matrix_matches_apply():
-    spec = make_group([6], [3])
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_localization_matrix_matches_apply(spec):
     rng = np.random.default_rng(10)
     a = rand_symbol(spec, rng)
     psi1 = rand_signal(spec, rng)
@@ -181,6 +225,25 @@ def test_localization_matrix_matches_apply():
     M = localization_matrix(a, psi1, psi2)
     C = matrix_from_apply(spec, lambda f: localization_apply(a, psi1, psi2, f))
     np.testing.assert_allclose(M.entries, C.entries, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_localization_kernels_match_shift_stack_oracle(spec):
+    rng = np.random.default_rng(17)
+    a = rand_symbol(spec, rng)
+    psi1 = rand_signal(spec, rng)
+    psi2 = rand_signal(spec, rng)
+    f = rand_signal(spec, rng)
+    np.testing.assert_allclose(
+        localization_matrix(a, psi1, psi2).entries,
+        oracle_localization_matrix(a, psi1, psi2),
+        atol=1e-10,
+    )
+    np.testing.assert_allclose(
+        localization_apply(a, psi1, psi2, f).values,
+        oracle_localization_apply(a, psi1, psi2, f),
+        atol=1e-10,
+    )
 
 
 def test_real_mask_gives_hermitian_operator():
@@ -192,8 +255,8 @@ def test_real_mask_gives_hermitian_operator():
     assert np.max(np.abs(M - M.conj().T)) < 1e-10
 
 
-def test_localization_adjoint_swaps_windows():
-    spec = make_group([6], [3])
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_localization_adjoint_swaps_windows(spec):
     rng = np.random.default_rng(12)
     a = rand_symbol(spec, rng)
     psi1 = rand_signal(spec, rng)
@@ -213,6 +276,24 @@ def test_localization_agrees_with_its_quantization():
         psi1 = rand_signal(spec, rng)
         psi2 = rand_signal(spec, rng)
         assert loc_kn_matrix_residual(a, psi1, psi2) < 1e-9
+
+
+def test_structured_kernels_are_independent_routes(monkeypatch):
+    # each side of channel-matrix-closed-form and localization-as-quantization
+    # must be computed without the other side's building blocks
+    def refuse(*args, **kwargs):
+        raise AssertionError("structured kernel used the route it is checked against")
+
+    for name in ("gabor_matrix", "kn_matrix", "tf_shift", "convolve_phase", "loc_to_kn_symbol"):
+        monkeypatch.setattr(operators, name, refuse)
+    spec = make_group([6, 2], [3, 2])
+    rng = np.random.default_rng(18)
+    a = rand_symbol(spec, rng)
+    psi1 = rand_signal(spec, rng)
+    psi2 = rand_signal(spec, rng)
+    gabor_matrix_closed_form(a, quasi_lattice(spec).points)
+    localization_matrix(a, psi1, psi2)
+    localization_apply(a, psi1, psi2, rand_signal(spec, rng))
 
 
 def test_loc_symbol_lives_on_phase_space():

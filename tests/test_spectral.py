@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fingabor.signal import Signal, norm_l2
 from fingabor.spectral import (
     DegenerateSpectrum,
     NotHermitian,
+    _haar_rows,
     decay_comparison,
     decay_profile,
     haar_baseline,
@@ -126,6 +129,24 @@ def test_haar_vectors_reproducible_and_unit():
     assert not np.array_equal(a.values, c.values)
     d = haar_random_unit(spec, seed=8, trial=13)
     assert not np.array_equal(a.values, d.values)
+
+
+def fresh_generator_unit(spec, seed, trial):
+    """The Haar draw from a Philox generator built afresh for (seed, trial)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal(2 * spec.order)
+    vec = z[: spec.order] + 1j * z[spec.order :]
+    return vec / (np.linalg.norm(vec) * math.sqrt(spec.mass))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40])
+def test_haar_draws_equal_fresh_generators(seed):
+    spec = GroupSpec((64,), (8,), 0.25)
+    trials = 500
+    oracle = np.stack([fresh_generator_unit(spec, seed, t) for t in range(trials)])
+    assert np.array_equal(_haar_rows(spec, seed, range(trials)), oracle)
+    for t in (0, 1, 257, trials - 1):
+        assert np.array_equal(haar_random_unit(spec, seed, t).values, oracle[t])
 
 
 # ---------------------------------------------------------------------------
