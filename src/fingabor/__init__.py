@@ -33,7 +33,6 @@ from .signal import (
     inner,
     inner_phase,
     inverse_fourier,
-    involution,
     modulate,
     norm_l2,
     subgroup_indicator,
@@ -43,7 +42,6 @@ from .signal import (
     zeros,
 )
 from .tfa import (
-    TestFunction,
     gaussian_circ,
     gaussian_window,
     jmap,
@@ -52,7 +50,6 @@ from .tfa import (
     rihaczek,
     stft,
     stft_point,
-    testfunction_stft,
     window_constant,
 )
 from .norms import (
@@ -63,9 +60,6 @@ from .norms import (
     WindowSet,
     ZeroWindow,
     canonical_window,
-    check_moderate,
-    check_submultiplicative,
-    full_window,
     inclusion_check,
     maximal_function,
     mixed_quasi_norm,
@@ -85,7 +79,6 @@ from .gabor import (
     expansion_residual,
     frame_bounds,
     frame_operator,
-    is_tight,
     lattice_from_points,
     quasi_lattice,
     quotient_coefficients,

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,31 +33,13 @@ from .experiments import (
     run_norms,
     run_young,
 )
-from .group import GroupError, make_group
+from .group import GroupError, GroupSpec, make_group
 
 __all__ = ["ConfigError", "main", "validate_config"]
 
 
 class ConfigError(ValueError):
     """Raised when the run configuration is malformed."""
-
-
-_EXPERIMENTS = ("identities", "frames", "norms", "young", "convrel", "locop", "decay")
-
-_DEFAULT_TRIALS = {
-    "identities": 50,
-    "frames": 100,
-    "norms": 100,
-    "young": 200,
-    "convrel": 200,
-    "locop": 25,
-    "decay": 500,
-}
-
-_EXTRA_KEYS = {
-    "identities": {"identities", "tolerances"},
-    "decay": {"gammas", "top_k", "control_seeds"},
-}
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -84,6 +67,82 @@ def _int_list(value, what: str) -> list[int]:
     return out
 
 
+def _identity_extras(cfg: dict) -> dict:
+    norm = {}
+    known = set(identity_names())
+    names = cfg.get("identities")
+    if names is not None:
+        _expect(isinstance(names, list) and names,
+                "'identities' must be a non-empty list of names")
+        for n in names:
+            _expect(isinstance(n, str) and n in known, f"unknown identity: {n!r}")
+        norm["identities"] = list(names)
+    tols = cfg.get("tolerances")
+    if tols is not None:
+        _expect(isinstance(tols, dict), "'tolerances' must be an object")
+        for k, v in tols.items():
+            _expect(k in known, f"tolerance for unknown identity: {k!r}")
+            _expect(_is_finite_number(v) and v >= 0,
+                    f"tolerance for {k!r} must be a finite non-negative number")
+        norm["tolerances"] = {k: float(v) for k, v in tols.items()}
+    return norm
+
+
+def _decay_extras(cfg: dict) -> dict:
+    gammas = cfg.get("gammas", [0.5, 1.0, 2.0])
+    _expect(isinstance(gammas, list) and gammas, "'gammas' must be a non-empty list")
+    for g in gammas:
+        _expect(_is_finite_number(g) and g > 0,
+                "'gammas' entries must be finite positive numbers")
+    top_k = cfg.get("top_k", 3)
+    _expect(isinstance(top_k, int) and not isinstance(top_k, bool) and top_k >= 1,
+            "'top_k' must be a positive integer")
+    controls = cfg.get("control_seeds", list(range(10)))
+    _expect(isinstance(controls, list), "'control_seeds' must be a list")
+    for c in controls:
+        _expect(isinstance(c, int) and not isinstance(c, bool) and c >= 0,
+                "'control_seeds' entries must be non-negative integers")
+    return {"gammas": [float(g) for g in gammas], "top_k": top_k,
+            "control_seeds": list(controls)}
+
+
+class _Experiment(NamedTuple):
+    """Default trials, optional config keys with their validator, driver call.
+
+    ``run`` names its driver in a lambda body, so the ``run_*`` bound in this
+    module is looked up at each call and a wrapper installed there sees it.
+    """
+
+    trials: int
+    run: Callable[[GroupSpec, dict], tuple]
+    keys: frozenset = frozenset()
+    extras: Callable[[dict], dict] = lambda cfg: {}
+
+
+_EXPERIMENTS = {
+    "identities": _Experiment(
+        50,
+        lambda spec, n: run_identities(spec, n["seed"], n["trials"],
+                                       names=n.get("identities"),
+                                       tolerances=n.get("tolerances")),
+        frozenset({"identities", "tolerances"}),
+        _identity_extras,
+    ),
+    "frames": _Experiment(100, lambda spec, n: run_frames(spec, n["seed"], n["trials"])),
+    "norms": _Experiment(100, lambda spec, n: run_norms(spec, n["seed"], n["trials"])),
+    "young": _Experiment(200, lambda spec, n: run_young(spec, n["seed"], n["trials"])),
+    "convrel": _Experiment(200, lambda spec, n: run_convrel(spec, n["seed"], n["trials"])),
+    "locop": _Experiment(25, lambda spec, n: run_locop(spec, n["seed"], n["trials"])),
+    "decay": _Experiment(
+        500,
+        lambda spec, n: run_decay(spec, n["seed"], n["trials"], gammas=n["gammas"],
+                                  top_k=n["top_k"], control_seeds=n["control_seeds"]),
+        frozenset({"gammas", "top_k", "control_seeds"}),
+        _decay_extras,
+    ),
+}
+
+
 def validate_config(cfg) -> dict:
     """Check shape, types, and key names; returns a normalized config."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
@@ -91,8 +150,8 @@ def validate_config(cfg) -> dict:
     exp = cfg["experiment"]
     _expect(isinstance(exp, str) and exp in _EXPERIMENTS,
             f"'experiment' must be one of {', '.join(_EXPERIMENTS)}")
-    allowed = {"experiment", "group", "seed", "trials", "output_dir"}
-    allowed |= _EXTRA_KEYS.get(exp, set())
+    entry = _EXPERIMENTS[exp]
+    allowed = {"experiment", "group", "seed", "trials", "output_dir"} | entry.keys
     unknown = sorted(set(cfg) - allowed)
     _expect(not unknown, f"unknown config keys: {', '.join(unknown)}")
 
@@ -111,58 +170,22 @@ def validate_config(cfg) -> dict:
     seed = cfg.get("seed", 0)
     _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
             "'seed' must be a non-negative integer")
-    trials = cfg.get("trials", _DEFAULT_TRIALS[exp])
+    trials = cfg.get("trials", entry.trials)
     _expect(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1,
             "'trials' must be a positive integer")
     output_dir = cfg.get("output_dir", ".")
     _expect(isinstance(output_dir, str) and output_dir,
             "'output_dir' must be a non-empty string")
 
-    norm = {
+    return {
         "experiment": exp,
         "factors": factors,
         "subgroup_divisors": divisors,
         "seed": seed,
         "trials": trials,
         "output_dir": output_dir,
+        **entry.extras(cfg),
     }
-
-    if exp == "identities":
-        names = cfg.get("identities")
-        if names is not None:
-            _expect(isinstance(names, list) and names,
-                    "'identities' must be a non-empty list of names")
-            known = set(identity_names())
-            for n in names:
-                _expect(isinstance(n, str) and n in known, f"unknown identity: {n!r}")
-            norm["identities"] = list(names)
-        tols = cfg.get("tolerances")
-        if tols is not None:
-            _expect(isinstance(tols, dict), "'tolerances' must be an object")
-            known = set(identity_names())
-            for k, v in tols.items():
-                _expect(k in known, f"tolerance for unknown identity: {k!r}")
-                _expect(_is_finite_number(v) and v >= 0,
-                        f"tolerance for {k!r} must be a finite non-negative number")
-            norm["tolerances"] = {k: float(v) for k, v in tols.items()}
-    elif exp == "decay":
-        gammas = cfg.get("gammas", [0.5, 1.0, 2.0])
-        _expect(isinstance(gammas, list) and gammas, "'gammas' must be a non-empty list")
-        for g in gammas:
-            _expect(_is_finite_number(g) and g > 0,
-                    "'gammas' entries must be finite positive numbers")
-        norm["gammas"] = [float(g) for g in gammas]
-        top_k = cfg.get("top_k", 3)
-        _expect(isinstance(top_k, int) and not isinstance(top_k, bool) and top_k >= 1,
-                "'top_k' must be a positive integer")
-        norm["top_k"] = top_k
-        controls = cfg.get("control_seeds", list(range(10)))
-        _expect(isinstance(controls, list), "'control_seeds' must be a list")
-        for c in controls:
-            _expect(isinstance(c, int) and not isinstance(c, bool) and c >= 0,
-                    "'control_seeds' entries must be non-negative integers")
-        norm["control_seeds"] = list(controls)
-    return norm
 
 
 def _jsonable(obj):
@@ -200,34 +223,8 @@ def _write_artifacts(outdir: str, name: str, summary: dict, tables: dict) -> lis
 
 def _dispatch(norm: dict) -> tuple[dict, list[str], dict]:
     spec = make_group(norm["factors"], norm["subgroup_divisors"])
-    exp = norm["experiment"]
-    seed = norm["seed"]
-    trials = norm["trials"]
-    tables: dict = {}
-    if exp == "identities":
-        summary, failures = run_identities(
-            spec, seed, trials,
-            names=norm.get("identities"),
-            tolerances=norm.get("tolerances"),
-        )
-    elif exp == "frames":
-        summary, failures = run_frames(spec, seed, trials)
-    elif exp == "norms":
-        summary, failures, tables = run_norms(spec, seed, trials)
-    elif exp == "young":
-        summary, failures, tables = run_young(spec, seed, trials)
-    elif exp == "convrel":
-        summary, failures, tables = run_convrel(spec, seed, trials)
-    elif exp == "locop":
-        summary, failures = run_locop(spec, seed, trials)
-    else:
-        summary, failures = run_decay(
-            spec, seed, trials,
-            gammas=norm["gammas"],
-            top_k=norm["top_k"],
-            control_seeds=norm["control_seeds"],
-        )
-    return summary, failures, tables
+    summary, failures, *tables = _EXPERIMENTS[norm["experiment"]].run(spec, norm)
+    return summary, failures, tables[0] if tables else {}
 
 
 def _cmd_list_identities() -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,17 +24,11 @@ from .gabor import (
     quasi_lattice,
     representative_independence_residual,
 )
-from .group import (
-    GroupSpec,
-    annihilator_indices,
-    character,
-    dual_spec,
-    phase_spec,
-    subgroup_indices,
-)
+from .group import GroupSpec, character, dual_spec, tile_indices
 from .norms import (
     Exponents,
     Weight,
+    WindowSet,
     canonical_window,
     check_young_exponents,
     inclusion_check,
@@ -126,6 +121,10 @@ def _random_dual(spec: GroupSpec, rng: np.random.Generator):
 # identity registry
 
 
+_NORM_GRID = (0.5, 1.0, 2.0, math.inf)
+_EXPONENT_GRID = tuple(Exponents.of(p, q) for p in _NORM_GRID for q in _NORM_GRID)
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """One verifiable identity with its tolerance and cost cap."""
@@ -138,184 +137,130 @@ class IdentityCheck:
     randomized: bool = True
 
 
-def _check_commutation(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        f = random_signal(spec, rng)
-        x = _random_point(spec, rng)
-        xi = _random_dual(spec, rng)
-        lhs = modulate(translate(f, x), xi)
-        rhs = translate(modulate(f, xi), x)
-        diff = lhs.values - character(xi, x) * rhs.values
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+def _worst(trial: Callable[[GroupSpec, np.random.Generator], float]):
+    """Runner that folds ``trial``'s residuals into their worst over ``trials``."""
+
+    def runner(spec: GroupSpec, rng: np.random.Generator, trials: int) -> float:
+        worst = 0.0
+        for _ in range(trials):
+            worst = max(worst, trial(spec, rng))
+        return worst
+
+    return runner
 
 
-def _check_stft_shift(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        f = random_signal(spec, rng)
-        g = random_signal(spec, rng)
-        worst = max(
-            worst,
-            stft_shift_identity_residual(
-                f,
-                g,
-                _random_point(spec, rng),
-                _random_dual(spec, rng),
-                _random_point(spec, rng),
-                _random_dual(spec, rng),
-            ),
-        )
-    return worst
+def _commutation(spec, rng):
+    f = random_signal(spec, rng)
+    x = _random_point(spec, rng)
+    xi = _random_dual(spec, rng)
+    lhs = modulate(translate(f, x), xi)
+    rhs = translate(modulate(f, xi), x)
+    return float(np.max(np.abs(lhs.values - character(xi, x) * rhs.values)))
 
 
-def _check_rihaczek_covariance(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        f = random_signal(spec, rng)
-        g = random_signal(spec, rng)
-        worst = max(
-            worst,
-            rihaczek_covariance_residual(
-                f,
-                g,
-                _random_point(spec, rng),
-                _random_dual(spec, rng),
-                _random_point(spec, rng),
-                _random_dual(spec, rng),
-            ),
-        )
-    return worst
+def _shifted_pair_args(spec, rng):
+    """Two signals and two phase-space points, drawn in argument order."""
+    return (random_signal(spec, rng), random_signal(spec, rng),
+            _random_point(spec, rng), _random_dual(spec, rng),
+            _random_point(spec, rng), _random_dual(spec, rng))
+
+
+def _stft_shift(spec, rng):
+    return stft_shift_identity_residual(*_shifted_pair_args(spec, rng))
+
+
+def _rihaczek_covariance(spec, rng):
+    return rihaczek_covariance_residual(*_shifted_pair_args(spec, rng))
 
 
 def _check_window_support(spec, rng, trials):
     phi = gaussian_window(spec)
     V = stft(phi, phi).mat
     mask = np.zeros(V.shape, dtype=bool)
-    kk = subgroup_indices(spec)
-    aa = annihilator_indices(spec)
-    mask[np.ix_(kk, aa)] = True
+    mask.flat[tile_indices(spec)] = True
     c = window_constant(spec)
     on = float(np.max(np.abs(V[mask] - c)))
     off = float(np.max(np.abs(V[~mask]))) if (~mask).any() else 0.0
     return max(on, off)
 
 
-def _check_magic(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        psi = random_signal(spec, rng)
-        f = random_signal(spec, rng)
-        g = random_signal(spec, rng)
-        worst = max(worst, magic_formula_residual(psi, f, g))
-    return worst
+def _magic(spec, rng):
+    return magic_formula_residual(
+        random_signal(spec, rng), random_signal(spec, rng), random_signal(spec, rng)
+    )
 
 
-def _check_kn_weak(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        sigma = random_phase_function(spec, rng)
-        f = random_signal(spec, rng)
-        g = random_signal(spec, rng)
-        worst = max(worst, kn_weak_residual(sigma, f, g))
-    return worst
+def _symbol_and_pair(spec, rng):
+    """A phase-space function and two signals, drawn in argument order."""
+    return random_phase_function(spec, rng), random_signal(spec, rng), random_signal(spec, rng)
 
 
-def _check_kn_kernel(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        sigma = random_phase_function(spec, rng)
-        f = random_signal(spec, rng)
-        g = random_signal(spec, rng)
-        worst = max(worst, kn_kernel_pairing_residual(sigma, f, g))
-    return worst
+def _kn_weak(spec, rng):
+    return kn_weak_residual(*_symbol_and_pair(spec, rng))
 
 
-def _check_gabor_matrix(spec, rng, trials):
-    lattice = quasi_lattice(spec)
-    worst = 0.0
-    for _ in range(trials):
-        sigma = random_phase_function(spec, rng)
-        worst = max(worst, gabor_matrix_residual(sigma, lattice.points))
-    return worst
+def _kn_kernel(spec, rng):
+    return kn_kernel_pairing_residual(*_symbol_and_pair(spec, rng))
 
 
-def _check_loc_kn(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        a = random_phase_function(spec, rng)
-        psi1 = random_signal(spec, rng)
-        psi2 = random_signal(spec, rng)
-        worst = max(worst, loc_kn_matrix_residual(a, psi1, psi2))
-    return worst
+def _gabor_matrix(spec, rng):
+    return gabor_matrix_residual(random_phase_function(spec, rng), quasi_lattice(spec).points)
+
+
+def _loc_kn(spec, rng):
+    return loc_kn_matrix_residual(*_symbol_and_pair(spec, rng))
 
 
 def _unit(f: Signal) -> Signal:
     return Signal(f.group, f.values / norm_l2(f))
 
 
-def _check_moyal(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        f = _unit(random_signal(spec, rng))
-        g = _unit(random_signal(spec, rng))
-        worst = max(worst, moyal_residual(f, g))
-    return worst
+def _moyal(spec, rng):
+    f = _unit(random_signal(spec, rng))
+    g = _unit(random_signal(spec, rng))
+    return moyal_residual(f, g)
 
 
-def _check_parseval(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        f = random_signal(spec, rng)
-        g = random_signal(spec, rng)
-        worst = max(worst, abs(inner(f, g) - inner(fourier(f), fourier(g))))
-    return worst
+def _parseval(spec, rng):
+    f = random_signal(spec, rng)
+    g = random_signal(spec, rng)
+    return abs(inner(f, g) - inner(fourier(f), fourier(g)))
 
 
-def _check_inversion(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        f = random_signal(spec, rng)
-        back = inverse_fourier(fourier(f))
-        worst = max(worst, float(np.max(np.abs(back.values - f.values))))
-    return worst
+def _inversion(spec, rng):
+    f = random_signal(spec, rng)
+    return float(np.max(np.abs(inverse_fourier(fourier(f)).values - f.values)))
 
 
-def _check_conv_diag(spec, rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        f = random_signal(spec, rng)
-        g = random_signal(spec, rng)
-        lhs = fourier(convolve(f, g)).values
-        rhs = fourier(f).values * fourier(g).values
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+def _conv_diag(spec, rng):
+    f = random_signal(spec, rng)
+    g = random_signal(spec, rng)
+    lhs = fourier(convolve(f, g)).values
+    return float(np.max(np.abs(lhs - fourier(f).values * fourier(g).values)))
 
 
-def _check_quotient(spec, rng, trials):
-    lattice = quasi_lattice(spec)
-    phi = gaussian_window(spec)
-    worst = 0.0
-    for _ in range(trials):
-        f = random_signal(spec, rng)
-        worst = max(worst, representative_independence_residual(f, phi, lattice))
-    return worst
+def _quotient(spec, rng):
+    return representative_independence_residual(
+        random_signal(spec, rng), gaussian_window(spec), quasi_lattice(spec)
+    )
 
 
-def _check_pointwise_maximal(spec, rng, trials):
+@lru_cache(maxsize=8)
+def _trivial_subgroup_window(spec: GroupSpec) -> WindowSet:
+    """Canonical window of ``spec``'s factors with a trivial subgroup."""
+    return canonical_window(GroupSpec(spec.factors, spec.factors, spec.mass))
+
+
+def _pointwise_maximal(spec, rng):
     """With a trivial subgroup the covering maximum reduces to |V| itself."""
-    flat = GroupSpec(spec.factors, spec.factors, spec.mass)
-    window = canonical_window(flat)
-    grid = [Exponents.of(p, q) for p in (0.5, 1, 2, math.inf) for q in (0.5, 1, 2, math.inf)]
+    window = _trivial_subgroup_window(spec)
+    f = random_signal(window.group, rng)
+    V = stft(f, gaussian_window(window.group))
     worst = 0.0
-    for _ in range(trials):
-        f = random_signal(flat, rng)
-        V = stft(f, gaussian_window(flat))
-        for e in grid:
-            plain = mixed_quasi_norm(V, e)
-            covered = modulation_norm(f, e=e, Q=window)
-            worst = max(worst, abs(covered - plain) / (1.0 + plain))
+    for e in _EXPONENT_GRID:
+        plain = mixed_quasi_norm(V, e)
+        covered = modulation_norm(f, e=e, Q=window)
+        worst = max(worst, abs(covered - plain) / (1.0 + plain))
     return worst
 
 
@@ -324,19 +269,19 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "shift-commutation",
         "modulation after translation equals the character times the swapped order",
         1e-14,
-        _check_commutation,
+        _worst(_commutation),
     ),
     IdentityCheck(
         "stft-shift",
         "transforming a shifted pair shifts and twists the transform",
         1e-12,
-        _check_stft_shift,
+        _worst(_stft_shift),
     ),
     IdentityCheck(
         "rihaczek-covariance",
         "shifting both arguments rotates the cross spectrogram on phase space",
         1e-12,
-        _check_rihaczek_covariance,
+        _worst(_rihaczek_covariance),
     ),
     IdentityCheck(
         "window-transform-support",
@@ -349,69 +294,69 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "stft-of-rihaczek",
         "the transform of a cross spectrogram factors into two window transforms",
         1e-10,
-        _check_magic,
+        _worst(_magic),
         max_order=16,
     ),
     IdentityCheck(
         "quantization-weak-form",
         "the operator pairing equals the symbol paired with the cross spectrogram",
         1e-11,
-        _check_kn_weak,
+        _worst(_kn_weak),
     ),
     IdentityCheck(
         "quantization-kernel",
         "the integral kernel of the quantization reproduces the operator pairing",
         1e-11,
-        _check_kn_kernel,
+        _worst(_kn_kernel),
     ),
     IdentityCheck(
         "channel-matrix-closed-form",
         "the sampled operator matrix matches its single-sum closed form",
         1e-10,
-        _check_gabor_matrix,
+        _worst(_gabor_matrix),
     ),
     IdentityCheck(
         "localization-as-quantization",
         "masking in phase space equals quantizing a smoothed symbol",
         1e-9,
-        _check_loc_kn,
+        _worst(_loc_kn),
     ),
     IdentityCheck(
         "transform-energy",
         "the phase-space energy of the transform equals the signal energies",
         1e-12,
-        _check_moyal,
+        _worst(_moyal),
     ),
     IdentityCheck(
         "fourier-parseval",
         "the Fourier transform preserves inner products",
         1e-12,
-        _check_parseval,
+        _worst(_parseval),
     ),
     IdentityCheck(
         "fourier-inversion",
         "the inverse transform undoes the forward transform pointwise",
         1e-12,
-        _check_inversion,
+        _worst(_inversion),
     ),
     IdentityCheck(
         "convolution-diagonalization",
         "the Fourier transform turns convolution into a pointwise product",
         1e-12,
-        _check_conv_diag,
+        _worst(_conv_diag),
     ),
     IdentityCheck(
         "coset-representative-independence",
         "per-coset maxima of the transform do not depend on the representative",
         0.0,
-        _check_quotient,
+        _worst(_quotient),
         max_order=16,
     ),
     IdentityCheck(
         "pointwise-covering-maximum",
         "with a trivial subgroup the covered norm equals the plain mixed norm",
         1e-13,
-        _check_pointwise_maximal,
+        _worst(_pointwise_maximal),
     ),
 )
 
@@ -526,9 +471,6 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]
 # norms
 
 
-_NORM_GRID = (0.5, 1.0, 2.0, math.inf)
-
-
 def _fmt_p(p: float) -> str:
     return "inf" if math.isinf(p) else (f"{p:g}")
 
@@ -539,13 +481,12 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     phi = gaussian_window(spec)
     Q = canonical_window(spec)
     rng = stream_rng(seed, 0)
-    grid = [Exponents.of(p, q) for p in _NORM_GRID for q in _NORM_GRID]
 
-    ratios = {f"{_fmt_p(e.p)}x{_fmt_p(e.q)}": [math.inf, 0.0] for e in grid}
+    ratios = {f"{_fmt_p(e.p)}x{_fmt_p(e.q)}": [math.inf, 0.0] for e in _EXPONENT_GRID}
     for _ in range(trials):
         f = random_signal(spec, rng)
         V = stft(f, phi)
-        for e in grid:
+        for e in _EXPONENT_GRID:
             plain = mixed_quasi_norm(V, e)
             covered = modulation_norm(f, e=e, Q=Q)
             key = f"{_fmt_p(e.p)}x{_fmt_p(e.q)}"
@@ -560,7 +501,7 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     for _ in range(trials):
         F = random_phase_function(spec, rng)
         H = random_phase_function(spec, rng)
-        for e in grid:
+        for e in _EXPONENT_GRID:
             if math.isinf(e.p) or math.isinf(e.q):
                 continue
             res = rnorm_subadditivity_residual(F, H, e)
@@ -597,7 +538,7 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     windows = {"tile": Q, "unit": unit_window(spec)}
     for wid, m in weights.items():
         for gid, win in windows.items():
-            for e in grid:
+            for e in _EXPONENT_GRID:
                 val = modulation_norm(f0, e=e, m=m, Q=win)
                 rows.append((_fmt_p(e.p), _fmt_p(e.q), wid, gid, f"{val!r}"))
 

@@ -28,7 +28,7 @@ from .group import (
 )
 from .norms import Exponents
 from .operators import OperatorMatrix
-from .signal import Signal, inner, norm_l2, tf_shift
+from .signal import Signal, norm_l2, tf_shift
 from .tfa import stft
 
 
@@ -92,7 +92,9 @@ def lattice_from_points(
 
 
 def _vector_stack(g: Signal, lattice: QuasiLattice) -> np.ndarray:
-    return np.stack([tf_shift(g, x, xi).values for x, xi in lattice.points])
+    rows = [tf_shift(g, x, xi).values for x, xi in lattice.points]
+    # a deficient system may keep no points at all
+    return np.stack(rows) if rows else np.zeros((0, g.group.order), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +134,6 @@ def frame_bounds(g: Signal, lattice: QuasiLattice) -> tuple[float, float]:
     if A <= 1e-10 * B:
         raise NotAFrame(f"lower frame bound {A} vanishes against {B}", (A, B))
     return A, B
-
-
-def is_tight(g: Signal, lattice: QuasiLattice, slack: float = 1e-10) -> bool:
-    A, B = frame_bounds(g, lattice)
-    return bool(B / A - 1.0 <= slack)
 
 
 class DualWindowMismatch(ValueError):

@@ -417,8 +417,3 @@ def phase_index(spec: GroupSpec, x: GroupElement, xi: DualElement) -> int:
         raise GroupMismatch("phase point components belong to a different group")
     return x.index * spec.order + xi.index
 
-
-def phase_point(spec: GroupSpec, flat: int) -> tuple[GroupElement, DualElement]:
-    """Inverse of :func:`phase_index`."""
-    n = spec.order
-    return spec.element_at(flat // n), spec.dual_at(flat % n)

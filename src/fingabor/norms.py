@@ -24,8 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .group import (
-    DualElement,
-    GroupElement,
     GroupMismatch,
     GroupSpec,
     phase_spec,
@@ -133,62 +131,6 @@ def unit_window(spec: GroupSpec) -> WindowSet:
 def canonical_window(spec: GroupSpec) -> WindowSet:
     """Offsets K x K_perp; the natural tile of the quasi-lattice."""
     return WindowSet(spec, tuple(int(i) for i in tile_indices(spec)))
-
-
-def full_window(spec: GroupSpec) -> WindowSet:
-    return WindowSet(spec, tuple(range(spec.order ** 2)))
-
-
-def window_from_offsets(
-    spec: GroupSpec, offsets: Sequence[tuple[GroupElement, DualElement]]
-) -> WindowSet:
-    return WindowSet(spec, tuple(x.index * spec.order + xi.index for x, xi in offsets))
-
-
-# ---------------------------------------------------------------------------
-# weight diagnostics
-
-
-def check_submultiplicative(spec: GroupSpec, v: Weight, slack: float = 1e-12) -> bool:
-    """Exhaustively test v(x + y) <= v(x) v(y) on the given group."""
-    vals = _weight_on(spec, v)
-    worst = _pair_ratio_max(spec, vals, vals)
-    return bool(worst <= 1.0 + slack)
-
-
-def check_moderate(spec: GroupSpec, m: Weight, v: Weight, slack: float = 1e-12):
-    """Tight constant C = max m(x + y) / (v(x) m(y)) over all pairs.
-
-    Returns (ok, C) where ok means m is v-moderate with constant 1 up to
-    the slack.  C itself is always finite on a finite group.
-    """
-    mvals = _weight_on(spec, m)
-    vvals = _weight_on(spec, v)
-    C = _pair_ratio_max(spec, vvals, mvals)
-    return bool(C <= 1.0 + slack), float(C)
-
-
-def _weight_on(spec: GroupSpec, w: Weight) -> np.ndarray:
-    if w.values.shape != (spec.order,):
-        raise GroupMismatch(
-            f"weight has {w.values.shape[0]} values, group has {spec.order} points"
-        )
-    return w.values
-
-
-def _pair_ratio_max(spec: GroupSpec, left: np.ndarray, right: np.ndarray) -> float:
-    """max over (x, y) of right(x + y) / (left(x) right(y))."""
-    grid = residue_grid(spec)
-    mods = np.asarray(spec.factors)
-    worst = 0.0
-    chunk = max(1, 2 ** 22 // max(spec.order, 1))
-    for start in range(0, spec.order, chunk):
-        rows = grid[start : start + chunk]
-        add = (rows[:, None, :] + grid[None, :, :]) % mods
-        idx = np.ravel_multi_index(np.moveaxis(add, 2, 0), spec.factors)
-        ratios = right[idx] / (left[start : start + rows.shape[0], None] * right[None, :])
-        worst = max(worst, float(ratios.max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .group import (
     diff_rows,
     diff_table,
     dual_spec,
-    neg_index,
     phase_spec,
     product_spec,
     residue_grid,
@@ -227,11 +226,6 @@ def convolve_phase(F: PhaseFunction, H: PhaseFunction) -> PhaseFunction:
     return PhaseFunction(spec, T @ P @ T * (spec.mass * spec.mass_dual / (n * n)))
 
 
-def involution(f: Signal) -> Signal:
-    """f*(x) = conj(f(-x))."""
-    return Signal(f.group, np.conj(f.values[neg_index(f.group)]))
-
-
 def inner(f: Signal, g: Signal) -> complex:
     """<f, g> = sum f conj(g) * mass; antilinear in the second slot."""
     if f.group != g.group:
@@ -253,36 +247,3 @@ def tensor(f: Signal, g: Signal) -> Signal:
     spec = product_spec(f.group, g.group)
     return Signal(spec, np.kron(f.values, g.values))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def signal_to_json(f: Signal) -> str:
-    import json
-
-    pairs = [[float(v.real), float(v.imag)] for v in f.values]
-    return json.dumps({"group": f.group.to_json(), "values": pairs}, sort_keys=True)
-
-
-def signal_from_json(text: str) -> Signal:
-    import json
-
-    data = json.loads(text)
-    spec = GroupSpec.from_json(data["group"])
-    vals = np.array([complex(re, im) for re, im in data["values"]])
-    return Signal(spec, vals)
-
-
-def signal_to_csv_rows(f: Signal) -> list[tuple[int, float, float]]:
-    """Rows (index, re, im) in canonical order."""
-    return [(i, float(v.real), float(v.imag)) for i, v in enumerate(f.values)]
-
-
-def phase_to_csv_rows(F: PhaseFunction) -> list[tuple[int, int, float, float, float]]:
-    """Rows (x index, xi index, re, im, abs) in canonical order."""
-    n = F.group.order
-    out = []
-    for flat, v in enumerate(F.values):
-        out.append((flat // n, flat % n, float(v.real), float(v.imag), float(abs(v))))
-    return out

@@ -13,8 +13,6 @@ computed transform rather than hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .group import (
@@ -25,7 +23,6 @@ from .group import (
     character_row,
     character_table,
     diff_table,
-    dual_spec,
     phase_spec,
     residue_grid,
     translation_perm,
@@ -35,11 +32,8 @@ from .signal import (
     Signal,
     convolve,
     fourier,
-    modulate,
-    phase_from_signal,
     subgroup_indicator,
     tf_shift,
-    translate,
 )
 
 
@@ -214,50 +208,6 @@ def magic_formula_residual(psi: Signal, f: Signal, g: Signal) -> float:
         * np.transpose(B, (0, 2, 1))[:, :, None, :]
     )
     return float(np.max(np.abs(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
-# finite linear combinations of shifted windows
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Finite sum  sum_k a_k pi(x_k, xi_k) phi  with phi the canonical window."""
-
-    group: GroupSpec
-    terms: tuple[tuple[complex, GroupElement, DualElement], ...]
-
-    def materialize(self) -> Signal:
-        phi = gaussian_window(self.group)
-        vals = np.zeros(self.group.order, dtype=np.complex128)
-        for a, x, xi in self.terms:
-            vals = vals + a * tf_shift(phi, x, xi).values
-        return Signal(self.group, vals)
-
-
-def testfunction_stft(F: TestFunction, G: TestFunction) -> PhaseFunction:
-    """STFT of one window combination against another, by the closed form.
-
-    Expands V_G F as a double sum of phase-corrected translates of
-    V_phi phi; no full transform of the materialized signals is taken.
-    """
-    if F.group != G.group:
-        raise GroupMismatch("both combinations must live on the same group")
-    spec = F.group
-    n = spec.order
-    phi = gaussian_window(spec)
-    V0 = stft(phi, phi).mat
-    out = np.zeros((n, n), dtype=np.complex128)
-    for a, u, omega in F.terms:
-        xi_shift = translation_perm(spec, tuple(-r for r in omega.residues))
-        c1 = np.conj(character_row(spec, u.index)[xi_shift])   # conj<xi - omega, u>
-        x_shift = translation_perm(spec, tuple(-r for r in u.residues))
-        for b, y, eta in G.terms:
-            c2 = character_row(spec, eta.index)[x_shift]       # <eta, x - u>
-            row = translation_perm(spec, tuple(p - q for p, q in zip(y.residues, u.residues)))
-            col = translation_perm(spec, tuple(p - q for p, q in zip(eta.residues, omega.residues)))
-            out += a * np.conj(b) * c2[:, None] * c1[None, :] * V0[row][:, col]
-    return PhaseFunction(spec, out.reshape(-1))
 
 
 def moyal_residual(f: Signal, g: Signal) -> float:

@@ -167,6 +167,26 @@ def test_output_dir_env_override(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+class _Entered(Exception):
+    pass
+
+
+@pytest.mark.parametrize("experiment", [
+    "identities", "frames", "norms", "young", "convrel", "locop", "decay",
+])
+def test_run_calls_the_driver_bound_in_cli(tmp_path, monkeypatch, experiment):
+    # a wrapper installed on fingabor.cli.run_<name> must see the call: the
+    # benchmark's set-up probes stop there
+    def entered(*args, **kwargs):
+        raise _Entered
+
+    monkeypatch.setattr(f"fingabor.cli.run_{experiment}", entered)
+    cfg = write_config(tmp_path, experiment=experiment)
+    with pytest.raises(_Entered):
+        main(["run", str(cfg)])
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # run: failure paths
 
@@ -265,6 +285,10 @@ def byte_map(root):
     ("norms", {"trials": 5}),
     ("young", {"trials": 5}),
     ("frames", {"trials": 5}),
+    ("convrel", {"trials": 5}),
+    ("locop", {"trials": 3}),
+    ("decay", {"trials": 10, "control_seeds": [0],
+               "group": {"factors": [8], "subgroup_divisors": [2]}}),
 ])
 def test_artifacts_are_byte_identical(tmp_path, capsys, experiment, extra):
     out1 = tmp_path / "a"

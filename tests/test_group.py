@@ -21,7 +21,6 @@ from fingabor.group import (
     make_group,
     neg_index,
     phase_index,
-    phase_point,
     phase_spec,
     residue_grid,
     subgroup_indices,
@@ -278,6 +277,11 @@ def test_phase_spec_shape_and_mass():
     # its subgroup is K x K_perp
     k = subgroup_indices(ps)
     assert len(k) == spec.subgroup_order * spec.annihilator_order
+
+
+def phase_point(spec, flat):
+    """Inverse of phase_index."""
+    return spec.element_at(flat // spec.order), spec.dual_at(flat % spec.order)
 
 
 def test_phase_index_roundtrip():

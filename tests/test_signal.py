@@ -1,5 +1,4 @@
 import cmath
-import json
 
 import numpy as np
 import pytest
@@ -24,14 +23,9 @@ from fingabor.signal import (
     inner,
     inner_phase,
     inverse_fourier,
-    involution,
     modulate,
     norm_l2,
     phase_from_signal,
-    phase_to_csv_rows,
-    signal_from_json,
-    signal_to_csv_rows,
-    signal_to_json,
     subgroup_indicator,
     tensor,
     tf_shift,
@@ -258,7 +252,7 @@ def test_convolve_phase_builds_no_phase_space_table():
 
 
 # ---------------------------------------------------------------------------
-# inner products, involution, tensor
+# inner products, tensor
 
 
 def test_inner_antilinear_in_second_slot():
@@ -278,17 +272,6 @@ def test_inner_rejects_mismatched_groups():
         inner(f, g)
 
 
-def test_involution():
-    spec = make_group([6], [1])
-    rng = np.random.default_rng(10)
-    f = rand_signal(spec, rng)
-    h = involution(f)
-    for i in range(6):
-        assert h.values[i] == np.conj(f.values[(-spec.element_at(i)).index])
-    # f -> f* is an involution
-    np.testing.assert_array_equal(involution(h).values, f.values)
-
-
 def test_tensor_values():
     s1 = make_group([2], [1])
     s2 = make_group([3], [3])
@@ -306,29 +289,3 @@ def test_inner_phase_weighting():
     # phase mass is mass * mass_dual = 1/4, so <F, H> = 16 / 4
     assert inner_phase(F, H) == pytest.approx(4.0)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_signal_json_roundtrip():
-    spec = GroupSpec((6,), (3,), 0.5)
-    rng = np.random.default_rng(11)
-    f = rand_signal(spec, rng)
-    again = signal_from_json(signal_to_json(f))
-    assert again.group == spec
-    np.testing.assert_array_equal(again.values, f.values)
-    # the payload is plain JSON
-    json.loads(signal_to_json(f))
-
-
-def test_csv_rows():
-    spec = make_group([4], [2])
-    f = Signal(spec, np.array([1 + 2j, 0, 0, 3j]))
-    rows = signal_to_csv_rows(f)
-    assert rows[0] == (0, 1.0, 2.0)
-    assert rows[3] == (3, 0.0, 3.0)
-    P = PhaseFunction(spec, np.arange(16, dtype=complex))
-    prows = phase_to_csv_rows(P)
-    assert len(prows) == 16
-    assert prows[5][:2] == (1, 1)   # x index 1, xi index 1

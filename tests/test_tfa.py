@@ -10,8 +10,7 @@ from fingabor.group import (
     phase_spec,
     subgroup_indices,
 )
-from fingabor.signal import Signal, fourier, inner, norm_l2, tf_shift
-from fingabor import tfa
+from fingabor.signal import Signal, fourier, inner, norm_l2
 from fingabor.tfa import (
     gaussian_circ,
     gaussian_window,
@@ -253,27 +252,3 @@ def test_magic_formula(factors, divisors):
         g = rand_signal(spec, rng)
         assert magic_formula_residual(psi, f, g) < 1e-10
 
-
-# ---------------------------------------------------------------------------
-# finite combinations of shifted windows
-
-
-def test_testfunction_stft_matches_direct():
-    spec = make_group([8], [2])
-    terms_f = [(0.7 + 0.2j, spec.element((1,)), spec.dual((3,))),
-               (-1.1j, spec.element((5,)), spec.dual((0,)))]
-    terms_g = [(1.0, spec.element((0,)), spec.dual((2,))),
-               (0.4 - 0.9j, spec.element((6,)), spec.dual((7,)))]
-    F = tfa.TestFunction(spec, terms_f)
-    G = tfa.TestFunction(spec, terms_g)
-    closed = tfa.testfunction_stft(F, G)
-    direct = stft(F.materialize(), G.materialize())
-    np.testing.assert_allclose(closed.values, direct.values, atol=1e-12)
-
-
-def test_testfunction_materialize():
-    spec = make_group([6], [3])
-    phi = gaussian_window(spec)
-    F = tfa.TestFunction(spec, [(2.0, spec.element((1,)), spec.dual((2,)))])
-    ref = 2.0 * tf_shift(phi, 1, 2).values
-    np.testing.assert_allclose(F.materialize().values, ref, atol=1e-14)
