@@ -137,13 +137,19 @@ class IdentityCheck:
     randomized: bool = True
 
 
+def _worse(worst: float, r: float) -> float:
+    """max(worst, r), except that a NaN on either side is kept: max(0.0, nan)
+    is 0.0, and a residual that is not a number must fail its tolerance."""
+    return r if r > worst or math.isnan(r) else worst
+
+
 def _worst(trial: Callable[[GroupSpec, np.random.Generator], float]):
     """Runner that folds ``trial``'s residuals into their worst over ``trials``."""
 
     def runner(spec: GroupSpec, rng: np.random.Generator, trials: int) -> float:
         worst = 0.0
         for _ in range(trials):
-            worst = max(worst, trial(spec, rng))
+            worst = _worse(worst, trial(spec, rng))
         return worst
 
     return runner
@@ -181,7 +187,7 @@ def _check_window_support(spec, rng, trials):
     c = window_constant(spec)
     on = float(np.max(np.abs(V[mask] - c)))
     off = float(np.max(np.abs(V[~mask]))) if (~mask).any() else 0.0
-    return max(on, off)
+    return _worse(on, off)
 
 
 def _magic(spec, rng):
@@ -260,7 +266,7 @@ def _pointwise_maximal(spec, rng):
     for e in _EXPONENT_GRID:
         plain = mixed_quasi_norm(V, e)
         covered = modulation_norm(f, e=e, Q=window)
-        worst = max(worst, abs(covered - plain) / (1.0 + plain))
+        worst = _worse(worst, abs(covered - plain) / (1.0 + plain))
     return worst
 
 
@@ -439,10 +445,10 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]
         for _ in range(trials):
             f = random_signal(spec, rng)
             r1, r2 = expansion_residual(f, g, h, lattice)
-            worst = max(worst, r1, r2)
+            worst = _worse(_worse(worst, r1), r2)
         summary["dual_window_norm"] = norm_l2(h)
         summary["expansion_residual"] = worst
-        if worst > 1e-10:
+        if not worst <= 1e-10:
             failures.append(f"frame expansion residual {worst:.3e} exceeds 1e-10")
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         summary["dual_window_error"] = f"{type(exc).__name__}: {exc}"
@@ -505,8 +511,8 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
             if math.isinf(e.p) or math.isinf(e.q):
                 continue
             res = rnorm_subadditivity_residual(F, H, e)
-            sub_worst = max(sub_worst, res)
-            if res > 1e-10 * (1.0 + mixed_quasi_norm(F, e) ** e.r):
+            sub_worst = _worse(sub_worst, res)
+            if not res <= 1e-10 * (1.0 + mixed_quasi_norm(F, e) ** e.r):
                 sub_viol += 1
     if sub_viol:
         failures.append(f"r-norm subadditivity violated {sub_viol} times")
@@ -549,7 +555,7 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
         "trials": trials,
         "covered_over_plain": {k: v for k, v in ratios.items()},
         "subadditivity_violations": sub_viol,
-        "subadditivity_worst_excess": sub_worst if sub_worst > 0 else 0.0,
+        "subadditivity_worst_excess": sub_worst,
         "inclusion_violations": incl_viol,
         "failures": failures,
     }
@@ -606,8 +612,8 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
         for i, (e_out, e_left, e_right) in enumerate(exps):
             lhs, rhs = n_out[e_out], n_left[e_left] * n_right[e_right]
             if rhs > 0:
-                worst[i] = max(worst[i], lhs / rhs)
-            if lhs > rhs * (1.0 + 1e-10):
+                worst[i] = _worse(worst[i], lhs / rhs)
+            if not lhs <= rhs * (1.0 + 1e-10):
                 violations += 1
     if violations:
         failures.append(f"convolution inequality violated {violations} times")
@@ -710,20 +716,20 @@ def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]]
         psi1 = random_signal(spec, rng)
         psi2 = random_signal(spec, rng)
         f = random_signal(spec, rng)
-        worst_kn = max(worst_kn, loc_kn_matrix_residual(a, psi1, psi2))
+        worst_kn = _worse(worst_kn, loc_kn_matrix_residual(a, psi1, psi2))
         M = localization_matrix(a, psi1, psi2)
         out = localization_apply(a, psi1, psi2, f)
-        worst_apply = max(
+        worst_apply = _worse(
             worst_apply, float(np.max(np.abs(M.entries @ f.values - out.values)))
         )
         real_a = PhaseFunction(spec, np.abs(a.values).astype(np.complex128))
         Mh = localization_matrix(real_a, psi1, psi1).entries
-        worst_herm = max(worst_herm, float(np.max(np.abs(Mh - Mh.conj().T))))
-    if worst_kn > 1e-9:
+        worst_herm = _worse(worst_herm, float(np.max(np.abs(Mh - Mh.conj().T))))
+    if not worst_kn <= 1e-9:
         failures.append(f"localization-as-quantization residual {worst_kn:.3e} exceeds 1e-9")
-    if worst_apply > 1e-10:
+    if not worst_apply <= 1e-10:
         failures.append(f"matrix application residual {worst_apply:.3e} exceeds 1e-10")
-    if worst_herm > 1e-10:
+    if not worst_herm <= 1e-10:
         failures.append(f"hermitian residual {worst_herm:.3e} exceeds 1e-10")
     summary = {
         "experiment": "locop",
@@ -780,16 +786,12 @@ def run_decay(
     a = bump_symbol(spec)
     phi = gaussian_window(spec)
     A = localization_matrix(a, phi, phi)
-    report = decay_comparison(
-        A, phi, gammas=tuple(gammas), trials=trials, seed=seed, top_k=top_k
-    )
+    report = decay_comparison(A, gammas=tuple(gammas), trials=trials, seed=seed, top_k=top_k)
     rows = [row for prof in report["profiles"] for row in prof]
     controls = []
     for cs in control_seeds:
         B = OperatorMatrix(spec, _control_matrix(spec.order, cs))
-        crep = decay_comparison(
-            B, phi, gammas=tuple(gammas), trials=trials, seed=cs, top_k=1
-        )
+        crep = decay_comparison(B, gammas=tuple(gammas), trials=trials, seed=cs, top_k=1)
         rows += crep["profiles"][0]
         controls.append(
             {

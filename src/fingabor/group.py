@@ -21,7 +21,6 @@ mass-weighted sums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -138,16 +137,6 @@ class GroupSpec:
             "subgroup_divisors": list(self.subgroup_divisors),
             "mass": self.mass,
         }
-
-    @staticmethod
-    def from_json(data: "str | dict") -> "GroupSpec":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return GroupSpec(
-            tuple(data["factors"]),
-            tuple(data["subgroup_divisors"]),
-            float(data.get("mass", 1.0)),
-        )
 
 
 def make_group(factors: Iterable[int], subgroup_divisors: Iterable[int]) -> GroupSpec:
@@ -409,11 +398,3 @@ def product_spec(a: GroupSpec, b: GroupSpec) -> GroupSpec:
     return GroupSpec(
         a.factors + b.factors, a.subgroup_divisors + b.subgroup_divisors, mass=a.mass * b.mass
     )
-
-
-def phase_index(spec: GroupSpec, x: GroupElement, xi: DualElement) -> int:
-    """Flat canonical index of (x, xi) in phase space."""
-    if x.group != spec or xi.group != spec:
-        raise GroupMismatch("phase point components belong to a different group")
-    return x.index * spec.order + xi.index
-

@@ -149,18 +149,21 @@ def mixed_quasi_norm(
         if m.values.shape != (n * n,):
             raise GroupMismatch("weight does not match the phase space")
         W = W * m.values
-    return _mixed_norm_stack(spec, W.reshape(1, n, n), e)[0]
+    return _mixed_norm_stack(W.reshape(1, n, n), e, spec.mass, spec.mass_dual)[0]
 
 
-def _mixed_norm_stack(spec: GroupSpec, W: np.ndarray, e: Exponents) -> list[float]:
-    """Unweighted mixed quasi-norm of each nonnegative W[b, x, xi]."""
+def _mixed_norm_stack(
+    W: np.ndarray, e: Exponents, mass: float, mass_dual: float
+) -> list[float]:
+    """Unweighted mixed quasi-norm of each nonnegative W[b, x, xi], with
+    ``mass`` per point x and ``mass_dual`` per point xi."""
     if math.isinf(e.p):
         inner = W.max(axis=1)
     else:
-        inner = (spec.mass * (W ** e.p).sum(axis=1)) ** (1.0 / e.p)
+        inner = (mass * (W ** e.p).sum(axis=1)) ** (1.0 / e.p)
     if math.isinf(e.q):
         return inner.max(axis=1).tolist()
-    outer = spec.mass_dual * (inner ** e.q).sum(axis=1)
+    outer = mass_dual * (inner ** e.q).sum(axis=1)
     # The last power per element on Python floats, which is libm pow: an
     # ndarray ** 2.0 squares instead and can differ in the last bit.
     return [s ** (1.0 / e.q) for s in outer.tolist()]

@@ -8,12 +8,28 @@ axis, so results are reproducible bit for bit.  Within a degenerate
 eigenspace the basis is whichever one LAPACK returns; ``decay_comparison``
 flags such eigenvalues in its ``ties`` field.
 
+Decay profiles are modulation norms for the window phi = 1_K and the
+window set K x K_perp, evaluated on the quotient G/K x G^/K_perp.  With
+K = d_1 Z_N1 x ... x d_k Z_Nk, write each residue as x = j + d b; then
+
+    |V_phi f(x, xi)| = mass |sum_{c in K} f(j + d c) conj<xi, c>|,
+
+a transform on the group K = Z_{N1/d1} x ... read at xi mod N/d, so it
+depends only on (x mod d, xi mod N/d) and is its own coset maximum.  One
+product with the character table of K gives Q[j, eta] in n |K| operations
+instead of the n^3 of a dense STFT, and each value of Q stands for |K|
+points x and |K_perp| points xi:
+
+    ||V_phi f||_{p,q} = ( mass_dual |K_perp| sum_eta
+                          ( mass |K| sum_j Q[j, eta]^p )^{q/p} )^{1/q}
+
+with max replacing a sum for an infinite exponent.
+
 Random draws use the Philox counter-based generator keyed by
 (seed, trial), which makes serial and parallel evaluation agree exactly.
 The Haar baseline of ``decay_comparison`` draws those same vectors, from
-one generator whose state is reset per trial, and evaluates them in
-blocks of trials: one stacked STFT, one coset maximum and one mixed-norm
-reduction per block, bit-identical to a ``decay_profile`` per trial.
+one generator whose state is reset per trial, and evaluates all of them
+in one product, bit-identical to a ``decay_profile`` per trial.
 """
 
 from __future__ import annotations
@@ -23,11 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupMismatch, GroupSpec
-from .norms import Exponents, _maximal_stack, _mixed_norm_stack, canonical_window
+from .group import GroupSpec, character_table
+from .norms import Exponents, _mixed_norm_stack
 from .operators import OperatorMatrix
 from .signal import Signal
-from .tfa import gaussian_window, stft_stack
 
 
 class NotHermitian(ValueError):
@@ -78,30 +93,43 @@ class DecayProfile:
     ratios: tuple[float, ...]
 
 
-def decay_profile(
-    f: Signal, window: Signal | None = None, gammas: tuple[float, ...] = (0.5, 1.0, 2.0)
-) -> DecayProfile:
-    """Modulation norms M^{gamma,gamma} of a unit vector, and ratios to M^2."""
-    spec = f.group
-    if window is None:
-        window = gaussian_window(spec)
-    if window.group != spec:
-        raise GroupMismatch("decay profile needs signal and window on the same group")
-    norms, ratios = _profiles(f.values[None, :], window, gammas)
+def decay_profile(f: Signal, gammas: tuple[float, ...] = (0.5, 1.0, 2.0)) -> DecayProfile:
+    """Modulation norms M^{gamma,gamma} of a unit vector, and ratios to M^2,
+    for the window 1_K and the window set K x K_perp."""
+    norms, ratios = _profiles(f.group, f.values[None, :], gammas)
     return DecayProfile(
         tuple(gammas), tuple(float(v) for v in norms[0]), tuple(float(r) for r in ratios[0])
     )
 
 
-def _profiles(F: np.ndarray, window: Signal, gammas) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and ratios [b, gamma] of decay_profile for each row F[b] at once."""
-    spec = window.group
-    n = spec.order
-    mags = np.abs(stft_stack(F, window))
-    MQ = _maximal_stack(spec, mags, canonical_window(spec)).reshape(-1, n, n)
-    norms = np.array([_mixed_norm_stack(spec, MQ, Exponents(g, g)) for g in gammas]).T
-    ref = np.array(_mixed_norm_stack(spec, MQ, Exponents(2.0, 2.0)))
+def _profiles(spec: GroupSpec, F: np.ndarray, gammas) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and ratios [b, gamma] of decay_profile for each row F[b] at once;
+    the multiplicities |K| and |K_perp| of the quotient go into the masses."""
+    Q = _coset_magnitudes(spec, F)
+    mass = spec.mass * spec.subgroup_order
+    mass_dual = spec.mass_dual * spec.annihilator_order
+    norms = np.array([_mixed_norm_stack(Q, Exponents(g, g), mass, mass_dual) for g in gammas]).T
+    ref = np.array(_mixed_norm_stack(Q, Exponents(2.0, 2.0), mass, mass_dual))
     return norms, norms / ref[:, None]
+
+
+def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:
+    """|V_phi f| of each row F[b] on the quotient, as Q[b, x mod d, xi mod N/d].
+
+    ``rows[b, j, c] = f_b(j + d c)``, the coset offset j outer and the K
+    coordinate c inner, times the conjugate character table of K.
+    """
+    k = len(spec.factors)
+    sizes = tuple(n // d for n, d in zip(spec.factors, spec.subgroup_divisors))
+    split = [F.shape[0]] + [s for m, d in zip(sizes, spec.subgroup_divisors) for s in (m, d)]
+    axes = [0, *range(2, 2 * k + 1, 2), *range(1, 2 * k, 2)]
+    rows = F.reshape(split).transpose(axes).reshape(-1, spec.subgroup_order)
+    T = np.conj(character_table(GroupSpec(sizes, sizes))).T
+    # numpy hands a one-row product (K = G, one signal) to gemv, which rounds
+    # differently from gemm; a repeated row keeps every row on gemm.
+    V = rows @ T if len(rows) > 1 else (np.repeat(rows, 2, axis=0) @ T)[:1]
+    Q = np.abs(V) * spec.mass
+    return Q.reshape(F.shape[0], spec.annihilator_order, spec.subgroup_order)
 
 
 def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:
@@ -125,37 +153,19 @@ def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
     return np.stack(rows)
 
 
-# Haar trials per baseline block: the (b, n, n) complex STFT stack stays
-# within 1 MiB at Z_64.  Blocks of 64 raised the peak RSS of a Z_64 decay
-# run from 47.8 to 52.4 MB and bought little time.
-_BLOCK = 16
-
-
 def haar_baseline(
-    spec: GroupSpec,
-    window: Signal | None,
-    gammas: tuple[float, ...],
-    trials: int,
-    seed: int,
+    spec: GroupSpec, gammas: tuple[float, ...], trials: int, seed: int
 ) -> np.ndarray:
     """Decay ratios [trial, gamma] of the Haar-random unit vectors of seed.
 
-    Row t equals ``decay_profile(haar_random_unit(spec, seed, t), window,
-    gammas).ratios`` bit for bit; trials are evaluated in blocks.
+    Row t equals ``decay_profile(haar_random_unit(spec, seed, t),
+    gammas).ratios`` bit for bit; all trials are evaluated at once.
     """
-    if window is None:
-        window = gaussian_window(spec)
-    out = np.empty((trials, len(gammas)))
-    for start in range(0, trials, _BLOCK):
-        block = range(start, min(start + _BLOCK, trials))
-        F = _haar_rows(spec, seed, block)
-        out[block.start : block.stop] = _profiles(F, window, gammas)[1]
-    return out
+    return _profiles(spec, _haar_rows(spec, seed, range(trials)), gammas)[1]
 
 
 def decay_comparison(
     A: OperatorMatrix,
-    window: Signal | None = None,
     gammas: tuple[float, ...] = (0.5, 1.0, 2.0),
     trials: int = 500,
     seed: int = 0,
@@ -185,11 +195,11 @@ def decay_comparison(
     if ref_gamma not in gammas:
         gammas = tuple(gammas) + (ref_gamma,)
     ref_pos = tuple(gammas).index(ref_gamma)
-    baseline = haar_baseline(spec, window, gammas, trials, seed)[:, ref_pos]
+    baseline = haar_baseline(spec, gammas, trials, seed)[:, ref_pos]
     profiles = []
     percentiles = []
     for p in top:
-        prof = decay_profile(p.vector, window, gammas)
+        prof = decay_profile(p.vector, gammas)
         profiles.append(
             [
                 {"gamma": float(g), "norm": float(n), "ratio": float(r)}

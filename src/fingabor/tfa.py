@@ -52,24 +52,10 @@ def stft(f: Signal, g: Signal) -> PhaseFunction:
     """Full STFT of f against window g over every phase-space point."""
     if f.group != g.group:
         raise GroupMismatch("stft needs signal and window on the same group")
-    return PhaseFunction(f.group, stft_stack(f.values[None, :], g)[0])
-
-
-def stft_stack(F: np.ndarray, g: Signal) -> np.ndarray:
-    """STFTs of the rows of F[b, y] against g, flat in (x, xi) order: V[b, n^2].
-
-    One (b n, n) @ conj(T).T product, so every output entry is the same
-    length-n dot product whatever b is; ``test_tfa`` pins that a stacked row
-    equals its one-row transform bit for bit.
-    """
-    spec = g.group
-    n = spec.order
-    if F.shape[-1] != n:
-        raise GroupMismatch(f"expected signals of length {n}, got {F.shape[-1]}")
+    spec = f.group
     win = np.conj(g.values[diff_table(spec).T])   # win[x, y] = conj(g(y - x))
-    prod = (win[None, :, :] * F[:, None, :]).reshape(-1, n)
-    V = prod @ np.conj(character_table(spec)).T * spec.mass
-    return V.reshape(F.shape[0], n * n)
+    V = (win * f.values[None, :]) @ np.conj(character_table(spec)).T * spec.mass
+    return PhaseFunction(spec, V.reshape(-1))
 
 
 def stft_point(f: Signal, g: Signal, x: GroupElement, xi: DualElement) -> complex:

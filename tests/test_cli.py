@@ -1,10 +1,14 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from fingabor.cli import ConfigError, main, validate_config
+from fingabor.experiments import run_locop
+from fingabor.group import make_group
+from fingabor.signal import Signal
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -189,6 +193,26 @@ def test_run_calls_the_driver_bound_in_cli(tmp_path, monkeypatch, experiment):
 
 # ---------------------------------------------------------------------------
 # run: failure paths
+
+
+def test_nan_residual_fails_its_check(tmp_path, capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: the worst-over-trials fold must keep the NaN
+    monkeypatch.setattr("fingabor.experiments.fourier",
+                        lambda f: Signal(f.group, np.full(f.group.order, np.nan)))
+    cfg = write_config(tmp_path, identities=["shift-commutation", "fourier-parseval"])
+    assert main(["run", str(cfg)]) == 2
+    assert "failure: fourier-parseval: residual nan exceeds tolerance" in capsys.readouterr().out
+    results = json.loads((tmp_path / "out" / "identities_summary.json").read_text())["results"]
+    assert results["fourier-parseval"]["passed"] is False
+    assert results["fourier-parseval"]["residual"] is None
+    assert results["shift-commutation"]["passed"] is True
+
+
+def test_nan_localization_residual_fails(monkeypatch):
+    monkeypatch.setattr("fingabor.experiments.loc_kn_matrix_residual", lambda *a: math.nan)
+    summary, failures = run_locop(make_group([4], [2]), seed=0, trials=2)
+    assert failures == ["localization-as-quantization residual nan exceeds 1e-9"]
+    assert math.isnan(summary["quantization_residual"])
 
 
 def test_run_missing_config(tmp_path, capsys):

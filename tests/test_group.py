@@ -20,12 +20,12 @@ from fingabor.group import (
     dual_spec,
     make_group,
     neg_index,
-    phase_index,
     phase_spec,
     residue_grid,
     subgroup_indices,
     translation_perm,
 )
+from fingabor.tfa import phase_element
 
 
 def brute_character(spec, xi_res, x_res):
@@ -71,7 +71,7 @@ def test_mass_invariant():
 def test_json_roundtrip():
     spec = make_group([8, 3], [4, 3])
     blob = spec.to_json()
-    again = GroupSpec.from_json(json.loads(json.dumps(blob)))
+    again = GroupSpec(**json.loads(json.dumps(blob)))
     assert again == spec
 
 
@@ -280,12 +280,13 @@ def test_phase_spec_shape_and_mass():
 
 
 def phase_point(spec, flat):
-    """Inverse of phase_index."""
+    """(x, xi) at a flat phase-space index: x outer, xi inner."""
     return spec.element_at(flat // spec.order), spec.dual_at(flat % spec.order)
 
 
 def test_phase_index_roundtrip():
+    # the phase-space group orders its points as PhaseFunction stores them
     spec = make_group([4, 2], [2, 1])
     for flat in range(spec.order ** 2):
         x, xi = phase_point(spec, flat)
-        assert phase_index(spec, x, xi) == flat
+        assert phase_element(spec, x, xi).index == flat

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fingabor.group import GroupSpec, make_group
+from fingabor.norms import canonical_window, maximal_function, mixed_quasi_norm
 from fingabor.operators import OperatorMatrix
 from fingabor.signal import Signal, norm_l2
 from fingabor.spectral import (
@@ -16,6 +17,7 @@ from fingabor.spectral import (
     haar_random_unit,
     hermitian_eigen,
 )
+from fingabor.tfa import gaussian_window, stft
 
 
 def random_hermitian(spec, seed):
@@ -204,25 +206,51 @@ def test_decay_comparison_is_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("spec", [
+# trivial K and K = G included: with K = G one signal is a one-row product
+over_decay_groups = pytest.mark.parametrize("spec", [
     make_group([64], [8]),
     make_group([6, 2], [3, 2]),
     GroupSpec((12,), (3,), 0.25),
     make_group([4, 8], [2, 4]),
-], ids=["z64", "z6xz2", "z12-mass", "z4xz8"])
+    make_group([8], [8]),
+    make_group([8], [1]),
+], ids=["z64", "z6xz2", "z12-mass", "z4xz8", "z8-trivial-k", "z8-k-is-g"])
+
+
+@over_decay_groups
 def test_haar_baseline_blocks_equal_serial_profiles(spec):
     gammas = (0.5, 1.0, 2.0)
-    trials = 37                       # not a multiple of the block size
+    trials = 37
     serial = np.array([
-        decay_profile(haar_random_unit(spec, 3, t), None, gammas).ratios
-        for t in range(trials)
+        decay_profile(haar_random_unit(spec, 3, t), gammas).ratios for t in range(trials)
     ])
-    assert np.array_equal(haar_baseline(spec, None, gammas, trials, seed=3), serial)
+    assert np.array_equal(haar_baseline(spec, gammas, trials, seed=3), serial)
     # decay_comparison ranks against exactly this baseline
     rep = decay_comparison(random_hermitian(spec, 6), trials=trials, seed=3, top_k=1)
     v = rep["profiles"][0][0]["ratio"]
     rank = np.count_nonzero(serial[:, 0] < v) + 0.5 * np.count_nonzero(serial[:, 0] == v)
     assert rep["percentiles"] == [100.0 * rank / trials]
+
+
+def dense_profile(f, gammas):
+    """Decay norms by the dense route: full STFT, coset maximum, mixed norm."""
+    spec = f.group
+    M = maximal_function(stft(f, gaussian_window(spec)), canonical_window(spec))
+    return np.array([mixed_quasi_norm(M, (g, g)) for g in gammas])
+
+
+@over_decay_groups
+def test_quotient_profiles_match_dense_oracle(spec):
+    gammas = (0.5, 1.0, 2.0, math.inf)
+    trials = 12
+    baseline = haar_baseline(spec, gammas, trials, seed=4)
+    for t in range(trials):
+        f = haar_random_unit(spec, 4, t)
+        norms = dense_profile(f, gammas + (2.0,))
+        prof = decay_profile(f, gammas)
+        np.testing.assert_allclose(prof.norms, norms[:-1], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(prof.ratios, norms[:-1] / norms[-1], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(baseline[t], norms[:-1] / norms[-1], rtol=1e-13, atol=0)
 
 
 def test_decay_comparison_rejects_null_operator():

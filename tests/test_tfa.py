@@ -23,7 +23,6 @@ from fingabor.tfa import (
     stft,
     stft_point,
     stft_shift_identity_residual,
-    stft_stack,
     window_constant,
 )
 
@@ -65,18 +64,6 @@ def test_stft_matches_brute_force(factors, divisors, mass):
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
     np.testing.assert_allclose(stft(f, g).mat, brute_stft(f, g), atol=1e-13)
-
-
-@pytest.mark.parametrize("spec", [make_group([64], [8]), make_group([6, 2], [3, 2]),
-                                  GroupSpec((12,), (3,), 0.25)], ids=["z64", "z6xz2", "z12-mass"])
-def test_stft_stack_rows_equal_single_transforms(spec):
-    rng = np.random.default_rng(2)
-    g = rand_signal(spec, rng)
-    F = rng.standard_normal((19, spec.order)) + 1j * rng.standard_normal((19, spec.order))
-    V = stft_stack(F, g)
-    assert V.shape == (19, spec.order ** 2)
-    for row, f in zip(V, F):
-        assert np.array_equal(row, stft(Signal(spec, f), g).values)
 
 
 def test_stft_point_agrees_with_full_transform():
