@@ -2,7 +2,7 @@
 
 Groups are products of cyclic factors with a distinguished subgroup; on
 top of them the package builds translation/modulation operators, the
-windowed Fourier transform, mixed quasi-norms with covering maxima,
+windowed Fourier transform, mixed quasi-norms and modulation norms,
 quasi-lattice frame systems, phase-space quantization, localization
 operators, and an eigensolver used to study spectral decay.
 """
@@ -53,20 +53,13 @@ from .tfa import (
     window_constant,
 )
 from .norms import (
-    EmptyWindow,
     Exponents,
     NonPositiveExponent,
     Weight,
-    WindowSet,
-    ZeroWindow,
-    canonical_window,
     inclusion_check,
-    maximal_function,
     mixed_quasi_norm,
     modulation_norm,
     polynomial_weight,
-    unit_window,
-    wiener_norm,
     young_verify,
 )
 from .gabor import (

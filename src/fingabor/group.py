@@ -339,6 +339,28 @@ def tile_indices(spec: GroupSpec) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=32)
+def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps of the split x = j + d c per factor, j < d, c in Z_{N/d}.
+
+    Returns (rows, coset, eta): ``rows[j, c]`` is the index of j + d c, the
+    coset representative j outer and the K coordinate c inner, both in
+    lexicographic order; ``coset[x]`` is the j of x + K; ``eta[xi]`` is the
+    index of xi mod N/d in the dual of K = Z_{N1/d1} x ..., so that
+    <xi, d c> = <eta, c> on K.
+    """
+    grid = residue_grid(spec)
+    d = np.asarray(spec.subgroup_divisors)
+    sizes = tuple(int(s) for s in np.asarray(spec.factors) // d)
+    coset = np.ravel_multi_index((grid % d).T, spec.subgroup_divisors)
+    rows = np.empty((spec.annihilator_order, spec.subgroup_order), dtype=np.int64)
+    rows[coset, np.ravel_multi_index((grid // d).T, sizes)] = np.arange(spec.order)
+    eta = np.ravel_multi_index((grid % np.asarray(sizes)).T, sizes)
+    for a in (rows, coset, eta):
+        a.setflags(write=False)
+    return rows, coset, eta
+
+
 def annihilator(spec: GroupSpec) -> list[DualElement]:
     """Characters that are identically 1 on the subgroup K."""
     return [spec.dual_at(i) for i in annihilator_indices(spec)]

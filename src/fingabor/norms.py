@@ -1,4 +1,4 @@
-"""Weighted mixed quasi-norms, Wiener norms and modulation norms.
+"""Weighted mixed quasi-norms and modulation norms.
 
 The mixed norm on phase space integrates x first (group mass) and xi
 second (dual mass):
@@ -8,43 +8,42 @@ second (dual mass):
 with max replacing the sum for an infinite exponent.  Quasi-norm exponents
 below 1 are allowed; r = min(1, p, q) is the subadditivity exponent.
 
-The Wiener norm is the mixed norm of the local maximal function over a
-window set Q of phase offsets, and the modulation norm is the Wiener norm
-of an STFT.  The canonical window set is K x K_perp, which collapses to
-{e} x G^ when K is trivial and to G x {e^} when K is everything.
+The modulation norm is the Wiener-amalgam norm of V_phi f for the window
+phi = 1_K and the window set U = K x K_perp: the mixed norm of the local
+maximum z -> max_{u in U} |V_phi f(z + u)|.  For this window the maximum
+does nothing.  With K = d_1 Z_N1 x ... x d_k Z_Nk write each residue as
+x = j + d c with j < d; then
+
+    |V_phi f(x, xi)| = mass |sum_{c in K} f(j + d c) conj<xi mod N/d, c>|,
+
+a transform on the group K = Z_{N1/d1} x ... that depends only on the
+coset (x + K, xi + K_perp).  So |V_phi f| is its own maximum over z + U,
+and the amalgam norm is the mixed norm on the quotient G/K x G^/K_perp.
+One product with the character table of K gives every value Q[j, eta] in
+n |K| operations instead of the n^3 of a dense STFT, and each value stands
+for |K| points x and |K_perp| points xi:
+
+    ||f||_{M^{p,q}} = ( mass_dual |K_perp| sum_eta
+                        ( mass |K| sum_j Q[j, eta]^p )^{q/p} )^{1/q}.
+
+A weight need not be constant on cosets, so a weighted norm broadcasts Q
+back to every (x, xi) and takes the weighted mixed norm there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .group import (
-    GroupMismatch,
-    GroupSpec,
-    phase_spec,
-    residue_grid,
-    tile_indices,
-    translation_perm,
-)
-from .signal import PhaseFunction, Signal, convolve_phase, norm_l2
-from .tfa import gaussian_window, stft
+from .group import GroupMismatch, GroupSpec, character_table, quotient_indices, residue_grid
+from .signal import PhaseFunction, Signal, convolve_phase
 
 
 class NonPositiveExponent(ValueError):
     """Quasi-norm exponent must be strictly positive."""
-
-
-class EmptyWindow(ValueError):
-    """Window set with no offsets."""
-
-
-class ZeroWindow(ValueError):
-    """STFT window with zero norm."""
 
 
 @dataclass(frozen=True)
@@ -108,31 +107,6 @@ def polynomial_weight(spec: GroupSpec, s: float) -> Weight:
     return Weight((1.0 + dist) ** s)
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """Finite set of phase-space offsets containing the unit."""
-
-    group: GroupSpec
-    offsets: tuple[int, ...]   # flat phase indices
-
-    def __post_init__(self) -> None:
-        if len(self.offsets) == 0:
-            raise EmptyWindow("window set needs at least one offset")
-        offs = tuple(int(i) for i in self.offsets)
-        if 0 not in offs:
-            raise ValueError("window set must contain the unit offset")
-        object.__setattr__(self, "offsets", offs)
-
-
-def unit_window(spec: GroupSpec) -> WindowSet:
-    return WindowSet(spec, (0,))
-
-
-def canonical_window(spec: GroupSpec) -> WindowSet:
-    """Offsets K x K_perp; the natural tile of the quasi-lattice."""
-    return WindowSet(spec, tuple(int(i) for i in tile_indices(spec)))
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -186,77 +160,40 @@ def rnorm_subadditivity_residual(
     )
 
 
-@lru_cache(maxsize=16)
-def _window_gather(spec: GroupSpec, Q: WindowSet) -> np.ndarray:
-    """Stacked translation permutations for every offset of the window set."""
-    pspec = phase_spec(spec)
-    grid = residue_grid(pspec)
-    rows = np.empty((len(Q.offsets), pspec.order), dtype=np.int64)
-    for i, off in enumerate(Q.offsets):
-        rows[i] = translation_perm(pspec, tuple(grid[off]))
-    rows.setflags(write=False)
-    return rows
-
-
-def maximal_function(F: PhaseFunction, Q: WindowSet) -> PhaseFunction:
-    """(M_Q F)(z) = max over q in Q of |F(z + q)|."""
-    if Q.group != F.group:
-        raise GroupMismatch("window set belongs to a different group")
-    return PhaseFunction(F.group, _maximal_stack(F.group, np.abs(F.values)[None, :], Q)[0])
-
-
-def _maximal_stack(spec: GroupSpec, mags: np.ndarray, Q: WindowSet) -> np.ndarray:
-    """Maximal function of each row of mags[b, z] >= 0 over the window set Q.
-
-    The canonical window K x K_perp is the subgroup of the phase space, so
-    there the maximum over z + Q is the maximum over the coset of z: each
-    phase axis N_j splits into (N_j / step_j, step_j), the subgroup axis is
-    reduced and the result broadcast back.  Other windows gather shifts.
-    """
-    pspec = phase_spec(spec)
-    if Q == canonical_window(spec):
-        shape = [mags.shape[0]]
-        for n, step in zip(pspec.factors, pspec.subgroup_divisors):
-            shape += [n // step, step]
-        coset = np.reshape(mags, shape).max(axis=tuple(range(1, len(shape), 2)), keepdims=True)
-        return np.broadcast_to(coset, shape).reshape(mags.shape)
-    if mags.shape[0] * len(Q.offsets) * pspec.order <= 2**22:
-        return mags[:, _window_gather(spec, Q)].max(axis=1)
-    grid = residue_grid(pspec)
-    out = np.zeros(mags.shape)
-    for off in Q.offsets:
-        np.maximum(out, mags[:, translation_perm(pspec, grid[off])], out=out)
-    return out
-
-
-def wiener_norm(
-    F: PhaseFunction,
-    Q: WindowSet,
-    e: Exponents | Sequence[float],
-    m: Weight | None = None,
-) -> float:
-    """Mixed quasi-norm of the local maximal function."""
-    return mixed_quasi_norm(maximal_function(F, Q), e, m)
-
-
 def modulation_norm(
-    f: Signal,
-    window: Signal | None = None,
-    e: Exponents | Sequence[float] = (2.0, 2.0),
-    m: Weight | None = None,
-    Q: WindowSet | None = None,
+    f: Signal, e: Exponents | Sequence[float] = (2.0, 2.0), m: Weight | None = None
 ) -> float:
-    """Wiener norm of the STFT of f.
+    """Modulation quasi-norm of f for the window 1_K and the window set
+    K x K_perp, evaluated on the quotient."""
+    e = Exponents.of(e)
+    spec = f.group
+    if m is None:
+        return float(modulation_norms(spec, f.values[None, :], [e])[0, 0])
+    _, coset, eta = quotient_indices(spec)
+    Q = _coset_magnitudes(spec, f.values[None, :])[0]
+    return mixed_quasi_norm(PhaseFunction(spec, Q[np.ix_(coset, eta)].reshape(-1)), e, m)
 
-    Defaults: window = indicator of K, Q = K x K_perp.
-    """
-    if window is None:
-        window = gaussian_window(f.group)
-    if norm_l2(window) == 0.0:
-        raise ZeroWindow("modulation norm needs a nonzero window")
-    if Q is None:
-        Q = canonical_window(f.group)
-    return wiener_norm(stft(f, window), Q, e, m)
+
+def modulation_norms(spec: GroupSpec, F: np.ndarray, exps: Sequence[Exponents]) -> np.ndarray:
+    """Unweighted modulation norms [b, i] of each row F[b] for each exps[i];
+    the multiplicities |K| and |K_perp| of the quotient go into the masses."""
+    Q = _coset_magnitudes(spec, F)
+    mass = spec.mass * spec.subgroup_order
+    mass_dual = spec.mass_dual * spec.annihilator_order
+    return np.array([_mixed_norm_stack(Q, e, mass, mass_dual) for e in exps]).T
+
+
+def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:
+    """|V_phi f| of each row F[b] on the quotient, as Q[b, x mod d, xi mod N/d]:
+    the rows f_b(j + d c), c inner, times the conjugate character table of K."""
+    rows = F[:, quotient_indices(spec)[0]].reshape(-1, spec.subgroup_order)
+    sizes = tuple(n // d for n, d in zip(spec.factors, spec.subgroup_divisors))
+    T = np.conj(character_table(GroupSpec(sizes, sizes))).T
+    # numpy hands a one-row product (K = G, one signal) to gemv, which rounds
+    # differently from gemm; a repeated row keeps every row on gemm.
+    V = rows @ T if len(rows) > 1 else (np.repeat(rows, 2, axis=0) @ T)[:1]
+    Q = np.abs(V) * spec.mass
+    return Q.reshape(F.shape[0], spec.annihilator_order, spec.subgroup_order)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +206,6 @@ def inclusion_check(
     e2: Exponents | Sequence[float],
     m1: Weight | None = None,
     m2: Weight | None = None,
-    window: Signal | None = None,
-    Q: WindowSet | None = None,
     slack: float = 1e-10,
 ):
     """Check the modulation-norm inclusion for increasing exponents.
@@ -293,8 +228,8 @@ def inclusion_check(
         * spec.mass ** (_inv(e2.p) - _inv(e1.p))
         * spec.mass_dual ** (_inv(e2.q) - _inv(e1.q))
     )
-    n1 = modulation_norm(f, window, e1, m1, Q)
-    n2 = modulation_norm(f, window, e2, m2, Q)
+    n1 = modulation_norm(f, e1, m1)
+    n2 = modulation_norm(f, e2, m2)
     if n1 == 0.0:
         return True, 0.0, bound
     ratio = n2 / n1

@@ -38,11 +38,10 @@ from .group import (
     character_table,
     diff_table,
     neg_index,
-    phase_spec,
     subgroup_indices,
     tile_indices,
 )
-from .norms import Exponents, Weight, _inv, canonical_window, modulation_norm
+from .norms import Exponents, Weight, _inv, modulation_norm
 from .signal import PhaseFunction, Signal, convolve, convolve_phase, fourier, inner, tf_shift
 from .tfa import gaussian_circ, gaussian_window, rihaczek, stft
 
@@ -239,15 +238,15 @@ def rihaczek_continuity_probe(
 
     lhs is the modulation norm of R(g, f) on the doubled group, computed
     with window R(phi, phi) and weight 1 x (v o J^{-1}); rhs is the product
-    of the modulation norms of g and f with weight v.  Quartic in the group
-    order, so meant for small groups.
+    of the modulation norms of g and f with weight v.  R(phi, phi) is c
+    times the indicator of K x K_perp (to rounding), the doubled group's
+    own canonical window, so the lhs is |c| times its canonical norm.
     """
     spec = f.group
     n = spec.order
-    pspec = phase_spec(spec)
     phi = gaussian_window(spec)
     R = rihaczek(g, f).as_signal()
-    Phi = rihaczek(phi, phi).as_signal()
+    c = abs(rihaczek(phi, phi).values[0])
     if v is None:
         vvals = np.ones(n * n)
     else:
@@ -255,9 +254,8 @@ def rihaczek_continuity_probe(
     # col[omega * n + u] = v(J^{-1}(omega, u)) = v(u, -omega)
     col = vvals.reshape(n, n)[:, neg_index(spec)].T.reshape(-1)
     wmat = Weight.tensor(np.ones(n * n), col)
-    lhs = modulation_norm(R, Phi, e_out, wmat, canonical_window(pspec))
-    weight = None if v is None else v
-    rhs = modulation_norm(g, phi, e_g, weight) * modulation_norm(f, phi, e_f, weight)
+    lhs = c * modulation_norm(R, e_out, wmat)
+    rhs = modulation_norm(g, e_g, v) * modulation_norm(f, e_f, v)
     return float(lhs), float(rhs)
 
 
@@ -274,7 +272,7 @@ def convolution_relation_probe(
     """Realized pair (lhs, rhs) for the modulation-space convolution bound.
 
     lhs = norm of f * g in M^{r, gamma}_m computed with the self-convolved
-    window; rhs = product of the factor norms with marginal weights
+    window phi * phi = c 1_K, that is |c| times the canonical norm; rhs = product of the factor norms with marginal weights
     m1 x nu and v1 x (v2 / nu), both with the canonical window.  Exponents
     must satisfy 1/u + 1/t = 1/gamma and either r >= 1 with
     1/p + 1/q = 1 + 1/r or p = q = r < 1.
@@ -300,9 +298,9 @@ def convolution_relation_probe(
     m1 = mvals.reshape(n, n)[:, 0]
     v1 = vvals.reshape(n, n)[:, 0]
     v2 = vvals.reshape(n, n)[0, :]
-    phi = gaussian_window(spec)
-    lhs = modulation_norm(convolve(f, g), gaussian_circ(spec), e_out, m)
-    rhs = modulation_norm(f, phi, e_f, Weight.tensor(m1, nuvals)) * modulation_norm(
-        g, phi, e_g, Weight.tensor(v1, v2 / nuvals)
+    c = abs(gaussian_circ(spec).values[0])
+    lhs = c * modulation_norm(convolve(f, g), e_out, m)
+    rhs = modulation_norm(f, e_f, Weight.tensor(m1, nuvals)) * modulation_norm(
+        g, e_g, Weight.tensor(v1, v2 / nuvals)
     )
     return float(lhs), float(rhs)

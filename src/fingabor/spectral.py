@@ -8,22 +8,9 @@ axis, so results are reproducible bit for bit.  Within a degenerate
 eigenspace the basis is whichever one LAPACK returns; ``decay_comparison``
 flags such eigenvalues in its ``ties`` field.
 
-Decay profiles are modulation norms for the window phi = 1_K and the
-window set K x K_perp, evaluated on the quotient G/K x G^/K_perp.  With
-K = d_1 Z_N1 x ... x d_k Z_Nk, write each residue as x = j + d b; then
-
-    |V_phi f(x, xi)| = mass |sum_{c in K} f(j + d c) conj<xi, c>|,
-
-a transform on the group K = Z_{N1/d1} x ... read at xi mod N/d, so it
-depends only on (x mod d, xi mod N/d) and is its own coset maximum.  One
-product with the character table of K gives Q[j, eta] in n |K| operations
-instead of the n^3 of a dense STFT, and each value of Q stands for |K|
-points x and |K_perp| points xi:
-
-    ||V_phi f||_{p,q} = ( mass_dual |K_perp| sum_eta
-                          ( mass |K| sum_j Q[j, eta]^p )^{q/p} )^{1/q}
-
-with max replacing a sum for an infinite exponent.
+Decay profiles are modulation norms M^{gamma,gamma} for the window
+phi = 1_K and the window set K x K_perp, which ``norms.modulation_norms``
+evaluates on the quotient G/K x G^/K_perp.
 
 Random draws use the Philox counter-based generator keyed by
 (seed, trial), which makes serial and parallel evaluation agree exactly.
@@ -39,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupSpec, character_table
-from .norms import Exponents, _mixed_norm_stack
+from .group import GroupSpec
+from .norms import Exponents, modulation_norms
 from .operators import OperatorMatrix
 from .signal import Signal
 
@@ -103,33 +90,9 @@ def decay_profile(f: Signal, gammas: tuple[float, ...] = (0.5, 1.0, 2.0)) -> Dec
 
 
 def _profiles(spec: GroupSpec, F: np.ndarray, gammas) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and ratios [b, gamma] of decay_profile for each row F[b] at once;
-    the multiplicities |K| and |K_perp| of the quotient go into the masses."""
-    Q = _coset_magnitudes(spec, F)
-    mass = spec.mass * spec.subgroup_order
-    mass_dual = spec.mass_dual * spec.annihilator_order
-    norms = np.array([_mixed_norm_stack(Q, Exponents(g, g), mass, mass_dual) for g in gammas]).T
-    ref = np.array(_mixed_norm_stack(Q, Exponents(2.0, 2.0), mass, mass_dual))
-    return norms, norms / ref[:, None]
-
-
-def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:
-    """|V_phi f| of each row F[b] on the quotient, as Q[b, x mod d, xi mod N/d].
-
-    ``rows[b, j, c] = f_b(j + d c)``, the coset offset j outer and the K
-    coordinate c inner, times the conjugate character table of K.
-    """
-    k = len(spec.factors)
-    sizes = tuple(n // d for n, d in zip(spec.factors, spec.subgroup_divisors))
-    split = [F.shape[0]] + [s for m, d in zip(sizes, spec.subgroup_divisors) for s in (m, d)]
-    axes = [0, *range(2, 2 * k + 1, 2), *range(1, 2 * k, 2)]
-    rows = F.reshape(split).transpose(axes).reshape(-1, spec.subgroup_order)
-    T = np.conj(character_table(GroupSpec(sizes, sizes))).T
-    # numpy hands a one-row product (K = G, one signal) to gemv, which rounds
-    # differently from gemm; a repeated row keeps every row on gemm.
-    V = rows @ T if len(rows) > 1 else (np.repeat(rows, 2, axis=0) @ T)[:1]
-    Q = np.abs(V) * spec.mass
-    return Q.reshape(F.shape[0], spec.annihilator_order, spec.subgroup_order)
+    """Norms and ratios [b, gamma] of decay_profile for each row F[b] at once."""
+    out = modulation_norms(spec, F, [Exponents(g, g) for g in gammas] + [Exponents(2.0, 2.0)])
+    return out[:, :-1], out[:, :-1] / out[:, -1:]
 
 
 def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:

@@ -1,0 +1,32 @@
+"""Dense brute-force routes that the structured library code is held to.
+
+The amalgam norm of V_g f over a window set is evaluated the long way: the
+full STFT, a maximum over explicit phase-space translations, then the
+mixed quasi-norm.
+"""
+import numpy as np
+
+from fingabor.group import phase_spec, residue_grid, tile_indices, translation_perm
+from fingabor.norms import mixed_quasi_norm
+from fingabor.signal import PhaseFunction
+from fingabor.tfa import gaussian_window, stft
+
+
+def gather_maximum(F, offsets):
+    """(M F)(z) = max over the flat phase offsets o of |F(z + o)|."""
+    pspec = phase_spec(F.group)
+    grid = residue_grid(pspec)
+    perms = np.stack([translation_perm(pspec, grid[o]) for o in offsets])
+    return PhaseFunction(F.group, np.abs(F.values)[perms].max(axis=0))
+
+
+def dense_amalgam(f, window=None):
+    """Maximum of |V_window f| over the tile K x K_perp; window 1_K by default."""
+    spec = f.group
+    g = gaussian_window(spec) if window is None else window
+    return gather_maximum(stft(f, g), tile_indices(spec))
+
+
+def dense_modulation_norm(f, e, m=None, window=None):
+    """Modulation norm by the dense route."""
+    return mixed_quasi_norm(dense_amalgam(f, window), e, m)

@@ -208,6 +208,16 @@ def test_nan_residual_fails_its_check(tmp_path, capsys, monkeypatch):
     assert results["shift-commutation"]["passed"] is True
 
 
+def test_nan_modulation_norm_fails_the_norms_run(tmp_path, capsys, monkeypatch):
+    # the covered/plain ratio is a check: a NaN must not drop out of its fold
+    monkeypatch.setattr("fingabor.experiments.modulation_norm", lambda *a, **k: math.nan)
+    cfg = write_config(tmp_path, experiment="norms", trials=2)
+    assert main(["run", str(cfg)]) == 2
+    assert "failure: covered/plain ratio 0.5x0.5 spans [nan, nan]" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "norms_summary.json").read_text())
+    assert summary["covered_over_plain"]["2x2"] == [None, None]
+
+
 def test_nan_localization_residual_fails(monkeypatch):
     monkeypatch.setattr("fingabor.experiments.loc_kn_matrix_residual", lambda *a: math.nan)
     summary, failures = run_locop(make_group([4], [2]), seed=0, trials=2)

@@ -6,6 +6,7 @@ import pytest
 from fingabor import operators
 from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
+from fingabor.group import dual_spec
 from fingabor.norms import Weight, polynomial_weight
 from fingabor.operators import (
     OperatorMatrix,
@@ -27,13 +28,15 @@ from fingabor.operators import (
 from fingabor.signal import (
     PhaseFunction,
     Signal,
+    convolve,
     delta,
     fourier,
     inner,
     inverse_fourier,
     tf_shift,
 )
-from fingabor.tfa import gaussian_window, stft
+from fingabor.tfa import gaussian_window, rihaczek, stft
+from oracles import dense_modulation_norm
 
 # Groups for the structured operator kernels: a cyclic group, a product
 # with a non-cyclic tile, a point mass other than 1, unequal factors and
@@ -342,6 +345,42 @@ def test_convolution_probe_returns_finite_pair():
     assert np.isfinite(lhs) and np.isfinite(rhs) and lhs > 0 and rhs > 0
     lhs, rhs = convolution_relation_probe(f, g, (0.5, 1), (0.5, 2), (0.5, 2))
     assert np.isfinite(lhs) and np.isfinite(rhs)
+
+
+@pytest.mark.parametrize("spec", [make_group([4], [2]), GroupSpec((6,), (2,), 0.5)],
+                         ids=["z4", "z6-mass"])
+def test_probes_match_dense_oracle(spec):
+    # the probes scale the canonical norm by the window's value at the
+    # origin; the oracle uses the explicit windows R(phi, phi) and phi * phi
+    n = spec.order
+    rng = np.random.default_rng(17)
+    g = rand_signal(spec, rng)
+    f = rand_signal(spec, rng)
+    phi = gaussian_window(spec)
+    poly = Weight.tensor(polynomial_weight(spec, 1.0), polynomial_weight(dual_spec(spec), 1.0))
+    Phi = rihaczek(phi, phi).as_signal()
+    R = rihaczek(g, f).as_signal()
+    for e_out, e_g, e_f in [((2, 2), (2, 2), (2, 2)), ((1, 0.5), (0.5, 1), (1, 2)),
+                            ((np.inf, 1), (2, 2), (1, np.inf))]:
+        for v in (None, poly):
+            vv = np.ones((n, n)) if v is None else v.values.reshape(n, n)
+            col = np.array([vv[u, -omega % n] for omega in range(n) for u in range(n)])
+            lhs = dense_modulation_norm(R, e_out, Weight.tensor(np.ones(n * n), col), Phi)
+            rhs = dense_modulation_norm(g, e_g, v) * dense_modulation_norm(f, e_f, v)
+            got = rihaczek_continuity_probe(g, f, e_out, e_g, e_f, v)
+            np.testing.assert_allclose(got, (lhs, rhs), rtol=1e-12, atol=0)
+    nu = np.sqrt(polynomial_weight(dual_spec(spec), 1.0).values)
+    circ = convolve(phi, phi)
+    for e_out, e_f, e_g in [((1, 2), (1, 4), (1, 4)), ((0.5, 1), (0.5, 2), (0.5, 2))]:
+        for m, weights in ((None, None), (poly, poly)):
+            mm = np.ones((n, n)) if m is None else m.values.reshape(n, n)
+            nuv = np.ones(n) if m is None else nu
+            lhs = dense_modulation_norm(convolve(f, g), e_out, m, circ)
+            rhs = (dense_modulation_norm(f, e_f, Weight.tensor(mm[:, 0], nuv))
+                   * dense_modulation_norm(g, e_g, Weight.tensor(mm[:, 0], mm[0, :] / nuv)))
+            got = convolution_relation_probe(f, g, e_out, e_f, e_g, m=m, v=weights,
+                                             nu=None if m is None else nu)
+            np.testing.assert_allclose(got, (lhs, rhs), rtol=1e-12, atol=0)
 
 
 def test_convolution_probe_rejects_bad_exponents():

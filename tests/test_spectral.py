@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fingabor.group import GroupSpec, make_group
-from fingabor.norms import canonical_window, maximal_function, mixed_quasi_norm
+from fingabor.norms import mixed_quasi_norm
 from fingabor.operators import OperatorMatrix
 from fingabor.signal import Signal, norm_l2
 from fingabor.spectral import (
@@ -17,7 +17,7 @@ from fingabor.spectral import (
     haar_random_unit,
     hermitian_eigen,
 )
-from fingabor.tfa import gaussian_window, stft
+from oracles import dense_amalgam
 
 
 def random_hermitian(spec, seed):
@@ -233,9 +233,8 @@ def test_haar_baseline_blocks_equal_serial_profiles(spec):
 
 
 def dense_profile(f, gammas):
-    """Decay norms by the dense route: full STFT, coset maximum, mixed norm."""
-    spec = f.group
-    M = maximal_function(stft(f, gaussian_window(spec)), canonical_window(spec))
+    """Decay norms by the dense route: full STFT, tile maximum, mixed norm."""
+    M = dense_amalgam(f)
     return np.array([mixed_quasi_norm(M, (g, g)) for g in gammas])
 
 
