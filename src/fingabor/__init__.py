@@ -60,7 +60,6 @@ from .norms import (
     mixed_quasi_norm,
     modulation_norm,
     polynomial_weight,
-    young_verify,
 )
 from .gabor import (
     DualWindowMismatch,

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .group import GroupMismatch, GroupSpec, character_table, quotient_indices, residue_grid
-from .signal import PhaseFunction, Signal, convolve_phase
+from .signal import PhaseFunction, Signal
 
 
 class NonPositiveExponent(ValueError):
@@ -123,24 +123,23 @@ def mixed_quasi_norm(
         if m.values.shape != (n * n,):
             raise GroupMismatch("weight does not match the phase space")
         W = W * m.values
-    return _mixed_norm_stack(W.reshape(1, n, n), e, spec.mass, spec.mass_dual)[0]
+    return float(mixed_norm_stack(W.reshape(1, n, n), e, spec.mass, spec.mass_dual)[0])
 
 
-def _mixed_norm_stack(
-    W: np.ndarray, e: Exponents, mass: float, mass_dual: float
-) -> list[float]:
+def mixed_norm_stack(W: np.ndarray, e: Exponents, mass: float, mass_dual: float) -> np.ndarray:
     """Unweighted mixed quasi-norm of each nonnegative W[b, x, xi], with
-    ``mass`` per point x and ``mass_dual`` per point xi."""
+    ``mass`` per point x and ``mass_dual`` per point xi; row b of the result
+    does not depend on the other rows of the stack."""
     if math.isinf(e.p):
         inner = W.max(axis=1)
     else:
         inner = (mass * (W ** e.p).sum(axis=1)) ** (1.0 / e.p)
     if math.isinf(e.q):
-        return inner.max(axis=1).tolist()
+        return inner.max(axis=1)
     outer = mass_dual * (inner ** e.q).sum(axis=1)
     # The last power per element on Python floats, which is libm pow: an
     # ndarray ** 2.0 squares instead and can differ in the last bit.
-    return [s ** (1.0 / e.q) for s in outer.tolist()]
+    return np.array([s ** (1.0 / e.q) for s in outer.tolist()])
 
 
 def rnorm_subadditivity_residual(
@@ -180,7 +179,7 @@ def modulation_norms(spec: GroupSpec, F: np.ndarray, exps: Sequence[Exponents]) 
     Q = _coset_magnitudes(spec, F)
     mass = spec.mass * spec.subgroup_order
     mass_dual = spec.mass_dual * spec.annihilator_order
-    return np.array([_mixed_norm_stack(Q, e, mass, mass_dual) for e in exps]).T
+    return np.array([mixed_norm_stack(Q, e, mass, mass_dual) for e in exps]).T
 
 
 def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:
@@ -238,31 +237,6 @@ def inclusion_check(
 
 def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
-
-
-def young_verify(
-    F: PhaseFunction,
-    H: PhaseFunction,
-    e_out: Exponents | Sequence[float],
-    e_left: Exponents | Sequence[float],
-    e_right: Exponents | Sequence[float],
-    m: Weight | None = None,
-    v: Weight | None = None,
-) -> tuple[float, float]:
-    """Both sides of the convolution inequality on phase space.
-
-    Exponents must satisfy 1/p_i + 1/q_i = 1 + 1/r_i with all of them in
-    [1, inf].  Returns (lhs, rhs) = (norm of F * H, product of norms); the
-    inequality lhs <= rhs holds with constant 1 when m is v-moderate with
-    constant 1, and with the moderateness constant otherwise.
-    """
-    e_out = Exponents.of(e_out)
-    e_left = Exponents.of(e_left)
-    e_right = Exponents.of(e_right)
-    check_young_exponents(e_out, e_left, e_right)
-    lhs = mixed_quasi_norm(convolve_phase(F, H), e_out, m)
-    rhs = mixed_quasi_norm(F, e_left, m) * mixed_quasi_norm(H, e_right, v)
-    return float(lhs), float(rhs)
 
 
 def check_young_exponents(e_out: Exponents, e_left: Exponents, e_right: Exponents) -> None:

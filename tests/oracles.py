@@ -2,13 +2,14 @@
 
 The amalgam norm of V_g f over a window set is evaluated the long way: the
 full STFT, a maximum over explicit phase-space translations, then the
-mixed quasi-norm.
+mixed quasi-norm.  Both sides of the convolution inequality are evaluated
+one pair of phase-space functions and one exponent triple at a time.
 """
 import numpy as np
 
 from fingabor.group import phase_spec, residue_grid, tile_indices, translation_perm
-from fingabor.norms import mixed_quasi_norm
-from fingabor.signal import PhaseFunction
+from fingabor.norms import Exponents, check_young_exponents, mixed_quasi_norm
+from fingabor.signal import PhaseFunction, convolve_phase
 from fingabor.tfa import gaussian_window, stft
 
 
@@ -30,3 +31,18 @@ def dense_amalgam(f, window=None):
 def dense_modulation_norm(f, e, m=None, window=None):
     """Modulation norm by the dense route."""
     return mixed_quasi_norm(dense_amalgam(f, window), e, m)
+
+
+def young_verify(F, H, e_out, e_left, e_right, m=None, v=None):
+    """Both sides of the convolution inequality on phase space.
+
+    Exponents must satisfy 1/p_i + 1/q_i = 1 + 1/r_i with all of them in
+    [1, inf].  Returns (lhs, rhs) = (norm of F * H, product of norms); the
+    inequality lhs <= rhs holds with constant 1 when m is v-moderate with
+    constant 1, and with the moderateness constant otherwise.
+    """
+    e_out, e_left, e_right = (Exponents.of(e) for e in (e_out, e_left, e_right))
+    check_young_exponents(e_out, e_left, e_right)
+    lhs = mixed_quasi_norm(convolve_phase(F, H), e_out, m)
+    rhs = mixed_quasi_norm(F, e_left, m) * mixed_quasi_norm(H, e_right, v)
+    return float(lhs), float(rhs)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fingabor.cli import ConfigError, main, validate_config
-from fingabor.experiments import run_locop
+from fingabor.experiments import run_locop, run_young
 from fingabor.group import make_group
-from fingabor.signal import Signal
+from fingabor.signal import PhaseFunction, Signal, convolve_phase
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -216,6 +216,27 @@ def test_nan_modulation_norm_fails_the_norms_run(tmp_path, capsys, monkeypatch):
     assert "failure: covered/plain ratio 0.5x0.5 spans [nan, nan]" in capsys.readouterr().out
     summary = json.loads((tmp_path / "out" / "norms_summary.json").read_text())
     assert summary["covered_over_plain"]["2x2"] == [None, None]
+
+
+def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypatch):
+    # one NaN-valued convolution: its ratios must reach max_ratio as a NaN
+    calls = []
+
+    def nan_on_third_call(F, H):
+        calls.append(None)
+        if len(calls) == 3:
+            return PhaseFunction(F.group, np.full(F.group.order ** 2, math.nan))
+        return convolve_phase(F, H)
+
+    monkeypatch.setattr("fingabor.experiments.convolve_phase", nan_on_third_call)
+    summary, failures, _ = run_young(make_group([4], [2]), seed=0, trials=5)
+    assert failures == ["convolution inequality violated 169 times"]
+    assert not math.isfinite(summary["max_ratio"])
+    calls.clear()
+    cfg = write_config(tmp_path, experiment="young", trials=5)
+    assert main(["run", str(cfg)]) == 2
+    summary = json.loads((tmp_path / "out" / "young_summary.json").read_text())
+    assert summary["max_ratio"] is None
 
 
 def test_nan_localization_residual_fails(monkeypatch):

@@ -4,6 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
+from fingabor.experiments import (
+    _YOUNG_AXIS,
+    _young_block,
+    random_phase_function,
+    run_young,
+    stream_rng,
+)
 from fingabor.group import (
     GroupSpec,
     annihilator_indices,
@@ -20,16 +28,16 @@ from fingabor.norms import (
     NonPositiveExponent,
     Weight,
     inclusion_check,
+    mixed_norm_stack,
     mixed_quasi_norm,
     modulation_norm,
     polynomial_weight,
     rnorm_subadditivity_residual,
-    young_verify,
 )
 from fingabor.signal import PhaseFunction, Signal, norm_l2
 from fingabor.spectral import decay_profile, haar_baseline
 from fingabor.tfa import gaussian_window, stft
-from oracles import dense_amalgam, gather_maximum
+from oracles import dense_amalgam, gather_maximum, young_verify
 
 GRID = [0.5, 1.0, 2.0, math.inf]
 
@@ -450,3 +458,80 @@ def test_young_rejects_bad_exponents():
         young_verify(F, F, (4, 4), (4, 4), (4, 4))
     with pytest.raises(ValueError):
         young_verify(F, F, (1, 1), (0.5, 1), (1, 1))
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([64], [8]),
+    make_group([16], [4]),
+    make_group([6, 2], [3, 2]),
+    GroupSpec((12,), (3,), 0.25),
+    make_group([4, 8], [2, 4]),
+], ids=["z64", "z16", "z6xz2", "z12-mass", "z4xz8"])
+def test_mixed_norm_stack_rows_equal_mixed_quasi_norm(spec):
+    # a row's norm does not depend on the stack around it, bit for bit
+    rng = np.random.default_rng(23)
+    Fs = [rand_phase(spec, rng) for _ in range(7)]
+    W = np.abs(np.stack([F.mat for F in Fs]))
+    grid = (0.5, 1.0, 4.0 / 3.0, 2.0, 4.0, math.inf)
+    for p in grid:
+        for q in grid:
+            e = Exponents(p, q)
+            rows = [mixed_quasi_norm(F, e) for F in Fs]
+            assert mixed_norm_stack(W, e, spec.mass, spec.mass_dual).tolist() == rows
+            for lo, hi in ((1, 4), (3, 4), (5, 7)):
+                sub = mixed_norm_stack(W[lo:hi], e, spec.mass, spec.mass_dual)
+                assert sub.tolist() == rows[lo:hi], f"({p}, {q}) rows {lo}:{hi}"
+
+
+def _memoized(monkeypatch, name):
+    """Replace oracles.<name> by a memo keyed on the identity of its first
+    argument and on the others; the memo keeps the first argument alive, so
+    its id is not reused while the memo lives."""
+    func = getattr(oracles, name)
+    cache = {}
+
+    def memo(first, *rest):
+        key = (id(first),) + rest
+        if key not in cache:
+            cache[key] = (first, func(first, *rest))
+        return cache[key][1]
+
+    monkeypatch.setattr(oracles, name, memo)
+
+
+def test_young_block_is_bounded_in_bytes():
+    assert _young_block(make_group([6, 2], [3, 2])) == 56
+    assert _young_block(make_group([64], [8])) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([6], [3]),
+    make_group([6, 2], [3, 2]),
+    make_group([64], [8]),
+], ids=["z6", "z6xz2", "z64"])
+def test_run_young_equals_per_trial_oracle(spec, monkeypatch):
+    # the convolution and each norm are taken once per trial; the fold is
+    # still one young_verify per trial and combo
+    _memoized(monkeypatch, "convolve_phase")
+    _memoized(monkeypatch, "mixed_quasi_norm")
+    exps = [(Exponents(p3, q3), Exponents(p1, q1), Exponents(p2, q2))
+            for p1, p2, p3 in _YOUNG_AXIS for q1, q2, q3 in _YOUNG_AXIS]
+    block = _young_block(spec)
+    # one trial, then two blocks of which the last holds a single trial
+    for trials in (1, block + 1):
+        rng = stream_rng(7, 0)
+        worst = [0.0] * len(exps)
+        violations = 0
+        for _ in range(trials):
+            F = random_phase_function(spec, rng)
+            H = random_phase_function(spec, rng)
+            for i, (e_out, e_left, e_right) in enumerate(exps):
+                lhs, rhs = young_verify(F, H, e_out, e_left, e_right)
+                if rhs > 0:
+                    r = lhs / rhs
+                    worst[i] = r if r > worst[i] or math.isnan(r) else worst[i]
+                violations += not lhs <= rhs * (1 + 1e-10)
+        summary, _, tables = run_young(spec, seed=7, trials=trials)
+        assert [row[-1] for row in tables["young_ratios"][1:]] == [repr(w) for w in worst]
+        assert summary["violations"] == violations
+        assert summary["max_ratio"] == max(worst)
