@@ -44,12 +44,9 @@ from .signal import (
 from .tfa import (
     gaussian_circ,
     gaussian_window,
-    jmap,
-    jmap_inverse,
     moyal_residual,
     rihaczek,
     stft,
-    stft_point,
     window_constant,
 )
 from .norms import (

@@ -5,6 +5,13 @@ randomized or structural checks, and returns a JSON-friendly summary plus
 optional CSV tables.  Randomness always flows through counter-based Philox
 streams keyed by (seed, stream), so reruns with the same configuration
 produce identical artifacts.
+
+Every check is declared with its tolerance: identities in IDENTITY_REGISTRY,
+the other drivers' checks in _CHECKS.  A driver hands each residual to
+_verdict, which writes ``results[name] = {tolerance, residual, passed}``
+and, when the residual is above the tolerance or is NaN, appends the line
+``"<name>: residual <r:.3e> exceeds tolerance <tol:.3e>"`` to ``failures``.
+The decay driver has no tolerance check; it fails only on non-finite norms.
 """
 from __future__ import annotations
 
@@ -363,6 +370,66 @@ def identity_names() -> list[str]:
     return [c.name for c in IDENTITY_REGISTRY]
 
 
+# ---------------------------------------------------------------------------
+# declared checks and the one verdict
+
+
+# Every check of the other drivers, with its tolerance.  The residual of a
+# check is the quantity named in its comment, and the check passes when the
+# residual is at most the tolerance.
+_CHECKS: dict[str, dict[str, float]] = {
+    "frames": {
+        "frame-tightness": 1e-10,             # (B - A) / B of the subgroup system
+        "frame-expansion": 1e-10,             # worst reconstruction error; NaN without a dual
+        "deficient-lattice-collapse": 1e-10,  # A / B once one time coset is dropped
+    },
+    "norms": {
+        "covered-equals-plain": 1e-12,        # max |covered / plain - 1|
+        "rnorm-subadditivity": 1e-10,         # max excess / (1 + ||F||^r)
+        "modulation-inclusion": 1e-10,        # max ratio / bound - 1
+    },
+    "young": {
+        "young-inequality": 1e-10,            # max_ratio - 1
+    },
+    "convrel": {
+        "convolution-relation-spread": 10.0,  # max over cases of max_c / min_c
+    },
+    "locop": {
+        # the registry identity of the same name, at its tolerance
+        "localization-as-quantization": next(
+            c.tolerance for c in IDENTITY_REGISTRY if c.name == "localization-as-quantization"
+        ),
+        "localization-apply": 1e-10,          # max |M f - apply(f)|
+        "localization-hermitian": 1e-10,      # max |M - M^*| for a real symbol
+    },
+}
+
+
+def _header(experiment: str, spec: GroupSpec, seed: int, trials: int, **data) -> dict:
+    """Summary of one run: what ran, its data keys, and the failure list."""
+    return {"experiment": experiment, "group": spec.to_json(), "seed": seed,
+            "trials": trials, **data, "failures": []}
+
+
+def _verdict(summary: dict, name: str, residual: float, tolerance: float | None = None) -> dict:
+    """Judge one check and record it in ``summary``.
+
+    Writes ``results[name] = {tolerance, residual, passed}``; the tolerance
+    defaults to the one declared in _CHECKS.  A NaN residual fails, and a
+    failed check appends its one line to ``failures``.
+    """
+    if tolerance is None:
+        tolerance = _CHECKS[summary["experiment"]][name]
+    residual = float(residual)
+    entry = {"tolerance": tolerance, "residual": residual, "passed": bool(residual <= tolerance)}
+    summary.setdefault("results", {})[name] = entry
+    if not entry["passed"]:
+        summary["failures"].append(
+            f"{name}: residual {residual:.3e} exceeds tolerance {tolerance:.3e}"
+        )
+    return entry
+
+
 def run_identities(
     spec: GroupSpec,
     seed: int,
@@ -373,37 +440,24 @@ def run_identities(
     """Run the registry on one group; returns (summary, failure messages)."""
     wanted = set(names) if names is not None else None
     tolerances = tolerances or {}
-    results = {}
-    failures: list[str] = []
+    summary = _header("identities", spec, seed, trials, results={})
     for stream, check in enumerate(IDENTITY_REGISTRY):
         if wanted is not None and check.name not in wanted:
             continue
         tol = float(tolerances.get(check.name, check.tolerance))
-        entry: dict = {"tolerance": tol, "summary": check.summary}
         if check.max_order is not None and spec.order > check.max_order:
-            entry["skipped"] = True
-            entry["reason"] = f"group order {spec.order} exceeds cap {check.max_order}"
-        else:
-            rng = stream_rng(seed, stream)
-            n_trials = trials if check.randomized else 1
-            residual = float(check.runner(spec, rng, n_trials))
-            entry["residual"] = residual
-            entry["trials"] = n_trials
-            entry["passed"] = bool(residual <= tol)
-            if not entry["passed"]:
-                failures.append(
-                    f"{check.name}: residual {residual:.3e} exceeds tolerance {tol:.3e}"
-                )
-        results[check.name] = entry
-    summary = {
-        "experiment": "identities",
-        "group": spec.to_json(),
-        "seed": seed,
-        "trials": trials,
-        "results": results,
-        "failures": failures,
-    }
-    return summary, failures
+            summary["results"][check.name] = {
+                "tolerance": tol,
+                "summary": check.summary,
+                "skipped": True,
+                "reason": f"group order {spec.order} exceeds cap {check.max_order}",
+            }
+            continue
+        rng = stream_rng(seed, stream)
+        n_trials = trials if check.randomized else 1
+        entry = _verdict(summary, check.name, check.runner(spec, rng, n_trials), tol)
+        entry.update(summary=check.summary, trials=n_trials)
+    return summary, summary["failures"]
 
 
 # ---------------------------------------------------------------------------
@@ -411,26 +465,15 @@ def run_identities(
 
 
 def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]]:
-    failures: list[str] = []
     lattice = quasi_lattice(spec)
     g = gaussian_window(spec)
     a, b = frame_bounds(g, lattice)
-    tight = b - a <= 1e-10 * b
-    summary: dict = {
-        "experiment": "frames",
-        "group": spec.to_json(),
-        "seed": seed,
-        "trials": trials,
-        "lower_bound": a,
-        "upper_bound": b,
-        "tight": bool(tight),
-        "redundancy": lattice.redundancy,
-        "lattice_size": len(lattice.points),
-    }
-    if not tight:
-        failures.append(f"subgroup window system is not tight: A={a:.6e} B={b:.6e}")
+    summary = _header("frames", spec, seed, trials, lower_bound=a, upper_bound=b,
+                      redundancy=lattice.redundancy, lattice_size=len(lattice.points))
+    _verdict(summary, "frame-tightness", (b - a) / b)
 
     rng = stream_rng(seed, 0)
+    expansion = math.nan
     try:
         h = dual_window(g, lattice)
         worst = 0.0
@@ -439,30 +482,22 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]
             r1, r2 = expansion_residual(f, g, h, lattice)
             worst = _worse(_worse(worst, r1), r2)
         summary["dual_window_norm"] = norm_l2(h)
-        summary["expansion_residual"] = worst
-        if not worst <= 1e-10:
-            failures.append(f"frame expansion residual {worst:.3e} exceeds 1e-10")
+        expansion = worst
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         summary["dual_window_error"] = f"{type(exc).__name__}: {exc}"
-        failures.append(f"dual window failed: {exc}")
+    _verdict(summary, "frame-expansion", expansion)
 
     # removing one full time coset must destroy the frame property
     drop = lattice.points[0][0]
     kept = [(x, xi) for (x, xi) in lattice.points if x.index != drop.index]
-    deficient = lattice_from_points(spec, kept)
     try:
-        da, db = frame_bounds(g, deficient)
-        summary["deficient_bounds"] = [da, db]
-        summary["deficient_raises"] = False
-        failures.append(
-            f"deficient system unexpectedly kept a spanning set: A={da:.3e} B={db:.3e}"
-        )
+        da, db = frame_bounds(g, lattice_from_points(spec, kept))
     except NotAFrame as exc:
-        summary["deficient_raises"] = True
-        summary["deficient_bounds"] = list(exc.bounds)
-
-    summary["failures"] = failures
-    return summary, failures
+        da, db = exc.bounds
+    summary["deficient_bounds"] = [da, db]
+    # at K = G nothing is kept, and the zero operator has A = B = 0
+    _verdict(summary, "deficient-lattice-collapse", da / db if db else 0.0)
+    return summary, summary["failures"]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +510,6 @@ def _fmt_p(p: float) -> str:
 
 def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str], dict]:
     """Covered-vs-plain norm comparison, subadditivity, and inclusion fuzzing."""
-    failures: list[str] = []
     phi = gaussian_window(spec)
     rng = stream_rng(seed, 0)
 
@@ -494,12 +528,11 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
                 # np.minimum/np.maximum keep a NaN, where min/max drop it
                 ratios[key] = [float(np.minimum(ratios[key][0], r)),
                                float(np.maximum(ratios[key][1], r))]
-    for key, (lo, hi) in ratios.items():
-        if not (abs(lo - 1.0) <= 1e-12 and abs(hi - 1.0) <= 1e-12):
-            failures.append(f"covered/plain ratio {key} spans [{lo!r}, {hi!r}], not 1 within 1e-12")
+    summary = _header("norms", spec, seed, trials, covered_over_plain=ratios)
+    _verdict(summary, "covered-equals-plain",
+             functools.reduce(_worse, (abs(r - 1.0) for lh in ratios.values() for r in lh), 0.0))
 
     rng = stream_rng(seed, 1)
-    sub_viol = 0
     sub_worst = 0.0
     for _ in range(trials):
         F = random_phase_function(spec, rng)
@@ -508,14 +541,11 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
             if math.isinf(e.p) or math.isinf(e.q):
                 continue
             res = rnorm_subadditivity_residual(F, H, e)
-            sub_worst = _worse(sub_worst, res)
-            if not res <= 1e-10 * (1.0 + mixed_quasi_norm(F, e) ** e.r):
-                sub_viol += 1
-    if sub_viol:
-        failures.append(f"r-norm subadditivity violated {sub_viol} times")
+            sub_worst = _worse(sub_worst, res / (1.0 + mixed_quasi_norm(F, e) ** e.r))
+    _verdict(summary, "rnorm-subadditivity", sub_worst)
 
     rng = stream_rng(seed, 2)
-    incl_viol = 0
+    incl_worst = 0.0
     pairs = [
         (Exponents.of(0.5, 0.5), Exponents.of(1, 1)),
         (Exponents.of(1, 1), Exponents.of(2, 2)),
@@ -525,11 +555,9 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     for _ in range(trials):
         f = random_signal(spec, rng)
         for e1, e2 in pairs:
-            ok, _, _ = inclusion_check(f, e1, e2)
-            if not ok:
-                incl_viol += 1
-    if incl_viol:
-        failures.append(f"norm inclusion violated {incl_viol} times")
+            _, ratio, bound = inclusion_check(f, e1, e2)
+            incl_worst = _worse(incl_worst, ratio / bound)
+    _verdict(summary, "modulation-inclusion", incl_worst - 1.0)
 
     # deterministic sweep table for one fixed signal
     rows: list[tuple] = []
@@ -546,19 +574,8 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
                 val = modulation_norm(f0, e=e, m=m) if gid == "tile" else mixed_quasi_norm(V0, e, m)
                 rows.append((_fmt_p(e.p), _fmt_p(e.q), wid, gid, f"{val!r}"))
 
-    summary = {
-        "experiment": "norms",
-        "group": spec.to_json(),
-        "seed": seed,
-        "trials": trials,
-        "covered_over_plain": {k: v for k, v in ratios.items()},
-        "subadditivity_violations": sub_viol,
-        "subadditivity_worst_excess": sub_worst,
-        "inclusion_violations": incl_viol,
-        "failures": failures,
-    }
     tables = {"norm_sweep": [("p", "q", "weight", "window", "value")] + rows}
-    return summary, failures, tables
+    return summary, summary["failures"], tables
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +611,6 @@ def _young_block(spec: GroupSpec) -> int:
 
 
 def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str], dict]:
-    failures: list[str] = []
     rng = stream_rng(seed, 0)
     combos = [
         (ax1, ax2)
@@ -614,7 +630,6 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     block = _young_block(spec)
     stacks = np.empty((3, block, n, n))
     worst = np.zeros(len(combos))
-    violations = 0
     for start in range(0, trials, block):
         b = min(block, trials - start)
         for k in range(b):
@@ -629,12 +644,10 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
         ]
         lhs = norms[0][index[0]]
         rhs = norms[1][index[1]] * norms[2][index[2]]
-        # a ratio is 0 where rhs <= 0; max keeps a NaN, and so does the fold
-        top = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0).max(axis=1)
+        # a ratio is 0 where rhs is 0 and NaN where a side is; max keeps a
+        # NaN, and so does the fold
+        top = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=~(rhs <= 0)).max(axis=1)
         worst = np.where((top > worst) | np.isnan(top), top, worst)
-        violations += int(np.count_nonzero(~(lhs <= rhs * (1.0 + 1e-10))))
-    if violations:
-        failures.append(f"convolution inequality violated {violations} times")
     worst = worst.tolist()
     rows = [("p_left", "q_left", "p_right", "q_right", "p_out", "q_out", "max_ratio")]
     for i, ((p1, p2, p3), (q1, q2, q3)) in enumerate(combos):
@@ -642,17 +655,10 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
             (_fmt_p(p1), _fmt_p(q1), _fmt_p(p2), _fmt_p(q2), _fmt_p(p3), _fmt_p(q3),
              f"{worst[i]!r}")
         )
-    summary = {
-        "experiment": "young",
-        "group": spec.to_json(),
-        "seed": seed,
-        "trials": trials,
-        "combos": len(combos),
-        "violations": violations,
-        "max_ratio": functools.reduce(_worse, worst, 0.0),
-        "failures": failures,
-    }
-    return summary, failures, {"young_ratios": rows}
+    max_ratio = functools.reduce(_worse, worst, 0.0)
+    summary = _header("young", spec, seed, trials, combos=len(combos), max_ratio=max_ratio)
+    _verdict(summary, "young-inequality", max_ratio - 1.0)
+    return summary, summary["failures"], {"young_ratios": rows}
 
 
 _CONVREL_CASES = (
@@ -666,7 +672,6 @@ _CONVREL_CASES = (
 
 
 def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str], dict]:
-    failures: list[str] = []
     rng = stream_rng(seed, 0)
     px = polynomial_weight(spec, 1.0)
     pxi = polynomial_weight(dual_spec(spec), 1.0)
@@ -688,36 +693,22 @@ def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str
                 v=v,
                 nu=nu,
             )
-            if not (math.isfinite(lhs) and math.isfinite(rhs)) or rhs <= 0:
-                failures.append(f"case {i}: degenerate sides lhs={lhs} rhs={rhs}")
-                continue
-            c = lhs / rhs
-            stats[i][0] = min(stats[i][0], c)
-            stats[i][1] = max(stats[i][1], c)
+            # a degenerate trial gives its case a NaN constant, which the fold keeps
+            ok = math.isfinite(lhs) and math.isfinite(rhs) and rhs > 0
+            c = lhs / rhs if ok else math.nan
+            stats[i] = [float(np.minimum(stats[i][0], c)), float(np.maximum(stats[i][1], c))]
     rows = [("case", "p_out", "q_out", "p_f", "q_f", "p_g", "q_g", "min_c", "max_c", "spread")]
-    spread_bad = []
+    spreads = {}
     for i, (eo, ef, eg) in enumerate(_CONVREL_CASES):
         lo, hi = stats[i]
-        spread = hi / lo if lo > 0 else math.inf
-        if spread > 10.0:
-            spread_bad.append(i)
+        spreads[str(i)] = spread = math.inf if lo <= 0 else hi / lo
         rows.append(
             (str(i), _fmt_p(eo[0]), _fmt_p(eo[1]), _fmt_p(ef[0]), _fmt_p(ef[1]),
              _fmt_p(eg[0]), _fmt_p(eg[1]), f"{lo!r}", f"{hi!r}", f"{spread!r}")
         )
-    if spread_bad:
-        failures.append(f"constant spread above 10 for cases {spread_bad}")
-    summary = {
-        "experiment": "convrel",
-        "group": spec.to_json(),
-        "seed": seed,
-        "trials": trials,
-        "cases": len(_CONVREL_CASES),
-        "spreads": {str(i): stats[i][1] / stats[i][0] if stats[i][0] > 0 else math.inf
-                    for i in range(len(_CONVREL_CASES))},
-        "failures": failures,
-    }
-    return summary, failures, {"convrel_constants": rows}
+    summary = _header("convrel", spec, seed, trials, cases=len(_CONVREL_CASES), spreads=spreads)
+    _verdict(summary, "convolution-relation-spread", functools.reduce(_worse, spreads.values(), 0.0))
+    return summary, summary["failures"], {"convrel_constants": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +716,6 @@ def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str
 
 
 def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]]:
-    failures: list[str] = []
     rng = stream_rng(seed, 0)
     worst_kn = 0.0
     worst_herm = 0.0
@@ -744,23 +734,11 @@ def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]]
         real_a = PhaseFunction(spec, np.abs(a.values).astype(np.complex128))
         Mh = localization_matrix(real_a, psi1, psi1).entries
         worst_herm = _worse(worst_herm, float(np.max(np.abs(Mh - Mh.conj().T))))
-    if not worst_kn <= 1e-9:
-        failures.append(f"localization-as-quantization residual {worst_kn:.3e} exceeds 1e-9")
-    if not worst_apply <= 1e-10:
-        failures.append(f"matrix application residual {worst_apply:.3e} exceeds 1e-10")
-    if not worst_herm <= 1e-10:
-        failures.append(f"hermitian residual {worst_herm:.3e} exceeds 1e-10")
-    summary = {
-        "experiment": "locop",
-        "group": spec.to_json(),
-        "seed": seed,
-        "trials": trials,
-        "quantization_residual": worst_kn,
-        "apply_residual": worst_apply,
-        "hermitian_residual": worst_herm,
-        "failures": failures,
-    }
-    return summary, failures
+    summary = _header("locop", spec, seed, trials)
+    _verdict(summary, "localization-as-quantization", worst_kn)
+    _verdict(summary, "localization-apply", worst_apply)
+    _verdict(summary, "localization-hermitian", worst_herm)
+    return summary, summary["failures"]
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +779,6 @@ def run_decay(
     top_k: int = 3,
     control_seeds: Sequence[int] = tuple(range(10)),
 ) -> tuple[dict, list[str]]:
-    failures: list[str] = []
     a = bump_symbol(spec)
     phi = gaussian_window(spec)
     A = localization_matrix(a, phi, phi)
@@ -819,17 +796,9 @@ def run_decay(
                 "top_ratio": crep["profiles"][0][0]["ratio"],
             }
         )
+    summary = _header("decay", spec, seed, trials, localization=report, controls=controls)
     # an overflowing power sum makes a norm infinite and its percentile meaningless
     bad = {r["gamma"] for r in rows if not all(map(math.isfinite, (r["norm"], r["ratio"])))}
     for g in sorted(bad):
-        failures.append(f"decay gamma {g!r}: non-finite norm or ratio")
-    summary = {
-        "experiment": "decay",
-        "group": spec.to_json(),
-        "seed": seed,
-        "trials": trials,
-        "localization": report,
-        "controls": controls,
-        "failures": failures,
-    }
-    return summary, failures
+        summary["failures"].append(f"decay gamma {g!r}: non-finite norm or ratio")
+    return summary, summary["failures"]

@@ -126,9 +126,6 @@ class GroupSpec:
     def elements(self) -> list["GroupElement"]:
         return [self.element_at(i) for i in range(self.order)]
 
-    def dual_elements(self) -> list["DualElement"]:
-        return [self.dual_at(i) for i in range(self.order)]
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:

@@ -87,10 +87,6 @@ class Weight:
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def one(size: int) -> "Weight":
-        return Weight(np.ones(size))
-
-    @staticmethod
     def tensor(w1: "Weight | np.ndarray | Sequence[float]",
                w2: "Weight | np.ndarray | Sequence[float]") -> "Weight":
         """w(x, xi) = w1(x) w2(xi) flattened in canonical (x, xi) order."""

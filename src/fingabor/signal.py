@@ -80,12 +80,6 @@ class PhaseFunction:
         return Signal(phase_spec(self.group), self.values)
 
 
-def phase_from_signal(base: GroupSpec, sig: Signal) -> PhaseFunction:
-    if sig.group != phase_spec(base):
-        raise GroupMismatch("signal does not live on the phase space of the base group")
-    return PhaseFunction(base, sig.values)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

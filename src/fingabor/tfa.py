@@ -32,6 +32,7 @@ from .signal import (
     Signal,
     convolve,
     fourier,
+    inner,
     subgroup_indicator,
     tf_shift,
 )
@@ -58,17 +59,10 @@ def stft(f: Signal, g: Signal) -> PhaseFunction:
     return PhaseFunction(spec, V.reshape(-1))
 
 
-def stft_point(f: Signal, g: Signal, x: GroupElement, xi: DualElement) -> complex:
-    """Single STFT sample <f, pi(x, xi) g>."""
-    from .signal import inner
-
-    return inner(f, tf_shift(g, x, xi))
-
-
 def window_constant(spec: GroupSpec) -> complex:
-    """c(K) = V_phi phi at the origin of phase space."""
+    """c(K) = V_phi phi at the origin of phase space, that is <phi, phi>."""
     phi = gaussian_window(spec)
-    return stft_point(phi, phi, spec.identity, spec.dual_identity)
+    return inner(phi, phi)
 
 
 def rihaczek(f: Signal, g: Signal) -> PhaseFunction:
@@ -82,20 +76,7 @@ def rihaczek(f: Signal, g: Signal) -> PhaseFunction:
 
 
 # ---------------------------------------------------------------------------
-# the phase-space rotation
-
-
-def jmap(x: GroupElement, xi: DualElement) -> tuple[DualElement, GroupElement]:
-    """J(x, xi) = (-xi, x), mapping G x G^ onto G^ x G."""
-    if x.group != xi.group:
-        raise GroupMismatch("jmap arguments belong to different groups")
-    return (-xi, x)
-
-def jmap_inverse(omega: DualElement, u: GroupElement) -> tuple[GroupElement, DualElement]:
-    """J^{-1}(omega, u) = (u, -omega)."""
-    if omega.group != u.group:
-        raise GroupMismatch("jmap_inverse arguments belong to different groups")
-    return (u, -omega)
+# points and characters of phase space
 
 
 def phase_element(spec: GroupSpec, x: GroupElement, xi: DualElement) -> GroupElement:

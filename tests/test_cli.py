@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fingabor.cli import ConfigError, main, validate_config
-from fingabor.experiments import run_locop, run_young
+from fingabor.experiments import run_convrel, run_locop, run_young
 from fingabor.group import make_group
 from fingabor.signal import PhaseFunction, Signal, convolve_phase
 
@@ -213,7 +213,8 @@ def test_nan_modulation_norm_fails_the_norms_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("fingabor.experiments.modulation_norm", lambda *a, **k: math.nan)
     cfg = write_config(tmp_path, experiment="norms", trials=2)
     assert main(["run", str(cfg)]) == 2
-    assert "failure: covered/plain ratio 0.5x0.5 spans [nan, nan]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "failure: covered-equals-plain: residual nan exceeds tolerance 1.000e-12" in out
     summary = json.loads((tmp_path / "out" / "norms_summary.json").read_text())
     assert summary["covered_over_plain"]["2x2"] == [None, None]
 
@@ -230,7 +231,7 @@ def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr("fingabor.experiments.convolve_phase", nan_on_third_call)
     summary, failures, _ = run_young(make_group([4], [2]), seed=0, trials=5)
-    assert failures == ["convolution inequality violated 169 times"]
+    assert failures == ["young-inequality: residual nan exceeds tolerance 1.000e-10"]
     assert not math.isfinite(summary["max_ratio"])
     calls.clear()
     cfg = write_config(tmp_path, experiment="young", trials=5)
@@ -242,8 +243,27 @@ def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypa
 def test_nan_localization_residual_fails(monkeypatch):
     monkeypatch.setattr("fingabor.experiments.loc_kn_matrix_residual", lambda *a: math.nan)
     summary, failures = run_locop(make_group([4], [2]), seed=0, trials=2)
-    assert failures == ["localization-as-quantization residual nan exceeds 1e-9"]
-    assert math.isnan(summary["quantization_residual"])
+    assert failures == ["localization-as-quantization: residual nan exceeds tolerance 1.000e-09"]
+    assert math.isnan(summary["results"]["localization-as-quantization"]["residual"])
+
+
+def test_degenerate_convolution_relation_trial_fails_once(tmp_path, capsys, monkeypatch):
+    # a trial with non-finite sides makes its case's constant NaN: the spread
+    # is NaN, and the one spread check fails with one line
+    monkeypatch.setattr("fingabor.experiments.convolution_relation_probe",
+                        lambda *a, **k: (math.nan, math.nan))
+    summary, failures, tables = run_convrel(make_group([6], [3]), seed=0, trials=3)
+    assert failures == ["convolution-relation-spread: residual nan exceeds tolerance 1.000e+01"]
+    assert all(math.isnan(s) for s in summary["spreads"].values())
+    assert [row[-3:] for row in tables["convrel_constants"][1:]] == [("nan",) * 3] * 4
+    cfg = write_config(tmp_path, experiment="convrel", trials=3,
+                       group={"factors": [6], "subgroup_divisors": [3]})
+    assert main(["run", str(cfg)]) == 2
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if ln.startswith("failure:")] == [f"failure: {failures[0]}"]
+    summary = json.loads((tmp_path / "out" / "convrel_summary.json").read_text())
+    assert set(summary["spreads"].values()) == {None}
+    assert summary["results"]["convolution-relation-spread"]["residual"] is None
 
 
 def test_run_missing_config(tmp_path, capsys):
@@ -358,3 +378,13 @@ def test_artifacts_are_byte_identical(tmp_path, capsys, experiment, extra):
     assert m1.keys() == m2.keys() and m1
     for name in m1:
         assert m1[name] == m2[name], f"{experiment}/{name} differs between runs"
+    # every check's verdict follows from its residual, and failures lists the failed ones
+    summary = json.loads(m1[f"{experiment}_summary.json"])
+    judged = {k: e for k, e in summary.get("results", {}).items() if not e.get("skipped")}
+    for name, entry in judged.items():
+        residual = entry["residual"]
+        assert entry["passed"] == (residual is not None and residual <= entry["tolerance"]), name
+    # the JSON sorts results by name; failures keep the order checks ran in
+    assert sorted(msg.split(":")[0] for msg in summary["failures"]) == [
+        name for name, entry in sorted(judged.items()) if not entry["passed"]
+    ]

@@ -533,5 +533,7 @@ def test_run_young_equals_per_trial_oracle(spec, monkeypatch):
                 violations += not lhs <= rhs * (1 + 1e-10)
         summary, _, tables = run_young(spec, seed=7, trials=trials)
         assert [row[-1] for row in tables["young_ratios"][1:]] == [repr(w) for w in worst]
-        assert summary["violations"] == violations
+        check = summary["results"]["young-inequality"]
+        assert check["passed"] == (violations == 0)
+        assert check["residual"] == max(worst) - 1
         assert summary["max_ratio"] == max(worst)

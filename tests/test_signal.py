@@ -25,7 +25,6 @@ from fingabor.signal import (
     inverse_fourier,
     modulate,
     norm_l2,
-    phase_from_signal,
     subgroup_indicator,
     tensor,
     tf_shift,

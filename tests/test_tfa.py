@@ -14,14 +14,11 @@ from fingabor.signal import Signal, fourier, inner, norm_l2
 from fingabor.tfa import (
     gaussian_circ,
     gaussian_window,
-    jmap,
-    jmap_inverse,
     magic_formula_residual,
     moyal_residual,
     rihaczek,
     rihaczek_covariance_residual,
     stft,
-    stft_point,
     stft_shift_identity_residual,
     window_constant,
 )
@@ -64,17 +61,6 @@ def test_stft_matches_brute_force(factors, divisors, mass):
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
     np.testing.assert_allclose(stft(f, g).mat, brute_stft(f, g), atol=1e-13)
-
-
-def test_stft_point_agrees_with_full_transform():
-    spec = make_group([8], [2])
-    rng = np.random.default_rng(1)
-    f = rand_signal(spec, rng)
-    g = rand_signal(spec, rng)
-    V = stft(f, g).mat
-    for ix, ixi in [(0, 0), (3, 5), (7, 1)]:
-        v = stft_point(f, g, spec.element_at(ix), spec.dual_at(ixi))
-        assert v == pytest.approx(V[ix, ixi], abs=1e-13)
 
 
 def test_stft_lives_on_phase_spec():
@@ -199,30 +185,6 @@ def test_rihaczek_diagonal_marginals():
     R = rihaczek(f, f).mat
     time_marginal = R.sum(axis=1) * spec.mass_dual
     np.testing.assert_allclose(time_marginal, np.abs(f.values) ** 2, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# the rotation J
-
-
-def test_jmap_roundtrip():
-    spec = make_group([6], [3])
-    x = spec.element((2,))
-    xi = spec.dual((5,))
-    omega, u = jmap(x, xi)
-    assert (omega.residues, u.residues) == ((-xi).residues, x.residues)
-    x2, xi2 = jmap_inverse(omega, u)
-    assert x2 == x and xi2 == xi
-
-
-def test_jmap_squares_to_negation():
-    spec = make_group([6, 2], [2, 1])
-    x = spec.element((4, 1))
-    xi = spec.dual((3, 1))
-    omega, u = jmap(x, xi)
-    # feeding the rotated pair back through J negates the original
-    omega2, u2 = jmap(u, spec.dual(omega.residues))
-    assert u2 == x and spec.dual(omega2.residues) == spec.dual((-xi).residues)
 
 
 # ---------------------------------------------------------------------------
