@@ -28,7 +28,7 @@ from .group import (
 )
 from .norms import Exponents
 from .operators import OperatorMatrix
-from .signal import Signal, norm_l2, tf_shift
+from .signal import Signal, norm_l2, tf_shift_rows
 from .tfa import stft
 
 
@@ -91,25 +91,19 @@ def lattice_from_points(
     return QuasiLattice(spec, tuple(points))
 
 
-def _vector_stack(g: Signal, lattice: QuasiLattice) -> np.ndarray:
-    rows = [tf_shift(g, x, xi).values for x, xi in lattice.points]
-    # a deficient system may keep no points at all
-    return np.stack(rows) if rows else np.zeros((0, g.group.order), dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # analysis / synthesis / frame operator
 
 
 def analysis(g: Signal, lattice: QuasiLattice, f: Signal) -> np.ndarray:
     """Coefficients <f, pi(w) g> over the lattice, flat in lattice order."""
-    V = _vector_stack(g, lattice)
+    V = tf_shift_rows(g, lattice.points)
     return np.conj(V) @ f.values * f.group.mass
 
 
 def synthesis(g: Signal, lattice: QuasiLattice, coeffs: np.ndarray) -> Signal:
     """sum_w c_w pi(w) g."""
-    V = _vector_stack(g, lattice)
+    V = tf_shift_rows(g, lattice.points)
     return Signal(g.group, np.asarray(coeffs, dtype=np.complex128) @ V)
 
 
@@ -117,8 +111,8 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatri
     """S_{h,g} f = sum_w <f, pi(w) g> pi(w) h."""
     if h.group != g.group:
         raise GroupMismatch("both windows must live on the same group")
-    H = _vector_stack(h, lattice)
-    G = _vector_stack(g, lattice)
+    H = tf_shift_rows(h, lattice.points)
+    G = tf_shift_rows(g, lattice.points)
     return OperatorMatrix(h.group, H.T @ np.conj(G) * g.group.mass)
 
 

@@ -22,7 +22,7 @@ mass-weighted sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
@@ -167,7 +167,7 @@ class _Element:
     def __post_init__(self) -> None:
         object.__setattr__(self, "residues", _as_residues(self.group, self.residues))
 
-    @property
+    @cached_property
     def index(self) -> int:
         return int(np.ravel_multi_index(self.residues, self.group.factors))
 

@@ -11,15 +11,22 @@ second variable.  A localization operator with symbol a and windows
 where the convolution runs over phase space with mass * mass_dual per
 point; both routes are implemented independently so they can be compared.
 
-The structured kernels use only the base group's character table
-T[xi, x] = <xi, x> and difference table, never the route they are checked
-against.  With S = conj(R(phi, phi)) * mass * mass_dual for the canonical
-window phi, the Gabor matrix entry of row point (w, mu) and column point
-(u, nu), and the localization matrix (a convolution over x for each y - y'), are
+The direct Gabor matrix takes its shifted windows from one gather,
+:func:`fingabor.signal.tf_shift_rows`.  The structured kernels use only the
+base group's character table T[xi, x] = <xi, x> and difference table, never
+the route they are checked against.  With S = conj(R(phi, phi)) * mass *
+mass_dual for the canonical window phi, the Gabor matrix entry of row point
+(w, mu) and column point (u, nu), and the localization matrix (a convolution
+over x for each y - y'), are
 
-    conj(T[nu, w - u]) * sum_{k in K, kappa in K_perp} sigma(w + k, nu + kappa)
-        * conj(T[mu - nu, w + k] T[u - w, nu + kappa]) * S[k, kappa],
+    conj(T[nu, w - u]) * sum_{k in K} conj(T[mu - nu, w + k])
+        * sum_{kappa in K_perp} sigma(w + k, nu + kappa) S[k, kappa] conj(T[u - w, nu + kappa]),
     L[y, y'] = mass^2 * mass_dual * sum_x (a @ T)[x, y - y'] psi2(y - x) conj(psi1(y' - x)).
+
+The Gabor entry depends on the points only through their distinct time
+indices (a of them) and frequency indices (b of them), so both sums run on
+coset pairs: a^2 b |K| |K_perp| + a^2 b^2 |K| operations, with arrays of at
+most order^2 entries on the canonical lattice (a = |G/K|, b = |G^/K_perp|).
 """
 
 from __future__ import annotations
@@ -42,7 +49,15 @@ from .group import (
     tile_indices,
 )
 from .norms import Exponents, Weight, _inv, modulation_norm
-from .signal import PhaseFunction, Signal, convolve, convolve_phase, fourier, inner, tf_shift
+from .signal import (
+    PhaseFunction,
+    Signal,
+    convolve,
+    convolve_phase,
+    fourier,
+    inner,
+    tf_shift_rows,
+)
 from .tfa import gaussian_circ, gaussian_window, rihaczek, stft
 
 
@@ -127,7 +142,7 @@ def gabor_matrix(
     if sigma.group != g.group:
         raise GroupMismatch("symbol and window live on different groups")
     spec = g.group
-    V = np.stack([tf_shift(g, x, xi).values for x, xi in points])
+    V = tf_shift_rows(g, points)
     K = kn_matrix(sigma).entries
     return np.conj(V) @ (K @ V.T) * spec.mass
 
@@ -142,8 +157,20 @@ def gabor_matrix_closed_form(
     conj(T[nu_j, w_i - u_j]) times the sum over (k, kappa) in K x K_perp of
     sigma(w_i + k, nu_j + kappa) conj(T[mu_i - nu_j, w_i + k])
     conj(T[u_j - w_i, nu_j + kappa]) S[k, kappa], S = conj(R(phi, phi)) *
-    mass * mass_dual: one gather of sigma and two contractions, with index
-    work on (m, |K|), (m, |K_perp|) and (m, m) arrays only.
+    mass * mass_dual.  The entry depends on the points only through their
+    time indices w, u (a distinct values) and frequency indices mu, nu (b
+    distinct values), so the sums run on those coset pairs:
+
+        Y[w, k, nu, u]  = sum_kappa sigma(w + k, nu + kappa) S[k, kappa]
+                                    conj(T[u - w, nu + kappa]),
+        Z[w, mu, nu, u] = sum_k Y[w, k, nu, u] conj(T[mu - nu, w + k]),
+        M[i, j]         = conj(T[nu_j, w_i - u_j]) Z[w_i, mu_i, nu_j, u_j].
+
+    That is a^2 b |K| |K_perp| + a^2 b^2 |K| operations.  Besides the (m, m)
+    result, the arrays are the symbol gather (a, |K|, b, |K_perp|), the
+    character gathers (a, a, b, |K_perp|) and (a, b, b, |K|), Y and Z; on
+    the canonical lattice a = |G/K| and b = |G^/K_perp|, so each holds
+    order^2 entries.
     """
     spec = sigma.group
     T = character_table(spec)
@@ -154,15 +181,15 @@ def gabor_matrix_closed_form(
     S = np.conj(rihaczek(phi, phi).values[tile_indices(spec)]) * (spec.mass * spec.mass_dual)
     S = S.reshape(len(neg_k), len(neg_a))
     x, xi = np.array([(p.index, q.index) for p, q in points]).T
-    rows = D[x[:, None], neg_k]                                 # index(w_i + k)
-    cols = D[xi[:, None], neg_a]                                # index(nu_j + kappa)
-    dx = D[x[:, None], x]                                       # index(w_i - u_j)
-    dxi = D[xi[:, None], xi]                                    # index(mu_i - nu_j)
-    A = np.conj(T[dxi[:, :, None], rows[:, None, :]])           # [i, j, k]
-    B = np.conj(T[dx.T[:, :, None], cols[None, :, :]])          # [i, j, kappa]
-    G = sigma.mat[rows][:, :, cols]                             # [i, k, j, kappa]
-    inner_sum = np.einsum("ikjl,kl,ijl->ijk", G, S, B)
-    return np.conj(T[xi[None, :], dx]) * np.einsum("ijk,ijk->ij", inner_sum, A)
+    w, wi = np.unique(x, return_inverse=True)                   # distinct times: w, u
+    nu, ni = np.unique(xi, return_inverse=True)                 # distinct frequencies: mu, nu
+    rows = D[w[:, None], neg_k]                                 # index(w + k)
+    cols = D[nu[:, None], neg_a]                                # index(nu + kappa)
+    B = np.conj(T[D[w[None, :], w[:, None]][:, :, None, None], cols])   # [w, u, nu, kappa]
+    A = np.conj(T[D[nu[:, None], nu][None, :, :, None], rows[:, None, None, :]])  # [w, mu, nu, k]
+    Y = np.einsum("wknl,kl,wunl->wknu", sigma.mat[rows][:, :, cols], S, B)
+    Z = np.einsum("wknu,wmnk->wmnu", Y, A)
+    return np.conj(T[xi[None, :], D[x[:, None], x]]) * Z[wi[:, None], ni[:, None], ni, wi]
 
 
 def gabor_matrix_residual(

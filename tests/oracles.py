@@ -3,14 +3,25 @@
 The amalgam norm of V_g f over a window set is evaluated the long way: the
 full STFT, a maximum over explicit phase-space translations, then the
 mixed quasi-norm.  Both sides of the convolution inequality are evaluated
-one pair of phase-space functions and one exponent triple at a time.
+one pair of phase-space functions and one exponent triple at a time.  The
+Gabor matrix closed form is summed with one symbol gather per point pair.
 """
 import numpy as np
 
-from fingabor.group import phase_spec, residue_grid, tile_indices, translation_perm
+from fingabor.group import (
+    annihilator_indices,
+    character_table,
+    diff_table,
+    neg_index,
+    phase_spec,
+    residue_grid,
+    subgroup_indices,
+    tile_indices,
+    translation_perm,
+)
 from fingabor.norms import Exponents, check_young_exponents, mixed_quasi_norm
 from fingabor.signal import PhaseFunction, convolve_phase
-from fingabor.tfa import gaussian_window, stft
+from fingabor.tfa import gaussian_window, rihaczek, stft
 
 
 def gather_maximum(F, offsets):
@@ -46,3 +57,31 @@ def young_verify(F, H, e_out, e_left, e_right, m=None, v=None):
     lhs = mixed_quasi_norm(convolve_phase(F, H), e_out, m)
     rhs = mixed_quasi_norm(F, e_left, m) * mixed_quasi_norm(H, e_right, v)
     return float(lhs), float(rhs)
+
+
+def gather_gabor_matrix_closed_form(sigma, points):
+    """Closed-form Gabor matrix for the canonical window, one pair at a time.
+
+    Entry (i, j) is conj(T[nu_j, w_i - u_j]) times the sum over K x K_perp of
+    sigma(w_i + k, nu_j + kappa) conj(T[mu_i - nu_j, w_i + k])
+    conj(T[u_j - w_i, nu_j + kappa]) S[k, kappa], with the symbol gathered
+    into an (m, |K|, m, |K_perp|) array for the m points.
+    """
+    spec = sigma.group
+    T = character_table(spec)
+    D = diff_table(spec)
+    neg_k = neg_index(spec)[subgroup_indices(spec)]
+    neg_a = neg_index(spec)[annihilator_indices(spec)]
+    phi = gaussian_window(spec)
+    S = np.conj(rihaczek(phi, phi).values[tile_indices(spec)]) * (spec.mass * spec.mass_dual)
+    S = S.reshape(len(neg_k), len(neg_a))
+    x, xi = np.array([(p.index, q.index) for p, q in points]).T
+    rows = D[x[:, None], neg_k]                                 # index(w_i + k)
+    cols = D[xi[:, None], neg_a]                                # index(nu_j + kappa)
+    dx = D[x[:, None], x]                                       # index(w_i - u_j)
+    dxi = D[xi[:, None], xi]                                    # index(mu_i - nu_j)
+    A = np.conj(T[dxi[:, :, None], rows[:, None, :]])           # [i, j, k]
+    B = np.conj(T[dx.T[:, :, None], cols[None, :, :]])          # [i, j, kappa]
+    G = sigma.mat[rows][:, :, cols]                             # [i, k, j, kappa]
+    inner_sum = np.einsum("ikjl,kl,ijl->ijk", G, S, B)
+    return np.conj(T[xi[None, :], dx]) * np.einsum("ijk,ijk->ij", inner_sum, A)

@@ -210,7 +210,8 @@ def test_nan_residual_fails_its_check(tmp_path, capsys, monkeypatch):
 
 def test_nan_modulation_norm_fails_the_norms_run(tmp_path, capsys, monkeypatch):
     # the covered/plain ratio is a check: a NaN must not drop out of its fold
-    monkeypatch.setattr("fingabor.experiments.modulation_norm", lambda *a, **k: math.nan)
+    monkeypatch.setattr("fingabor.experiments.modulation_norms",
+                        lambda spec, F, exps: np.full((len(F), len(exps)), math.nan))
     cfg = write_config(tmp_path, experiment="norms", trials=2)
     assert main(["run", str(cfg)]) == 2
     out = capsys.readouterr().out

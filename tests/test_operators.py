@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from fingabor.signal import (
     tf_shift,
 )
 from fingabor.tfa import gaussian_window, rihaczek, stft
-from oracles import dense_modulation_norm
+from oracles import dense_modulation_norm, gather_gabor_matrix_closed_form
 
 # Groups for the structured operator kernels: a cyclic group, a product
 # with a non-cyclic tile, a point mass other than 1, unequal factors and
@@ -195,6 +196,7 @@ def test_closed_form_on_all_phase_points():
     direct = gabor_matrix(sigma, gaussian_window(spec), pts)
     closed = gabor_matrix_closed_form(sigma, pts)
     np.testing.assert_allclose(closed, direct, atol=1e-12)
+    assert np.array_equal(closed, gather_gabor_matrix_closed_form(sigma, pts))
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)
@@ -203,6 +205,34 @@ def test_closed_form_on_lattice_points(spec):
     for _ in range(5):
         sigma = rand_symbol(spec, rng)
         assert gabor_matrix_residual(sigma, quasi_lattice(spec).points) < 1e-12
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_closed_form_matches_symbol_gather_oracle(spec):
+    # the coset-pair sums add the same products in the same order as the
+    # per-pair gather, so the two agree bit for bit
+    rng = np.random.default_rng(19)
+    points = quasi_lattice(spec).points
+    for _ in range(3):
+        sigma = rand_symbol(spec, rng)
+        assert np.array_equal(gabor_matrix_closed_form(sigma, points),
+                              gather_gabor_matrix_closed_form(sigma, points))
+
+
+def test_closed_form_memory_stays_on_coset_pairs():
+    # Z_256/16: the per-pair symbol gather alone is 256 * 16 * 256 * 16
+    # complex entries (268 MB); the coset-pair arrays hold 16^4 entries each
+    spec = make_group([256], [16])
+    rng = np.random.default_rng(20)
+    sigma = rand_symbol(spec, rng)
+    points = quasi_lattice(spec).points
+    tracemalloc.start()
+    try:
+        gabor_matrix_closed_form(sigma, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +317,8 @@ def test_structured_kernels_are_independent_routes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("structured kernel used the route it is checked against")
 
-    for name in ("gabor_matrix", "kn_matrix", "tf_shift", "convolve_phase", "loc_to_kn_symbol"):
+    for name in ("gabor_matrix", "kn_matrix", "tf_shift_rows", "convolve_phase",
+                 "loc_to_kn_symbol"):
         monkeypatch.setattr(operators, name, refuse)
     spec = make_group([6, 2], [3, 2])
     rng = np.random.default_rng(18)

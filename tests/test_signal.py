@@ -28,6 +28,7 @@ from fingabor.signal import (
     subgroup_indicator,
     tensor,
     tf_shift,
+    tf_shift_rows,
     translate,
     zeros,
 )
@@ -129,6 +130,21 @@ def test_tf_shift_is_modulate_translate():
     out = tf_shift(f, 3, 5)
     ref = modulate(translate(f, spec.element((3,))), spec.dual((5,)))
     np.testing.assert_array_equal(out.values, ref.values)
+
+
+@pytest.mark.parametrize("spec", [make_group([8], [2]), make_group([6, 2], [3, 2]),
+                                  GroupSpec((12,), (3,), 0.25)], ids=["z8", "z6xz2", "z12-mass"])
+def test_tf_shift_rows_equal_stacked_tf_shifts(spec):
+    # the gather multiplies the same character values by the same entries
+    rng = np.random.default_rng(3)
+    f = rand_signal(spec, rng)
+    points = [(spec.element_at(int(i)), spec.dual_at(int(j)))
+              for i, j in rng.integers(spec.order, size=(2 * spec.order, 2))]
+    points += [(3, 5), (0, 0)]
+    ref = np.stack([tf_shift(f, x, xi).values for x, xi in points])
+    assert np.array_equal(tf_shift_rows(f, points), ref)
+    empty = tf_shift_rows(f, [])
+    assert empty.shape == (0, spec.order) and empty.dtype == np.complex128
 
 
 # ---------------------------------------------------------------------------
