@@ -5,7 +5,10 @@ transversal of G^/K_perp; its translates of the tile U = K x K_perp
 partition phase space.  The lattice has exactly ``order`` points, so the
 canonical window produces an orthogonal system with a single frame
 constant.  Lattice-indexed sequences are stored flat with D1 outer and D2
-inner, both lexicographic.
+inner, both lexicographic.  The lattice comes from
+:func:`fingabor.group.coset_representatives` and the translates of the
+tile from :func:`fingabor.group.tile_cover`, a gather in the base group's
+cached difference table; this module does no residue arithmetic.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from .group import (
     GroupMismatch,
     GroupSpec,
     coset_representatives,
-    phase_spec,
-    residue_grid,
-    tile_indices,
+    tile_cover,
 )
-from .norms import Exponents
+from .norms import Exponents, mixed_norm_stack
 from .operators import OperatorMatrix
 from .signal import Signal, norm_l2, tf_shift_rows
+from .spectral import hermitian_eigen
 from .tfa import stft
 
 
@@ -53,11 +55,6 @@ class QuasiLattice:
         return np.asarray([x.index * n + xi.index for x, xi in self.points])
 
     @property
-    def tile_offsets(self) -> np.ndarray:
-        """Flat phase indices of U = K x K_perp."""
-        return tile_indices(self.group)
-
-    @property
     def redundancy(self) -> float:
         return len(self.points) / self.group.order
 
@@ -68,20 +65,11 @@ def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
     d1, d2 = coset_representatives(spec)
     points = tuple((w, mu) for w in d1 for mu in d2)
     lattice = QuasiLattice(spec, points)
-    counts = np.bincount(_tile_cover(lattice).reshape(-1), minlength=spec.order ** 2)
+    cover = tile_cover(spec, lattice.flat_indices)
+    counts = np.bincount(cover.reshape(-1), minlength=spec.order ** 2)
     if not np.all(counts == 1):
         raise GroupMismatch("quasi-lattice translates of the tile do not partition")
     return lattice
-
-
-def _tile_cover(lattice: QuasiLattice) -> np.ndarray:
-    """(points, tile) flat phase indices of each lattice point plus the tile."""
-    pspec = phase_spec(lattice.group)
-    grid = residue_grid(pspec)
-    pts = grid[lattice.flat_indices]
-    offs = grid[lattice.tile_offsets]
-    covered = (pts[:, None, :] + offs[None, :, :]) % np.asarray(pspec.factors)
-    return np.ravel_multi_index(np.moveaxis(covered, 2, 0), pspec.factors)
 
 
 def lattice_from_points(
@@ -119,8 +107,6 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatri
 def frame_bounds(g: Signal, lattice: QuasiLattice) -> tuple[float, float]:
     """(A, B) = extreme eigenvalues of S_{g,g}; raises NotAFrame when A
     vanishes relative to B."""
-    from .spectral import hermitian_eigen
-
     S = frame_operator(g, g, lattice)
     pairs = hermitian_eigen(S)
     values = [p.value for p in pairs]
@@ -182,23 +168,14 @@ def discrete_modnorm(
     Samples are grouped with D1 inner (exponent p) and D2 outer (exponent
     q); masses are 1, as for sequence spaces.
     """
-    import math
-
-    e = Exponents.of(e)
     c = np.abs(analysis(g, lattice, f))
     if m is not None:
         c = c * np.asarray(m, dtype=float)
-    d1, d2 = coset_representatives(lattice.group)
-    if len(lattice.points) != len(d1) * len(d2):
+    spec = lattice.group
+    d1, d2 = spec.annihilator_order, spec.subgroup_order      # |G/K|, |G^/K_perp|
+    if len(lattice.points) != d1 * d2:
         raise GroupMismatch("sequence norm needs the full canonical lattice")
-    cmat = c.reshape(len(d1), len(d2))
-    if math.isinf(e.p):
-        inner_part = cmat.max(axis=0)
-    else:
-        inner_part = ((cmat ** e.p).sum(axis=0)) ** (1.0 / e.p)
-    if math.isinf(e.q):
-        return float(inner_part.max())
-    return float(((inner_part ** e.q).sum()) ** (1.0 / e.q))
+    return float(mixed_norm_stack(c.reshape(1, d1, d2), Exponents.of(e), 1.0, 1.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +185,7 @@ def discrete_modnorm(
 def quotient_coefficients(f: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
     """Per-coset maxima of |V_g f| over the tile around each lattice point."""
     V = np.abs(stft(f, g).values)
-    return V[_tile_cover(lattice)].max(axis=1)
+    return V[tile_cover(f.group, lattice.flat_indices)].max(axis=1)
 
 
 def representative_independence_residual(
@@ -217,20 +194,13 @@ def representative_independence_residual(
     """Worst change of the quotient coefficients under re-representation.
 
     Every lattice point is replaced by every other representative of its
-    coset; the sweep set is the same, so the residual is exactly zero.
+    coset, one tile offset at a time for all points at once; the sweep set
+    is the same, so the residual is exactly zero.  A NaN coefficient makes
+    the residual NaN.
     """
     spec = f.group
-    pspec = phase_spec(spec)
     V = np.abs(stft(f, g).values)
-    grid = residue_grid(pspec)
-    mods = np.asarray(pspec.factors)
-    offs = grid[lattice.tile_offsets]
-    base = quotient_coefficients(f, g, lattice)
-    worst = 0.0
-    for i, flat_idx in enumerate(lattice.flat_indices):
-        shifted = (grid[flat_idx][None, :] + offs) % mods            # all reps
-        for rep in shifted:
-            covered = (rep[None, :] + offs) % mods
-            flat = np.ravel_multi_index(covered.T, pspec.factors)
-            worst = max(worst, abs(float(V[flat].max()) - float(base[i])))
-    return worst
+    cover = tile_cover(spec, lattice.flat_indices)
+    base = V[cover].max(axis=1)
+    moved = np.stack([V[tile_cover(spec, reps)].max(axis=1) for reps in cover.T])
+    return float(np.max(np.abs(moved - base)))

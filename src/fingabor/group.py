@@ -336,6 +336,17 @@ def tile_indices(spec: GroupSpec) -> np.ndarray:
     return idx
 
 
+def tile_cover(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
+    """(len(flat), |K| |K_perp|) flat phase indices of p + u for each flat
+    phase point p and each u in the tile, in :func:`tile_indices` order."""
+    D = diff_table(spec)                                        # D[a, b] = index(a - b)
+    neg = neg_index(spec)
+    x, xi = np.divmod(np.asarray(flat, dtype=np.int64), spec.order)
+    rows = D[x[:, None], neg[subgroup_indices(spec)]].astype(np.int64)     # index(x + k)
+    cols = D[xi[:, None], neg[annihilator_indices(spec)]]                  # index(xi + kappa)
+    return (rows[:, :, None] * spec.order + cols[:, None, :]).reshape(len(x), spec.order)
+
+
 @lru_cache(maxsize=32)
 def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps of the split x = j + d c per factor, j < d, c in Z_{N/d}.
@@ -367,20 +378,12 @@ def coset_representatives(spec: GroupSpec) -> tuple[list[GroupElement], list[Dua
     """Canonical transversals (D1, D2) of G/K and of G^/K_perp.
 
     D1 runs over residues below the subgroup step, D2 over residues below
-    the annihilator step, both lexicographically.
+    the annihilator step, both lexicographically: the c = 0 columns of
+    :func:`quotient_indices` for the group and for its dual.
     """
-    d1_ranges = [range(d) for d in spec.subgroup_divisors]
-    d2_ranges = [range(n // d) for n, d in zip(spec.factors, spec.subgroup_divisors)]
-    d1 = [spec.element(r) for r in _lex_product(d1_ranges)]
-    d2 = [spec.dual(r) for r in _lex_product(d2_ranges)]
+    d1 = [spec.element_at(i) for i in quotient_indices(spec)[0][:, 0]]
+    d2 = [spec.dual_at(i) for i in quotient_indices(dual_spec(spec))[0][:, 0]]
     return d1, d2
-
-
-def _lex_product(ranges: list[range]) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for rng in ranges:
-        out = [t + (v,) for t in out for v in rng]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .group import (
     diff_table,
     neg_index,
     subgroup_indices,
-    tile_indices,
 )
 from .norms import Exponents, Weight, _inv, modulation_norm
 from .signal import (
@@ -56,9 +55,10 @@ from .signal import (
     convolve_phase,
     fourier,
     inner,
+    inner_phase,
     tf_shift_rows,
 )
-from .tfa import gaussian_circ, gaussian_window, rihaczek, stft
+from .tfa import gaussian_circ, gaussian_window, rihaczek, stft, window_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +99,6 @@ def kn_apply(sigma: PhaseFunction, f: Signal) -> Signal:
 
 def kn_weak_residual(sigma: PhaseFunction, f: Signal, g: Signal) -> float:
     """| <Op(sigma) f, g> - <sigma, R(g, f)> | with the phase-space pairing."""
-    from .signal import inner_phase
-
     lhs = inner(kn_apply(sigma, f), g)
     rhs = inner_phase(sigma, rihaczek(g, f))
     return abs(lhs - rhs)
@@ -157,9 +155,10 @@ def gabor_matrix_closed_form(
     conj(T[nu_j, w_i - u_j]) times the sum over (k, kappa) in K x K_perp of
     sigma(w_i + k, nu_j + kappa) conj(T[mu_i - nu_j, w_i + k])
     conj(T[u_j - w_i, nu_j + kappa]) S[k, kappa], S = conj(R(phi, phi)) *
-    mass * mass_dual.  The entry depends on the points only through their
-    time indices w, u (a distinct values) and frequency indices mu, nu (b
-    distinct values), so the sums run on those coset pairs:
+    mass * mass_dual, which is the constant conj(<phi, phi>) * mass *
+    mass_dual on the tile.  The entry depends on the points only through
+    their time indices w, u (a distinct values) and frequency indices mu, nu
+    (b distinct values), so the sums run on those coset pairs:
 
         Y[w, k, nu, u]  = sum_kappa sigma(w + k, nu + kappa) S[k, kappa]
                                     conj(T[u - w, nu + kappa]),
@@ -177,9 +176,8 @@ def gabor_matrix_closed_form(
     D = diff_table(spec)                                        # D[a, b] = index(a - b)
     neg_k = neg_index(spec)[subgroup_indices(spec)]
     neg_a = neg_index(spec)[annihilator_indices(spec)]
-    phi = gaussian_window(spec)
-    S = np.conj(rihaczek(phi, phi).values[tile_indices(spec)]) * (spec.mass * spec.mass_dual)
-    S = S.reshape(len(neg_k), len(neg_a))
+    S = np.full((len(neg_k), len(neg_a)),
+                np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
     x, xi = np.array([(p.index, q.index) for p, q in points]).T
     w, wi = np.unique(x, return_inverse=True)                   # distinct times: w, u
     nu, ni = np.unique(xi, return_inverse=True)                 # distinct frequencies: mu, nu

@@ -20,12 +20,11 @@ from .group import (
     GroupElement,
     GroupMismatch,
     GroupSpec,
-    character_row,
+    character,
     character_table,
     diff_table,
+    neg_index,
     phase_spec,
-    residue_grid,
-    translation_perm,
 )
 from .signal import (
     PhaseFunction,
@@ -33,8 +32,11 @@ from .signal import (
     convolve,
     fourier,
     inner,
+    modulate,
+    norm_l2,
     subgroup_indicator,
     tf_shift,
+    translate,
 )
 
 
@@ -108,18 +110,17 @@ def stft_shift_identity_residual(
     """Residual of the STFT covariance rule under shifts of signal and window.
 
     Compares V_{pi(y, eta) g}(pi(u, omega) f) against the phase-corrected
-    translate of V_g f over every phase-space point.
+    translate of V_g f over every phase-space point.  A shift by s is the
+    column D[:, index(-s)] of the difference table, and <xi, .> is T[xi].
     """
     spec = f.group
     lhs = stft(tf_shift(f, u, omega), tf_shift(g, y, eta)).mat
     V = stft(f, g).mat
-    row = translation_perm(spec, tuple(a - b for a, b in zip(y.residues, u.residues)))
-    col = translation_perm(spec, tuple(a - b for a, b in zip(eta.residues, omega.residues)))
-    shifted = V[row][:, col]
-    xi_shift = translation_perm(spec, tuple(-r for r in omega.residues))
-    c1 = np.conj(character_row(spec, u.index)[xi_shift])       # conj<xi - omega, u>
-    x_shift = translation_perm(spec, tuple(-r for r in u.residues))
-    c2 = character_row(spec, eta.index)[x_shift]               # <eta, x - u>
+    T = character_table(spec)
+    D = diff_table(spec)                                       # D[a, b] = index(a - b)
+    shifted = V[D[:, D[u.index, y.index]]][:, D[:, D[omega.index, eta.index]]]
+    c1 = np.conj(T[u.index][D[:, omega.index]])                # conj<xi - omega, u>
+    c2 = T[eta.index][D[:, u.index]]                           # <eta, x - u>
     rhs = c2[:, None] * c1[None, :] * shifted
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -133,15 +134,12 @@ def rihaczek_covariance_residual(
     eta: DualElement,
 ) -> float:
     """Residual of the Rihaczek covariance rule under time-frequency shifts."""
-    from .group import character
-    from .signal import modulate as sig_modulate, translate as sig_translate
-
     spec = f.group
     lhs = rihaczek(tf_shift(f, x, xi), tf_shift(g, y, eta))
     base = rihaczek(f, g).as_signal()
     shift = phase_element(spec, x, eta)
     mod = phase_dual_element(spec, xi - eta, y - x)            # J(y - x, eta - xi)
-    rhs = sig_modulate(sig_translate(base, shift), mod)
+    rhs = modulate(translate(base, shift), mod)
     scale = character(eta, x - y)
     return float(np.max(np.abs(lhs.values - scale * rhs.values)))
 
@@ -162,10 +160,7 @@ def magic_formula_residual(psi: Signal, f: Signal, g: Signal) -> float:
     T = character_table(spec)
     Vg = stft(g, psi).mat
     Vf = stft(f, psi).mat
-    add = (residue_grid(spec)[:, None, :] + residue_grid(spec)[None, :, :]) % np.asarray(
-        spec.factors
-    )
-    add_idx = np.ravel_multi_index(np.moveaxis(add, 2, 0), spec.factors)
+    add_idx = diff_table(spec)[:, neg_index(spec)]              # [a, b] -> index(a + b)
     phase = np.conj(T)                                          # conj<xi, u>
     A = Vg[:, add_idx]                                          # [x, xi, omega] -> Vg(x, xi+omega)
     B = np.conj(Vf[add_idx, :])                                 # [x, u, xi] -> conj Vf(x+u, xi)
@@ -179,8 +174,6 @@ def magic_formula_residual(psi: Signal, f: Signal, g: Signal) -> float:
 
 def moyal_residual(f: Signal, g: Signal) -> float:
     """|  ||V_g f||^2_{phase} - ||f||^2 ||g||^2  |."""
-    from .signal import norm_l2
-
     spec = f.group
     V = stft(f, g)
     lhs = float(np.sum(np.abs(V.values) ** 2) * spec.mass * spec.mass_dual)

@@ -25,8 +25,10 @@ from fingabor.group import (
     make_group,
     phase_spec,
     residue_grid,
+    tile_indices,
 )
-from fingabor.signal import Signal, norm_l2
+from fingabor.experiments import run_identities
+from fingabor.signal import PhaseFunction, Signal, norm_l2
 from fingabor.tfa import gaussian_window, stft, window_constant
 
 
@@ -39,13 +41,23 @@ def all_phase_points(spec):
             for i in range(spec.order) for j in range(spec.order)]
 
 
+# multi-factor, a point mass other than 1, mixed steps per factor, K = G
+LATTICE_GROUPS = [make_group([6, 2], [3, 2]), GroupSpec((12,), (3,), 0.25),
+                  make_group([4, 8], [2, 4]), make_group([8], [1])]
+LATTICE_IDS = ["6x2", "z12-mass-quarter", "4x8", "z8-K-is-G"]
+
+
 # ---------------------------------------------------------------------------
 # lattice structure
 
 
-@pytest.mark.parametrize("factors,divisors", [([4], [2]), ([6], [3]), ([6, 2], [3, 2]), ([8], [8])])
-def test_quasi_lattice_partitions_phase_space(factors, divisors):
-    spec = make_group(factors, divisors)
+# the first four cases keep the ids they had as (factors, divisors) pairs
+@pytest.mark.parametrize(
+    "spec",
+    [make_group([4], [2]), make_group([6], [3]), LATTICE_GROUPS[0], make_group([8], [8])]
+    + LATTICE_GROUPS[1:],
+    ids=[f"factors{i}-divisors{i}" for i in range(4)] + LATTICE_IDS[1:])
+def test_quasi_lattice_partitions_phase_space(spec):
     lat = quasi_lattice(spec)
     d1, d2 = coset_representatives(spec)
     assert len(lat.points) == len(d1) * len(d2) == spec.order
@@ -56,7 +68,7 @@ def test_quasi_lattice_partitions_phase_space(factors, divisors):
     mods = np.array(pspec.factors)
     seen = np.zeros(pspec.order, dtype=int)
     for pt in lat.flat_indices:
-        for off in lat.tile_offsets:
+        for off in tile_indices(spec):
             res = tuple(int(v) for v in (grid[pt] + grid[off]) % mods)
             seen[int(np.ravel_multi_index(res, pspec.factors))] += 1
     assert np.all(seen == 1)
@@ -256,8 +268,9 @@ def test_discrete_modnorm_needs_full_lattice():
 # coset-level coefficients
 
 
-def test_quotient_coefficients_brute_force():
-    spec = make_group([6], [2])
+@pytest.mark.parametrize("spec", [make_group([6], [2])] + LATTICE_GROUPS,
+                         ids=["z6"] + LATTICE_IDS)
+def test_quotient_coefficients_brute_force(spec):
     rng = np.random.default_rng(9)
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
@@ -270,18 +283,31 @@ def test_quotient_coefficients_brute_force():
     V = np.abs(stft(f, g).values)
     for i, pt in enumerate(lat.flat_indices):
         best = 0.0
-        for off in lat.tile_offsets:
+        for off in tile_indices(spec):
             res = tuple(int(v) for v in (grid[pt] + grid[off]) % mods)
             best = max(best, V[int(np.ravel_multi_index(res, pspec.factors))])
         assert q[i] == best
 
 
-@pytest.mark.parametrize("divisor", [1, 2, 4, 8])
-def test_representative_choice_is_immaterial(divisor):
-    spec = make_group([8], [divisor])
+@pytest.mark.parametrize(
+    "spec", [make_group([8], [d]) for d in (1, 2, 4, 8)] + LATTICE_GROUPS[:3],
+    ids=["1", "2", "4", "8"] + LATTICE_IDS[:3])
+def test_representative_choice_is_immaterial(spec):
     lat = quasi_lattice(spec)
     rng = np.random.default_rng(10)
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
     assert representative_independence_residual(f, g, lat) == 0.0
     assert representative_independence_residual(f, gaussian_window(spec), lat) == 0.0
+
+
+def test_nan_transform_fails_the_representative_sweep(monkeypatch):
+    # max(0.0, nan) is 0.0: the sweep must keep a NaN coefficient
+    monkeypatch.setattr("fingabor.gabor.stft", lambda f, g: PhaseFunction(
+        f.group, np.full(f.group.order ** 2, math.nan)))
+    spec = make_group([16], [4])
+    summary, failures = run_identities(spec, seed=0, trials=2,
+                                       names=["coset-representative-independence"])
+    result = summary["results"]["coset-representative-independence"]
+    assert result["passed"] is False and math.isnan(result["residual"])
+    assert failures == ["coset-representative-independence: residual nan exceeds tolerance 0.000e+00"]

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from fingabor.group import (
     phase_spec,
     residue_grid,
     subgroup_indices,
+    tile_cover,
+    tile_indices,
     translation_perm,
 )
 from fingabor.tfa import phase_element
@@ -238,6 +242,35 @@ def test_diff_table_brute_force():
             ea = spec.element_at(a)
             eb = spec.element_at(b)
             assert table[a, b] == (ea - eb).index
+
+
+@pytest.mark.parametrize("spec", [make_group([6, 2], [3, 2]), GroupSpec((12,), (3,), 0.25),
+                                  make_group([4, 8], [2, 4]), make_group([8], [1])])
+def test_tile_cover_matches_residue_grid(spec):
+    # arbitrary phase points, not only lattice points, against residue sums
+    pspec = phase_spec(spec)
+    grid = residue_grid(pspec)
+    flat = np.random.default_rng(11).integers(pspec.order, size=20)
+    offs = grid[tile_indices(spec)]
+    want = [[np.ravel_multi_index(tuple((grid[p] + o) % pspec.factors), pspec.factors)
+             for o in offs] for p in flat]
+    np.testing.assert_array_equal(tile_cover(spec, flat), want)
+    assert tile_cover(spec, flat[:0]).shape == (0, spec.order)
+
+
+def test_index_work_stays_in_group():
+    # residue/flat index conversions live in group; tfa and gabor use its tables
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fingabor").glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        if path.name != "group.py":
+            assert not names & {"ravel_multi_index", "unravel_index"}, path.name
+        if path.name in ("tfa.py", "gabor.py"):
+            imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                        for a in n.names}
+            assert not imported & {"residue_grid", "translation_perm", "character_row"}, path.name
 
 
 def test_translation_perm_and_neg_index():
