@@ -263,15 +263,15 @@ def rihaczek_continuity_probe(
 
     lhs is the modulation norm of R(g, f) on the doubled group, computed
     with window R(phi, phi) and weight 1 x (v o J^{-1}); rhs is the product
-    of the modulation norms of g and f with weight v.  R(phi, phi) is c
-    times the indicator of K x K_perp (to rounding), the doubled group's
-    own canonical window, so the lhs is |c| times its canonical norm.
+    of the modulation norms of g and f with weight v.  R(phi, phi) is
+    c = <phi, phi> (``window_constant``) times the indicator of
+    K x K_perp (to rounding), the doubled group's own canonical window,
+    so the lhs is |c| times its canonical norm.
     """
     spec = f.group
     n = spec.order
-    phi = gaussian_window(spec)
     R = rihaczek(g, f).as_signal()
-    c = abs(rihaczek(phi, phi).values[0])
+    c = abs(window_constant(spec))
     if v is None:
         vvals = np.ones(n * n)
     else:

@@ -4,9 +4,13 @@ The eigensolver symmetrizes the matrix and hands it to LAPACK through
 ``np.linalg.eigh``.  Eigenpairs come out sorted by decreasing |lambda|
 (ties broken toward the larger lambda, then the lower LAPACK index) with
 each vector's first significant component rotated to the positive real
-axis, so results are reproducible bit for bit.  Within a degenerate
-eigenspace the basis is whichever one LAPACK returns; ``decay_comparison``
-flags such eigenvalues in its ``ties`` field.
+axis, so results are reproducible bit for bit.  That rotation and the
+mass normalization run per vector on the first read of
+``EigenPair.vector``, with the same scalar code as an eager pass over all
+vectors, so a caller that reads only the values or the top few vectors
+pays for no others.  Within a degenerate eigenspace the basis is
+whichever one LAPACK returns; ``decay_comparison`` flags such eigenvalues
+in its ``ties`` field.
 
 Decay profiles are modulation norms M^{gamma,gamma} for the window
 phi = 1_K and the window set K x K_perp, which ``norms.modulation_norms``
@@ -15,14 +19,16 @@ evaluates on the quotient G/K x G^/K_perp.
 Random draws use the Philox counter-based generator keyed by
 (seed, trial), which makes serial and parallel evaluation agree exactly.
 The Haar baseline of ``decay_comparison`` draws those same vectors, from
-one generator whose state is reset per trial, and evaluates all of them
+one generator whose state is reset per trial, into one preallocated
+block, normalizes all rows with one stacked product, and evaluates them
 in one product, bit-identical to a ``decay_profile`` per trial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +48,31 @@ class DegenerateSpectrum(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
+    """One eigenvalue and LAPACK's column for it.  The phase-rotated,
+    mass-normalized eigenvector is computed on first read of ``vector``."""
+
     value: float
-    vector: Signal
+    column: np.ndarray = field(repr=False)
+    group: GroupSpec = field(repr=False)
+
+    @cached_property
+    def vector(self) -> Signal:
+        vec = self.column.copy()
+        mags = np.abs(vec)
+        top = float(mags.max())
+        if top > 0.0:
+            j = int(np.argmax(mags > 1e-12 * top))
+            vec = vec * (np.conj(vec[j]) / abs(vec[j]))
+        vec = vec / (np.linalg.norm(vec) * math.sqrt(self.group.mass))
+        return Signal(self.group, vec)
 
 
 def hermitian_eigen(M: OperatorMatrix) -> list[EigenPair]:
-    """Full spectrum of a Hermitian matrix by LAPACK's Hermitian solver."""
+    """Full spectrum of a Hermitian matrix by LAPACK's Hermitian solver.
+
+    The pairs are sorted here; each pair's vector is rotated and
+    normalized when first read, bit-identical to doing it for all pairs.
+    """
     A = M.entries
     n = A.shape[0]
     scale = float(np.linalg.norm(A))
@@ -55,18 +80,7 @@ def hermitian_eigen(M: OperatorMatrix) -> list[EigenPair]:
         raise NotHermitian("matrix deviates from its conjugate transpose")
     values, V = np.linalg.eigh((A + A.conj().T) / 2.0)
     order = sorted(range(n), key=lambda i: (-abs(values[i]), -values[i], i))
-    mass = M.group.mass
-    pairs = []
-    for i in order:
-        vec = V[:, i].copy()
-        mags = np.abs(vec)
-        top = float(mags.max())
-        if top > 0.0:
-            j = int(np.argmax(mags > 1e-12 * top))
-            vec = vec * (np.conj(vec[j]) / abs(vec[j]))
-        vec = vec / (np.linalg.norm(vec) * math.sqrt(mass))
-        pairs.append(EigenPair(float(values[i]), Signal(M.group, vec)))
-    return pairs
+    return [EigenPair(float(values[i]), V[:, i], M.group) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +116,27 @@ def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:
 
 def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
     """haar_random_unit values for each trial, from one Philox generator whose
-    state is reset to that of a fresh (seed, t)-keyed one before each trial."""
+    state is reset to that of a fresh (seed, t)-keyed one before each trial.
+
+    The draws fill one (trials, 2n) block and all rows are normalized at
+    once.  The squared norms are the stacked 1 x n @ n x 1 products of the
+    real and imaginary views, which numpy evaluates with the same strided
+    BLAS dot as ``np.linalg.norm`` of one row, so each row is bit-identical
+    to the per-trial draw (``einsum`` is not).
+    """
     n = spec.order
+    trials = list(trials)
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     fresh, rng = bitgen.state, np.random.Generator(bitgen)   # counter 0, empty buffer
-    rows = []
-    for t in trials:
+    Z = np.empty((len(trials), 2 * n))
+    for i, t in enumerate(trials):
         fresh["state"]["key"] = np.array([seed & 0xFFFFFFFFFFFFFFFF, t], dtype=np.uint64)
         bitgen.state = fresh
-        z = rng.standard_normal(2 * n)
-        vec = z[:n] + 1j * z[n:]
-        rows.append(vec / (np.linalg.norm(vec) * math.sqrt(spec.mass)))
-    return np.stack(rows)
+        rng.standard_normal(out=Z[i])
+    C = Z[:, :n] + 1j * Z[:, n:]
+    R, I = C.real, C.imag
+    sq = (R[:, None, :] @ R[:, :, None])[:, 0, 0] + (I[:, None, :] @ I[:, :, None])[:, 0, 0]
+    return C / (np.sqrt(sq) * math.sqrt(spec.mass))[:, None]
 
 
 def haar_baseline(

@@ -5,7 +5,11 @@ full STFT, a maximum over explicit phase-space translations, then the
 mixed quasi-norm.  Both sides of the convolution inequality are evaluated
 one pair of phase-space functions and one exponent triple at a time.  The
 Gabor matrix closed form is summed with one symbol gather per point pair.
+Eigenvectors are rotated and normalized eagerly, all of them, and the
+Rihaczek probe reads its window constant off the full R(phi, phi).
 """
+import math
+
 import numpy as np
 
 from fingabor.group import (
@@ -19,8 +23,14 @@ from fingabor.group import (
     tile_indices,
     translation_perm,
 )
-from fingabor.norms import Exponents, check_young_exponents, mixed_quasi_norm
-from fingabor.signal import PhaseFunction, convolve_phase
+from fingabor.norms import (
+    Exponents,
+    Weight,
+    check_young_exponents,
+    mixed_quasi_norm,
+    modulation_norm,
+)
+from fingabor.signal import PhaseFunction, Signal, convolve_phase
 from fingabor.tfa import gaussian_window, rihaczek, stft
 
 
@@ -85,3 +95,39 @@ def gather_gabor_matrix_closed_form(sigma, points):
     G = sigma.mat[rows][:, :, cols]                             # [i, k, j, kappa]
     inner_sum = np.einsum("ikjl,kl,ijl->ijk", G, S, B)
     return np.conj(T[xi[None, :], dx]) * np.einsum("ijk,ijk->ij", inner_sum, A)
+
+
+def eager_eigenpairs(M):
+    """(value, vector) for every eigenpair of a Hermitian M, every vector
+    phase-rotated and mass-normalized up front, in hermitian_eigen's order."""
+    A = M.entries
+    n = A.shape[0]
+    values, V = np.linalg.eigh((A + A.conj().T) / 2.0)
+    order = sorted(range(n), key=lambda i: (-abs(values[i]), -values[i], i))
+    mass = M.group.mass
+    pairs = []
+    for i in order:
+        vec = V[:, i].copy()
+        mags = np.abs(vec)
+        top = float(mags.max())
+        if top > 0.0:
+            j = int(np.argmax(mags > 1e-12 * top))
+            vec = vec * (np.conj(vec[j]) / abs(vec[j]))
+        vec = vec / (np.linalg.norm(vec) * math.sqrt(mass))
+        pairs.append((float(values[i]), Signal(M.group, vec)))
+    return pairs
+
+
+def full_window_rihaczek_probe(g, f, e_out, e_g, e_f, v=None):
+    """rihaczek_continuity_probe with c read off the full R(phi, phi)."""
+    spec = f.group
+    n = spec.order
+    phi = gaussian_window(spec)
+    R = rihaczek(g, f).as_signal()
+    c = abs(rihaczek(phi, phi).values[0])
+    vvals = np.ones(n * n) if v is None else v.values
+    col = vvals.reshape(n, n)[:, neg_index(spec)].T.reshape(-1)
+    wmat = Weight.tensor(np.ones(n * n), col)
+    lhs = c * modulation_norm(R, e_out, wmat)
+    rhs = modulation_norm(g, e_g, v) * modulation_norm(f, e_f, v)
+    return float(lhs), float(rhs)

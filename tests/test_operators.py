@@ -37,7 +37,11 @@ from fingabor.signal import (
     tf_shift,
 )
 from fingabor.tfa import gaussian_window, rihaczek, stft
-from oracles import dense_modulation_norm, gather_gabor_matrix_closed_form
+from oracles import (
+    dense_modulation_norm,
+    full_window_rihaczek_probe,
+    gather_gabor_matrix_closed_form,
+)
 
 # Groups for the structured operator kernels: a cyclic group, a product
 # with a non-cyclic tile, a point mass other than 1, unequal factors and
@@ -412,6 +416,25 @@ def test_probes_match_dense_oracle(spec):
             got = convolution_relation_probe(f, g, e_out, e_f, e_g, m=m, v=weights,
                                              nu=None if m is None else nu)
             np.testing.assert_allclose(got, (lhs, rhs), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([16], [4]),
+    GroupSpec((12,), (3,), 0.25),
+    make_group([6, 2], [3, 2]),
+    make_group([8], [8]),
+    make_group([8], [1]),
+], ids=["z16", "z12-mass", "z6xz2", "z8-trivial-k", "z8-k-is-g"])
+def test_rihaczek_probe_constant_equals_full_window_oracle(spec):
+    # the probe takes c = |<phi, phi>|; the oracle reads it off R(phi, phi)
+    rng = np.random.default_rng(18)
+    g = rand_signal(spec, rng)
+    f = rand_signal(spec, rng)
+    poly = Weight.tensor(polynomial_weight(spec, 1.0), polynomial_weight(dual_spec(spec), 1.0))
+    for e_out, e_g, e_f in [((2, 2), (2, 2), (2, 2)), ((1, 0.5), (0.5, 1), (1, 2))]:
+        for v in (None, poly):
+            assert (rihaczek_continuity_probe(g, f, e_out, e_g, e_f, v)
+                    == full_window_rihaczek_probe(g, f, e_out, e_g, e_f, v))
 
 
 def test_convolution_probe_rejects_bad_exponents():

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fingabor import gabor, spectral
+from fingabor.experiments import bump_symbol
+from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupSpec, make_group
 from fingabor.norms import mixed_quasi_norm
-from fingabor.operators import OperatorMatrix
+from fingabor.operators import OperatorMatrix, localization_matrix
 from fingabor.signal import Signal, norm_l2
 from fingabor.spectral import (
     DegenerateSpectrum,
@@ -17,7 +20,8 @@ from fingabor.spectral import (
     haar_random_unit,
     hermitian_eigen,
 )
-from oracles import dense_amalgam
+from fingabor.tfa import gaussian_window
+from oracles import dense_amalgam, eager_eigenpairs
 
 
 def random_hermitian(spec, seed):
@@ -111,6 +115,61 @@ def test_eigen_degenerate_top_eigenspace():
     assert rep["ties"] == [True, True, False]
 
 
+def decay_localization_matrix():
+    # decay's operator on Z_64/8: its top eigenspace is tied
+    spec = make_group([64], [8])
+    phi = gaussian_window(spec)
+    return localization_matrix(bump_symbol(spec), phi, phi)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_hermitian(make_group([8], [2]), 7),
+    lambda: random_hermitian(GroupSpec((6,), (3,), 0.5), 8),
+    lambda: random_hermitian(make_group([6, 2], [3, 2]), 9),
+    lambda: random_hermitian(make_group([64], [8]), 10),
+    lambda: OperatorMatrix(make_group([4], [2]), np.diag([3.0, -1.0, 0.5, 2.0])),
+    decay_localization_matrix,
+], ids=["z8", "z6-mass", "z6xz2", "z64", "diagonal", "decay-z64"])
+def test_lazy_eigenvectors_equal_eager_oracle(make):
+    M = make()
+    pairs = hermitian_eigen(M)
+    eager = eager_eigenpairs(M)
+    assert len(pairs) == len(eager)
+    # read in reverse so no vector depends on an earlier read
+    for p, (value, vec) in reversed(list(zip(pairs, eager))):
+        assert np.array_equal(p.value, value)
+        assert np.array_equal(p.vector.values, vec.values)
+        assert p.vector is p.vector
+
+
+def recorded_eigen(monkeypatch, module):
+    """Patch module.hermitian_eigen to keep every list of pairs it returns."""
+    calls = []
+
+    def wrapper(M):
+        pairs = hermitian_eigen(M)
+        calls.append(pairs)
+        return pairs
+
+    monkeypatch.setattr(module, "hermitian_eigen", wrapper)
+    return calls
+
+
+def test_decay_comparison_normalizes_only_the_vectors_it_reads(monkeypatch):
+    calls = recorded_eigen(monkeypatch, spectral)
+    decay_comparison(decay_localization_matrix(), trials=20, seed=0, top_k=3)
+    (pairs,) = calls
+    assert ["vector" in p.__dict__ for p in pairs] == [True] * 3 + [False] * (len(pairs) - 3)
+
+
+def test_frame_bounds_normalizes_no_vector(monkeypatch):
+    calls = recorded_eigen(monkeypatch, gabor)
+    spec = make_group([6, 2], [3, 2])
+    gabor.frame_bounds(gaussian_window(spec), quasi_lattice(spec))
+    (pairs,) = calls
+    assert pairs and not any("vector" in p.__dict__ for p in pairs)
+
+
 def test_eigen_rejects_non_hermitian():
     spec = make_group([4], [2])
     with pytest.raises(NotHermitian):
@@ -149,6 +208,28 @@ def test_haar_draws_equal_fresh_generators(seed):
     assert np.array_equal(_haar_rows(spec, seed, range(trials)), oracle)
     for t in (0, 1, 257, trials - 1):
         assert np.array_equal(haar_random_unit(spec, seed, t).values, oracle[t])
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([6, 2], [3, 2]),
+    GroupSpec((12,), (3,), 0.25),
+    make_group([4, 8], [2, 4]),
+], ids=["z6xz2", "z12-mass", "z4xz8"])
+@pytest.mark.parametrize("trials", [[5, 3, 1000], [7]], ids=["scattered", "single"])
+def test_haar_block_equals_fresh_generators(spec, trials):
+    oracle = np.stack([fresh_generator_unit(spec, 2, t) for t in trials])
+    assert np.array_equal(_haar_rows(spec, 2, trials), oracle)
+
+
+def test_haar_block_takes_no_per_row_norm(monkeypatch):
+    spec = make_group([64], [8])
+    oracle = np.stack([fresh_generator_unit(spec, 0, t) for t in range(500)])
+
+    def per_row_norm(*args, **kwargs):
+        raise AssertionError("per-row np.linalg.norm in the Haar block")
+
+    monkeypatch.setattr(np.linalg, "norm", per_row_norm)
+    assert np.array_equal(_haar_rows(spec, 0, range(500)), oracle)
 
 
 # ---------------------------------------------------------------------------
