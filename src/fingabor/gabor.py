@@ -44,15 +44,22 @@ class NotAFrame(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuasiLattice:
-    """Finite family of phase-space points with the canonical tile attached."""
+    """Finite family of phase-space points with the canonical tile attached,
+    and the points' time and frequency indices ``x``, ``xi``, read once, with
+    their distinct values: ``x == times[time_of]``, ``xi == freqs[freq_of]``."""
 
     group: GroupSpec
     points: tuple[tuple[GroupElement, DualElement], ...]
+    x: np.ndarray
+    xi: np.ndarray
+    times: np.ndarray
+    time_of: np.ndarray
+    freqs: np.ndarray
+    freq_of: np.ndarray
 
     @property
     def flat_indices(self) -> np.ndarray:
-        n = self.group.order
-        return np.asarray([x.index * n + xi.index for x, xi in self.points])
+        return self.x * self.group.order + self.xi
 
     @property
     def redundancy(self) -> float:
@@ -63,8 +70,7 @@ class QuasiLattice:
 def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
     """Canonical quasi-lattice D1 x D2, with the tiling property verified."""
     d1, d2 = coset_representatives(spec)
-    points = tuple((w, mu) for w in d1 for mu in d2)
-    lattice = QuasiLattice(spec, points)
+    lattice = lattice_from_points(spec, [(w, mu) for w in d1 for mu in d2])
     cover = tile_cover(spec, lattice.flat_indices)
     counts = np.bincount(cover.reshape(-1), minlength=spec.order ** 2)
     if not np.all(counts == 1):
@@ -76,7 +82,15 @@ def lattice_from_points(
     spec: GroupSpec, points: Sequence[tuple[GroupElement, DualElement]]
 ) -> QuasiLattice:
     """Lattice with arbitrary points; no tiling check (for deficient systems)."""
-    return QuasiLattice(spec, tuple(points))
+    points = tuple(points)
+    if any(p.group != spec or q.group != spec for p, q in points):
+        raise GroupMismatch("lattice point belongs to a different group")
+    x = np.array([p.index for p, _ in points], dtype=np.int64)
+    xi = np.array([q.index for _, q in points], dtype=np.int64)
+    arrays = (x, xi, *np.unique(x, return_inverse=True), *np.unique(xi, return_inverse=True))
+    for a in arrays:
+        a.setflags(write=False)
+    return QuasiLattice(spec, points, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +99,13 @@ def lattice_from_points(
 
 def analysis(g: Signal, lattice: QuasiLattice, f: Signal) -> np.ndarray:
     """Coefficients <f, pi(w) g> over the lattice, flat in lattice order."""
-    V = tf_shift_rows(g, lattice.points)
+    V = tf_shift_rows(g, lattice.x, lattice.xi)
     return np.conj(V) @ f.values * f.group.mass
 
 
 def synthesis(g: Signal, lattice: QuasiLattice, coeffs: np.ndarray) -> Signal:
     """sum_w c_w pi(w) g."""
-    V = tf_shift_rows(g, lattice.points)
+    V = tf_shift_rows(g, lattice.x, lattice.xi)
     return Signal(g.group, np.asarray(coeffs, dtype=np.complex128) @ V)
 
 
@@ -99,8 +113,8 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatri
     """S_{h,g} f = sum_w <f, pi(w) g> pi(w) h."""
     if h.group != g.group:
         raise GroupMismatch("both windows must live on the same group")
-    H = tf_shift_rows(h, lattice.points)
-    G = tf_shift_rows(g, lattice.points)
+    H = tf_shift_rows(h, lattice.x, lattice.xi)
+    G = tf_shift_rows(g, lattice.x, lattice.xi)
     return OperatorMatrix(h.group, H.T @ np.conj(G) * g.group.mass)
 
 

@@ -11,13 +11,13 @@ second variable.  A localization operator with symbol a and windows
 where the convolution runs over phase space with mass * mass_dual per
 point; both routes are implemented independently so they can be compared.
 
-The direct Gabor matrix takes its shifted windows from one gather,
-:func:`fingabor.signal.tf_shift_rows`.  The structured kernels use only the
-base group's character table T[xi, x] = <xi, x> and difference table, never
-the route they are checked against.  With S = conj(R(phi, phi)) * mass *
-mass_dual for the canonical window phi, the Gabor matrix entry of row point
-(w, mu) and column point (u, nu), and the localization matrix (a convolution
-over x for each y - y'), are
+The Gabor matrices take a lattice's index arrays; the direct one gathers its
+shifted windows with :func:`fingabor.signal.tf_shift_rows`.  The structured
+kernels use only the base group's character table T[xi, x] = <xi, x> and
+difference table, never the route they are checked against.  With
+S = conj(R(phi, phi)) * mass * mass_dual for the canonical window phi, the
+Gabor matrix entry of row point (w, mu) and column point (u, nu), and the
+localization matrix (a convolution over x for each y - y'), are
 
     conj(T[nu, w - u]) * sum_{k in K} conj(T[mu - nu, w + k])
         * sum_{kappa in K_perp} sigma(w + k, nu + kappa) S[k, kappa] conj(T[u - w, nu + kappa]),
@@ -32,13 +32,11 @@ most order^2 entries on the canonical lattice (a = |G/K|, b = |G^/K_perp|).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .group import (
-    DualElement,
-    GroupElement,
     GroupMismatch,
     GroupSpec,
     annihilator_indices,
@@ -59,6 +57,9 @@ from .signal import (
     tf_shift_rows,
 )
 from .tfa import gaussian_circ, gaussian_window, rihaczek, stft, window_constant
+
+if TYPE_CHECKING:
+    from .gabor import QuasiLattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,24 +132,17 @@ def kn_matrix(sigma: PhaseFunction) -> OperatorMatrix:
 # Gabor matrices
 
 
-def gabor_matrix(
-    sigma: PhaseFunction,
-    g: Signal,
-    points: Sequence[tuple[GroupElement, DualElement]],
-) -> np.ndarray:
-    """M[i, j] = <Op(sigma) pi(points[j]) g, pi(points[i]) g>."""
+def gabor_matrix(sigma: PhaseFunction, g: Signal, lattice: QuasiLattice) -> np.ndarray:
+    """M[i, j] = <Op(sigma) pi(z_j) g, pi(z_i) g> for the lattice points z."""
     if sigma.group != g.group:
         raise GroupMismatch("symbol and window live on different groups")
     spec = g.group
-    V = tf_shift_rows(g, points)
+    V = tf_shift_rows(g, lattice.x, lattice.xi)
     K = kn_matrix(sigma).entries
     return np.conj(V) @ (K @ V.T) * spec.mass
 
 
-def gabor_matrix_closed_form(
-    sigma: PhaseFunction,
-    points: Sequence[tuple[GroupElement, DualElement]],
-) -> np.ndarray:
+def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.ndarray:
     """Gabor matrix of the quantization for the canonical window phi.
 
     Entry (i, j), for row point (w_i, mu_i) and column point (u_j, nu_j), is
@@ -157,8 +151,8 @@ def gabor_matrix_closed_form(
     conj(T[u_j - w_i, nu_j + kappa]) S[k, kappa], S = conj(R(phi, phi)) *
     mass * mass_dual, which is the constant conj(<phi, phi>) * mass *
     mass_dual on the tile.  The entry depends on the points only through
-    their time indices w, u (a distinct values) and frequency indices mu, nu
-    (b distinct values), so the sums run on those coset pairs:
+    their time indices w, u (``lattice.times``, a values) and frequency
+    indices mu, nu (``lattice.freqs``, b values), so the sums run on them:
 
         Y[w, k, nu, u]  = sum_kappa sigma(w + k, nu + kappa) S[k, kappa]
                                     conj(T[u - w, nu + kappa]),
@@ -178,9 +172,9 @@ def gabor_matrix_closed_form(
     neg_a = neg_index(spec)[annihilator_indices(spec)]
     S = np.full((len(neg_k), len(neg_a)),
                 np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
-    x, xi = np.array([(p.index, q.index) for p, q in points]).T
-    w, wi = np.unique(x, return_inverse=True)                   # distinct times: w, u
-    nu, ni = np.unique(xi, return_inverse=True)                 # distinct frequencies: mu, nu
+    x, xi = lattice.x, lattice.xi
+    w, wi = lattice.times, lattice.time_of                      # distinct times: w, u
+    nu, ni = lattice.freqs, lattice.freq_of                     # distinct frequencies: mu, nu
     rows = D[w[:, None], neg_k]                                 # index(w + k)
     cols = D[nu[:, None], neg_a]                                # index(nu + kappa)
     B = np.conj(T[D[w[None, :], w[:, None]][:, :, None, None], cols])   # [w, u, nu, kappa]
@@ -190,13 +184,11 @@ def gabor_matrix_closed_form(
     return np.conj(T[xi[None, :], D[x[:, None], x]]) * Z[wi[:, None], ni[:, None], ni, wi]
 
 
-def gabor_matrix_residual(
-    sigma: PhaseFunction, points: Sequence[tuple[GroupElement, DualElement]]
-) -> float:
+def gabor_matrix_residual(sigma: PhaseFunction, lattice: QuasiLattice) -> float:
     """Max entry difference between the direct and closed-form Gabor matrices."""
     phi = gaussian_window(sigma.group)
-    direct = gabor_matrix(sigma, phi, points)
-    closed = gabor_matrix_closed_form(sigma, points)
+    direct = gabor_matrix(sigma, phi, lattice)
+    closed = gabor_matrix_closed_form(sigma, lattice)
     return float(np.max(np.abs(direct - closed)))
 
 

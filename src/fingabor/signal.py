@@ -139,15 +139,12 @@ def tf_shift(f: Signal, x: GroupElement | int, xi: DualElement | int) -> Signal:
     return modulate(translate(f, x), xi)
 
 
-def tf_shift_rows(
-    f: Signal, points: Sequence[tuple[GroupElement | int, DualElement | int]]
-) -> np.ndarray:
-    """(len(points), order) stack whose row i is pi(points[i]) f, from one
-    gather: T[xi_i] * f(y - x_i) with T the character table, so each row is
-    bit-identical to ``tf_shift(f, x_i, xi_i).values``."""
+def tf_shift_rows(f: Signal, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """(len(x), order) stack whose row i is pi(x_i, xi_i) f for the time
+    indices x and frequency indices xi, from one gather: T[xi_i] * f(y - x_i)
+    with T the character table, so each row is bit-identical to
+    ``tf_shift(f, x_i, xi_i).values``."""
     spec = f.group
-    x = np.array([_element_index(spec, p) for p, _ in points], dtype=np.intp)
-    xi = np.array([_element_index(spec, q) for _, q in points], dtype=np.intp)
     return character_table(spec)[xi] * f.values[diff_table(spec)[:, x].T]
 
 

@@ -38,6 +38,9 @@ from .operators import OperatorMatrix
 from .signal import Signal
 
 
+REF_GAMMA = 0.5   # the exponent whose ratio ranks eigenfunctions against the Haar baseline
+
+
 class NotHermitian(ValueError):
     """Matrix is not Hermitian within tolerance."""
 
@@ -156,13 +159,15 @@ def decay_comparison(
     trials: int = 500,
     seed: int = 0,
     top_k: int = 3,
-    ref_gamma: float = 0.5,
+    ref_gamma: float = REF_GAMMA,
+    baseline: np.ndarray | None = None,
 ) -> dict:
     """Decay profiles of the top eigenfunctions against random unit vectors.
 
     Each of the top_k eigenfunctions gets a percentile rank of its
     ref_gamma ratio within the ratios of ``trials`` Haar-random unit
-    vectors drawn from the (seed, trial)-keyed generator.
+    vectors drawn from the (seed, trial)-keyed generator; a caller may pass
+    them, ``haar_baseline(spec, (ref_gamma,), trials, seed)[:, 0]``, as ``baseline``.
     """
     spec = A.group
     pairs = hermitian_eigen(A)
@@ -181,7 +186,8 @@ def decay_comparison(
     if ref_gamma not in gammas:
         gammas = tuple(gammas) + (ref_gamma,)
     ref_pos = tuple(gammas).index(ref_gamma)
-    baseline = haar_baseline(spec, gammas, trials, seed)[:, ref_pos]
+    if baseline is None:
+        baseline = haar_baseline(spec, (ref_gamma,), trials, seed)[:, 0]
     profiles = []
     percentiles = []
     for p in top:

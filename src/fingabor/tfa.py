@@ -20,11 +20,9 @@ from .group import (
     GroupElement,
     GroupMismatch,
     GroupSpec,
-    character,
     character_table,
     diff_table,
     neg_index,
-    phase_spec,
 )
 from .signal import (
     PhaseFunction,
@@ -32,11 +30,9 @@ from .signal import (
     convolve,
     fourier,
     inner,
-    modulate,
     norm_l2,
     subgroup_indicator,
     tf_shift,
-    translate,
 )
 
 
@@ -78,24 +74,6 @@ def rihaczek(f: Signal, g: Signal) -> PhaseFunction:
 
 
 # ---------------------------------------------------------------------------
-# points and characters of phase space
-
-
-def phase_element(spec: GroupSpec, x: GroupElement, xi: DualElement) -> GroupElement:
-    """(x, xi) as a point of the phase-space group."""
-    return phase_spec(spec).element(x.residues + xi.residues)
-
-
-def phase_dual_element(spec: GroupSpec, omega: DualElement, u: GroupElement) -> DualElement:
-    """(omega, u) as a character of the phase-space group.
-
-    The product character of the phase space realizes
-    <(omega, u), (x, xi)> = <omega, x> <xi, u>.
-    """
-    return phase_spec(spec).dual(omega.residues + u.residues)
-
-
-# ---------------------------------------------------------------------------
 # residuals of the exact identities
 
 
@@ -134,14 +112,20 @@ def rihaczek_covariance_residual(
     eta: DualElement,
 ) -> float:
     """Residual of the Rihaczek covariance rule under time-frequency shifts."""
-    spec = f.group
-    lhs = rihaczek(tf_shift(f, x, xi), tf_shift(g, y, eta))
-    base = rihaczek(f, g).as_signal()
-    shift = phase_element(spec, x, eta)
-    mod = phase_dual_element(spec, xi - eta, y - x)            # J(y - x, eta - xi)
-    rhs = modulate(translate(base, shift), mod)
-    scale = character(eta, x - y)
-    return float(np.max(np.abs(lhs.values - scale * rhs.values)))
+    lhs = rihaczek(tf_shift(f, x, xi), tf_shift(g, y, eta)).mat
+    return float(np.max(np.abs(lhs - _covariant_rihaczek(f, g, x, xi, y, eta))))
+
+
+def _covariant_rihaczek(f, g, x, xi, y, eta) -> np.ndarray:
+    """<eta, x - y> <xi - eta, a> <b, y - x> R(f, g)(a - x, b - eta) as an (a, b)
+    matrix, the covariance rule's right side, from the base group's tables."""
+    T = character_table(f.group)
+    D = diff_table(f.group)                                    # D[a, b] = index(a - b)
+    rhs = rihaczek(f, g).mat[D[:, x.index]][:, D[:, eta.index]]
+    rhs *= T[D[xi.index, eta.index]][:, None]
+    rhs *= T[D[y.index, x.index]][None, :]
+    rhs *= T[eta.index, D[x.index, y.index]]
+    return rhs
 
 
 def magic_formula_residual(psi: Signal, f: Signal, g: Signal) -> float:

@@ -6,14 +6,21 @@ mixed quasi-norm.  Both sides of the convolution inequality are evaluated
 one pair of phase-space functions and one exponent triple at a time.  The
 Gabor matrix closed form is summed with one symbol gather per point pair.
 Eigenvectors are rotated and normalized eagerly, all of them, and the
-Rihaczek probe reads its window constant off the full R(phi, phi).
+Rihaczek probe reads its window constant off the full R(phi, phi).  The
+Rihaczek covariance rule is checked on the phase-space group itself, with
+a phase-space translation and a phase-space character.  The Gabor matrix
+residual and the pointwise covering check take their points as a list of
+elements and their plain norms from one ``mixed_quasi_norm`` call each.
 """
 import math
 
 import numpy as np
 
+from fingabor.experiments import _EXPONENT_GRID, _worse, random_signal
 from fingabor.group import (
+    GroupSpec,
     annihilator_indices,
+    character,
     character_table,
     diff_table,
     neg_index,
@@ -29,9 +36,19 @@ from fingabor.norms import (
     check_young_exponents,
     mixed_quasi_norm,
     modulation_norm,
+    modulation_norms,
 )
-from fingabor.signal import PhaseFunction, Signal, convolve_phase
-from fingabor.tfa import gaussian_window, rihaczek, stft
+from fingabor.operators import kn_matrix
+from fingabor.signal import (
+    PhaseFunction,
+    Signal,
+    _element_index,
+    convolve_phase,
+    modulate,
+    tf_shift,
+    translate,
+)
+from fingabor.tfa import gaussian_window, rihaczek, stft, window_constant
 
 
 def gather_maximum(F, offsets):
@@ -131,3 +148,79 @@ def full_window_rihaczek_probe(g, f, e_out, e_g, e_f, v=None):
     lhs = c * modulation_norm(R, e_out, wmat)
     rhs = modulation_norm(g, e_g, v) * modulation_norm(f, e_f, v)
     return float(lhs), float(rhs)
+
+
+def phase_element(spec, x, xi):
+    """(x, xi) as a point of the phase-space group."""
+    return phase_spec(spec).element(x.residues + xi.residues)
+
+
+def phase_dual_element(spec, omega, u):
+    """(omega, u) as a character of the phase-space group.
+
+    The product character of the phase space realizes
+    <(omega, u), (x, xi)> = <omega, x> <xi, u>.
+    """
+    return phase_spec(spec).dual(omega.residues + u.residues)
+
+
+def phase_space_rihaczek_covariance(f, g, x, xi, y, eta):
+    """Both sides (lhs, rhs) of the Rihaczek covariance rule, the right one
+    as a translation and a modulation on the phase-space group; the
+    residual is max |lhs - rhs|."""
+    spec = f.group
+    lhs = rihaczek(tf_shift(f, x, xi), tf_shift(g, y, eta))
+    base = rihaczek(f, g).as_signal()
+    shift = phase_element(spec, x, eta)
+    mod = phase_dual_element(spec, xi - eta, y - x)            # J(y - x, eta - xi)
+    rhs = modulate(translate(base, shift), mod)
+    scale = character(eta, x - y)
+    return lhs.values, scale * rhs.values
+
+
+def element_tf_shift_rows(f, points):
+    """Rows pi(points[i]) f, the indices read off each element of the list."""
+    spec = f.group
+    x = np.array([_element_index(spec, p) for p, _ in points], dtype=np.intp)
+    xi = np.array([_element_index(spec, q) for _, q in points], dtype=np.intp)
+    return character_table(spec)[xi] * f.values[diff_table(spec)[:, x].T]
+
+
+def element_gabor_matrix_residual(sigma, points):
+    """Channel-matrix residual with the direct and closed-form Gabor matrices
+    evaluated on a list of elements, each converted to indices per call."""
+    spec = sigma.group
+    phi = gaussian_window(spec)
+    V = element_tf_shift_rows(phi, points)
+    direct = np.conj(V) @ (kn_matrix(sigma).entries @ V.T) * spec.mass
+    T = character_table(spec)
+    D = diff_table(spec)
+    neg_k = neg_index(spec)[subgroup_indices(spec)]
+    neg_a = neg_index(spec)[annihilator_indices(spec)]
+    S = np.full((len(neg_k), len(neg_a)),
+                np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
+    x, xi = np.array([(p.index, q.index) for p, q in points]).T
+    w, wi = np.unique(x, return_inverse=True)
+    nu, ni = np.unique(xi, return_inverse=True)
+    rows = D[w[:, None], neg_k]
+    cols = D[nu[:, None], neg_a]
+    B = np.conj(T[D[w[None, :], w[:, None]][:, :, None, None], cols])
+    A = np.conj(T[D[nu[:, None], nu][None, :, :, None], rows[:, None, None, :]])
+    Y = np.einsum("wknl,kl,wunl->wknu", sigma.mat[rows][:, :, cols], S, B)
+    Z = np.einsum("wknu,wmnk->wmnu", Y, A)
+    closed = np.conj(T[xi[None, :], D[x[:, None], x]]) * Z[wi[:, None], ni[:, None], ni, wi]
+    return float(np.max(np.abs(direct - closed)))
+
+
+def plain_norm_pointwise_trial(spec, rng):
+    """One pointwise-covering-maximum trial with a fresh trivial subgroup and
+    window and one mixed_quasi_norm of the transform per exponent."""
+    trivial = GroupSpec(spec.factors, spec.factors, spec.mass)
+    f = random_signal(trivial, rng)
+    V = stft(f, gaussian_window(trivial))
+    covered_row = modulation_norms(trivial, f.values[None], _EXPONENT_GRID)[0]
+    worst = 0.0
+    for e, covered in zip(_EXPONENT_GRID, covered_row):
+        plain = mixed_quasi_norm(V, e)
+        worst = _worse(worst, abs(covered - plain) / (1.0 + plain))
+    return worst

@@ -29,7 +29,7 @@ from fingabor.group import (
     tile_indices,
     translation_perm,
 )
-from fingabor.tfa import phase_element
+from oracles import phase_element
 
 
 def brute_character(spec, xi_res, x_res):
@@ -271,6 +271,9 @@ def test_index_work_stays_in_group():
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                         for a in n.names}
             assert not imported & {"residue_grid", "translation_perm", "character_row"}, path.name
+            if path.name == "tfa.py":
+                # phase-space shifts and characters come from the base group's tables
+                assert not imported & {"translate", "modulate", "phase_spec"}, path.name
 
 
 def test_translation_perm_and_neg_index():

@@ -7,6 +7,8 @@ import pytest
 import oracles
 from fingabor.experiments import (
     _YOUNG_AXIS,
+    _pointwise_maximal,
+    _worse,
     _young_block,
     random_phase_function,
     run_young,
@@ -37,7 +39,7 @@ from fingabor.norms import (
 from fingabor.signal import PhaseFunction, Signal, norm_l2
 from fingabor.spectral import decay_profile, haar_baseline
 from fingabor.tfa import gaussian_window, stft
-from oracles import dense_amalgam, gather_maximum, young_verify
+from oracles import dense_amalgam, gather_maximum, plain_norm_pointwise_trial, young_verify
 
 GRID = [0.5, 1.0, 2.0, math.inf]
 
@@ -537,3 +539,25 @@ def test_run_young_equals_per_trial_oracle(spec, monkeypatch):
         assert check["passed"] == (violations == 0)
         assert check["residual"] == max(worst) - 1
         assert summary["max_ratio"] == max(worst)
+
+
+# the identity-trial groups: the order-64 reference, a product with a
+# non-cyclic tile, a point mass other than 1, unequal factors, K = G
+IDENTITY_TRIAL_GROUPS = [make_group([64], [8]), make_group([6, 2], [3, 2]),
+                         GroupSpec((12,), (3,), 0.25), make_group([4, 8], [2, 4]),
+                         make_group([8], [1])]
+IDENTITY_TRIAL_IDS = ["z64", "z6xz2", "z12-mass", "z4xz8", "z8-K-is-G"]
+
+
+@pytest.mark.parametrize("spec", IDENTITY_TRIAL_GROUPS, ids=IDENTITY_TRIAL_IDS)
+def test_pointwise_trials_equal_plain_norm_oracle(spec):
+    # one |V| per trial through mixed_norm_stack gives each exponent's plain
+    # norm bit for bit as one mixed_quasi_norm call per exponent did
+    rng, oracle_rng = stream_rng(0, 14), stream_rng(0, 14)
+    trials = [plain_norm_pointwise_trial(spec, oracle_rng) for _ in range(3)]
+    for want in trials:
+        assert np.array_equal(_pointwise_maximal(spec, rng, 1), want)
+    worst = 0.0
+    for r in trials:
+        worst = _worse(worst, r)
+    assert np.array_equal(_pointwise_maximal(spec, stream_rng(0, 14), 3), worst)

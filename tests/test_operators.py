@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fingabor import operators
-from fingabor.gabor import quasi_lattice
+from fingabor import operators, signal
+from fingabor.experiments import _gabor_matrix, random_phase_function, run_identities, stream_rng
+from fingabor.gabor import lattice_from_points, quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
 from fingabor.group import dual_spec
 from fingabor.norms import Weight, polynomial_weight
@@ -39,6 +40,7 @@ from fingabor.signal import (
 from fingabor.tfa import gaussian_window, rihaczek, stft
 from oracles import (
     dense_modulation_norm,
+    element_gabor_matrix_residual,
     full_window_rihaczek_probe,
     gather_gabor_matrix_closed_form,
 )
@@ -184,10 +186,10 @@ def test_gabor_matrix_of_unit_symbol_is_gram():
     spec = make_group([6], [2])
     rng = np.random.default_rng(6)
     g = rand_signal(spec, rng)
-    pts = quasi_lattice(spec).points
-    M = gabor_matrix(PhaseFunction(spec, np.ones(36)), g, pts)
-    for i, wi in enumerate(pts):
-        for j, wj in enumerate(pts):
+    lat = quasi_lattice(spec)
+    M = gabor_matrix(PhaseFunction(spec, np.ones(36)), g, lat)
+    for i, wi in enumerate(lat.points):
+        for j, wj in enumerate(lat.points):
             gram = inner(tf_shift(g, *wj), tf_shift(g, *wi))
             assert M[i, j] == pytest.approx(gram, abs=1e-12)
 
@@ -197,8 +199,9 @@ def test_closed_form_on_all_phase_points():
     rng = np.random.default_rng(7)
     sigma = rand_symbol(spec, rng)
     pts = [(spec.element_at(i), spec.dual_at(j)) for i in range(4) for j in range(4)]
-    direct = gabor_matrix(sigma, gaussian_window(spec), pts)
-    closed = gabor_matrix_closed_form(sigma, pts)
+    lat = lattice_from_points(spec, pts)
+    direct = gabor_matrix(sigma, gaussian_window(spec), lat)
+    closed = gabor_matrix_closed_form(sigma, lat)
     np.testing.assert_allclose(closed, direct, atol=1e-12)
     assert np.array_equal(closed, gather_gabor_matrix_closed_form(sigma, pts))
 
@@ -208,7 +211,7 @@ def test_closed_form_on_lattice_points(spec):
     rng = np.random.default_rng(8)
     for _ in range(5):
         sigma = rand_symbol(spec, rng)
-        assert gabor_matrix_residual(sigma, quasi_lattice(spec).points) < 1e-12
+        assert gabor_matrix_residual(sigma, quasi_lattice(spec)) < 1e-12
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)
@@ -216,11 +219,11 @@ def test_closed_form_matches_symbol_gather_oracle(spec):
     # the coset-pair sums add the same products in the same order as the
     # per-pair gather, so the two agree bit for bit
     rng = np.random.default_rng(19)
-    points = quasi_lattice(spec).points
+    lat = quasi_lattice(spec)
     for _ in range(3):
         sigma = rand_symbol(spec, rng)
-        assert np.array_equal(gabor_matrix_closed_form(sigma, points),
-                              gather_gabor_matrix_closed_form(sigma, points))
+        assert np.array_equal(gabor_matrix_closed_form(sigma, lat),
+                              gather_gabor_matrix_closed_form(sigma, lat.points))
 
 
 def test_closed_form_memory_stays_on_coset_pairs():
@@ -229,10 +232,10 @@ def test_closed_form_memory_stays_on_coset_pairs():
     spec = make_group([256], [16])
     rng = np.random.default_rng(20)
     sigma = rand_symbol(spec, rng)
-    points = quasi_lattice(spec).points
+    lat = quasi_lattice(spec)
     tracemalloc.start()
     try:
-        gabor_matrix_closed_form(sigma, points)
+        gabor_matrix_closed_form(sigma, lat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -329,7 +332,7 @@ def test_structured_kernels_are_independent_routes(monkeypatch):
     a = rand_symbol(spec, rng)
     psi1 = rand_signal(spec, rng)
     psi2 = rand_signal(spec, rng)
-    gabor_matrix_closed_form(a, quasi_lattice(spec).points)
+    gabor_matrix_closed_form(a, quasi_lattice(spec))
     localization_matrix(a, psi1, psi2)
     localization_apply(a, psi1, psi2, rand_signal(spec, rng))
 
@@ -446,3 +449,26 @@ def test_convolution_probe_rejects_bad_exponents():
         convolution_relation_probe(f, f, (1, 1), (1, 4), (1, 4))   # outer split fails
     with pytest.raises(ValueError):
         convolution_relation_probe(f, f, (0.5, 1), (0.7, 2), (0.7, 2))
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS[1:] + [pytest.param(make_group([8], [1]),
+                                                                   id="z8-k-is-g")])
+def test_channel_trials_equal_element_list_oracle(spec):
+    # the lattice's index arrays give the residual the element list gave
+    rng, oracle_rng = stream_rng(0, 7), stream_rng(0, 7)
+    points = quasi_lattice(spec).points
+    for _ in range(3):
+        want = element_gabor_matrix_residual(random_phase_function(spec, oracle_rng), points)
+        assert np.array_equal(_gabor_matrix(spec, rng), want)
+
+
+def test_channel_check_reads_no_element_index(monkeypatch):
+    # the lattice holds its index arrays, so no trial converts an element
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice point was converted to an index in a trial")
+
+    monkeypatch.setattr(signal, "_element_index", refuse)
+    summary, failures = run_identities(make_group([6, 2], [3, 2]), 0, 3,
+                                       names=["channel-matrix-closed-form"])
+    assert not failures
+    assert summary["results"]["channel-matrix-closed-form"]["passed"]

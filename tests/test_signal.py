@@ -138,12 +138,12 @@ def test_tf_shift_rows_equal_stacked_tf_shifts(spec):
     # the gather multiplies the same character values by the same entries
     rng = np.random.default_rng(3)
     f = rand_signal(spec, rng)
-    points = [(spec.element_at(int(i)), spec.dual_at(int(j)))
-              for i, j in rng.integers(spec.order, size=(2 * spec.order, 2))]
-    points += [(3, 5), (0, 0)]
-    ref = np.stack([tf_shift(f, x, xi).values for x, xi in points])
-    assert np.array_equal(tf_shift_rows(f, points), ref)
-    empty = tf_shift_rows(f, [])
+    x, xi = rng.integers(spec.order, size=(2, 2 * spec.order))
+    x, xi = np.append(x, [3, 0]), np.append(xi, [5, 0])
+    ref = np.stack([tf_shift(f, spec.element_at(a), spec.dual_at(b)).values
+                    for a, b in zip(x, xi)])
+    assert np.array_equal(tf_shift_rows(f, x, xi), ref)
+    empty = tf_shift_rows(f, np.array([], dtype=np.intp), np.array([], dtype=np.intp))
     assert empty.shape == (0, spec.order) and empty.dtype == np.complex128
 
 

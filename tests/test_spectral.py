@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fingabor import gabor, spectral
-from fingabor.experiments import bump_symbol
+from fingabor import experiments, gabor, spectral
+from fingabor.experiments import _control_matrix, bump_symbol, run_decay
 from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupSpec, make_group
 from fingabor.norms import mixed_quasi_norm
@@ -338,3 +338,28 @@ def test_decay_comparison_rejects_null_operator():
     Z = OperatorMatrix(spec, np.zeros((4, 4)))
     with pytest.raises(DegenerateSpectrum):
         decay_comparison(Z, trials=5, seed=0)
+
+
+def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
+    # seed 0 is also control seed 0: its baseline is drawn once and shared,
+    # and every report equals the one with a baseline of its own
+    seen = []
+
+    def counting(spec, gammas, trials, seed, _real=spectral.haar_baseline):
+        seen.append(seed)
+        return _real(spec, gammas, trials, seed)
+
+    monkeypatch.setattr(spectral, "haar_baseline", counting)
+    monkeypatch.setattr(experiments, "haar_baseline", counting, raising=False)
+    spec = make_group([16], [4])
+    summary, _ = run_decay(spec, 0, 40, control_seeds=(0, 1, 0))
+    assert sorted(seen) == [0, 1]
+    monkeypatch.undo()
+    phi = gaussian_window(spec)
+    A = localization_matrix(bump_symbol(spec), phi, phi)
+    assert summary["localization"] == decay_comparison(A, trials=40, seed=0)
+    for control, cs in zip(summary["controls"], (0, 1, 0)):
+        rep = decay_comparison(OperatorMatrix(spec, _control_matrix(16, cs)), trials=40,
+                               seed=cs, top_k=1)
+        assert control["percentile"] == rep["percentiles"][0]
+        assert control["top_ratio"] == rep["profiles"][0][0]["ratio"]

@@ -3,6 +3,8 @@ import cmath
 import numpy as np
 import pytest
 
+from fingabor import tfa
+from fingabor.experiments import _shifted_pair_args, stream_rng
 from fingabor.group import (
     GroupSpec,
     annihilator_indices,
@@ -22,6 +24,7 @@ from fingabor.tfa import (
     stft_shift_identity_residual,
     window_constant,
 )
+from oracles import phase_space_rihaczek_covariance
 
 
 def rand_signal(spec, rng):
@@ -201,3 +204,23 @@ def test_magic_formula(factors, divisors):
         g = rand_signal(spec, rng)
         assert magic_formula_residual(psi, f, g) < 1e-10
 
+
+# Relative bound on the distance between the table and phase-space right-hand
+# sides of the covariance rule, set before any measurement: both multiply the
+# same values by unit characters, computed as one or as two exponentials.
+COVARIANCE_RHS_REL = 1e-14
+
+
+@pytest.mark.parametrize("spec", [make_group([64], [8]), make_group([16], [4]),
+                                  make_group([6, 2], [3, 2]), GroupSpec((12,), (3,), 0.25),
+                                  make_group([4, 8], [2, 4]), make_group([8], [1])],
+                         ids=["z64", "z16", "z6xz2", "z12-mass", "z4xz8", "z8-K-is-G"])
+def test_covariance_tables_match_phase_space_oracle(spec):
+    rng = stream_rng(0, 2)
+    for _ in range(5):
+        args = _shifted_pair_args(spec, rng)
+        lhs, old = phase_space_rihaczek_covariance(*args)
+        new = tfa._covariant_rihaczek(*args).reshape(-1)
+        assert rihaczek_covariance_residual(*args) <= 1e-12
+        assert np.max(np.abs(lhs - old)) <= 1e-12
+        assert np.max(np.abs(new - old)) <= COVARIANCE_RHS_REL * np.max(np.abs(old))
