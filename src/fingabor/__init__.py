@@ -14,7 +14,6 @@ from .group import (
     GroupMismatch,
     GroupSpec,
     NonDivisor,
-    annihilator,
     character,
     coset_representatives,
     dual_spec,
@@ -42,7 +41,6 @@ from .signal import (
     zeros,
 )
 from .tfa import (
-    gaussian_circ,
     gaussian_window,
     moyal_residual,
     rihaczek,
@@ -70,7 +68,6 @@ from .gabor import (
     frame_operator,
     lattice_from_points,
     quasi_lattice,
-    quotient_coefficients,
     representative_independence_residual,
     synthesis,
 )
@@ -93,7 +90,6 @@ from .spectral import (
     NotHermitian,
     decay_comparison,
     decay_profile,
-    haar_random_unit,
     hermitian_eigen,
 )
 

@@ -257,18 +257,22 @@ def _quotient(spec, rng):
     )
 
 
+def _covered_and_plain(spec: GroupSpec, f: Signal, phi: Signal) -> tuple[np.ndarray, np.ndarray]:
+    """Over _EXPONENT_GRID: the modulation norms of f, and the plain mixed
+    norms of |V_phi f| on the whole phase space."""
+    covered = modulation_norms(spec, f.values[None], _EXPONENT_GRID)[0]
+    W = np.abs(stft(f, phi).mat)[None]
+    return covered, mixed_norm_stack(W, _EXPONENT_GRID, spec.mass, spec.mass_dual)[0]
+
+
 def _pointwise_maximal(spec, rng, trials):
     """With a trivial subgroup the modulation norm is the plain mixed norm of |V|."""
     trivial = GroupSpec(spec.factors, spec.factors, spec.mass)
     phi = gaussian_window(trivial)
     worst = 0.0
     for _ in range(trials):
-        f = random_signal(trivial, rng)
-        W = np.abs(stft(f, phi).mat)[None]
-        covered_row = modulation_norms(trivial, f.values[None], _EXPONENT_GRID)[0]
-        for e, covered in zip(_EXPONENT_GRID, covered_row):
-            plain = float(mixed_norm_stack(W, e, trivial.mass, trivial.mass_dual)[0])
-            worst = _worse(worst, abs(covered - plain) / (1.0 + plain))
+        covered, plain = _covered_and_plain(trivial, random_signal(trivial, rng), phi)
+        worst = functools.reduce(_worse, (np.abs(covered - plain) / (1.0 + plain)).tolist(), worst)
     return worst
 
 
@@ -517,33 +521,31 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
 
     # |V_phi f| is constant on K x K_perp cosets, so the amalgam norm on the
     # quotient equals the plain mixed norm of the dense transform.
-    ratios = {f"{_fmt_p(e.p)}x{_fmt_p(e.q)}": [math.inf, 0.0] for e in _EXPONENT_GRID}
+    lo, hi = np.full(len(_EXPONENT_GRID), math.inf), np.zeros(len(_EXPONENT_GRID))
     for _ in range(trials):
-        f = random_signal(spec, rng)
-        V = stft(f, phi)
-        covered_row = modulation_norms(spec, f.values[None], _EXPONENT_GRID)[0]
-        for e, covered in zip(_EXPONENT_GRID, covered_row):
-            plain = mixed_quasi_norm(V, e)
-            key = f"{_fmt_p(e.p)}x{_fmt_p(e.q)}"
-            if plain > 0:
-                r = covered / plain
-                # np.minimum/np.maximum keep a NaN, where min/max drop it
-                ratios[key] = [float(np.minimum(ratios[key][0], r)),
-                               float(np.maximum(ratios[key][1], r))]
+        covered, plain = _covered_and_plain(spec, random_signal(spec, rng), phi)
+        # a zero plain norm has no ratio; a NaN one is kept, and
+        # np.minimum/np.maximum keep the NaN ratio it gives
+        kept = plain != 0
+        r = covered[kept] / plain[kept]
+        lo[kept] = np.minimum(lo[kept], r)
+        hi[kept] = np.maximum(hi[kept], r)
+    ratios = {f"{_fmt_p(e.p)}x{_fmt_p(e.q)}": [a, b]
+              for e, a, b in zip(_EXPONENT_GRID, lo.tolist(), hi.tolist())}
     summary = _header("norms", spec, seed, trials, covered_over_plain=ratios)
     _verdict(summary, "covered-equals-plain",
              functools.reduce(_worse, (abs(r - 1.0) for lh in ratios.values() for r in lh), 0.0))
 
     rng = stream_rng(seed, 1)
+    finite = [e for e in _EXPONENT_GRID if not (math.isinf(e.p) or math.isinf(e.q))]
     sub_worst = 0.0
     for _ in range(trials):
         F = random_phase_function(spec, rng)
         H = random_phase_function(spec, rng)
-        for e in _EXPONENT_GRID:
-            if math.isinf(e.p) or math.isinf(e.q):
-                continue
-            res = rnorm_subadditivity_residual(F, H, e)
-            sub_worst = _worse(sub_worst, res / (1.0 + mixed_quasi_norm(F, e) ** e.r))
+        res = rnorm_subadditivity_residual(F, H, finite).tolist()
+        scale = mixed_norm_stack(np.abs(F.mat)[None], finite, spec.mass, spec.mass_dual)[0]
+        for e, r, s in zip(finite, res, scale.tolist()):
+            sub_worst = _worse(sub_worst, r / (1.0 + s ** e.r))
     _verdict(summary, "rnorm-subadditivity", sub_worst)
 
     rng = stream_rng(seed, 2)
@@ -626,8 +628,11 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     for e_out, e_left, e_right in exps:
         check_young_exponents(e_out, e_left, e_right)
     # each side's distinct exponents, and each combo's index into them
-    sides = [list(dict.fromkeys(col)) for col in zip(*exps)]
-    index = [np.array([side.index(e) for e in col]) for side, col in zip(sides, zip(*exps))]
+    sides, index = [], []
+    for col in zip(*exps):
+        position: dict[Exponents, int] = {}
+        index.append(np.array([position.setdefault(e, len(position)) for e in col]))
+        sides.append(list(position))
     n = spec.order
     block = _young_block(spec)
     stacks = np.empty((3, block, n, n))
@@ -639,16 +644,14 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
             H = random_phase_function(spec, rng)
             for W, G in zip(stacks, (convolve_phase(F, H), F, H)):
                 np.abs(G.mat, out=W[k])
-        # norms[side][j, t]: side's j-th exponent on trial t of the block
-        norms = [
-            np.array([mixed_norm_stack(W[:b], e, spec.mass, spec.mass_dual) for e in side])
-            for W, side in zip(stacks, sides)
-        ]
-        lhs = norms[0][index[0]]
-        rhs = norms[1][index[1]] * norms[2][index[2]]
+        # norms[side][t, j]: side's j-th exponent on trial t of the block
+        norms = [mixed_norm_stack(W[:b], side, spec.mass, spec.mass_dual)
+                 for W, side in zip(stacks, sides)]
+        lhs = norms[0][:, index[0]]
+        rhs = norms[1][:, index[1]] * norms[2][:, index[2]]
         # a ratio is 0 where rhs is 0 and NaN where a side is; max keeps a
         # NaN, and so does the fold
-        top = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=~(rhs <= 0)).max(axis=1)
+        top = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=~(rhs <= 0)).max(axis=0)
         worst = np.where((top > worst) | np.isnan(top), top, worst)
     worst = worst.tolist()
     rows = [("p_left", "q_left", "p_right", "q_right", "p_out", "q_out", "max_ratio")]

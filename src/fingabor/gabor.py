@@ -189,17 +189,11 @@ def discrete_modnorm(
     d1, d2 = spec.annihilator_order, spec.subgroup_order      # |G/K|, |G^/K_perp|
     if len(lattice.points) != d1 * d2:
         raise GroupMismatch("sequence norm needs the full canonical lattice")
-    return float(mixed_norm_stack(c.reshape(1, d1, d2), Exponents.of(e), 1.0, 1.0)[0])
+    return float(mixed_norm_stack(c.reshape(1, d1, d2), [Exponents.of(e)], 1.0, 1.0)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # quotient (coset-level) coefficients
-
-
-def quotient_coefficients(f: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
-    """Per-coset maxima of |V_g f| over the tile around each lattice point."""
-    V = np.abs(stft(f, g).values)
-    return V[tile_cover(f.group, lattice.flat_indices)].max(axis=1)
 
 
 def representative_independence_residual(

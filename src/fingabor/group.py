@@ -369,11 +369,6 @@ def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, coset, eta
 
 
-def annihilator(spec: GroupSpec) -> list[DualElement]:
-    """Characters that are identically 1 on the subgroup K."""
-    return [spec.dual_at(i) for i in annihilator_indices(spec)]
-
-
 def coset_representatives(spec: GroupSpec) -> tuple[list[GroupElement], list[DualElement]]:
     """Canonical transversals (D1, D2) of G/K and of G^/K_perp.
 

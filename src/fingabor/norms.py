@@ -111,48 +111,62 @@ def mixed_quasi_norm(
     F: PhaseFunction, e: Exponents | Sequence[float], m: Weight | None = None
 ) -> float:
     """Weighted L^{p,q} quasi-norm on phase space, x inner, xi outer."""
-    e = Exponents.of(e)
     spec = F.group
+    W = _weighted_magnitudes(spec, F.values, m)
+    return float(mixed_norm_stack(W, [Exponents.of(e)], spec.mass, spec.mass_dual)[0, 0])
+
+
+def _weighted_magnitudes(spec: GroupSpec, values: np.ndarray, m: Weight | None) -> np.ndarray:
+    """|values| times the weight m, as a stack W[b, x, xi] of phase functions."""
     n = spec.order
-    W = np.abs(F.values)
+    W = np.abs(values)
     if m is not None:
         if m.values.shape != (n * n,):
             raise GroupMismatch("weight does not match the phase space")
         W = W * m.values
-    return float(mixed_norm_stack(W.reshape(1, n, n), e, spec.mass, spec.mass_dual)[0])
+    return W.reshape(-1, n, n)
 
 
-def mixed_norm_stack(W: np.ndarray, e: Exponents, mass: float, mass_dual: float) -> np.ndarray:
-    """Unweighted mixed quasi-norm of each nonnegative W[b, x, xi], with
-    ``mass`` per point x and ``mass_dual`` per point xi; row b of the result
-    does not depend on the other rows of the stack."""
-    if math.isinf(e.p):
-        inner = W.max(axis=1)
-    else:
-        inner = (mass * (W ** e.p).sum(axis=1)) ** (1.0 / e.p)
-    if math.isinf(e.q):
-        return inner.max(axis=1)
-    outer = mass_dual * (inner ** e.q).sum(axis=1)
-    # The last power per element on Python floats, which is libm pow: an
-    # ndarray ** 2.0 squares instead and can differ in the last bit.
-    return np.array([s ** (1.0 / e.q) for s in outer.tolist()])
+def mixed_norm_stack(
+    W: np.ndarray, exps: Sequence[Exponents], mass: float, mass_dual: float
+) -> np.ndarray:
+    """Unweighted mixed quasi-norms [b, i] of each nonnegative W[b, x, xi] for
+    each exps[i], with ``mass`` per point x and ``mass_dual`` per point xi.
+
+    Each distinct inner p-sum is taken once for the whole list.  Entry
+    [b, i] does not depend on the other rows of the stack or on the other
+    exponents of the list, bit for bit.
+    """
+    out = np.empty((W.shape[0], len(exps)))
+    inner: dict[float, np.ndarray] = {}
+    for i, e in enumerate(exps):
+        if e.p not in inner:
+            inner[e.p] = (W.max(axis=1) if math.isinf(e.p)
+                          else (mass * (W ** e.p).sum(axis=1)) ** (1.0 / e.p))
+        if math.isinf(e.q):
+            out[:, i] = inner[e.p].max(axis=1)
+            continue
+        outer = mass_dual * (inner[e.p] ** e.q).sum(axis=1)
+        # The last power per element on Python floats, which is libm pow: an
+        # ndarray ** 2.0 squares instead and can differ in the last bit.
+        out[:, i] = [s ** (1.0 / e.q) for s in outer.tolist()]
+    return out
 
 
 def rnorm_subadditivity_residual(
     F: PhaseFunction,
     H: PhaseFunction,
-    e: Exponents | Sequence[float],
+    exps: Sequence[Exponents],
     m: Weight | None = None,
-) -> float:
-    """||F + H||^r - ||F||^r - ||H||^r; nonpositive up to rounding."""
-    e = Exponents.of(e)
-    both = PhaseFunction(F.group, F.values + H.values)
-    r = e.r
-    return (
-        mixed_quasi_norm(both, e, m) ** r
-        - mixed_quasi_norm(F, e, m) ** r
-        - mixed_quasi_norm(H, e, m) ** r
-    )
+) -> np.ndarray:
+    """||F + H||^r - ||F||^r - ||H||^r for each exps[i], with r = exps[i].r;
+    nonpositive up to rounding.  The three norms of each exponent come from
+    one kernel call on the stack (F + H, F, H)."""
+    spec = F.group
+    W = _weighted_magnitudes(spec, np.stack([F.values + H.values, F.values, H.values]), m)
+    norms = mixed_norm_stack(W, exps, spec.mass, spec.mass_dual)
+    return np.array([b ** e.r - f ** e.r - h ** e.r
+                     for e, (b, f, h) in zip(exps, norms.T.tolist())])
 
 
 def modulation_norm(
@@ -175,7 +189,7 @@ def modulation_norms(spec: GroupSpec, F: np.ndarray, exps: Sequence[Exponents]) 
     Q = _coset_magnitudes(spec, F)
     mass = spec.mass * spec.subgroup_order
     mass_dual = spec.mass_dual * spec.annihilator_order
-    return np.array([mixed_norm_stack(Q, e, mass, mass_dual) for e in exps]).T
+    return mixed_norm_stack(Q, exps, mass, mass_dual)
 
 
 def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:

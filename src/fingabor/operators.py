@@ -56,7 +56,7 @@ from .signal import (
     inner_phase,
     tf_shift_rows,
 )
-from .tfa import gaussian_circ, gaussian_window, rihaczek, stft, window_constant
+from .tfa import gaussian_window, rihaczek, stft, window_constant
 
 if TYPE_CHECKING:
     from .gabor import QuasiLattice
@@ -289,8 +289,10 @@ def convolution_relation_probe(
     """Realized pair (lhs, rhs) for the modulation-space convolution bound.
 
     lhs = norm of f * g in M^{r, gamma}_m computed with the self-convolved
-    window phi * phi = c 1_K, that is |c| times the canonical norm; rhs = product of the factor norms with marginal weights
-    m1 x nu and v1 x (v2 / nu), both with the canonical window.  Exponents
+    window phi * phi = c 1_K, that is |c| times the canonical norm, where
+    c = mass |K| = <phi, phi> is the window constant; rhs = product of the
+    factor norms with marginal weights m1 x nu and v1 x (v2 / nu), both with
+    the canonical window.  Exponents
     must satisfy 1/u + 1/t = 1/gamma and either r >= 1 with
     1/p + 1/q = 1 + 1/r or p = q = r < 1.
     """
@@ -315,7 +317,7 @@ def convolution_relation_probe(
     m1 = mvals.reshape(n, n)[:, 0]
     v1 = vvals.reshape(n, n)[:, 0]
     v2 = vvals.reshape(n, n)[0, :]
-    c = abs(gaussian_circ(spec).values[0])
+    c = abs(window_constant(spec))
     lhs = c * modulation_norm(convolve(f, g), e_out, m)
     rhs = modulation_norm(f, e_f, Weight.tensor(m1, nuvals)) * modulation_norm(
         g, e_g, Weight.tensor(v1, v2 / nuvals)

@@ -112,14 +112,10 @@ def _profiles(spec: GroupSpec, F: np.ndarray, gammas) -> tuple[np.ndarray, np.nd
     return out[:, :-1], out[:, :-1] / out[:, -1:]
 
 
-def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:
-    """Unit vector with Haar-uniform direction, keyed by (seed, trial)."""
-    return Signal(spec, _haar_rows(spec, seed, [trial])[0])
-
-
 def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
-    """haar_random_unit values for each trial, from one Philox generator whose
-    state is reset to that of a fresh (seed, t)-keyed one before each trial.
+    """Haar-uniform unit vectors, one row per trial t, each drawn from one
+    Philox generator whose state is reset to that of a fresh (seed, t)-keyed
+    one before the trial.
 
     The draws fill one (trials, 2n) block and all rows are normalized at
     once.  The squared norms are the stacked 1 x n @ n x 1 products of the
@@ -147,8 +143,9 @@ def haar_baseline(
 ) -> np.ndarray:
     """Decay ratios [trial, gamma] of the Haar-random unit vectors of seed.
 
-    Row t equals ``decay_profile(haar_random_unit(spec, seed, t),
-    gammas).ratios`` bit for bit; all trials are evaluated at once.
+    Row t equals the ``decay_profile`` ratios of the trial-t vector drawn on
+    its own, ``_haar_rows(spec, seed, [t])[0]``, bit for bit; all trials are
+    evaluated at once.
     """
     return _profiles(spec, _haar_rows(spec, seed, range(trials)), gammas)[1]
 

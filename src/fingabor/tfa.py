@@ -27,7 +27,6 @@ from .group import (
 from .signal import (
     PhaseFunction,
     Signal,
-    convolve,
     fourier,
     inner,
     norm_l2,
@@ -39,12 +38,6 @@ from .signal import (
 def gaussian_window(spec: GroupSpec) -> Signal:
     """Indicator of the subgroup K (the degenerate-Euclidean Gaussian)."""
     return subgroup_indicator(spec)
-
-
-def gaussian_circ(spec: GroupSpec) -> Signal:
-    """Self-convolution of the canonical window; equals |K| * mass on K."""
-    phi = gaussian_window(spec)
-    return convolve(phi, phi)
 
 
 def stft(f: Signal, g: Signal) -> PhaseFunction:

@@ -11,13 +11,19 @@ Rihaczek covariance rule is checked on the phase-space group itself, with
 a phase-space translation and a phase-space character.  The Gabor matrix
 residual and the pointwise covering check take their points as a list of
 elements and their plain norms from one ``mixed_quasi_norm`` call each.
+The mixed norm is also taken by the one-exponent kernel, with no inner sum
+shared between exponents.  The canonical window's self-convolution, the
+per-coset maxima of |V_g f| over a lattice, the annihilator as a list of
+characters and one Haar-random unit vector are built the direct way.
 """
 import math
 
 import numpy as np
 
 from fingabor.experiments import _EXPONENT_GRID, _worse, random_signal
+from fingabor.gabor import QuasiLattice
 from fingabor.group import (
+    DualElement,
     GroupSpec,
     annihilator_indices,
     character,
@@ -27,6 +33,7 @@ from fingabor.group import (
     phase_spec,
     residue_grid,
     subgroup_indices,
+    tile_cover,
     tile_indices,
     translation_perm,
 )
@@ -43,11 +50,13 @@ from fingabor.signal import (
     PhaseFunction,
     Signal,
     _element_index,
+    convolve,
     convolve_phase,
     modulate,
     tf_shift,
     translate,
 )
+from fingabor.spectral import _haar_rows
 from fingabor.tfa import gaussian_window, rihaczek, stft, window_constant
 
 
@@ -224,3 +233,38 @@ def plain_norm_pointwise_trial(spec, rng):
         plain = mixed_quasi_norm(V, e)
         worst = _worse(worst, abs(covered - plain) / (1.0 + plain))
     return worst
+
+
+def one_exponent_mixed_norm(W, e, mass, mass_dual):
+    """Mixed quasi-norm of each W[b] for the one exponent pair e, with the
+    library kernel's reduction order and its libm pow for 1/q."""
+    if math.isinf(e.p):
+        inner = W.max(axis=1)
+    else:
+        inner = (mass * (W ** e.p).sum(axis=1)) ** (1.0 / e.p)
+    if math.isinf(e.q):
+        return inner.max(axis=1)
+    outer = mass_dual * (inner ** e.q).sum(axis=1)
+    return np.array([s ** (1.0 / e.q) for s in outer.tolist()])
+
+
+def gaussian_circ(spec: GroupSpec) -> Signal:
+    """Self-convolution of the canonical window; equals |K| * mass on K."""
+    phi = gaussian_window(spec)
+    return convolve(phi, phi)
+
+
+def quotient_coefficients(f: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
+    """Per-coset maxima of |V_g f| over the tile around each lattice point."""
+    V = np.abs(stft(f, g).values)
+    return V[tile_cover(f.group, lattice.flat_indices)].max(axis=1)
+
+
+def annihilator(spec: GroupSpec) -> list[DualElement]:
+    """Characters that are identically 1 on the subgroup K."""
+    return [spec.dual_at(i) for i in annihilator_indices(spec)]
+
+
+def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:
+    """Unit vector with Haar-uniform direction, keyed by (seed, trial)."""
+    return Signal(spec, _haar_rows(spec, seed, [trial])[0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fingabor.cli import ConfigError, main, validate_config
-from fingabor.experiments import run_convrel, run_locop, run_young
+from fingabor.experiments import random_signal, run_convrel, run_locop, run_norms, run_young
 from fingabor.group import make_group
 from fingabor.signal import PhaseFunction, Signal, convolve_phase
 
@@ -218,6 +218,26 @@ def test_nan_modulation_norm_fails_the_norms_run(tmp_path, capsys, monkeypatch):
     assert "failure: covered-equals-plain: residual nan exceeds tolerance 1.000e-12" in out
     summary = json.loads((tmp_path / "out" / "norms_summary.json").read_text())
     assert summary["covered_over_plain"]["2x2"] == [None, None]
+
+
+def test_nan_signal_fails_covered_equals_plain(monkeypatch):
+    # a NaN sample makes the covered and the plain norm both NaN: the trial
+    # must fail the check, where a zero plain norm only has no ratio
+    calls = []
+
+    def nan_in_second_signal(spec, rng):
+        f = random_signal(spec, rng)
+        calls.append(None)
+        if len(calls) == 2:
+            f = Signal(spec, np.where(np.arange(spec.order) == 3, np.nan, f.values))
+        return f
+
+    monkeypatch.setattr("fingabor.experiments.random_signal", nan_in_second_signal)
+    summary, failures, _ = run_norms(make_group([16], [4]), seed=0, trials=4)
+    assert "covered-equals-plain: residual nan exceeds tolerance 1.000e-12" in failures
+    assert summary["results"]["covered-equals-plain"]["passed"] is False
+    assert all(math.isnan(lo) and math.isnan(hi)
+               for lo, hi in summary["covered_over_plain"].values())
 
 
 def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypatch):

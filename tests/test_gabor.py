@@ -14,7 +14,6 @@ from fingabor.gabor import (
     frame_operator,
     lattice_from_points,
     quasi_lattice,
-    quotient_coefficients,
     representative_independence_residual,
     synthesis,
 )
@@ -30,6 +29,7 @@ from fingabor.group import (
 from fingabor.experiments import run_identities
 from fingabor.signal import PhaseFunction, Signal, norm_l2
 from fingabor.tfa import gaussian_window, stft, window_constant
+from oracles import quotient_coefficients
 
 
 def rand_signal(spec, rng):

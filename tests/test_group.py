@@ -12,7 +12,6 @@ from fingabor.group import (
     GroupMismatch,
     GroupSpec,
     NonDivisor,
-    annihilator,
     annihilator_indices,
     character,
     character_row,
@@ -29,7 +28,7 @@ from fingabor.group import (
     tile_indices,
     translation_perm,
 )
-from oracles import phase_element
+from oracles import annihilator, phase_element
 
 
 def brute_character(spec, xi_res, x_res):

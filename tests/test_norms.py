@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fingabor import norms
 from fingabor.experiments import (
     _YOUNG_AXIS,
     _pointwise_maximal,
@@ -395,7 +396,7 @@ def test_rnorm_subadditivity(p, q):
     for _ in range(25):
         F = rand_phase(spec, rng)
         H = rand_phase(spec, rng)
-        res = rnorm_subadditivity_residual(F, H, e)
+        res = rnorm_subadditivity_residual(F, H, [e])[0]
         scale = mixed_quasi_norm(F, e) ** e.r + mixed_quasi_norm(H, e) ** e.r
         assert res <= 1e-10 * (1.0 + scale)
 
@@ -470,19 +471,25 @@ def test_young_rejects_bad_exponents():
     make_group([4, 8], [2, 4]),
 ], ids=["z64", "z16", "z6xz2", "z12-mass", "z4xz8"])
 def test_mixed_norm_stack_rows_equal_mixed_quasi_norm(spec):
-    # a row's norm does not depend on the stack around it, bit for bit
+    # one call over the whole grid shares the inner p-sums, yet each entry
+    # equals the one-exponent result bit for bit: it does not depend on the
+    # other exponents or on the stack around it, all-zero and NaN rows included
     rng = np.random.default_rng(23)
     Fs = [rand_phase(spec, rng) for _ in range(7)]
+    Fs[2] = PhaseFunction(spec, np.zeros(spec.order ** 2))
+    Fs[5] = PhaseFunction(spec, np.where(np.arange(spec.order ** 2) == 3, np.nan, Fs[5].values))
     W = np.abs(np.stack([F.mat for F in Fs]))
-    grid = (0.5, 1.0, 4.0 / 3.0, 2.0, 4.0, math.inf)
-    for p in grid:
-        for q in grid:
-            e = Exponents(p, q)
-            rows = [mixed_quasi_norm(F, e) for F in Fs]
-            assert mixed_norm_stack(W, e, spec.mass, spec.mass_dual).tolist() == rows
-            for lo, hi in ((1, 4), (3, 4), (5, 7)):
-                sub = mixed_norm_stack(W[lo:hi], e, spec.mass, spec.mass_dual)
-                assert sub.tolist() == rows[lo:hi], f"({p}, {q}) rows {lo}:{hi}"
+    axis = (0.5, 1.0, 4.0 / 3.0, 2.0, 4.0, math.inf)
+    grid = [Exponents(p, q) for p in axis for q in axis]
+    masses = (spec.mass, spec.mass_dual)
+    full = mixed_norm_stack(W, grid, *masses)
+    assert full.shape == (len(Fs), len(grid))
+    assert np.isnan(full[5]).all() and not full[2].any()
+    for i, e in enumerate(grid):
+        np.testing.assert_array_equal(full[:, i], [mixed_quasi_norm(F, e) for F in Fs])
+        np.testing.assert_array_equal(full[:, i], oracles.one_exponent_mixed_norm(W, e, *masses))
+    for lo, hi in ((1, 4), (3, 4), (5, 7)):
+        np.testing.assert_array_equal(mixed_norm_stack(W[lo:hi], grid, *masses), full[lo:hi])
 
 
 def _memoized(monkeypatch, name):
@@ -561,3 +568,23 @@ def test_pointwise_trials_equal_plain_norm_oracle(spec):
     for r in trials:
         worst = _worse(worst, r)
     assert np.array_equal(_pointwise_maximal(spec, stream_rng(0, 14), 3), worst)
+
+
+def test_grid_sweeps_make_one_kernel_call_per_stack(monkeypatch):
+    # the pointwise check takes its covered and its plain row with one kernel
+    # call each, and run_young one call per side per block
+    calls = []
+    kernel = norms.mixed_norm_stack
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    for module in ("fingabor.norms", "fingabor.experiments"):
+        monkeypatch.setattr(f"{module}.mixed_norm_stack", counted)
+    _pointwise_maximal(make_group([16], [4]), stream_rng(0, 14), 3)
+    assert len(calls) == 2 * 3
+    calls.clear()
+    spec = make_group([6, 2], [3, 2])
+    run_young(spec, seed=0, trials=_young_block(spec) + 1)
+    assert len(calls) == 3 * 2

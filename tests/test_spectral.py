@@ -17,11 +17,10 @@ from fingabor.spectral import (
     decay_comparison,
     decay_profile,
     haar_baseline,
-    haar_random_unit,
     hermitian_eigen,
 )
 from fingabor.tfa import gaussian_window
-from oracles import dense_amalgam, eager_eigenpairs
+from oracles import dense_amalgam, eager_eigenpairs, haar_random_unit
 
 
 def random_hermitian(spec, seed):

@@ -14,7 +14,6 @@ from fingabor.group import (
 )
 from fingabor.signal import Signal, fourier, inner, norm_l2
 from fingabor.tfa import (
-    gaussian_circ,
     gaussian_window,
     magic_formula_residual,
     moyal_residual,
@@ -24,7 +23,7 @@ from fingabor.tfa import (
     stft_shift_identity_residual,
     window_constant,
 )
-from oracles import phase_space_rihaczek_covariance
+from oracles import gaussian_circ, phase_space_rihaczek_covariance
 
 
 def rand_signal(spec, rng):
@@ -114,13 +113,16 @@ def test_window_constant_scales_with_mass():
 
 
 def test_gaussian_circ_is_scaled_indicator():
-    # chi_K * chi_K = |K| mass chi_K
-    spec = make_group([6], [3])
-    circ = gaussian_circ(spec)
-    phi = gaussian_window(spec)
-    np.testing.assert_allclose(
-        circ.values, spec.subgroup_order * spec.mass * phi.values, atol=1e-14
-    )
+    # chi_K * chi_K = |K| mass chi_K, and its value at 0 is the window
+    # constant bit for bit, which the convolution relation probe reads instead
+    for spec in (make_group([6], [3]), GroupSpec((12,), (3,), 0.25), make_group([6, 2], [3, 2]),
+                 GroupSpec((9,), (3,), 0.3), make_group([8], [8])):
+        circ = gaussian_circ(spec)
+        phi = gaussian_window(spec)
+        np.testing.assert_allclose(
+            circ.values, spec.subgroup_order * spec.mass * phi.values, atol=1e-14
+        )
+        assert abs(circ.values[0]) == abs(window_constant(spec))
 
 
 # ---------------------------------------------------------------------------
