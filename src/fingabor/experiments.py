@@ -542,9 +542,8 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     for _ in range(trials):
         F = random_phase_function(spec, rng)
         H = random_phase_function(spec, rng)
-        res = rnorm_subadditivity_residual(F, H, finite).tolist()
-        scale = mixed_norm_stack(np.abs(F.mat)[None], finite, spec.mass, spec.mass_dual)[0]
-        for e, r, s in zip(finite, res, scale.tolist()):
+        res, norm_f = rnorm_subadditivity_residual(F, H, finite).tolist()
+        for e, r, s in zip(finite, res, norm_f):
             sub_worst = _worse(sub_worst, r / (1.0 + s ** e.r))
     _verdict(summary, "rnorm-subadditivity", sub_worst)
 
@@ -628,11 +627,9 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     for e_out, e_left, e_right in exps:
         check_young_exponents(e_out, e_left, e_right)
     # each side's distinct exponents, and each combo's index into them
-    sides, index = [], []
-    for col in zip(*exps):
-        position: dict[Exponents, int] = {}
-        index.append(np.array([position.setdefault(e, len(position)) for e in col]))
-        sides.append(list(position))
+    sides = [list(dict.fromkeys(col)) for col in zip(*exps)]
+    position = [{e: j for j, e in enumerate(side)} for side in sides]
+    index = [np.array([pos[e] for e in col]) for pos, col in zip(position, zip(*exps))]
     n = spec.order
     block = _young_block(spec)
     stacks = np.empty((3, block, n, n))

@@ -112,19 +112,14 @@ def mixed_quasi_norm(
 ) -> float:
     """Weighted L^{p,q} quasi-norm on phase space, x inner, xi outer."""
     spec = F.group
-    W = _weighted_magnitudes(spec, F.values, m)
-    return float(mixed_norm_stack(W, [Exponents.of(e)], spec.mass, spec.mass_dual)[0, 0])
-
-
-def _weighted_magnitudes(spec: GroupSpec, values: np.ndarray, m: Weight | None) -> np.ndarray:
-    """|values| times the weight m, as a stack W[b, x, xi] of phase functions."""
     n = spec.order
-    W = np.abs(values)
+    W = np.abs(F.values)
     if m is not None:
         if m.values.shape != (n * n,):
             raise GroupMismatch("weight does not match the phase space")
         W = W * m.values
-    return W.reshape(-1, n, n)
+    return float(mixed_norm_stack(W.reshape(1, n, n), [Exponents.of(e)],
+                                  spec.mass, spec.mass_dual)[0, 0])
 
 
 def mixed_norm_stack(
@@ -154,19 +149,17 @@ def mixed_norm_stack(
 
 
 def rnorm_subadditivity_residual(
-    F: PhaseFunction,
-    H: PhaseFunction,
-    exps: Sequence[Exponents],
-    m: Weight | None = None,
+    F: PhaseFunction, H: PhaseFunction, exps: Sequence[Exponents]
 ) -> np.ndarray:
-    """||F + H||^r - ||F||^r - ||H||^r for each exps[i], with r = exps[i].r;
-    nonpositive up to rounding.  The three norms of each exponent come from
-    one kernel call on the stack (F + H, F, H)."""
+    """Row 0: ||F + H||^r - ||F||^r - ||H||^r for each exps[i], with
+    r = exps[i].r, nonpositive up to rounding; row 1: ||F|| for each exps[i].
+    The norms come from one kernel call on the stack (F + H, F, H)."""
     spec = F.group
-    W = _weighted_magnitudes(spec, np.stack([F.values + H.values, F.values, H.values]), m)
+    n = spec.order
+    W = np.abs(np.stack([F.values + H.values, F.values, H.values])).reshape(-1, n, n)
     norms = mixed_norm_stack(W, exps, spec.mass, spec.mass_dual)
-    return np.array([b ** e.r - f ** e.r - h ** e.r
-                     for e, (b, f, h) in zip(exps, norms.T.tolist())])
+    res = [b ** e.r - f ** e.r - h ** e.r for e, (b, f, h) in zip(exps, norms.T.tolist())]
+    return np.array([res, norms[1]])
 
 
 def modulation_norm(

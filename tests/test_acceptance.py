@@ -170,7 +170,7 @@ def test_inequalities_hold_across_seeded_trials():
             for q in (0.5, 1.0, 2.0):
                 e = Exponents(p, q)
                 scale = mixed_quasi_norm(F, e) ** e.r + mixed_quasi_norm(H, e) ** e.r
-                res = rnorm_subadditivity_residual(F, H, [e])[0]
+                res = rnorm_subadditivity_residual(F, H, [e])[0, 0]
                 sub_worst = max(sub_worst, res / (1.0 + scale))
                 assert res <= 1e-10 * (1.0 + scale), f"(p, q) = ({p}, {q}): excess {res:.3e}"
 

@@ -396,7 +396,7 @@ def test_rnorm_subadditivity(p, q):
     for _ in range(25):
         F = rand_phase(spec, rng)
         H = rand_phase(spec, rng)
-        res = rnorm_subadditivity_residual(F, H, [e])[0]
+        res = rnorm_subadditivity_residual(F, H, [e])[0, 0]
         scale = mixed_quasi_norm(F, e) ** e.r + mixed_quasi_norm(H, e) ** e.r
         assert res <= 1e-10 * (1.0 + scale)
 
