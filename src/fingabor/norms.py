@@ -202,6 +202,33 @@ def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:
 # inequalities
 
 
+def inclusion_bound(
+    spec: GroupSpec,
+    e1: Exponents | Sequence[float],
+    e2: Exponents | Sequence[float],
+    m1: Weight | None = None,
+    m2: Weight | None = None,
+) -> float:
+    """Constant of the modulation-norm inclusion ||f||_{e2, m2} <= bound
+    ||f||_{e1, m1}, from the point masses and the weight quotient.
+
+    Requires p1 <= p2 and q1 <= q2.
+    """
+    e1 = Exponents.of(e1)
+    e2 = Exponents.of(e2)
+    if e1.p > e2.p or e1.q > e2.q:
+        raise ValueError("inclusion requires componentwise increasing exponents")
+    n2sq = spec.order ** 2
+    w1 = m1.values if m1 is not None else np.ones(n2sq)
+    w2 = m2.values if m2 is not None else np.ones(n2sq)
+    wquot = float(np.max(w2 / w1))
+    return float(
+        wquot
+        * spec.mass ** (_inv(e2.p) - _inv(e1.p))
+        * spec.mass_dual ** (_inv(e2.q) - _inv(e1.q))
+    )
+
+
 def inclusion_check(
     f: Signal,
     e1: Exponents | Sequence[float],
@@ -212,30 +239,16 @@ def inclusion_check(
 ):
     """Check the modulation-norm inclusion for increasing exponents.
 
-    Requires p1 <= p2 and q1 <= q2; returns (ok, ratio, bound) where ratio
-    is norm2 / norm1 and bound the constant from the point masses and the
-    weight quotient.
+    Returns (ok, ratio, bound) where ratio is norm2 / norm1, 0 when norm1
+    is 0, and bound is :func:`inclusion_bound`.
     """
-    e1 = Exponents.of(e1)
-    e2 = Exponents.of(e2)
-    if e1.p > e2.p or e1.q > e2.q:
-        raise ValueError("inclusion requires componentwise increasing exponents")
-    spec = f.group
-    n2sq = spec.order ** 2
-    w1 = m1.values if m1 is not None else np.ones(n2sq)
-    w2 = m2.values if m2 is not None else np.ones(n2sq)
-    wquot = float(np.max(w2 / w1))
-    bound = (
-        wquot
-        * spec.mass ** (_inv(e2.p) - _inv(e1.p))
-        * spec.mass_dual ** (_inv(e2.q) - _inv(e1.q))
-    )
+    bound = inclusion_bound(f.group, e1, e2, m1, m2)
     n1 = modulation_norm(f, e1, m1)
     n2 = modulation_norm(f, e2, m2)
     if n1 == 0.0:
         return True, 0.0, bound
     ratio = n2 / n1
-    return bool(ratio <= bound * (1.0 + slack)), float(ratio), float(bound)
+    return bool(ratio <= bound * (1.0 + slack)), float(ratio), bound
 
 
 def _inv(p: float) -> float:

@@ -12,6 +12,7 @@ from fingabor.experiments import (
     _worse,
     _young_block,
     random_phase_function,
+    run_norms,
     run_young,
     stream_rng,
 )
@@ -588,3 +589,12 @@ def test_grid_sweeps_make_one_kernel_call_per_stack(monkeypatch):
     spec = make_group([6, 2], [3, 2])
     run_young(spec, seed=0, trials=_young_block(spec) + 1)
     assert len(calls) == 3 * 2
+    # run_norms: one call each per trial for the covered row, the plain row,
+    # the subadditivity stack and the inclusion exponents
+    spec = make_group([16], [4])
+    counts = []
+    for trials in (1, 2):
+        calls.clear()
+        run_norms(spec, seed=0, trials=trials)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 4
