@@ -45,8 +45,8 @@ def test_numpy_loaded_first_sets_nothing():
     assert thread_vars_after("import numpy\nimport fingabor", child_env()) == {}
 
 
-# Order 64 keeps the phase-space products (4096 wide) above OpenBLAS's
-# threading threshold; smaller groups would run one thread either way.
+# At order 64 the products are large enough for OpenBLAS to split across
+# threads; smaller ones stay under its threshold and run one thread anyway.
 @pytest.mark.parametrize("experiment, extra", [
     ("identities", {"trials": 2}),
     ("decay", {"trials": 20, "control_seeds": [0]}),
