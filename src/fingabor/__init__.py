@@ -9,13 +9,15 @@ operators, and an eigensolver used to study spectral decay.
 Importing the package sets one BLAS thread, before numpy loads: when
 numpy is not yet imported and none of ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` is in the environment, it
-sets ``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``. Every product
-here is small (64 x 64 to 1024 x 1024 at the reference orders), and on a
-two-core machine an OpenBLAS worker thread spins through them, doubling
-the CPU time of a run and giving no wall time back. A thread variable
-the caller set is left as it is. Once numpy is loaded its BLAS has read
-its thread count, so nothing is set then. Child processes inherit the
-variables.
+sets ``OPENBLAS_NUM_THREADS=1``. This suits groups up to order 64, where
+every product is small: there a second OpenBLAS thread mostly spins,
+doubling the CPU time of a run for the same wall time. From order 256
+on, the second thread pays: on two cores one thread makes a run's wall
+time 13-23% longer at order 256 and 49-59% longer at order 1024 (see
+the README), so set ``OPENBLAS_NUM_THREADS`` to the core count for such
+runs. A thread variable the caller set is left as it is. Once numpy is
+loaded its BLAS has read its thread count, so nothing is set then.
+Child processes inherit the variable.
 """
 import os
 import sys
@@ -23,7 +25,7 @@ import sys
 if "numpy" not in sys.modules and not any(
     v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ):
-    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 del os, sys
 
 from .group import (

@@ -37,6 +37,7 @@ from .norms import (
     Weight,
     check_young_exponents,
     inclusion_bound,
+    inclusion_ratio,
     mixed_norm_stack,
     mixed_quasi_norm,
     modulation_norm,
@@ -561,9 +562,7 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
         f = random_signal(spec, rng)
         norm = dict(zip(exps, modulation_norms(spec, f.values[None, :], exps)[0].tolist()))
         for (e1, e2), bound in zip(pairs, bounds):
-            # a zero norm has ratio 0, as in inclusion_check
-            ratio = norm[e2] / norm[e1] if norm[e1] != 0.0 else 0.0
-            incl_worst = _worse(incl_worst, ratio / bound)
+            incl_worst = _worse(incl_worst, inclusion_ratio(norm[e1], norm[e2]) / bound)
     _verdict(summary, "modulation-inclusion", incl_worst - 1.0)
 
     # deterministic sweep table for one fixed signal

@@ -239,16 +239,18 @@ def inclusion_check(
 ):
     """Check the modulation-norm inclusion for increasing exponents.
 
-    Returns (ok, ratio, bound) where ratio is norm2 / norm1, 0 when norm1
-    is 0, and bound is :func:`inclusion_bound`.
+    Returns (ok, ratio, bound) where ratio is :func:`inclusion_ratio` of
+    the two norms and bound is :func:`inclusion_bound`.
     """
     bound = inclusion_bound(f.group, e1, e2, m1, m2)
-    n1 = modulation_norm(f, e1, m1)
-    n2 = modulation_norm(f, e2, m2)
-    if n1 == 0.0:
-        return True, 0.0, bound
-    ratio = n2 / n1
-    return bool(ratio <= bound * (1.0 + slack)), float(ratio), bound
+    ratio = inclusion_ratio(modulation_norm(f, e1, m1), modulation_norm(f, e2, m2))
+    return bool(ratio <= bound * (1.0 + slack)), ratio, bound
+
+
+def inclusion_ratio(n1: float, n2: float) -> float:
+    """The ratio ``n2 / n1`` of the inclusion inequality; 0 when ``n1`` is 0,
+    where ``f = 0`` and both sides vanish."""
+    return float(n2 / n1) if n1 != 0.0 else 0.0
 
 
 def _inv(p: float) -> float:
