@@ -32,6 +32,7 @@ from fingabor.norms import (
     NonPositiveExponent,
     Weight,
     inclusion_check,
+    inclusion_ratio,
     mixed_norm_stack,
     mixed_quasi_norm,
     modulation_norm,
@@ -423,6 +424,13 @@ def test_inclusion_random_sweep():
         for e1, e2 in pairs:
             ok, ratio, bound = inclusion_check(f, e1, e2)
             assert ok, f"{e1} -> {e2}: ratio {ratio} above {bound}"
+
+
+def test_inclusion_of_zero_signal_has_ratio_zero():
+    spec = make_group([4], [2])
+    assert inclusion_check(Signal(spec, np.zeros(4)), (1, 1), (2, 2)) == (True, 0.0, 2.0)
+    assert inclusion_ratio(0.0, 0.0) == 0.0
+    assert inclusion_ratio(2.0, 3.0) == 1.5
 
 
 def test_inclusion_rejects_decreasing_exponents():
