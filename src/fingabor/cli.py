@@ -57,6 +57,10 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _is_seed(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
+
+
 def _int_list(value, what: str) -> list[int]:
     _expect(isinstance(value, list) and value, f"{what} must be a non-empty list")
     out = []
@@ -100,8 +104,7 @@ def _decay_extras(cfg: dict) -> dict:
     controls = cfg.get("control_seeds", list(range(10)))
     _expect(isinstance(controls, list), "'control_seeds' must be a list")
     for c in controls:
-        _expect(isinstance(c, int) and not isinstance(c, bool) and c >= 0,
-                "'control_seeds' entries must be non-negative integers")
+        _expect(_is_seed(c), "'control_seeds' entries must be integers in [0, 2**64)")
     return {"gammas": [float(g) for g in gammas], "top_k": top_k,
             "control_seeds": list(controls)}
 
@@ -168,8 +171,7 @@ def validate_config(cfg) -> dict:
             "group.factors and group.subgroup_divisors must have equal length")
 
     seed = cfg.get("seed", 0)
-    _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-            "'seed' must be a non-negative integer")
+    _expect(_is_seed(seed), "'seed' must be an integer in [0, 2**64)")
     trials = cfg.get("trials", entry.trials)
     _expect(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1,
             "'trials' must be a positive integer")

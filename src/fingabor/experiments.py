@@ -67,7 +67,7 @@ from .signal import (
     norm_l2,
     translate,
 )
-from .spectral import REF_GAMMA, decay_comparison, haar_baseline
+from .spectral import REF_GAMMA, check_seed, decay_comparison, haar_baseline
 from .tfa import (
     gaussian_window,
     magic_formula_residual,
@@ -102,7 +102,8 @@ __all__ = [
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for one named stream of an experiment."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    key = np.array([check_seed(seed), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def random_signal(spec: GroupSpec, rng: np.random.Generator) -> Signal:

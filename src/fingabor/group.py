@@ -29,9 +29,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Full index/character tables are cached only up to this many elements.
-# Above it, character_table and diff_table raise, so stft, rihaczek and the
-# kn_* operators refuse such orders; only fourier, inverse_fourier and
-# convolve fall back to chunked, on-demand rows.
+# Above it, character_table and diff_table raise, so every transform and
+# operator refuses such orders; convolve alone goes on, through the
+# on-demand rows of diff_rows, and single shifts need no table.
 _TABLE_LIMIT = 4096
 
 
@@ -290,12 +290,20 @@ def diff_table(spec: GroupSpec) -> np.ndarray:
     return table
 
 
-def diff_rows(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
-    """index(a - b) for a in ``rows`` (indices) against all b."""
+def diff_rows(spec: GroupSpec, start: int, stop: int) -> np.ndarray:
+    """index(a - b) for start <= a < stop against all b: rows of the cached
+    :func:`diff_table` up to the table limit, computed on demand above it."""
+    if spec.order <= _TABLE_LIMIT:
+        return diff_table(spec)[start:stop]
     grid = residue_grid(spec)
-    mods = np.asarray(spec.factors)
-    res = (grid[rows][:, None, :] - grid[None, :, :]) % mods
+    res = (grid[start:stop, None, :] - grid[None, :, :]) % np.asarray(spec.factors)
     return np.ravel_multi_index(np.moveaxis(res, 2, 0), spec.factors)
+
+
+def circular_distance(spec: GroupSpec) -> np.ndarray:
+    """l1 circular distance sum_j min(x_j, N_j - x_j) of each x to 0, in canonical order."""
+    grid = residue_grid(spec)
+    return np.minimum(grid, np.asarray(spec.factors) - grid).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +375,13 @@ def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for a in (rows, coset, eta):
         a.setflags(write=False)
     return rows, coset, eta
+
+
+def subgroup_character_table(spec: GroupSpec) -> np.ndarray:
+    """Character table of K = Z_{N1/d1} x ... in its own coordinates c, the
+    inner axis of :func:`quotient_indices`'s ``rows`` and the index ``eta``."""
+    sizes = tuple(n // d for n, d in zip(spec.factors, spec.subgroup_divisors))
+    return character_table(GroupSpec(sizes, sizes))
 
 
 def coset_representatives(spec: GroupSpec) -> tuple[list[GroupElement], list[DualElement]]:

@@ -38,7 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .group import GroupMismatch, GroupSpec, character_table, quotient_indices, residue_grid
+from .group import (GroupMismatch, GroupSpec, circular_distance, quotient_indices,
+                     subgroup_character_table)
 from .signal import PhaseFunction, Signal
 
 
@@ -97,10 +98,7 @@ class Weight:
 
 def polynomial_weight(spec: GroupSpec, s: float) -> Weight:
     """(1 + circular distance to 0)^s on one group, a submultiplicative family."""
-    grid = residue_grid(spec)
-    mods = np.asarray(spec.factors)
-    dist = np.minimum(grid, mods - grid).sum(axis=1)
-    return Weight((1.0 + dist) ** s)
+    return Weight((1.0 + circular_distance(spec)) ** s)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +187,7 @@ def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:
     """|V_phi f| of each row F[b] on the quotient, as Q[b, x mod d, xi mod N/d]:
     the rows f_b(j + d c), c inner, times the conjugate character table of K."""
     rows = F[:, quotient_indices(spec)[0]].reshape(-1, spec.subgroup_order)
-    sizes = tuple(n // d for n, d in zip(spec.factors, spec.subgroup_divisors))
-    T = np.conj(character_table(GroupSpec(sizes, sizes))).T
+    T = np.conj(subgroup_character_table(spec)).T
     # numpy hands a one-row product (K = G, one signal) to gemv, which rounds
     # differently from gemm; a repeated row keeps every row on gemm.
     V = rows @ T if len(rows) > 1 else (np.repeat(rows, 2, axis=0) @ T)[:1]

@@ -18,7 +18,6 @@ from .group import (
     GroupElement,
     GroupMismatch,
     GroupSpec,
-    _TABLE_LIMIT,
     character_row,
     character_table,
     diff_rows,
@@ -155,33 +154,13 @@ def tf_shift_rows(f: Signal, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def fourier(f: Signal) -> Signal:
     """F f(xi) = sum_x f(x) conj(<xi, x>) * mass; lives on the dual group."""
     spec = f.group
-    out_spec = dual_spec(spec)
-    n = spec.order
-    if n <= _TABLE_LIMIT:
-        vals = np.conj(character_table(spec)) @ f.values * spec.mass
-    else:
-        vals = np.empty(n, dtype=np.complex128)
-        for start in range(0, n, _CHUNK):
-            rows = range(start, min(start + _CHUNK, n))
-            block = np.stack([np.conj(character_row(spec, i)) for i in rows])
-            vals[start : start + block.shape[0]] = block @ f.values * spec.mass
-    return Signal(out_spec, vals)
+    return Signal(dual_spec(spec), np.conj(character_table(spec)) @ f.values * spec.mass)
 
 
 def inverse_fourier(F: Signal) -> Signal:
     """Inverse transform; lives on the dual of F's group (the bidual)."""
     spec = F.group
-    out_spec = dual_spec(spec)
-    n = spec.order
-    if n <= _TABLE_LIMIT:
-        vals = character_table(spec).T @ F.values * spec.mass
-    else:
-        vals = np.empty(n, dtype=np.complex128)
-        for start in range(0, n, _CHUNK):
-            rows = range(start, min(start + _CHUNK, n))
-            block = np.stack([character_row(spec, i) for i in rows])
-            vals[start : start + block.shape[0]] = block @ F.values * spec.mass
-    return Signal(out_spec, vals)
+    return Signal(dual_spec(spec), character_table(spec).T @ F.values * spec.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +174,9 @@ def convolve(f: Signal, g: Signal) -> Signal:
     spec = f.group
     n = spec.order
     out = np.empty(n, dtype=np.complex128)
-    if n <= _TABLE_LIMIT:
-        table = diff_table(spec)
-        for start in range(0, n, _CHUNK):
-            rows = table[start : start + _CHUNK]
-            out[start : start + rows.shape[0]] = g.values[rows] @ f.values
-    else:
-        for start in range(0, n, _CHUNK):
-            rows = diff_rows(spec, np.arange(start, min(start + _CHUNK, n)))
-            out[start : start + rows.shape[0]] = g.values[rows] @ f.values
+    for start in range(0, n, _CHUNK):
+        rows = diff_rows(spec, start, start + _CHUNK)
+        out[start : start + rows.shape[0]] = g.values[rows] @ f.values
     return Signal(spec, out * spec.mass)
 
 

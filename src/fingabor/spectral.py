@@ -112,10 +112,19 @@ def _profiles(spec: GroupSpec, F: np.ndarray, gammas) -> tuple[np.ndarray, np.nd
     return out[:, :-1], out[:, :-1] / out[:, -1:]
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it lies in [0, 2^64), the range of a Philox key word;
+    any other seed would wrap onto another seed's draws, so it raises."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
 def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
     """Haar-uniform unit vectors, one row per trial t, each drawn from one
     Philox generator whose state is reset to that of a fresh (seed, t)-keyed
-    one before the trial.
+    one before the trial: counter 0, empty buffer, built once from Python
+    ints with only the trial word rewritten.
 
     The draws fill one (trials, 2n) block and all rows are normalized at
     once.  The squared norms are the stacked 1 x n @ n x 1 products of the
@@ -126,10 +135,12 @@ def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
     n = spec.order
     trials = list(trials)
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    fresh, rng = bitgen.state, np.random.Generator(bitgen)   # counter 0, empty buffer
+    rng, key = np.random.Generator(bitgen), [check_seed(seed), 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     Z = np.empty((len(trials), 2 * n))
     for i, t in enumerate(trials):
-        fresh["state"]["key"] = np.array([seed & 0xFFFFFFFFFFFFFFFF, t], dtype=np.uint64)
+        key[1] = t
         bitgen.state = fresh
         rng.standard_normal(out=Z[i])
     C = Z[:, :n] + 1j * Z[:, n:]

@@ -70,6 +70,7 @@ def test_validate_fills_defaults():
     {"tolerances": {"no-such-identity": 1e-12}},
     {"tolerances": {"shift-commutation": -1.0}},
     {"output_dir": ""},
+    {"seed": 2**64},
 ])
 def test_validate_rejects_malformed(broken):
     cfg = {
@@ -98,6 +99,8 @@ def test_validate_decay_extras():
         validate_config({**base, "top_k": 0})
     with pytest.raises(ConfigError):
         validate_config({**base, "control_seeds": [-1]})
+    with pytest.raises(ConfigError):
+        validate_config({**base, "control_seeds": [0, 2**64]})
     # decay extras are rejected elsewhere
     with pytest.raises(ConfigError):
         validate_config({
@@ -322,6 +325,31 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, overrides):
     assert main(["run", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seed": 2**64},
+    {"experiment": "decay", "control_seeds": [1, 2**64]},
+], ids=["seed", "control-seed"])
+def test_run_refuses_seeds_past_64_bits(tmp_path, capsys, overrides):
+    # 2^64 would alias seed 0's streams while the summary records 2^64
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == 1
+    assert "2**64" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_largest_seed_has_its_own_streams(tmp_path):
+    group = {"factors": [6, 2], "subgroup_divisors": [3, 2]}
+    ratios = {}
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / str(seed)
+        cfg = write_config(tmp_path, experiment="young", group=group, seed=seed, trials=5,
+                           output_dir=str(out))
+        assert main(["run", str(cfg)]) == 0
+        assert json.loads((out / "young_summary.json").read_text())["seed"] == seed
+        ratios[seed] = (out / "young_ratios.csv").read_text()
+    assert ratios[0] != ratios[2**64 - 1]
 
 
 def test_run_reports_tolerance_failures(tmp_path, capsys):

@@ -16,13 +16,16 @@ from fingabor.group import (
     character,
     character_row,
     character_table,
+    circular_distance,
     coset_representatives,
+    diff_rows,
     diff_table,
     dual_spec,
     make_group,
     neg_index,
     phase_spec,
     residue_grid,
+    subgroup_character_table,
     subgroup_indices,
     tile_cover,
     tile_indices,
@@ -258,7 +261,8 @@ def test_tile_cover_matches_residue_grid(spec):
 
 
 def test_index_work_stays_in_group():
-    # residue/flat index conversions live in group; tfa and gabor use its tables
+    # residue/flat index conversions, the table limit and the per-factor
+    # coordinates live in group; tfa and gabor use its tables
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fingabor").glob("*.py"))
     assert paths
     for path in paths:
@@ -266,6 +270,10 @@ def test_index_work_stays_in_group():
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         if path.name != "group.py":
             assert not names & {"ravel_multi_index", "unravel_index"}, path.name
+            assert "_TABLE_LIMIT" not in path.read_text(), path.name
+        if path.name in ("norms.py", "signal.py", "tfa.py", "gabor.py", "operators.py",
+                         "spectral.py"):
+            assert not names & {"factors", "subgroup_divisors"}, path.name
         if path.name in ("tfa.py", "gabor.py"):
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                         for a in n.names}
@@ -273,6 +281,33 @@ def test_index_work_stays_in_group():
             if path.name == "tfa.py":
                 # phase-space shifts and characters come from the base group's tables
                 assert not imported & {"translate", "modulate", "phase_spec"}, path.name
+
+
+def test_diff_rows_cached_and_on_demand():
+    spec = make_group([4, 3], [2, 3])
+    assert np.array_equal(diff_rows(spec, 5, 9), diff_table(spec)[5:9])
+    big = make_group([65, 64], [5, 8])            # order 4160, above the table limit
+    rows = diff_rows(big, 4000, 4160)
+    assert rows.shape == (160, big.order)
+    for a, b in [(4000, 0), (4000, 4159), (4100, 77), (4159, 4159)]:
+        assert rows[a - 4000, b] == (big.element_at(a) - big.element_at(b)).index
+
+
+def test_circular_distance():
+    spec = make_group([5, 4], [5, 2])
+    want = [min(r0, 5 - r0) + min(r1, 4 - r1) for r0 in range(5) for r1 in range(4)]
+    assert circular_distance(spec).tolist() == want
+
+
+def test_subgroup_character_table_in_k_coordinates():
+    # K = 2 Z_12 x 2 Z_4 has coordinates c in Z_6 x Z_2 with K = {(2 c0, 2 c1)}
+    spec = make_group([12, 4], [2, 2])
+    k = make_group([6, 2], [1, 1])
+    T = subgroup_character_table(spec)
+    assert T.shape == (spec.subgroup_order, spec.subgroup_order)
+    for eta in range(k.order):
+        for c in range(k.order):
+            assert T[eta, c] == pytest.approx(character(k.dual_at(eta), k.element_at(c)), abs=1e-14)
 
 
 def test_translation_perm_and_neg_index():

@@ -1,9 +1,11 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fingabor.group import (
+    GroupError,
     GroupMismatch,
     GroupSpec,
     character_table,
@@ -54,16 +56,18 @@ def brute_fourier(f):
 
 
 def brute_convolve(f, g):
+    """Direct sum over y for each x, with x - y taken on the residue tuples."""
     spec = f.group
+    grid = np.stack(np.unravel_index(np.arange(spec.order), spec.factors), axis=1)
     out = np.zeros(spec.order, dtype=complex)
     for i in range(spec.order):
-        x = spec.element_at(i)
-        acc = 0j
-        for j in range(spec.order):
-            y = spec.element_at(j)
-            acc += f.values[j] * g.values[(x - y).index]
-        out[i] = acc * spec.mass
+        y = np.ravel_multi_index(((grid[i] - grid) % spec.factors).T, spec.factors)
+        out[i] = np.sum(f.values * g.values[y]) * spec.mass
     return out
+
+
+# order 768: convolve runs past one 512-row block of the difference table
+Z24XZ32 = make_group([24, 32], [2, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +207,16 @@ def test_fourier_of_subgroup_indicator():
 # convolution
 
 
-def test_convolve_oracle():
-    spec = make_group([6], [2])
+@pytest.mark.parametrize("spec", [make_group([6], [2]), Z24XZ32], ids=["z6", "z24xz32"])
+def test_convolve_oracle(spec):
     rng = np.random.default_rng(5)
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
     np.testing.assert_allclose(convolve(f, g).values, brute_convolve(f, g), atol=1e-13)
 
 
-def test_convolve_commutes_and_delta_unit():
-    spec = make_group([4, 3], [2, 1])
+@pytest.mark.parametrize("spec", [make_group([4, 3], [2, 1]), Z24XZ32], ids=["z4xz3", "z24xz32"])
+def test_convolve_commutes_and_delta_unit(spec):
     rng = np.random.default_rng(6)
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
@@ -221,8 +225,30 @@ def test_convolve_commutes_and_delta_unit():
     np.testing.assert_allclose(convolve(f, delta(spec)).values, f.values, atol=1e-15)
 
 
-def test_convolve_diagonalized_by_fourier():
-    spec = make_group([6, 2], [3, 1])
+@pytest.mark.parametrize("spec", [Z24XZ32, make_group([4100], [4])],
+                         ids=["z24xz32", "z4100-above-table-limit"])
+def test_convolve_with_shifted_delta_is_translate(spec):
+    # order 4100 runs the on-demand rows that convolve takes above the table limit
+    f = rand_signal(spec, np.random.default_rng(9))
+    s = spec.element_at(spec.order // 3 + 1)
+    assert np.array_equal(convolve(f, delta(spec, s)).values, translate(f, s).values)
+
+
+@pytest.mark.parametrize("transform", [fourier, inverse_fourier])
+def test_fourier_refuses_orders_above_table_limit(transform):
+    f = Signal(make_group([4097], [1]), np.ones(4097))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupError):
+            transform(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("spec", [make_group([6, 2], [3, 1]), Z24XZ32], ids=["z6xz2", "z24xz32"])
+def test_convolve_diagonalized_by_fourier(spec):
     rng = np.random.default_rng(7)
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fingabor import experiments, gabor, spectral
-from fingabor.experiments import _control_matrix, bump_symbol, run_decay
+from fingabor.experiments import _control_matrix, bump_symbol, run_decay, stream_rng
 from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupSpec, make_group
 from fingabor.norms import mixed_quasi_norm
@@ -14,6 +14,7 @@ from fingabor.spectral import (
     DegenerateSpectrum,
     NotHermitian,
     _haar_rows,
+    check_seed,
     decay_comparison,
     decay_profile,
     haar_baseline,
@@ -193,13 +194,13 @@ def test_haar_vectors_reproducible_and_unit():
 
 def fresh_generator_unit(spec, seed, trial):
     """The Haar draw from a Philox generator built afresh for (seed, trial)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+    key = np.array([seed, trial], dtype=np.uint64)
     z = np.random.Generator(np.random.Philox(key=key)).standard_normal(2 * spec.order)
     vec = z[: spec.order] + 1j * z[spec.order :]
     return vec / (np.linalg.norm(vec) * math.sqrt(spec.mass))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**40])
+@pytest.mark.parametrize("seed", [0, 1, 2**40, 2**64 - 1])
 def test_haar_draws_equal_fresh_generators(seed):
     spec = GroupSpec((64,), (8,), 0.25)
     trials = 500
@@ -218,6 +219,28 @@ def test_haar_draws_equal_fresh_generators(seed):
 def test_haar_block_equals_fresh_generators(spec, trials):
     oracle = np.stack([fresh_generator_unit(spec, 2, t) for t in trials])
     assert np.array_equal(_haar_rows(spec, 2, trials), oracle)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seeds_outside_64_bits_are_refused(seed):
+    # a masked seed would rerun another seed's streams
+    with pytest.raises(ValueError):
+        check_seed(seed)
+    with pytest.raises(ValueError):
+        stream_rng(seed, 0)
+    with pytest.raises(ValueError):
+        _haar_rows(make_group([8], [2]), seed, range(3))
+
+
+@pytest.mark.parametrize("seed", [2**63 + 5, 2**64 - 1])
+def test_stream_keys_hold_every_64_bit_seed(seed):
+    # a key list of Python ints this large goes through float64 in Philox
+    # and lands on a multiple of 2^11, or on 0 for 2^64 - 1
+    key = np.array([seed, 3], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
+    assert np.array_equal(stream_rng(seed, 3).standard_normal(8), want)
+    assert not np.array_equal(stream_rng(seed, 3).standard_normal(8),
+                              stream_rng(seed - 1, 3).standard_normal(8))
 
 
 def test_haar_block_takes_no_per_row_norm(monkeypatch):
