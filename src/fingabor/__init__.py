@@ -29,14 +29,11 @@ if "numpy" not in sys.modules and not any(
 del os, sys
 
 from .group import (
-    DualElement,
     EmptyGroup,
-    GroupElement,
     GroupError,
     GroupMismatch,
     GroupSpec,
     NonDivisor,
-    character,
     coset_representatives,
     dual_spec,
     make_group,

@@ -31,7 +31,7 @@ from .gabor import (
     quasi_lattice,
     representative_independence_residual,
 )
-from .group import GroupSpec, character, dual_spec, tile_indices
+from .group import GroupSpec, character_row, dual_spec, tile_indices, trivial_subgroup_spec
 from .norms import (
     Exponents,
     Weight,
@@ -117,12 +117,9 @@ def random_phase_function(spec: GroupSpec, rng: np.random.Generator) -> PhaseFun
     return PhaseFunction(spec, vals)
 
 
-def _random_point(spec: GroupSpec, rng: np.random.Generator):
-    return spec.element_at(int(rng.integers(spec.order)))
-
-
-def _random_dual(spec: GroupSpec, rng: np.random.Generator):
-    return spec.dual_at(int(rng.integers(spec.order)))
+def _random_point(spec: GroupSpec, rng: np.random.Generator) -> int:
+    """One canonical index, a point of the group or of its dual."""
+    return int(rng.integers(spec.order))
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +163,17 @@ def _worst(trial: Callable[[GroupSpec, np.random.Generator], float]):
 def _commutation(spec, rng):
     f = random_signal(spec, rng)
     x = _random_point(spec, rng)
-    xi = _random_dual(spec, rng)
+    xi = _random_point(spec, rng)
     lhs = modulate(translate(f, x), xi)
     rhs = translate(modulate(f, xi), x)
-    return float(np.max(np.abs(lhs.values - character(xi, x) * rhs.values)))
+    return float(np.max(np.abs(lhs.values - character_row(spec, xi)[x] * rhs.values)))
 
 
 def _shifted_pair_args(spec, rng):
     """Two signals and two phase-space points, drawn in argument order."""
     return (random_signal(spec, rng), random_signal(spec, rng),
-            _random_point(spec, rng), _random_dual(spec, rng),
-            _random_point(spec, rng), _random_dual(spec, rng))
+            _random_point(spec, rng), _random_point(spec, rng),
+            _random_point(spec, rng), _random_point(spec, rng))
 
 
 def _stft_shift(spec, rng):
@@ -269,7 +266,7 @@ def _covered_and_plain(spec: GroupSpec, f: Signal, phi: Signal) -> tuple[np.ndar
 
 def _pointwise_maximal(spec, rng, trials):
     """With a trivial subgroup the modulation norm is the plain mixed norm of |V|."""
-    trivial = GroupSpec(spec.factors, spec.factors, spec.mass)
+    trivial = trivial_subgroup_spec(spec)
     phi = gaussian_window(trivial)
     worst = 0.0
     for _ in range(trials):
@@ -478,7 +475,7 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]
     g = gaussian_window(spec)
     a, b = frame_bounds(g, lattice)
     summary = _header("frames", spec, seed, trials, lower_bound=a, upper_bound=b,
-                      redundancy=lattice.redundancy, lattice_size=len(lattice.points))
+                      redundancy=lattice.redundancy, lattice_size=len(lattice.x))
     _verdict(summary, "frame-tightness", (b - a) / b)
 
     rng = stream_rng(seed, 0)
@@ -497,9 +494,9 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]
     _verdict(summary, "frame-expansion", expansion)
 
     # removing one full time coset must destroy the frame property
-    kept = [p for p, t in zip(lattice.points, lattice.x) if t != lattice.x[0]]
+    kept = lattice.x != lattice.x[0]
     try:
-        da, db = frame_bounds(g, lattice_from_points(spec, kept))
+        da, db = frame_bounds(g, lattice_from_points(spec, lattice.x[kept], lattice.xi[kept]))
     except NotAFrame as exc:
         da, db = exc.bounds
     summary["deficient_bounds"] = [da, db]

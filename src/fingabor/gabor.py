@@ -5,10 +5,12 @@ transversal of G^/K_perp; its translates of the tile U = K x K_perp
 partition phase space.  The lattice has exactly ``order`` points, so the
 canonical window produces an orthogonal system with a single frame
 constant.  Lattice-indexed sequences are stored flat with D1 outer and D2
-inner, both lexicographic.  The lattice comes from
-:func:`fingabor.group.coset_representatives` and the translates of the
-tile from :func:`fingabor.group.tile_cover`, a gather in the base group's
-cached difference table; this module does no residue arithmetic.
+inner, both lexicographic.  A lattice is its index arrays, the time
+indices ``x`` and frequency indices ``xi`` of its points, built from the
+transversals of :func:`fingabor.group.coset_representatives`.  The
+translates of the tile come from :func:`fingabor.group.tile_cover`, a
+gather in the base group's cached difference table; this module does no
+residue arithmetic.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .group import (
-    DualElement,
-    GroupElement,
     GroupMismatch,
     GroupSpec,
     coset_representatives,
+    point_index,
     tile_cover,
 )
 from .norms import Exponents, mixed_norm_stack
@@ -32,6 +33,11 @@ from .operators import OperatorMatrix
 from .signal import Signal, norm_l2, tf_shift_rows
 from .spectral import hermitian_eigen
 from .tfa import stft
+
+
+# Largest deviation of the mixed frame operators from the identity that
+# dual_window accepts, relative to max(1, B).
+DUAL_SLACK = 1e-10
 
 
 class NotAFrame(ValueError):
@@ -44,12 +50,11 @@ class NotAFrame(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuasiLattice:
-    """Finite family of phase-space points with the canonical tile attached,
-    and the points' time and frequency indices ``x``, ``xi``, read once, with
-    their distinct values: ``x == times[time_of]``, ``xi == freqs[freq_of]``."""
+    """Finite family of phase-space points with the canonical tile attached:
+    point i is (x[i], xi[i]), a time and a frequency index, and the distinct
+    values are kept too: ``x == times[time_of]``, ``xi == freqs[freq_of]``."""
 
     group: GroupSpec
-    points: tuple[tuple[GroupElement, DualElement], ...]
     x: np.ndarray
     xi: np.ndarray
     times: np.ndarray
@@ -63,14 +68,14 @@ class QuasiLattice:
 
     @property
     def redundancy(self) -> float:
-        return len(self.points) / self.group.order
+        return len(self.x) / self.group.order
 
 
 @lru_cache(maxsize=16)
 def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
     """Canonical quasi-lattice D1 x D2, with the tiling property verified."""
     d1, d2 = coset_representatives(spec)
-    lattice = lattice_from_points(spec, [(w, mu) for w in d1 for mu in d2])
+    lattice = lattice_from_points(spec, np.repeat(d1, len(d2)), np.tile(d2, len(d1)))
     cover = tile_cover(spec, lattice.flat_indices)
     counts = np.bincount(cover.reshape(-1), minlength=spec.order ** 2)
     if not np.all(counts == 1):
@@ -78,19 +83,15 @@ def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
     return lattice
 
 
-def lattice_from_points(
-    spec: GroupSpec, points: Sequence[tuple[GroupElement, DualElement]]
-) -> QuasiLattice:
-    """Lattice with arbitrary points; no tiling check (for deficient systems)."""
-    points = tuple(points)
-    if any(p.group != spec or q.group != spec for p, q in points):
-        raise GroupMismatch("lattice point belongs to a different group")
-    x = np.array([p.index for p, _ in points], dtype=np.int64)
-    xi = np.array([q.index for _, q in points], dtype=np.int64)
+def lattice_from_points(spec: GroupSpec, x: Sequence[int], xi: Sequence[int]) -> QuasiLattice:
+    """Lattice of the points (x[i], xi[i]); no tiling check (for deficient systems)."""
+    if len(x) != len(xi):
+        raise GroupMismatch(f"{len(x)} time indices against {len(xi)} frequency indices")
+    x, xi = (np.array([point_index(spec, i) for i in a], dtype=np.int64) for a in (x, xi))
     arrays = (x, xi, *np.unique(x, return_inverse=True), *np.unique(xi, return_inverse=True))
     for a in arrays:
         a.setflags(write=False)
-    return QuasiLattice(spec, points, *arrays)
+    return QuasiLattice(spec, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ class DualWindowMismatch(ValueError):
     """S^{-1} g fails to generate the dual system on this lattice."""
 
 
-def dual_window(g: Signal, lattice: QuasiLattice, slack: float = 1e-10) -> Signal:
+def dual_window(g: Signal, lattice: QuasiLattice) -> Signal:
     """Canonical dual window h = S_{g,g}^{-1} g, verified to invert the frame.
 
     The mixed frame operators S_{h,g} and S_{g,h} are checked against the
@@ -148,7 +149,7 @@ def dual_window(g: Signal, lattice: QuasiLattice, slack: float = 1e-10) -> Signa
     eye = np.eye(g.group.order)
     r1 = np.max(np.abs(frame_operator(h, g, lattice).entries - eye))
     r2 = np.max(np.abs(frame_operator(g, h, lattice).entries - eye))
-    if max(r1, r2) > slack * max(1.0, B):
+    if max(r1, r2) > DUAL_SLACK * max(1.0, B):
         raise DualWindowMismatch(
             f"mixed frame operators deviate from identity by {max(r1, r2):.3e}"
         )
@@ -187,7 +188,7 @@ def discrete_modnorm(
         c = c * np.asarray(m, dtype=float)
     spec = lattice.group
     d1, d2 = spec.annihilator_order, spec.subgroup_order      # |G/K|, |G^/K_perp|
-    if len(lattice.points) != d1 * d2:
+    if len(lattice.x) != d1 * d2:
         raise GroupMismatch("sequence norm needs the full canonical lattice")
     return float(mixed_norm_stack(c.reshape(1, d1, d2), [Exponents.of(e)], 1.0, 1.0)[0, 0])
 

@@ -6,9 +6,13 @@ factor.  The dual group is identified with the group itself through
 
     xi(x) = exp(2 pi i sum_j xi_j x_j / N_j),
 
-so dual-indexed data uses the same canonical (lexicographic) element order
-as group-indexed data.  Under this identification the annihilator of K is
+so dual-indexed data uses the same canonical (lexicographic) order as
+group-indexed data.  Under this identification the annihilator of K is
 K_perp = (N1/d1) Z_N1 x ... x (Nk/dk) Z_Nk.
+
+A point of G or of G^ is its canonical index, an int in 0 .. order - 1,
+and a point (x, xi) of the phase space G x G^ is the flat index
+x * order + xi; :func:`residue_grid` gives the residues of each index.
 
 Haar normalization: each point of the group carries ``mass`` and each point
 of the dual carries ``1 / (mass * order)``.  The product of the two masses
@@ -21,14 +25,15 @@ mass-weighted sums.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Full index/character tables are cached only up to this many elements.
+# Full index/character tables are cached only up to this many points.
 # Above it, character_table and diff_table raise, so every transform and
 # operator refuses such orders; convolve alone goes on, through the
 # on-demand rows of diff_rows, and single shifts need no table.
@@ -48,7 +53,7 @@ class NonDivisor(GroupError):
 
 
 class GroupMismatch(GroupError):
-    """Elements of different groups combined in one operation."""
+    """Data of different groups combined, or a point outside its group."""
 
 
 @dataclass(frozen=True)
@@ -101,31 +106,6 @@ class GroupSpec:
         """Number of points of K_perp."""
         return prod(self.subgroup_divisors)
 
-    # -- element construction --------------------------------------------
-
-    def element(self, residues: Sequence[int] | int) -> "GroupElement":
-        return GroupElement(self, _as_residues(self, residues))
-
-    def dual(self, residues: Sequence[int] | int) -> "DualElement":
-        return DualElement(self, _as_residues(self, residues))
-
-    @property
-    def identity(self) -> "GroupElement":
-        return self.element([0] * len(self.factors))
-
-    @property
-    def dual_identity(self) -> "DualElement":
-        return self.dual([0] * len(self.factors))
-
-    def element_at(self, index: int) -> "GroupElement":
-        return GroupElement(self, _residues_at(self, index))
-
-    def dual_at(self, index: int) -> "DualElement":
-        return DualElement(self, _residues_at(self, index))
-
-    def elements(self) -> list["GroupElement"]:
-        return [self.element_at(i) for i in range(self.order)]
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
@@ -141,84 +121,18 @@ def make_group(factors: Iterable[int], subgroup_divisors: Iterable[int]) -> Grou
     return GroupSpec(tuple(factors), tuple(subgroup_divisors))
 
 
-def _as_residues(spec: GroupSpec, residues: Sequence[int] | int) -> tuple[int, ...]:
-    if isinstance(residues, int):
-        residues = (residues,)
-    residues = tuple(int(r) for r in residues)
-    if len(residues) != len(spec.factors):
-        raise GroupMismatch(
-            f"expected {len(spec.factors)} residues, got {len(residues)}"
-        )
-    return tuple(r % n for r, n in zip(residues, spec.factors))
-
-
-def _residues_at(spec: GroupSpec, index: int) -> tuple[int, ...]:
-    index = int(index)
-    if not 0 <= index < spec.order:
-        raise GroupMismatch(f"index {index} out of range for group of order {spec.order}")
-    return tuple(int(r) for r in np.unravel_index(index, spec.factors))
-
-
-@dataclass(frozen=True)
-class _Element:
-    group: GroupSpec
-    residues: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", _as_residues(self.group, self.residues))
-
-    @cached_property
-    def index(self) -> int:
-        return int(np.ravel_multi_index(self.residues, self.group.factors))
-
-    def _check(self, other: "_Element") -> None:
-        if type(other) is not type(self):
-            raise GroupMismatch(
-                f"cannot combine {type(self).__name__} with {type(other).__name__}"
-            )
-        if other.group != self.group:
-            raise GroupMismatch("elements belong to different groups")
-
-    def __add__(self, other):
-        self._check(other)
-        return type(self)(
-            self.group, tuple(a + b for a, b in zip(self.residues, other.residues))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return type(self)(
-            self.group, tuple(a - b for a, b in zip(self.residues, other.residues))
-        )
-
-    def __neg__(self):
-        return type(self)(self.group, tuple(-a for a in self.residues))
-
-
-class GroupElement(_Element):
-    """Point of the group, stored as a reduced residue tuple."""
-
-
-class DualElement(_Element):
-    """Character index, i.e. a point of the dual group."""
+def point_index(spec: GroupSpec, point: int) -> int:
+    """``point`` as a canonical index of ``spec``; GroupMismatch unless it
+    lies in 0 .. order - 1.  Every public function that takes a point
+    checks it here."""
+    i = operator.index(point)
+    if not 0 <= i < spec.order:
+        raise GroupMismatch(f"point {i} out of range for group of order {spec.order}")
+    return i
 
 
 # ---------------------------------------------------------------------------
 # characters
-
-
-def character(xi: DualElement, x: GroupElement) -> complex:
-    """Value <xi, x> = exp(2 pi i sum_j xi_j x_j / N_j).
-
-    The exponent is reduced factor by factor before exponentiation, so the
-    value is exactly 1.0 whenever every xi_j x_j is divisible by N_j.
-    """
-    if xi.group != x.group:
-        raise GroupMismatch("character arguments belong to different groups")
-    t = 0.0
-    for a, b, n in zip(xi.residues, x.residues, x.group.factors):
-        t += ((a * b) % n) / n
-    return complex(np.exp(2j * np.pi * t))
 
 
 @lru_cache(maxsize=32)
@@ -233,7 +147,7 @@ def residue_grid(spec: GroupSpec) -> np.ndarray:
 def character_row(spec: GroupSpec, xi_index: int) -> np.ndarray:
     """<xi, x> for a fixed xi over all x in canonical order."""
     grid = residue_grid(spec)
-    xi_res = _residues_at(spec, xi_index)
+    xi_res = grid[point_index(spec, xi_index)]
     t = np.zeros(spec.order)
     for j, n in enumerate(spec.factors):
         t += ((xi_res[j] * grid[:, j]) % n) / n
@@ -384,16 +298,14 @@ def subgroup_character_table(spec: GroupSpec) -> np.ndarray:
     return character_table(GroupSpec(sizes, sizes))
 
 
-def coset_representatives(spec: GroupSpec) -> tuple[list[GroupElement], list[DualElement]]:
-    """Canonical transversals (D1, D2) of G/K and of G^/K_perp.
+def coset_representatives(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical transversals (D1, D2) of G/K and of G^/K_perp as index arrays.
 
     D1 runs over residues below the subgroup step, D2 over residues below
     the annihilator step, both lexicographically: the c = 0 columns of
     :func:`quotient_indices` for the group and for its dual.
     """
-    d1 = [spec.element_at(i) for i in quotient_indices(spec)[0][:, 0]]
-    d2 = [spec.dual_at(i) for i in quotient_indices(dual_spec(spec))[0][:, 0]]
-    return d1, d2
+    return quotient_indices(spec)[0][:, 0], quotient_indices(dual_spec(spec))[0][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +335,11 @@ def phase_spec(spec: GroupSpec) -> GroupSpec:
         spec.subgroup_divisors + dual.subgroup_divisors,
         mass=spec.mass * spec.mass_dual,
     )
+
+
+def trivial_subgroup_spec(spec: GroupSpec) -> GroupSpec:
+    """The same group and point mass with the trivial subgroup K = {0}."""
+    return GroupSpec(spec.factors, spec.factors, spec.mass)
 
 
 def product_spec(a: GroupSpec, b: GroupSpec) -> GroupSpec:

@@ -42,6 +42,10 @@ from .group import (GroupMismatch, GroupSpec, circular_distance, quotient_indice
                      subgroup_character_table)
 from .signal import PhaseFunction, Signal
 
+# Relative excess of the inclusion ratio over its bound that inclusion_check
+# still accepts.
+INCLUSION_SLACK = 1e-10
+
 
 class NonPositiveExponent(ValueError):
     """Quasi-norm exponent must be strictly positive."""
@@ -232,7 +236,6 @@ def inclusion_check(
     e2: Exponents | Sequence[float],
     m1: Weight | None = None,
     m2: Weight | None = None,
-    slack: float = 1e-10,
 ):
     """Check the modulation-norm inclusion for increasing exponents.
 
@@ -241,7 +244,7 @@ def inclusion_check(
     """
     bound = inclusion_bound(f.group, e1, e2, m1, m2)
     ratio = inclusion_ratio(modulation_norm(f, e1, m1), modulation_norm(f, e2, m2))
-    return bool(ratio <= bound * (1.0 + slack)), ratio, bound
+    return bool(ratio <= bound * (1.0 + INCLUSION_SLACK)), ratio, bound
 
 
 def inclusion_ratio(n1: float, n2: float) -> float:

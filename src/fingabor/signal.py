@@ -14,8 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .group import (
-    DualElement,
-    GroupElement,
     GroupMismatch,
     GroupSpec,
     character_row,
@@ -24,6 +22,7 @@ from .group import (
     diff_table,
     dual_spec,
     phase_spec,
+    point_index,
     product_spec,
     residue_grid,
     subgroup_indices,
@@ -55,7 +54,7 @@ class PhaseFunction:
     """Function on the phase space G x G^ of a base group.
 
     Values are stored flat in canonical (x, xi) order: the flat index is
-    ``x.index * |G| + xi.index``, which coincides with the canonical order
+    ``x * |G| + xi`` for the canonical indices x and xi, which coincides with the canonical order
     of the phase space viewed as a group.
     """
 
@@ -87,9 +86,9 @@ def zeros(spec: GroupSpec) -> Signal:
     return Signal(spec, np.zeros(spec.order, dtype=np.complex128))
 
 
-def delta(spec: GroupSpec, x: GroupElement | None = None) -> Signal:
+def delta(spec: GroupSpec, x: int = 0) -> Signal:
     vals = np.zeros(spec.order, dtype=np.complex128)
-    vals[0 if x is None else x.index] = 1.0
+    vals[point_index(spec, x)] = 1.0
     return Signal(spec, vals)
 
 
@@ -111,29 +110,18 @@ def subgroup_indicator(spec: GroupSpec) -> Signal:
 # shifts
 
 
-def _element_index(spec: GroupSpec, x: GroupElement | DualElement | int) -> int:
-    if isinstance(x, (GroupElement, DualElement)):
-        if x.group != spec:
-            raise GroupMismatch("element belongs to a different group")
-        return x.index
-    return int(x)
-
-
-def translate(f: Signal, x: GroupElement | int) -> Signal:
+def translate(f: Signal, x: int) -> Signal:
     """(T_x f)(y) = f(y - x)."""
-    idx = _element_index(f.group, x)
-    res = residue_grid(f.group)[idx]
-    perm = translation_perm(f.group, [-r for r in res])
-    return Signal(f.group, f.values[perm])
+    res = residue_grid(f.group)[point_index(f.group, x)]
+    return Signal(f.group, f.values[translation_perm(f.group, -res)])
 
 
-def modulate(f: Signal, xi: DualElement | int) -> Signal:
+def modulate(f: Signal, xi: int) -> Signal:
     """(M_xi f)(y) = <xi, y> f(y)."""
-    idx = _element_index(f.group, xi)
-    return Signal(f.group, character_row(f.group, idx) * f.values)
+    return Signal(f.group, character_row(f.group, xi) * f.values)
 
 
-def tf_shift(f: Signal, x: GroupElement | int, xi: DualElement | int) -> Signal:
+def tf_shift(f: Signal, x: int, xi: int) -> Signal:
     """pi(x, xi) f = M_xi T_x f."""
     return modulate(translate(f, x), xi)
 

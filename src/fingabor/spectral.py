@@ -167,15 +167,14 @@ def decay_comparison(
     trials: int = 500,
     seed: int = 0,
     top_k: int = 3,
-    ref_gamma: float = REF_GAMMA,
     baseline: np.ndarray | None = None,
 ) -> dict:
     """Decay profiles of the top eigenfunctions against random unit vectors.
 
     Each of the top_k eigenfunctions gets a percentile rank of its
-    ref_gamma ratio within the ratios of ``trials`` Haar-random unit
+    REF_GAMMA ratio within the ratios of ``trials`` Haar-random unit
     vectors drawn from the (seed, trial)-keyed generator; a caller may pass
-    them, ``haar_baseline(spec, (ref_gamma,), trials, seed)[:, 0]``, as ``baseline``.
+    them, ``haar_baseline(spec, (REF_GAMMA,), trials, seed)[:, 0]``, as ``baseline``.
     """
     spec = A.group
     pairs = hermitian_eigen(A)
@@ -191,11 +190,11 @@ def decay_comparison(
             for j in range(len(values))
         )
         ties.append(bool(tied))
-    if ref_gamma not in gammas:
-        gammas = tuple(gammas) + (ref_gamma,)
-    ref_pos = tuple(gammas).index(ref_gamma)
+    if REF_GAMMA not in gammas:
+        gammas = tuple(gammas) + (REF_GAMMA,)
+    ref_pos = tuple(gammas).index(REF_GAMMA)
     if baseline is None:
-        baseline = haar_baseline(spec, (ref_gamma,), trials, seed)[:, 0]
+        baseline = haar_baseline(spec, (REF_GAMMA,), trials, seed)[:, 0]
     profiles = []
     percentiles = []
     for p in top:
@@ -214,7 +213,7 @@ def decay_comparison(
         "profiles": profiles,
         "percentiles": [float(p) for p in percentiles],
         "ties": ties,
-        "ref_gamma": float(ref_gamma),
+        "ref_gamma": float(REF_GAMMA),
         "seed": int(seed),
         "trials": int(trials),
     }

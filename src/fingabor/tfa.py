@@ -16,8 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .group import (
-    DualElement,
-    GroupElement,
     GroupMismatch,
     GroupSpec,
     character_table,
@@ -73,10 +71,10 @@ def rihaczek(f: Signal, g: Signal) -> PhaseFunction:
 def stft_shift_identity_residual(
     f: Signal,
     g: Signal,
-    u: GroupElement,
-    omega: DualElement,
-    y: GroupElement,
-    eta: DualElement,
+    u: int,
+    omega: int,
+    y: int,
+    eta: int,
 ) -> float:
     """Residual of the STFT covariance rule under shifts of signal and window.
 
@@ -89,9 +87,9 @@ def stft_shift_identity_residual(
     V = stft(f, g).mat
     T = character_table(spec)
     D = diff_table(spec)                                       # D[a, b] = index(a - b)
-    shifted = V[D[:, D[u.index, y.index]]][:, D[:, D[omega.index, eta.index]]]
-    c1 = np.conj(T[u.index][D[:, omega.index]])                # conj<xi - omega, u>
-    c2 = T[eta.index][D[:, u.index]]                           # <eta, x - u>
+    shifted = V[D[:, D[u, y]]][:, D[:, D[omega, eta]]]
+    c1 = np.conj(T[u][D[:, omega]])                            # conj<xi - omega, u>
+    c2 = T[eta][D[:, u]]                                       # <eta, x - u>
     rhs = c2[:, None] * c1[None, :] * shifted
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -99,10 +97,10 @@ def stft_shift_identity_residual(
 def rihaczek_covariance_residual(
     f: Signal,
     g: Signal,
-    x: GroupElement,
-    xi: DualElement,
-    y: GroupElement,
-    eta: DualElement,
+    x: int,
+    xi: int,
+    y: int,
+    eta: int,
 ) -> float:
     """Residual of the Rihaczek covariance rule under time-frequency shifts."""
     lhs = rihaczek(tf_shift(f, x, xi), tf_shift(g, y, eta)).mat
@@ -114,10 +112,10 @@ def _covariant_rihaczek(f, g, x, xi, y, eta) -> np.ndarray:
     matrix, the covariance rule's right side, from the base group's tables."""
     T = character_table(f.group)
     D = diff_table(f.group)                                    # D[a, b] = index(a - b)
-    rhs = rihaczek(f, g).mat[D[:, x.index]][:, D[:, eta.index]]
-    rhs *= T[D[xi.index, eta.index]][:, None]
-    rhs *= T[D[y.index, x.index]][None, :]
-    rhs *= T[eta.index, D[x.index, y.index]]
+    rhs = rihaczek(f, g).mat[D[:, x]][:, D[:, eta]]
+    rhs *= T[D[xi, eta]][:, None]
+    rhs *= T[D[y, x]][None, :]
+    rhs *= T[eta, D[x, y]]
     return rhs
 
 

@@ -9,12 +9,18 @@ Eigenvectors are rotated and normalized eagerly, all of them, and the
 Rihaczek probe reads its window constant off the full R(phi, phi).  The
 Rihaczek covariance rule is checked on the phase-space group itself, with
 a phase-space translation and a phase-space character.  The Gabor matrix
-residual and the pointwise covering check take their points as a list of
-elements and their plain norms from one ``mixed_quasi_norm`` call each.
+residual takes its points as a list of (x, xi) pairs, and the pointwise
+covering check its plain norms from one ``mixed_quasi_norm`` call each.
 The mixed norm is also taken by the one-exponent kernel, with no inner sum
 shared between exponents.  The canonical window's self-convolution, the
 per-coset maxima of |V_g f| over a lattice, the annihilator as a list of
 characters and one Haar-random unit vector are built the direct way.
+
+The library's points are canonical indices.  Residue-tuple arithmetic is
+done here, one point at a time: :func:`residues`, :func:`index_of`,
+:func:`add`, :func:`sub`, :func:`neg` and :func:`character` are the
+brute-force routes that the index tables ``residue_grid``, ``diff_table``,
+``neg_index``, ``translation_perm`` and ``character_table`` are held to.
 """
 import math
 
@@ -23,10 +29,8 @@ import numpy as np
 from fingabor.experiments import _EXPONENT_GRID, _worse, random_signal
 from fingabor.gabor import QuasiLattice
 from fingabor.group import (
-    DualElement,
     GroupSpec,
     annihilator_indices,
-    character,
     character_table,
     diff_table,
     neg_index,
@@ -49,7 +53,6 @@ from fingabor.operators import kn_matrix
 from fingabor.signal import (
     PhaseFunction,
     Signal,
-    _element_index,
     convolve,
     convolve_phase,
     modulate,
@@ -58,6 +61,52 @@ from fingabor.signal import (
 )
 from fingabor.spectral import _haar_rows
 from fingabor.tfa import gaussian_window, rihaczek, stft, window_constant
+
+
+# ---------------------------------------------------------------------------
+# residue-tuple arithmetic
+
+
+def residues(spec, i):
+    """Residue tuple of the canonical index ``i``."""
+    return tuple(int(r) for r in np.unravel_index(int(i), spec.factors))
+
+
+def index_of(spec, res):
+    """Canonical index of a residue tuple, each residue reduced mod its factor."""
+    return int(np.ravel_multi_index(tuple(int(r) % n for r, n in zip(res, spec.factors)),
+                                    spec.factors))
+
+
+def add(spec, a, b):
+    """Index of a + b, residue by residue."""
+    return index_of(spec, [p + q for p, q in zip(residues(spec, a), residues(spec, b))])
+
+
+def sub(spec, a, b):
+    """Index of a - b, residue by residue."""
+    return index_of(spec, [p - q for p, q in zip(residues(spec, a), residues(spec, b))])
+
+
+def neg(spec, a):
+    """Index of -a, residue by residue."""
+    return index_of(spec, [-p for p in residues(spec, a)])
+
+
+def character(spec, xi, x):
+    """<xi, x> = exp(2 pi i sum_j xi_j x_j / N_j) for the indices xi and x.
+
+    The exponent is reduced factor by factor before exponentiation, so the
+    value is exactly 1.0 whenever every xi_j x_j is divisible by N_j.
+    """
+    t = 0.0
+    for a, b, n in zip(residues(spec, xi), residues(spec, x), spec.factors):
+        t += ((a * b) % n) / n
+    return complex(np.exp(2j * np.pi * t))
+
+
+# ---------------------------------------------------------------------------
+# dense routes
 
 
 def gather_maximum(F, offsets):
@@ -96,7 +145,8 @@ def young_verify(F, H, e_out, e_left, e_right, m=None, v=None):
 
 
 def gather_gabor_matrix_closed_form(sigma, points):
-    """Closed-form Gabor matrix for the canonical window, one pair at a time.
+    """Closed-form Gabor matrix for the canonical window at the (x, xi)
+    pairs ``points``, one pair at a time.
 
     Entry (i, j) is conj(T[nu_j, w_i - u_j]) times the sum over K x K_perp of
     sigma(w_i + k, nu_j + kappa) conj(T[mu_i - nu_j, w_i + k])
@@ -111,7 +161,7 @@ def gather_gabor_matrix_closed_form(sigma, points):
     phi = gaussian_window(spec)
     S = np.conj(rihaczek(phi, phi).values[tile_indices(spec)]) * (spec.mass * spec.mass_dual)
     S = S.reshape(len(neg_k), len(neg_a))
-    x, xi = np.array([(p.index, q.index) for p, q in points]).T
+    x, xi = np.array(points, dtype=np.int64).T
     rows = D[x[:, None], neg_k]                                 # index(w_i + k)
     cols = D[xi[:, None], neg_a]                                # index(nu_j + kappa)
     dx = D[x[:, None], x]                                       # index(w_i - u_j)
@@ -159,18 +209,11 @@ def full_window_rihaczek_probe(g, f, e_out, e_g, e_f, v=None):
     return float(lhs), float(rhs)
 
 
-def phase_element(spec, x, xi):
-    """(x, xi) as a point of the phase-space group."""
-    return phase_spec(spec).element(x.residues + xi.residues)
-
-
-def phase_dual_element(spec, omega, u):
-    """(omega, u) as a character of the phase-space group.
-
-    The product character of the phase space realizes
-    <(omega, u), (x, xi)> = <omega, x> <xi, u>.
-    """
-    return phase_spec(spec).dual(omega.residues + u.residues)
+def phase_point(spec, a, b):
+    """Index of (a, b) in the phase-space group, through the residues of a
+    and of b.  As a character, (omega, u) realizes the product pairing
+    <(omega, u), (x, xi)> = <omega, x> <xi, u>."""
+    return index_of(phase_spec(spec), residues(spec, a) + residues(spec, b))
 
 
 def phase_space_rihaczek_covariance(f, g, x, xi, y, eta):
@@ -180,27 +223,27 @@ def phase_space_rihaczek_covariance(f, g, x, xi, y, eta):
     spec = f.group
     lhs = rihaczek(tf_shift(f, x, xi), tf_shift(g, y, eta))
     base = rihaczek(f, g).as_signal()
-    shift = phase_element(spec, x, eta)
-    mod = phase_dual_element(spec, xi - eta, y - x)            # J(y - x, eta - xi)
+    shift = phase_point(spec, x, eta)
+    mod = phase_point(spec, sub(spec, xi, eta), sub(spec, y, x))   # J(y - x, eta - xi)
     rhs = modulate(translate(base, shift), mod)
-    scale = character(eta, x - y)
+    scale = character(spec, eta, sub(spec, x, y))
     return lhs.values, scale * rhs.values
 
 
-def element_tf_shift_rows(f, points):
-    """Rows pi(points[i]) f, the indices read off each element of the list."""
+def point_list_tf_shift_rows(f, points):
+    """Rows pi(points[i]) f, the indices read off each (x, xi) pair of the list."""
     spec = f.group
-    x = np.array([_element_index(spec, p) for p, _ in points], dtype=np.intp)
-    xi = np.array([_element_index(spec, q) for _, q in points], dtype=np.intp)
+    x = np.array([p for p, _ in points], dtype=np.intp)
+    xi = np.array([q for _, q in points], dtype=np.intp)
     return character_table(spec)[xi] * f.values[diff_table(spec)[:, x].T]
 
 
-def element_gabor_matrix_residual(sigma, points):
+def point_list_gabor_matrix_residual(sigma, points):
     """Channel-matrix residual with the direct and closed-form Gabor matrices
-    evaluated on a list of elements, each converted to indices per call."""
+    evaluated on a list of (x, xi) pairs, turned into index arrays per call."""
     spec = sigma.group
     phi = gaussian_window(spec)
-    V = element_tf_shift_rows(phi, points)
+    V = point_list_tf_shift_rows(phi, points)
     direct = np.conj(V) @ (kn_matrix(sigma).entries @ V.T) * spec.mass
     T = character_table(spec)
     D = diff_table(spec)
@@ -208,7 +251,7 @@ def element_gabor_matrix_residual(sigma, points):
     neg_a = neg_index(spec)[annihilator_indices(spec)]
     S = np.full((len(neg_k), len(neg_a)),
                 np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
-    x, xi = np.array([(p.index, q.index) for p, q in points]).T
+    x, xi = np.array(points, dtype=np.int64).T
     w, wi = np.unique(x, return_inverse=True)
     nu, ni = np.unique(xi, return_inverse=True)
     rows = D[w[:, None], neg_k]
@@ -260,9 +303,11 @@ def quotient_coefficients(f: Signal, g: Signal, lattice: QuasiLattice) -> np.nda
     return V[tile_cover(f.group, lattice.flat_indices)].max(axis=1)
 
 
-def annihilator(spec: GroupSpec) -> list[DualElement]:
-    """Characters that are identically 1 on the subgroup K."""
-    return [spec.dual_at(i) for i in annihilator_indices(spec)]
+def annihilator(spec: GroupSpec) -> list[int]:
+    """Characters that are identically 1 on the subgroup K, by evaluating
+    each character on each point of K."""
+    return [xi for xi in range(spec.order)
+            if all(character(spec, xi, int(k)) == 1.0 for k in subgroup_indices(spec))]
 
 
 def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:

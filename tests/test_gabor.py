@@ -37,8 +37,8 @@ def rand_signal(spec, rng):
 
 
 def all_phase_points(spec):
-    return [(spec.element_at(i), spec.dual_at(j))
-            for i in range(spec.order) for j in range(spec.order)]
+    """(x, xi) index arrays of every phase-space point, x outer."""
+    return np.divmod(np.arange(spec.order ** 2), spec.order)
 
 
 # multi-factor, a point mass other than 1, mixed steps per factor, K = G
@@ -60,7 +60,7 @@ LATTICE_IDS = ["6x2", "z12-mass-quarter", "4x8", "z8-K-is-G"]
 def test_quasi_lattice_partitions_phase_space(spec):
     lat = quasi_lattice(spec)
     d1, d2 = coset_representatives(spec)
-    assert len(lat.points) == len(d1) * len(d2) == spec.order
+    assert len(lat.x) == len(lat.xi) == len(d1) * len(d2) == spec.order
     assert lat.redundancy == 1.0
     # independent cover count: every phase point hit exactly once
     pspec = phase_spec(spec)
@@ -75,10 +75,13 @@ def test_quasi_lattice_partitions_phase_space(spec):
 
 
 def test_flat_indices_match_points():
+    # D1 outer, D2 inner
     spec = make_group([6], [2])
     lat = quasi_lattice(spec)
-    for flat, (x, xi) in zip(lat.flat_indices, lat.points):
-        assert flat == x.index * 6 + xi.index
+    d1, d2 = coset_representatives(spec)
+    points = [(x, xi) for x in d1 for xi in d2]
+    assert list(zip(lat.x, lat.xi)) == points
+    assert lat.flat_indices.tolist() == [x * 6 + xi for x, xi in points]
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +96,8 @@ def test_analysis_samples_the_transform():
     lat = quasi_lattice(spec)
     V = stft(f, g).mat
     coeffs = analysis(g, lat, f)
-    for c, (x, xi) in zip(coeffs, lat.points):
-        assert c == pytest.approx(V[x.index, xi.index], abs=1e-13)
+    for c, x, xi in zip(coeffs, lat.x, lat.xi):
+        assert c == pytest.approx(V[x, xi], abs=1e-13)
 
 
 def test_synthesis_adjoint_to_analysis():
@@ -104,7 +107,7 @@ def test_synthesis_adjoint_to_analysis():
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
     lat = quasi_lattice(spec)
-    c = rng.standard_normal(len(lat.points)) + 1j * rng.standard_normal(len(lat.points))
+    c = rng.standard_normal(len(lat.x)) + 1j * rng.standard_normal(len(lat.x))
     lhs = np.vdot(c, analysis(g, lat, f))          # sum conj(c) <f, pi g>
     rhs = np.vdot(synthesis(g, lat, c).values, f.values) * spec.mass
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -118,7 +121,7 @@ def test_frame_operator_matches_sum_of_projections():
     lat = quasi_lattice(spec)
     f = rand_signal(spec, rng)
     direct = np.zeros(4, dtype=complex)
-    for c, (x, xi) in zip(analysis(g, lat, f), lat.points):
+    for c, x, xi in zip(analysis(g, lat, f), lat.x, lat.xi):
         from fingabor.signal import tf_shift
 
         direct += c * tf_shift(h, x, xi).values
@@ -150,9 +153,9 @@ def test_indicator_window_is_tight(factors, divisors, mass):
 def test_random_points_give_loose_frame():
     spec = make_group([4], [2])
     rng = np.random.default_rng(5)
-    full = all_phase_points(spec)
+    x, xi = all_phase_points(spec)
     idx = sorted(rng.choice(16, size=9, replace=False))
-    lat = lattice_from_points(spec, [full[i] for i in idx])
+    lat = lattice_from_points(spec, x[idx], xi[idx])
     g = rand_signal(spec, rng)
     A, B = frame_bounds(g, lat)
     assert A > 0 and B / A - 1.0 > 1e-10
@@ -161,7 +164,7 @@ def test_random_points_give_loose_frame():
 def test_delta_window_on_full_lattice():
     spec = make_group([6], [6])
     delta = Signal(spec, np.eye(6)[0])
-    lat = lattice_from_points(spec, all_phase_points(spec))
+    lat = lattice_from_points(spec, *all_phase_points(spec))
     A, B = frame_bounds(delta, lat)
     assert A == pytest.approx(6.0, rel=1e-12)
     assert B == pytest.approx(6.0, rel=1e-12)
@@ -212,9 +215,9 @@ def test_perturbed_window_has_no_lattice_dual():
 def test_missing_time_coset_is_not_a_frame(spec):
     # with K = G there is one time coset, and dropping it leaves no points
     lat = quasi_lattice(spec)
-    kept = [pt for pt in lat.points if pt[0].index != lat.points[0][0].index]
-    assert len(kept) < len(lat.points)
-    deficient = lattice_from_points(spec, kept)
+    kept = lat.x != lat.x[0]
+    assert not kept.all()
+    deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
     phi = gaussian_window(spec)
     with pytest.raises(NotAFrame) as info:
         frame_bounds(phi, deficient)
@@ -249,7 +252,7 @@ def test_discrete_modnorm_weighted_and_grouped():
     lat = quasi_lattice(spec)
     d1, d2 = coset_representatives(spec)
     c = np.abs(analysis(g, lat, f)).reshape(len(d1), len(d2))
-    m = 1.0 + rng.random(len(lat.points))
+    m = 1.0 + rng.random(len(lat.x))
     got = discrete_modnorm(f, g, lat, (1, 2), m)
     inner = (c * m.reshape(len(d1), len(d2))).sum(axis=0)
     assert got == pytest.approx(float(np.sqrt((inner ** 2).sum())), rel=1e-12)
@@ -258,7 +261,7 @@ def test_discrete_modnorm_weighted_and_grouped():
 def test_discrete_modnorm_needs_full_lattice():
     spec = make_group([4], [2])
     lat = quasi_lattice(spec)
-    partial = lattice_from_points(spec, lat.points[:-1])
+    partial = lattice_from_points(spec, lat.x[:-1], lat.xi[:-1])
     f = Signal(spec, np.ones(4))
     with pytest.raises(GroupMismatch):
         discrete_modnorm(f, gaussian_window(spec), partial, (2, 2))
@@ -276,7 +279,7 @@ def test_quotient_coefficients_brute_force(spec):
     g = rand_signal(spec, rng)
     lat = quasi_lattice(spec)
     q = quotient_coefficients(f, g, lat)
-    assert q.shape == (len(lat.points),)
+    assert q.shape == (len(lat.x),)
     pspec = phase_spec(spec)
     grid = residue_grid(pspec)
     mods = np.array(pspec.factors)

@@ -9,11 +9,9 @@ import pytest
 
 from fingabor.group import (
     EmptyGroup,
-    GroupMismatch,
     GroupSpec,
     NonDivisor,
     annihilator_indices,
-    character,
     character_row,
     character_table,
     circular_distance,
@@ -24,6 +22,7 @@ from fingabor.group import (
     make_group,
     neg_index,
     phase_spec,
+    point_index,
     residue_grid,
     subgroup_character_table,
     subgroup_indices,
@@ -31,7 +30,7 @@ from fingabor.group import (
     tile_indices,
     translation_perm,
 )
-from oracles import annihilator, phase_element
+from oracles import add, annihilator, character, index_of, neg, phase_point, residues, sub
 
 
 def brute_character(spec, xi_res, x_res):
@@ -82,40 +81,33 @@ def test_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# elements and arithmetic
+# points and arithmetic
 
 
 def test_element_reduction_and_index():
+    # a point is its canonical index; shifts reduce residues per factor
     spec = make_group([4, 3], [2, 1])
-    x = spec.element((5, 7))
-    assert x.residues == (1, 1)
-    assert x.index == 1 * 3 + 1
-    assert spec.element_at(x.index) == x
+    assert index_of(spec, (5, 7)) == 1 * 3 + 1
+    assert tuple(residue_grid(spec)[4]) == (1, 1)
+    assert translation_perm(spec, (5, 7))[0] == 4
 
 
 def test_element_arithmetic():
+    # on Z_5: 3 + 4 = 2, 3 - 4 = 4, -3 = 2 through the index tables
     spec = make_group([5], [1])
-    a = spec.element((3,))
-    b = spec.element((4,))
-    assert (a + b).residues == (2,)
-    assert (a - b).residues == (4,)
-    assert (-a).residues == (2,)
-
-
-def test_cross_group_arithmetic_rejected():
-    s1 = make_group([4], [2])
-    s2 = make_group([6], [3])
-    with pytest.raises(GroupMismatch):
-        s1.element((1,)) + s2.element((1,))
-    with pytest.raises(GroupMismatch):
-        s1.element((1,)) + s1.dual((1,))
+    D, minus = diff_table(spec), neg_index(spec)
+    assert D[3, minus[4]] == add(spec, 3, 4) == 2
+    assert D[3, 4] == sub(spec, 3, 4) == 4
+    assert minus[3] == neg(spec, 3) == 2
 
 
 def test_index_roundtrip_exhaustive():
     spec = make_group([3, 4], [1, 2])
+    grid = residue_grid(spec)
     for i in range(spec.order):
-        assert spec.element_at(i).index == i
-        assert spec.dual_at(i).index == i
+        assert residues(spec, i) == tuple(grid[i])
+        assert index_of(spec, grid[i]) == i
+        assert point_index(spec, np.int64(i)) == i
 
 
 # ---------------------------------------------------------------------------
@@ -123,35 +115,31 @@ def test_index_roundtrip_exhaustive():
 
 
 def test_character_z4_values():
-    spec = make_group([4], [2])
-    xi = spec.dual((1,))
-    assert character(xi, spec.element((1,))) == pytest.approx(1j)
-    assert character(xi, spec.element((2,))) == pytest.approx(-1.0)
-    assert character(spec.dual((2,)), spec.element((1,))) == pytest.approx(-1.0)
-    assert character(spec.dual((0,)), spec.element((3,))) == pytest.approx(1.0)
+    T = character_table(make_group([4], [2]))
+    assert T[1, 1] == pytest.approx(1j)
+    assert T[1, 2] == pytest.approx(-1.0)
+    assert T[2, 1] == pytest.approx(-1.0)
+    assert T[0, 3] == 1.0
 
 
 def test_character_against_brute_force():
     spec = make_group([6, 4], [2, 2])
+    T = character_table(spec)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        xi = spec.dual_at(int(rng.integers(spec.order)))
-        x = spec.element_at(int(rng.integers(spec.order)))
-        assert character(xi, x) == pytest.approx(
-            brute_character(spec, xi.residues, x.residues), abs=1e-14
-        )
+        xi, x = (int(rng.integers(spec.order)) for _ in range(2))
+        want = brute_character(spec, residues(spec, xi), residues(spec, x))
+        assert T[xi, x] == pytest.approx(want, abs=1e-14)
+        assert character_row(spec, xi)[x] == character(spec, xi, x)
 
 
 def test_bicharacter_multiplicativity():
     spec = make_group([6, 2], [3, 1])
+    T = character_table(spec)
     rng = np.random.default_rng(1)
     for _ in range(30):
-        xi = spec.dual_at(int(rng.integers(spec.order)))
-        x = spec.element_at(int(rng.integers(spec.order)))
-        y = spec.element_at(int(rng.integers(spec.order)))
-        assert character(xi, x + y) == pytest.approx(
-            character(xi, x) * character(xi, y), abs=1e-14
-        )
+        xi, x, y = (int(rng.integers(spec.order)) for _ in range(3))
+        assert T[xi, add(spec, x, y)] == pytest.approx(T[xi, x] * T[xi, y], abs=1e-14)
 
 
 def test_character_orthogonality():
@@ -181,9 +169,8 @@ def brute_annihilator(spec):
     ksub = subgroup_indices(spec)
     out = []
     for i in range(spec.order):
-        xi = spec.dual_at(i)
         ok = all(
-            abs(brute_character(spec, xi.residues, spec.element_at(int(k)).residues) - 1.0)
+            abs(brute_character(spec, residues(spec, i), residues(spec, int(k))) - 1.0)
             < 1e-12
             for k in ksub
         )
@@ -216,19 +203,18 @@ def test_subgroup_is_multiples_of_divisor():
 def test_coset_representatives_tile_the_group():
     spec = make_group([6, 2], [3, 2])
     reps, dual_reps = coset_representatives(spec)
-    ksub = [spec.element_at(int(i)) for i in subgroup_indices(spec)]
+    ksub = subgroup_indices(spec)
     seen = set()
     for r in reps:
         for k in ksub:
-            seen.add((r + k).index)
+            seen.add(add(spec, r, k))
     assert seen == set(range(spec.order))
     assert len(reps) * len(ksub) == spec.order
     # dual side tiles with the annihilator
-    ann = [spec.dual_at(int(i)) for i in annihilator_indices(spec)]
     seen = set()
     for r in dual_reps:
-        for a in ann:
-            seen.add((r + a).index)
+        for a in annihilator_indices(spec):
+            seen.add(add(spec, r, a))
     assert seen == set(range(spec.order))
 
 
@@ -241,9 +227,7 @@ def test_diff_table_brute_force():
     table = diff_table(spec)
     for a in range(spec.order):
         for b in range(spec.order):
-            ea = spec.element_at(a)
-            eb = spec.element_at(b)
-            assert table[a, b] == (ea - eb).index
+            assert table[a, b] == sub(spec, a, b)
 
 
 @pytest.mark.parametrize("spec", [make_group([6, 2], [3, 2]), GroupSpec((12,), (3,), 0.25),
@@ -262,7 +246,8 @@ def test_tile_cover_matches_residue_grid(spec):
 
 def test_index_work_stays_in_group():
     # residue/flat index conversions, the table limit and the per-factor
-    # coordinates live in group; tfa and gabor use its tables
+    # coordinates live in group; tfa and gabor use its tables, and
+    # experiments builds its groups through group
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fingabor").glob("*.py"))
     assert paths
     for path in paths:
@@ -272,8 +257,10 @@ def test_index_work_stays_in_group():
             assert not names & {"ravel_multi_index", "unravel_index"}, path.name
             assert "_TABLE_LIMIT" not in path.read_text(), path.name
         if path.name in ("norms.py", "signal.py", "tfa.py", "gabor.py", "operators.py",
-                         "spectral.py"):
+                         "spectral.py", "experiments.py"):
             assert not names & {"factors", "subgroup_divisors"}, path.name
+        # a point is its canonical index: no module keeps residue tuples
+        assert "residues" not in names, path.name
         if path.name in ("tfa.py", "gabor.py"):
             imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                         for a in n.names}
@@ -290,7 +277,7 @@ def test_diff_rows_cached_and_on_demand():
     rows = diff_rows(big, 4000, 4160)
     assert rows.shape == (160, big.order)
     for a, b in [(4000, 0), (4000, 4159), (4100, 77), (4159, 4159)]:
-        assert rows[a - 4000, b] == (big.element_at(a) - big.element_at(b)).index
+        assert rows[a - 4000, b] == sub(big, a, b)
 
 
 def test_circular_distance():
@@ -307,7 +294,7 @@ def test_subgroup_character_table_in_k_coordinates():
     assert T.shape == (spec.subgroup_order, spec.subgroup_order)
     for eta in range(k.order):
         for c in range(k.order):
-            assert T[eta, c] == pytest.approx(character(k.dual_at(eta), k.element_at(c)), abs=1e-14)
+            assert T[eta, c] == pytest.approx(character(k, eta, c), abs=1e-14)
 
 
 def test_translation_perm_and_neg_index():
@@ -315,12 +302,11 @@ def test_translation_perm_and_neg_index():
     grid = residue_grid(spec)
     shift = (3, 2)
     perm = translation_perm(spec, shift)
-    sh = spec.element(shift)
     for y in range(spec.order):
-        assert perm[y] == (spec.element_at(y) + sh).index
-    neg = neg_index(spec)
+        assert perm[y] == add(spec, y, index_of(spec, shift))
+    minus = neg_index(spec)
     for y in range(spec.order):
-        assert neg[y] == (-spec.element_at(y)).index
+        assert minus[y] == neg(spec, y)
     assert grid.shape == (spec.order, 2)
 
 
@@ -349,14 +335,8 @@ def test_phase_spec_shape_and_mass():
     assert len(k) == spec.subgroup_order * spec.annihilator_order
 
 
-def phase_point(spec, flat):
-    """(x, xi) at a flat phase-space index: x outer, xi inner."""
-    return spec.element_at(flat // spec.order), spec.dual_at(flat % spec.order)
-
-
 def test_phase_index_roundtrip():
     # the phase-space group orders its points as PhaseFunction stores them
     spec = make_group([4, 2], [2, 1])
     for flat in range(spec.order ** 2):
-        x, xi = phase_point(spec, flat)
-        assert phase_element(spec, x, xi).index == flat
+        assert phase_point(spec, *divmod(flat, spec.order)) == flat

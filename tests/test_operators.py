@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fingabor import operators, signal
-from fingabor.experiments import _gabor_matrix, random_phase_function, run_identities, stream_rng
+from fingabor import operators
+from fingabor.experiments import _gabor_matrix, random_phase_function, stream_rng
 from fingabor.gabor import lattice_from_points, quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
-from fingabor.group import dual_spec
+from fingabor.group import coset_representatives, dual_spec
 from fingabor.norms import Weight, polynomial_weight
 from fingabor.operators import (
     OperatorMatrix,
@@ -40,9 +40,10 @@ from fingabor.signal import (
 from fingabor.tfa import gaussian_window, rihaczek, stft
 from oracles import (
     dense_modulation_norm,
-    element_gabor_matrix_residual,
     full_window_rihaczek_probe,
     gather_gabor_matrix_closed_form,
+    point_list_gabor_matrix_residual,
+    residues,
 )
 
 # Groups for the structured operator kernels: a cyclic group, a product
@@ -71,7 +72,7 @@ def matrix_from_apply(spec, apply):
     n = spec.order
     cols = np.empty((n, n), dtype=np.complex128)
     for c in range(n):
-        cols[:, c] = apply(delta(spec, spec.element_at(c))).values
+        cols[:, c] = apply(delta(spec, c)).values
     return OperatorMatrix(spec, cols)
 
 
@@ -153,9 +154,8 @@ def test_kn_kernel_brute_force():
         for iu in range(6):
             acc = 0j
             for ixi in range(6):
-                xi = spec.dual_at(ixi)
                 d = (iu - ix) % 6
-                t = xi.residues[0] * d / 6
+                t = residues(spec, ixi)[0] * d / 6
                 acc += S[ix, ixi] * cmath.exp(-2j * cmath.pi * t)
             assert k[ix, iu] == pytest.approx(acc * spec.mass_dual, abs=1e-12)
 
@@ -188,8 +188,9 @@ def test_gabor_matrix_of_unit_symbol_is_gram():
     g = rand_signal(spec, rng)
     lat = quasi_lattice(spec)
     M = gabor_matrix(PhaseFunction(spec, np.ones(36)), g, lat)
-    for i, wi in enumerate(lat.points):
-        for j, wj in enumerate(lat.points):
+    points = list(zip(lat.x, lat.xi))
+    for i, wi in enumerate(points):
+        for j, wj in enumerate(points):
             gram = inner(tf_shift(g, *wj), tf_shift(g, *wi))
             assert M[i, j] == pytest.approx(gram, abs=1e-12)
 
@@ -198,8 +199,8 @@ def test_closed_form_on_all_phase_points():
     spec = make_group([4], [2])
     rng = np.random.default_rng(7)
     sigma = rand_symbol(spec, rng)
-    pts = [(spec.element_at(i), spec.dual_at(j)) for i in range(4) for j in range(4)]
-    lat = lattice_from_points(spec, pts)
+    pts = [(i, j) for i in range(4) for j in range(4)]
+    lat = lattice_from_points(spec, *zip(*pts))
     direct = gabor_matrix(sigma, gaussian_window(spec), lat)
     closed = gabor_matrix_closed_form(sigma, lat)
     np.testing.assert_allclose(closed, direct, atol=1e-12)
@@ -223,7 +224,7 @@ def test_closed_form_matches_symbol_gather_oracle(spec):
     for _ in range(3):
         sigma = rand_symbol(spec, rng)
         assert np.array_equal(gabor_matrix_closed_form(sigma, lat),
-                              gather_gabor_matrix_closed_form(sigma, lat.points))
+                              gather_gabor_matrix_closed_form(sigma, list(zip(lat.x, lat.xi))))
 
 
 def test_closed_form_memory_stays_on_coset_pairs():
@@ -454,21 +455,11 @@ def test_convolution_probe_rejects_bad_exponents():
 @pytest.mark.parametrize("spec", KERNEL_GROUPS[1:] + [pytest.param(make_group([8], [1]),
                                                                    id="z8-k-is-g")])
 def test_channel_trials_equal_element_list_oracle(spec):
-    # the lattice's index arrays give the residual the element list gave
+    # the lattice's index arrays give the residual that the list of its
+    # (x, xi) pairs, D1 outer and D2 inner, gives
     rng, oracle_rng = stream_rng(0, 7), stream_rng(0, 7)
-    points = quasi_lattice(spec).points
+    d1, d2 = coset_representatives(spec)
+    points = [(int(x), int(xi)) for x in d1 for xi in d2]
     for _ in range(3):
-        want = element_gabor_matrix_residual(random_phase_function(spec, oracle_rng), points)
+        want = point_list_gabor_matrix_residual(random_phase_function(spec, oracle_rng), points)
         assert np.array_equal(_gabor_matrix(spec, rng), want)
-
-
-def test_channel_check_reads_no_element_index(monkeypatch):
-    # the lattice holds its index arrays, so no trial converts an element
-    def refuse(*args, **kwargs):
-        raise AssertionError("a lattice point was converted to an index in a trial")
-
-    monkeypatch.setattr(signal, "_element_index", refuse)
-    summary, failures = run_identities(make_group([6, 2], [3, 2]), 0, 3,
-                                       names=["channel-matrix-closed-form"])
-    assert not failures
-    assert summary["results"]["channel-matrix-closed-form"]["passed"]

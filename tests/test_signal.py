@@ -34,6 +34,8 @@ from fingabor.signal import (
     translate,
     zeros,
 )
+from fingabor.gabor import lattice_from_points
+from oracles import residues, sub
 
 
 def rand_signal(spec, rng):
@@ -45,11 +47,10 @@ def brute_fourier(f):
     spec = f.group
     out = np.zeros(spec.order, dtype=complex)
     for i in range(spec.order):
-        xi = spec.dual_at(i)
         acc = 0j
         for j in range(spec.order):
-            x = spec.element_at(j)
-            t = sum(a * b / n for a, b, n in zip(xi.residues, x.residues, spec.factors))
+            t = sum(a * b / n for a, b, n in zip(residues(spec, i), residues(spec, j),
+                                                 spec.factors))
             acc += f.values[j] * cmath.exp(-2j * cmath.pi * t)
         out[i] = acc * spec.mass
     return out
@@ -78,7 +79,7 @@ def test_constructors():
     spec = make_group([6], [3])
     assert np.all(zeros(spec).values == 0)
     assert np.all(constant(spec, 2.5).values == 2.5)
-    d = delta(spec, spec.element((2,)))
+    d = delta(spec, 2)
     assert d.values[2] == 1 and d.values.sum() == 1
     ind = indicator(spec, [0, 4])
     assert ind.values[0] == 1 and ind.values[4] == 1 and ind.values.sum() == 2
@@ -109,21 +110,20 @@ def test_translate_oracle():
     spec = make_group([5], [1])
     rng = np.random.default_rng(0)
     f = rand_signal(spec, rng)
-    x = spec.element((2,))
-    g = translate(f, x)
+    g = translate(f, 2)
     for i in range(5):
-        assert g.values[i] == f.values[(spec.element_at(i) - x).index]
+        assert g.values[i] == f.values[sub(spec, i, 2)]
 
 
 def test_modulate_oracle():
     spec = make_group([6, 2], [3, 1])
     rng = np.random.default_rng(1)
     f = rand_signal(spec, rng)
-    xi = spec.dual((1, 1))
+    xi = 1 * 2 + 1                                # residues (1, 1)
     g = modulate(f, xi)
     for i in range(spec.order):
-        x = spec.element_at(i)
-        t = sum(a * b / n for a, b, n in zip(xi.residues, x.residues, spec.factors))
+        t = sum(a * b / n for a, b, n in zip(residues(spec, xi), residues(spec, i),
+                                             spec.factors))
         assert g.values[i] == pytest.approx(f.values[i] * cmath.exp(2j * cmath.pi * t))
 
 
@@ -132,8 +132,26 @@ def test_tf_shift_is_modulate_translate():
     rng = np.random.default_rng(2)
     f = rand_signal(spec, rng)
     out = tf_shift(f, 3, 5)
-    ref = modulate(translate(f, spec.element((3,))), spec.dual((5,)))
+    ref = modulate(translate(f, 3), 5)
     np.testing.assert_array_equal(out.values, ref.values)
+
+
+@pytest.mark.parametrize("point", [-1, 8])
+@pytest.mark.parametrize("shift", [
+    pytest.param(lambda f, p: translate(f, p), id="translate"),
+    pytest.param(lambda f, p: modulate(f, p), id="modulate"),
+    pytest.param(lambda f, p: tf_shift(f, p, 0), id="tf_shift-time"),
+    pytest.param(lambda f, p: tf_shift(f, 0, p), id="tf_shift-frequency"),
+    pytest.param(lambda f, p: delta(f.group, p), id="delta"),
+    pytest.param(lambda f, p: lattice_from_points(f.group, [0, p], [0, 0]), id="lattice-time"),
+    pytest.param(lambda f, p: lattice_from_points(f.group, [0], [p]), id="lattice-frequency"),
+])
+def test_points_outside_the_group_are_refused(shift, point):
+    # neither numpy's negative indexing nor a bare IndexError: every point
+    # argument is checked against the order
+    f = constant(make_group([8], [2]))
+    with pytest.raises(GroupMismatch):
+        shift(f, point)
 
 
 @pytest.mark.parametrize("spec", [make_group([8], [2]), make_group([6, 2], [3, 2]),
@@ -144,8 +162,7 @@ def test_tf_shift_rows_equal_stacked_tf_shifts(spec):
     f = rand_signal(spec, rng)
     x, xi = rng.integers(spec.order, size=(2, 2 * spec.order))
     x, xi = np.append(x, [3, 0]), np.append(xi, [5, 0])
-    ref = np.stack([tf_shift(f, spec.element_at(a), spec.dual_at(b)).values
-                    for a, b in zip(x, xi)])
+    ref = np.stack([tf_shift(f, a, b).values for a, b in zip(x, xi)])
     assert np.array_equal(tf_shift_rows(f, x, xi), ref)
     empty = tf_shift_rows(f, np.array([], dtype=np.intp), np.array([], dtype=np.intp))
     assert empty.shape == (0, spec.order) and empty.dtype == np.complex128
@@ -230,7 +247,7 @@ def test_convolve_commutes_and_delta_unit(spec):
 def test_convolve_with_shifted_delta_is_translate(spec):
     # order 4100 runs the on-demand rows that convolve takes above the table limit
     f = rand_signal(spec, np.random.default_rng(9))
-    s = spec.element_at(spec.order // 3 + 1)
+    s = spec.order // 3 + 1
     assert np.array_equal(convolve(f, delta(spec, s)).values, translate(f, s).values)
 
 

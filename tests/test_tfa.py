@@ -23,7 +23,7 @@ from fingabor.tfa import (
     stft_shift_identity_residual,
     window_constant,
 )
-from oracles import gaussian_circ, phase_space_rihaczek_covariance
+from oracles import gaussian_circ, phase_space_rihaczek_covariance, residues, sub
 
 
 def rand_signal(spec, rng):
@@ -36,16 +36,14 @@ def brute_stft(f, g):
     n = spec.order
     out = np.zeros((n, n), dtype=complex)
     for ix in range(n):
-        x = spec.element_at(ix)
         for ixi in range(n):
-            xi = spec.dual_at(ixi)
             acc = 0j
             for iy in range(n):
-                y = spec.element_at(iy)
-                t = sum(a * b / m for a, b, m in zip(xi.residues, y.residues, spec.factors))
+                t = sum(a * b / m for a, b, m in zip(residues(spec, ixi), residues(spec, iy),
+                                                     spec.factors))
                 acc += (
                     f.values[iy]
-                    * np.conj(g.values[(y - x).index])
+                    * np.conj(g.values[sub(spec, iy, ix)])
                     * cmath.exp(-2j * cmath.pi * t)
                 )
             out[ix, ixi] = acc * spec.mass
@@ -144,10 +142,7 @@ def test_stft_shift_identity():
     for _ in range(20):
         f = rand_signal(spec, rng)
         g = rand_signal(spec, rng)
-        u = spec.element_at(int(rng.integers(8)))
-        omega = spec.dual_at(int(rng.integers(8)))
-        y = spec.element_at(int(rng.integers(8)))
-        eta = spec.dual_at(int(rng.integers(8)))
+        u, omega, y, eta = (int(rng.integers(8)) for _ in range(4))
         assert stft_shift_identity_residual(f, g, u, omega, y, eta) < 1e-12
 
 
@@ -159,10 +154,9 @@ def test_rihaczek_values_oracle():
     R = rihaczek(f, g).mat
     ghat = fourier(g)
     for ix in range(6):
-        x = spec.element_at(ix)
         for ixi in range(6):
-            xi = spec.dual_at(ixi)
-            t = sum(a * b / m for a, b, m in zip(xi.residues, x.residues, spec.factors))
+            t = sum(a * b / m for a, b, m in zip(residues(spec, ixi), residues(spec, ix),
+                                                 spec.factors))
             expected = f.values[ix] * np.conj(ghat.values[ixi]) * cmath.exp(-2j * cmath.pi * t)
             assert R[ix, ixi] == pytest.approx(expected, abs=1e-13)
 
@@ -174,11 +168,7 @@ def test_rihaczek_covariance():
         f = rand_signal(spec, rng)
         g = rand_signal(spec, rng)
         pts = [int(rng.integers(spec.order)) for _ in range(4)]
-        res = rihaczek_covariance_residual(
-            f, g,
-            spec.element_at(pts[0]), spec.dual_at(pts[1]),
-            spec.element_at(pts[2]), spec.dual_at(pts[3]),
-        )
+        res = rihaczek_covariance_residual(f, g, *pts)
         assert res < 1e-12
 
 
