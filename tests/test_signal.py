@@ -138,8 +138,8 @@ def test_tf_shift_is_modulate_translate():
 
 @pytest.mark.parametrize("point", [-1, 8])
 @pytest.mark.parametrize("shift", [
-    pytest.param(lambda f, p: translate(f, p), id="translate"),
-    pytest.param(lambda f, p: modulate(f, p), id="modulate"),
+    pytest.param(translate, id="translate"),
+    pytest.param(modulate, id="modulate"),
     pytest.param(lambda f, p: tf_shift(f, p, 0), id="tf_shift-time"),
     pytest.param(lambda f, p: tf_shift(f, 0, p), id="tf_shift-frequency"),
     pytest.param(lambda f, p: delta(f.group, p), id="delta"),
