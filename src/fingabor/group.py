@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -62,7 +62,8 @@ class GroupSpec:
 
     ``factors[j]`` is the order of the j-th cyclic factor and
     ``subgroup_divisors[j]`` the step of the subgroup inside it.  ``mass``
-    is the Haar mass of a single point of the group.
+    is the Haar mass of a single point of the group, and ``order`` the
+    number of points.
     """
 
     factors: tuple[int, ...]
@@ -85,12 +86,11 @@ class GroupSpec:
                 raise NonDivisor(f"divisor {d} does not divide factor order {n}")
         if not self.mass > 0:
             raise GroupError(f"point mass must be positive, got {self.mass}")
+        # set once and kept outside the fields, so that equality, hashing,
+        # repr and to_json see only the three fields
+        object.__setattr__(self, "order", prod(self.factors))
 
     # -- sizes and masses ------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return prod(self.factors)
 
     @property
     def mass_dual(self) -> float:
@@ -144,14 +144,20 @@ def residue_grid(spec: GroupSpec) -> np.ndarray:
     return grid
 
 
+def _characters(spec: GroupSpec, xi, x) -> np.ndarray:
+    """<xi, x> = exp(2 pi i sum_j xi_j x_j / N_j), each term reduced mod N_j
+    first, for xi and x that select rows of the residue grid (an index, an
+    index array or a slice) and broadcast; the one character formula."""
+    grid = residue_grid(spec)
+    t = 0.0
+    for j, n in enumerate(spec.factors):
+        t = t + ((grid[xi, j] * grid[x, j]) % n) / n
+    return np.exp(2j * np.pi * t)
+
+
 def character_row(spec: GroupSpec, xi_index: int) -> np.ndarray:
     """<xi, x> for a fixed xi over all x in canonical order."""
-    grid = residue_grid(spec)
-    xi_res = grid[point_index(spec, xi_index)]
-    t = np.zeros(spec.order)
-    for j, n in enumerate(spec.factors):
-        t += ((xi_res[j] * grid[:, j]) % n) / n
-    return np.exp(2j * np.pi * t)
+    return _characters(spec, point_index(spec, xi_index), np.s_[:])
 
 
 @lru_cache(maxsize=8)
@@ -160,11 +166,7 @@ def character_table(spec: GroupSpec) -> np.ndarray:
     n = spec.order
     if n > _TABLE_LIMIT:
         raise GroupError(f"character table of order {n} exceeds the cached-table limit")
-    grid = residue_grid(spec)
-    t = np.zeros((n, n))
-    for j, nj in enumerate(spec.factors):
-        t += ((grid[:, j][:, None] * grid[:, j][None, :]) % nj) / nj
-    table = np.exp(2j * np.pi * t)
+    table = _characters(spec, np.arange(n)[:, None], np.s_[:])
     table.setflags(write=False)
     return table
 
@@ -173,19 +175,25 @@ def character_table(spec: GroupSpec) -> np.ndarray:
 # index arithmetic
 
 
-def translation_perm(spec: GroupSpec, shift: Sequence[int]) -> np.ndarray:
-    """perm[y] = index(y + shift) for all y in canonical order."""
+def _difference(spec: GroupSpec, a, b) -> np.ndarray:
+    """index(a - b) for a and b that select rows of the residue grid (an
+    index, an index array or a slice) and broadcast; the one difference
+    formula."""
     grid = residue_grid(spec)
-    shifted = (grid + np.asarray(shift, dtype=np.int64)) % np.asarray(spec.factors)
-    return np.ravel_multi_index(shifted.T, spec.factors)
+    res = (grid[a] - grid[b]) % np.asarray(spec.factors)
+    return np.ravel_multi_index(np.moveaxis(res, -1, 0), spec.factors)
+
+
+def shift_index(spec: GroupSpec, x: int) -> np.ndarray:
+    """perm[y] = index(y - x) for all y, so that f.values[perm] is T_x f;
+    no table is built."""
+    return _difference(spec, np.s_[:], point_index(spec, x))
 
 
 @lru_cache(maxsize=32)
 def neg_index(spec: GroupSpec) -> np.ndarray:
     """perm[y] = index(-y)."""
-    grid = residue_grid(spec)
-    neg = (-grid) % np.asarray(spec.factors)
-    perm = np.ravel_multi_index(neg.T, spec.factors)
+    perm = _difference(spec, 0, np.s_[:])
     perm.setflags(write=False)
     return perm
 
@@ -196,10 +204,7 @@ def diff_table(spec: GroupSpec) -> np.ndarray:
     n = spec.order
     if n > _TABLE_LIMIT:
         raise GroupError(f"difference table of order {n} exceeds the cached-table limit")
-    grid = residue_grid(spec)
-    mods = np.asarray(spec.factors)
-    res = (grid[:, None, :] - grid[None, :, :]) % mods
-    table = np.ravel_multi_index(np.moveaxis(res, 2, 0), spec.factors).astype(np.int32)
+    table = _difference(spec, np.s_[:, None], np.s_[:]).astype(np.int32)
     table.setflags(write=False)
     return table
 
@@ -209,9 +214,7 @@ def diff_rows(spec: GroupSpec, start: int, stop: int) -> np.ndarray:
     :func:`diff_table` up to the table limit, computed on demand above it."""
     if spec.order <= _TABLE_LIMIT:
         return diff_table(spec)[start:stop]
-    grid = residue_grid(spec)
-    res = (grid[start:stop, None, :] - grid[None, :, :]) % np.asarray(spec.factors)
-    return np.ravel_multi_index(np.moveaxis(res, 2, 0), spec.factors)
+    return _difference(spec, np.s_[start:stop, None], np.s_[:])
 
 
 def circular_distance(spec: GroupSpec) -> np.ndarray:
@@ -224,28 +227,16 @@ def circular_distance(spec: GroupSpec) -> np.ndarray:
 # subgroup, annihilator, coset representatives
 
 
-@lru_cache(maxsize=32)
 def subgroup_indices(spec: GroupSpec) -> np.ndarray:
-    """Canonical indices of K, in increasing order."""
-    grid = residue_grid(spec)
-    mask = np.ones(spec.order, dtype=bool)
-    for j, d in enumerate(spec.subgroup_divisors):
-        mask &= grid[:, j] % d == 0
-    idx = np.nonzero(mask)[0]
-    idx.setflags(write=False)
-    return idx
+    """Canonical indices of K, in increasing order: the coset j = 0 row of
+    :func:`quotient_indices`."""
+    return quotient_indices(spec)[0][0]
 
 
-@lru_cache(maxsize=32)
 def annihilator_indices(spec: GroupSpec) -> np.ndarray:
-    """Canonical indices of K_perp, in increasing order."""
-    grid = residue_grid(spec)
-    mask = np.ones(spec.order, dtype=bool)
-    for j, (n, d) in enumerate(zip(spec.factors, spec.subgroup_divisors)):
-        mask &= grid[:, j] % (n // d) == 0
-    idx = np.nonzero(mask)[0]
-    idx.setflags(write=False)
-    return idx
+    """Canonical indices of K_perp, in increasing order: the subgroup of the
+    dual group, whose steps are N_j / d_j."""
+    return subgroup_indices(dual_spec(spec))
 
 
 @lru_cache(maxsize=32)
@@ -258,15 +249,24 @@ def tile_indices(spec: GroupSpec) -> np.ndarray:
     return idx
 
 
+def coset_points(spec: GroupSpec, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) with rows[i, k] = index(x_i + k) for k in K and
+    cols[i, kappa] = index(xi_i + kappa) for kappa in K_perp, both in
+    increasing order of k and kappa; gathered from the base group's
+    difference table, so the dual group builds none."""
+    D = diff_table(spec)                                        # D[a, b] = index(a - b)
+    neg = neg_index(spec)
+    return (D[np.asarray(x)[:, None], neg[subgroup_indices(spec)]],
+            D[np.asarray(xi)[:, None], neg[annihilator_indices(spec)]])
+
+
 def tile_cover(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
     """(len(flat), |K| |K_perp|) flat phase indices of p + u for each flat
     phase point p and each u in the tile, in :func:`tile_indices` order."""
-    D = diff_table(spec)                                        # D[a, b] = index(a - b)
-    neg = neg_index(spec)
     x, xi = np.divmod(np.asarray(flat, dtype=np.int64), spec.order)
-    rows = D[x[:, None], neg[subgroup_indices(spec)]].astype(np.int64)     # index(x + k)
-    cols = D[xi[:, None], neg[annihilator_indices(spec)]]                  # index(xi + kappa)
-    return (rows[:, :, None] * spec.order + cols[:, None, :]).reshape(len(x), spec.order)
+    rows, cols = coset_points(spec, x, xi)
+    return (rows.astype(np.int64)[:, :, None] * spec.order
+            + cols[:, None, :]).reshape(len(x), spec.order)
 
 
 @lru_cache(maxsize=32)

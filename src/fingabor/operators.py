@@ -39,11 +39,9 @@ import numpy as np
 from .group import (
     GroupMismatch,
     GroupSpec,
-    annihilator_indices,
     character_table,
+    coset_points,
     diff_table,
-    neg_index,
-    subgroup_indices,
 )
 from .norms import Exponents, Weight, _inv, modulation_norm
 from .signal import (
@@ -168,15 +166,12 @@ def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.
     spec = sigma.group
     T = character_table(spec)
     D = diff_table(spec)                                        # D[a, b] = index(a - b)
-    neg_k = neg_index(spec)[subgroup_indices(spec)]
-    neg_a = neg_index(spec)[annihilator_indices(spec)]
-    S = np.full((len(neg_k), len(neg_a)),
-                np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
     x, xi = lattice.x, lattice.xi
     w, wi = lattice.times, lattice.time_of                      # distinct times: w, u
     nu, ni = lattice.freqs, lattice.freq_of                     # distinct frequencies: mu, nu
-    rows = D[w[:, None], neg_k]                                 # index(w + k)
-    cols = D[nu[:, None], neg_a]                                # index(nu + kappa)
+    rows, cols = coset_points(spec, w, nu)                      # index(w + k), index(nu + kappa)
+    S = np.full((rows.shape[1], cols.shape[1]),
+                np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
     B = np.conj(T[D[w[None, :], w[:, None]][:, :, None, None], cols])   # [w, u, nu, kappa]
     A = np.conj(T[D[nu[:, None], nu][None, :, :, None], rows[:, None, None, :]])  # [w, mu, nu, k]
     Y = np.einsum("wknl,kl,wunl->wknu", sigma.mat[rows][:, :, cols], S, B)
@@ -268,8 +263,8 @@ def rihaczek_continuity_probe(
         vvals = np.ones(n * n)
     else:
         vvals = v.values
-    # col[omega * n + u] = v(J^{-1}(omega, u)) = v(u, -omega)
-    col = vvals.reshape(n, n)[:, neg_index(spec)].T.reshape(-1)
+    # col[omega * n + u] = v(J^{-1}(omega, u)) = v(u, -omega); D[0, omega] = index(-omega)
+    col = vvals.reshape(n, n)[:, diff_table(spec)[0]].T.reshape(-1)
     wmat = Weight.tensor(np.ones(n * n), col)
     lhs = c * modulation_norm(R, e_out, wmat)
     rhs = modulation_norm(g, e_g, v) * modulation_norm(f, e_f, v)

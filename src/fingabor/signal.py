@@ -24,9 +24,8 @@ from .group import (
     phase_spec,
     point_index,
     product_spec,
-    residue_grid,
+    shift_index,
     subgroup_indices,
-    translation_perm,
 )
 
 _CHUNK = 512
@@ -112,8 +111,7 @@ def subgroup_indicator(spec: GroupSpec) -> Signal:
 
 def translate(f: Signal, x: int) -> Signal:
     """(T_x f)(y) = f(y - x)."""
-    res = residue_grid(f.group)[point_index(f.group, x)]
-    return Signal(f.group, f.values[translation_perm(f.group, -res)])
+    return Signal(f.group, f.values[shift_index(f.group, x)])
 
 
 def modulate(f: Signal, xi: int) -> Signal:

@@ -20,7 +20,11 @@ The library's points are canonical indices.  Residue-tuple arithmetic is
 done here, one point at a time: :func:`residues`, :func:`index_of`,
 :func:`add`, :func:`sub`, :func:`neg` and :func:`character` are the
 brute-force routes that the index tables ``residue_grid``, ``diff_table``,
-``neg_index``, ``translation_perm`` and ``character_table`` are held to.
+``neg_index``, ``shift_index`` and ``character_table`` are held to, and
+:func:`translation_perm` shifts the whole residue grid at once.  The
+subgroup is listed by residue steps (:func:`subgroup_points`), its
+annihilator by evaluating characters (:func:`annihilator`), and their
+cosets one residue sum at a time (:func:`coset_sums`).
 """
 import math
 
@@ -39,7 +43,6 @@ from fingabor.group import (
     subgroup_indices,
     tile_cover,
     tile_indices,
-    translation_perm,
 )
 from fingabor.norms import (
     Exponents,
@@ -91,6 +94,27 @@ def sub(spec, a, b):
 def neg(spec, a):
     """Index of -a, residue by residue."""
     return index_of(spec, [-p for p in residues(spec, a)])
+
+
+def translation_perm(spec, shift):
+    """perm[y] = index(y + shift) for all y, the residue tuple ``shift``
+    added to every row of the residue grid."""
+    grid = residue_grid(spec)
+    shifted = (grid + np.asarray(shift, dtype=np.int64)) % np.asarray(spec.factors)
+    return np.ravel_multi_index(shifted.T, spec.factors)
+
+
+def subgroup_points(spec):
+    """Indices of K, in increasing order: every residue a multiple of its step d_j."""
+    return [i for i in range(spec.order)
+            if all(r % d == 0 for r, d in zip(residues(spec, i), spec.subgroup_divisors))]
+
+
+def coset_sums(spec, x, xi):
+    """([[x_i + k for k in K]], [[xi_i + kappa for kappa in K_perp]]), one
+    residue sum at a time."""
+    return ([[add(spec, a, k) for k in subgroup_points(spec)] for a in x],
+            [[add(spec, b, kappa) for kappa in annihilator(spec)] for b in xi])
 
 
 def character(spec, xi, x):
@@ -306,8 +330,8 @@ def quotient_coefficients(f: Signal, g: Signal, lattice: QuasiLattice) -> np.nda
 def annihilator(spec: GroupSpec) -> list[int]:
     """Characters that are identically 1 on the subgroup K, by evaluating
     each character on each point of K."""
-    return [xi for xi in range(spec.order)
-            if all(character(spec, xi, int(k)) == 1.0 for k in subgroup_indices(spec))]
+    ksub = subgroup_points(spec)
+    return [xi for xi in range(spec.order) if all(character(spec, xi, k) == 1.0 for k in ksub)]
 
 
 def haar_random_unit(spec: GroupSpec, seed: int, trial: int) -> Signal:

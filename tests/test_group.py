@@ -24,13 +24,14 @@ from fingabor.group import (
     phase_spec,
     point_index,
     residue_grid,
+    shift_index,
     subgroup_character_table,
     subgroup_indices,
     tile_cover,
     tile_indices,
-    translation_perm,
 )
-from oracles import add, annihilator, character, index_of, neg, phase_point, residues, sub
+from oracles import (add, annihilator, character, index_of, neg, phase_point, residues, sub,
+                     translation_perm)
 
 
 def brute_character(spec, xi_res, x_res):
@@ -154,10 +155,12 @@ def test_character_orthogonality():
 
 
 def test_character_row_matches_table():
-    spec = make_group([6, 2], [6, 2])
-    T = character_table(spec)
-    for i in (0, 3, 7, 11):
-        np.testing.assert_allclose(character_row(spec, i), T[i], atol=1e-15)
+    # one character formula: a row is the table's row byte for byte
+    for spec, rows in [(make_group([6, 2], [6, 2]), range(12)),
+                       (make_group([24, 32], [2, 4]), (0, 1, 33, 400, 767))]:
+        T = character_table(spec)
+        for i in rows:
+            assert character_row(spec, i).tobytes() == T[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +256,25 @@ def test_index_work_stays_in_group():
     for path in paths:
         tree = ast.parse(path.read_text())
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        if path.name != "group.py":
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                    for a in n.names}
+        # the residue-grid shift is a test oracle; the library shifts through shift_index
+        assert "translation_perm" not in path.read_text(), path.name
+        if path.name == "group.py":
+            # K's product form is read by the spec, the quotient split and K's own
+            # character table; every other index map is built from those
+            readers = {top.name for top in tree.body
+                       if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                       for n in ast.walk(top)
+                       if isinstance(n, ast.Attribute) and n.attr == "subgroup_divisors"}
+            assert "quotient_indices" in readers
+            assert readers <= {"GroupSpec", "quotient_indices", "subgroup_character_table",
+                               "make_group", "dual_spec", "phase_spec",
+                               "trivial_subgroup_spec", "product_spec"}, readers
+            # one character formula
+            assert sum(isinstance(n, ast.Attribute) and n.attr == "exp"
+                       for n in ast.walk(tree)) == 1
+        else:
             assert not names & {"ravel_multi_index", "unravel_index"}, path.name
             assert "_TABLE_LIMIT" not in path.read_text(), path.name
         if path.name in ("norms.py", "signal.py", "tfa.py", "gabor.py", "operators.py",
@@ -261,10 +282,11 @@ def test_index_work_stays_in_group():
             assert not names & {"factors", "subgroup_divisors"}, path.name
         # a point is its canonical index: no module keeps residue tuples
         assert "residues" not in names, path.name
+        if path.name == "operators.py":
+            # the closed form reads its coset points from group.coset_points
+            assert not imported & {"neg_index", "subgroup_indices", "annihilator_indices"}
         if path.name in ("tfa.py", "gabor.py"):
-            imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                        for a in n.names}
-            assert not imported & {"residue_grid", "translation_perm", "character_row"}, path.name
+            assert not imported & {"residue_grid", "shift_index", "character_row"}, path.name
             if path.name == "tfa.py":
                 # phase-space shifts and characters come from the base group's tables
                 assert not imported & {"translate", "modulate", "phase_spec"}, path.name
@@ -295,6 +317,19 @@ def test_subgroup_character_table_in_k_coordinates():
     for eta in range(k.order):
         for c in range(k.order):
             assert T[eta, c] == pytest.approx(character(k, eta, c), abs=1e-14)
+
+
+@pytest.mark.parametrize("spec,shifts", [
+    (make_group([24, 32], [2, 4]), range(768)),
+    (make_group([65, 64], [5, 8]), (0, 1, 63, 64, 2081, 4159)),    # above the table limit
+], ids=["z24xz32", "z65xz64"])
+def test_shift_index_matches_residue_oracle(spec, shifts):
+    # shift_index(spec, x)[y] = index(y - x), bit for bit against residue arithmetic
+    for x in shifts:
+        got = shift_index(spec, x)
+        assert np.array_equal(got, translation_perm(spec, [-r for r in residues(spec, x)]))
+        for y in (0, x, spec.order - 1):
+            assert got[y] == sub(spec, y, x)
 
 
 def test_translation_perm_and_neg_index():

@@ -8,7 +8,8 @@ from fingabor import operators
 from fingabor.experiments import _gabor_matrix, random_phase_function, stream_rng
 from fingabor.gabor import lattice_from_points, quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
-from fingabor.group import coset_representatives, dual_spec
+from fingabor.group import (annihilator_indices, coset_points, coset_representatives, dual_spec,
+                            subgroup_indices)
 from fingabor.norms import Weight, polynomial_weight
 from fingabor.operators import (
     OperatorMatrix,
@@ -39,11 +40,14 @@ from fingabor.signal import (
 )
 from fingabor.tfa import gaussian_window, rihaczek, stft
 from oracles import (
+    annihilator,
+    coset_sums,
     dense_modulation_norm,
     full_window_rihaczek_probe,
     gather_gabor_matrix_closed_form,
     point_list_gabor_matrix_residual,
     residues,
+    subgroup_points,
 )
 
 # Groups for the structured operator kernels: a cyclic group, a product
@@ -213,6 +217,22 @@ def test_closed_form_on_lattice_points(spec):
     for _ in range(5):
         sigma = rand_symbol(spec, rng)
         assert gabor_matrix_residual(sigma, quasi_lattice(spec)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS + [
+    pytest.param(make_group([8], [1]), id="z8-k-is-g"),
+    pytest.param(make_group([4, 3], [4, 3]), id="z4xz3-trivial-k"),
+])
+def test_subgroup_annihilator_and_coset_points_match_residue_oracles(spec):
+    # K and K_perp are the j = 0 cosets of the quotient splits of G and G^;
+    # the coset points the closed form reads are residue sums
+    assert subgroup_indices(spec).tolist() == subgroup_points(spec)
+    assert annihilator_indices(spec).tolist() == annihilator(spec)
+    x = np.random.default_rng(23).integers(spec.order, size=7)
+    xi = np.arange(spec.order)
+    rows, cols = coset_points(spec, x, xi)
+    want_rows, want_cols = coset_sums(spec, x, xi)
+    assert rows.tolist() == want_rows and cols.tolist() == want_cols
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)

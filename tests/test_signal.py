@@ -35,7 +35,7 @@ from fingabor.signal import (
     zeros,
 )
 from fingabor.gabor import lattice_from_points
-from oracles import residues, sub
+from oracles import character, residues, sub
 
 
 def rand_signal(spec, rng):
@@ -113,6 +113,24 @@ def test_translate_oracle():
     g = translate(f, 2)
     for i in range(5):
         assert g.values[i] == f.values[sub(spec, i, 2)]
+
+
+def test_single_shifts_above_table_limit_build_no_table():
+    # T_x and M_xi at order 4100 read one row each: no order^2 allocation
+    spec = make_group([50, 82], [5, 2])
+    f = rand_signal(spec, np.random.default_rng(3))
+    x, xi = 2081, 4099
+    tracemalloc.start()
+    try:
+        g = translate(f, x)
+        h = modulate(f, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for y in (0, 1, x, 4099):
+        assert g.values[y] == f.values[sub(spec, y, x)]
+        assert h.values[y] == pytest.approx(character(spec, xi, y) * f.values[y], abs=1e-14)
 
 
 def test_modulate_oracle():
