@@ -34,6 +34,7 @@ from .group import (
     GroupMismatch,
     GroupSpec,
     NonDivisor,
+    TableLimit,
     coset_representatives,
     dual_spec,
     make_group,

@@ -8,7 +8,8 @@ Two subcommands:
   identities with their default tolerances.
 
 Exit codes: 0 on success, 1 on a configuration problem, 2 when the
-experiment ran but at least one check exceeded its tolerance.
+experiment ran but at least one check exceeded its tolerance, 3 when a
+valid config needs a table above the cached-table limit (a resource limit).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .experiments import (
     run_norms,
     run_young,
 )
-from .group import GroupError, GroupSpec, make_group
+from .group import GroupError, GroupSpec, TableLimit, make_group
 
 __all__ = ["ConfigError", "main", "validate_config"]
 
@@ -251,6 +252,9 @@ def _cmd_run(config_path: str) -> int:
     try:
         norm = validate_config(cfg)
         summary, failures, tables = _dispatch(norm)
+    except TableLimit as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

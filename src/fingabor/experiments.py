@@ -31,7 +31,7 @@ from .gabor import (
     quasi_lattice,
     representative_independence_residual,
 )
-from .group import GroupSpec, character_row, dual_spec, tile_indices, trivial_subgroup_spec
+from .group import GroupSpec, character_row, dual_spec, tile_cover, trivial_subgroup_spec
 from .norms import (
     Exponents,
     Weight,
@@ -188,7 +188,7 @@ def _check_window_support(spec, rng, trials):
     phi = gaussian_window(spec)
     V = stft(phi, phi).mat
     mask = np.zeros(V.shape, dtype=bool)
-    mask.flat[tile_indices(spec)] = True
+    mask.flat[tile_cover(spec, [0])[0]] = True
     c = window_constant(spec)
     on = float(np.max(np.abs(V[mask] - c)))
     off = float(np.max(np.abs(V[~mask]))) if (~mask).any() else 0.0

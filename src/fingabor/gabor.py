@@ -122,7 +122,11 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatri
 def frame_bounds(g: Signal, lattice: QuasiLattice) -> tuple[float, float]:
     """(A, B) = extreme eigenvalues of S_{g,g}; raises NotAFrame when A
     vanishes relative to B."""
-    S = frame_operator(g, g, lattice)
+    return _bounds(frame_operator(g, g, lattice))
+
+
+def _bounds(S: OperatorMatrix) -> tuple[float, float]:
+    """:func:`frame_bounds` of the frame operator S."""
     pairs = hermitian_eigen(S)
     values = [p.value for p in pairs]
     A, B = float(min(values)), float(max(values))
@@ -143,8 +147,8 @@ def dual_window(g: Signal, lattice: QuasiLattice) -> Signal:
     frame operator does not commute with the lattice shifts, in which case
     DualWindowMismatch is raised.
     """
-    A, B = frame_bounds(g, lattice)   # raises NotAFrame if deficient
     S = frame_operator(g, g, lattice)
+    A, B = _bounds(S)   # raises NotAFrame if deficient
     h = Signal(g.group, np.linalg.solve(S.entries, g.values))
     eye = np.eye(g.group.order)
     r1 = np.max(np.abs(frame_operator(h, g, lattice).entries - eye))

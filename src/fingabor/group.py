@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import prod
 from typing import Iterable
 
 import numpy as np
 
 # Full index/character tables are cached only up to this many points.
-# Above it, character_table and diff_table raise, so every transform and
-# operator refuses such orders; convolve alone goes on, through the
-# on-demand rows of diff_rows, and single shifts need no table.
+# Above it, character_table and diff_table raise TableLimit, so every
+# transform and operator refuses such orders; convolve alone goes on,
+# through the on-demand rows of diff_rows, and single shifts need no table.
 _TABLE_LIMIT = 4096
 
 
@@ -54,6 +54,11 @@ class NonDivisor(GroupError):
 
 class GroupMismatch(GroupError):
     """Data of different groups combined, or a point outside its group."""
+
+
+class TableLimit(GroupError):
+    """A valid group whose order is above the cached-table limit: a resource
+    limit, raised before any table is allocated."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,20 @@ def point_index(spec: GroupSpec, point: int) -> int:
 # characters
 
 
-@lru_cache(maxsize=32)
+def _per_factors(maxsize: int):
+    """lru_cache keyed on ``spec.factors`` alone, for a table that reads only
+    the factors: every spec with them (the dual, the trivial-subgroup spec,
+    any mass) gets one array, built for GroupSpec(factors, factors), and
+    ``cache_info``/``cache_clear`` count one miss per build."""
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(lambda factors: build(GroupSpec(factors, factors)))
+        table = wraps(build)(lambda spec: cached(spec.factors))
+        table.cache_info, table.cache_clear = cached.cache_info, cached.cache_clear
+        return table
+    return decorate
+
+
+@_per_factors(maxsize=32)
 def residue_grid(spec: GroupSpec) -> np.ndarray:
     """(order, k) int64 array of residue tuples in canonical order."""
     idx = np.arange(spec.order)
@@ -160,12 +178,12 @@ def character_row(spec: GroupSpec, xi_index: int) -> np.ndarray:
     return _characters(spec, point_index(spec, xi_index), np.s_[:])
 
 
-@lru_cache(maxsize=8)
+@_per_factors(maxsize=8)
 def character_table(spec: GroupSpec) -> np.ndarray:
     """Full character table T[xi, x] = <xi, x>; only for small groups."""
     n = spec.order
     if n > _TABLE_LIMIT:
-        raise GroupError(f"character table of order {n} exceeds the cached-table limit")
+        raise TableLimit(f"character table of order {n} exceeds the cached-table limit")
     table = _characters(spec, np.arange(n)[:, None], np.s_[:])
     table.setflags(write=False)
     return table
@@ -190,20 +208,13 @@ def shift_index(spec: GroupSpec, x: int) -> np.ndarray:
     return _difference(spec, np.s_[:], point_index(spec, x))
 
 
-@lru_cache(maxsize=32)
-def neg_index(spec: GroupSpec) -> np.ndarray:
-    """perm[y] = index(-y)."""
-    perm = _difference(spec, 0, np.s_[:])
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=8)
+@_per_factors(maxsize=8)
 def diff_table(spec: GroupSpec) -> np.ndarray:
-    """table[a, b] = index(a - b); cached for groups up to the table limit."""
+    """table[a, b] = index(a - b), so row 0 is index(-b); cached for groups up
+    to the table limit."""
     n = spec.order
     if n > _TABLE_LIMIT:
-        raise GroupError(f"difference table of order {n} exceeds the cached-table limit")
+        raise TableLimit(f"difference table of order {n} exceeds the cached-table limit")
     table = _difference(spec, np.s_[:, None], np.s_[:]).astype(np.int32)
     table.setflags(write=False)
     return table
@@ -239,30 +250,19 @@ def annihilator_indices(spec: GroupSpec) -> np.ndarray:
     return subgroup_indices(dual_spec(spec))
 
 
-@lru_cache(maxsize=32)
-def tile_indices(spec: GroupSpec) -> np.ndarray:
-    """Flat phase-space indices of the tile K x K_perp, K outer."""
-    k = subgroup_indices(spec)
-    a = annihilator_indices(spec)
-    idx = (k[:, None] * spec.order + a[None, :]).reshape(-1)
-    idx.setflags(write=False)
-    return idx
-
-
 def coset_points(spec: GroupSpec, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) with rows[i, k] = index(x_i + k) for k in K and
     cols[i, kappa] = index(xi_i + kappa) for kappa in K_perp, both in
-    increasing order of k and kappa; gathered from the base group's
-    difference table, so the dual group builds none."""
+    increasing order of k and kappa; gathered from the difference table."""
     D = diff_table(spec)                                        # D[a, b] = index(a - b)
-    neg = neg_index(spec)
-    return (D[np.asarray(x)[:, None], neg[subgroup_indices(spec)]],
-            D[np.asarray(xi)[:, None], neg[annihilator_indices(spec)]])
+    return (D[np.asarray(x)[:, None], D[0, subgroup_indices(spec)]],
+            D[np.asarray(xi)[:, None], D[0, annihilator_indices(spec)]])
 
 
 def tile_cover(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
     """(len(flat), |K| |K_perp|) flat phase indices of p + u for each flat
-    phase point p and each u in the tile, in :func:`tile_indices` order."""
+    phase point p and each u in the tile K x K_perp, K outer; the tile itself
+    is ``tile_cover(spec, [0])[0]``."""
     x, xi = np.divmod(np.asarray(flat, dtype=np.int64), spec.order)
     rows, cols = coset_points(spec, x, xi)
     return (rows.astype(np.int64)[:, :, None] * spec.order

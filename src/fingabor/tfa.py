@@ -20,7 +20,6 @@ from .group import (
     GroupSpec,
     character_table,
     diff_table,
-    neg_index,
 )
 from .signal import (
     PhaseFunction,
@@ -135,7 +134,8 @@ def magic_formula_residual(psi: Signal, f: Signal, g: Signal) -> float:
     T = character_table(spec)
     Vg = stft(g, psi).mat
     Vf = stft(f, psi).mat
-    add_idx = diff_table(spec)[:, neg_index(spec)]              # [a, b] -> index(a + b)
+    D = diff_table(spec)                                        # D[a, b] = index(a - b)
+    add_idx = D[:, D[0]]                                        # [a, b] -> index(a + b)
     phase = np.conj(T)                                          # conj<xi, u>
     A = Vg[:, add_idx]                                          # [x, xi, omega] -> Vg(x, xi+omega)
     B = np.conj(Vf[add_idx, :])                                 # [x, u, xi] -> conj Vf(x+u, xi)

@@ -20,11 +20,13 @@ The library's points are canonical indices.  Residue-tuple arithmetic is
 done here, one point at a time: :func:`residues`, :func:`index_of`,
 :func:`add`, :func:`sub`, :func:`neg` and :func:`character` are the
 brute-force routes that the index tables ``residue_grid``, ``diff_table``,
-``neg_index``, ``shift_index`` and ``character_table`` are held to, and
-:func:`translation_perm` shifts the whole residue grid at once.  The
-subgroup is listed by residue steps (:func:`subgroup_points`), its
-annihilator by evaluating characters (:func:`annihilator`), and their
-cosets one residue sum at a time (:func:`coset_sums`).
+``shift_index`` and ``character_table`` are held to, :func:`neg_index` is
+the one ``diff_table(spec)[0]`` is held to, and :func:`translation_perm`
+shifts the whole residue grid at once.  The subgroup is listed by residue
+steps (:func:`subgroup_points`), its annihilator by evaluating characters
+(:func:`annihilator`), their cosets one residue sum at a time
+(:func:`coset_sums`), and the tile K x K_perp that ``tile_cover(spec,
+[0])[0]`` is held to by residue steps (:func:`tile_indices`).
 """
 import math
 
@@ -37,12 +39,11 @@ from fingabor.group import (
     annihilator_indices,
     character_table,
     diff_table,
-    neg_index,
+    dual_spec,
     phase_spec,
     residue_grid,
     subgroup_indices,
     tile_cover,
-    tile_indices,
 )
 from fingabor.norms import (
     Exponents,
@@ -96,6 +97,11 @@ def neg(spec, a):
     return index_of(spec, [-p for p in residues(spec, a)])
 
 
+def neg_index(spec):
+    """perm[y] = index(-y), one point at a time."""
+    return np.array([neg(spec, y) for y in range(spec.order)])
+
+
 def translation_perm(spec, shift):
     """perm[y] = index(y + shift) for all y, the residue tuple ``shift``
     added to every row of the residue grid."""
@@ -108,6 +114,13 @@ def subgroup_points(spec):
     """Indices of K, in increasing order: every residue a multiple of its step d_j."""
     return [i for i in range(spec.order)
             if all(r % d == 0 for r, d in zip(residues(spec, i), spec.subgroup_divisors))]
+
+
+def tile_indices(spec):
+    """Flat phase-space indices of the tile K x K_perp, K outer, with K and
+    K_perp listed by residue steps (K_perp's steps are N_j / d_j)."""
+    return np.array([k * spec.order + a for k in subgroup_points(spec)
+                     for a in subgroup_points(dual_spec(spec))])
 
 
 def coset_sums(spec, x, xi):

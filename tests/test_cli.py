@@ -314,6 +314,22 @@ def test_run_bad_group(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["frames", "identities"])
+def test_run_above_table_limit_is_a_resource_limit(tmp_path, capsys, experiment):
+    # a valid group of order 4100 needs a table above the cached-table limit;
+    # the limit is checked before any table is allocated
+    cfg = write_config(tmp_path, experiment=experiment, trials=1,
+                       group={"factors": [4100], "subgroup_divisors": [4]})
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "exceeds the cached-table limit" in err
+    assert not (tmp_path / "out" / f"{experiment}_summary.json").exists()
+    # the same config with a malformed group is still a config error
+    cfg = write_config(tmp_path, experiment=experiment, trials=1,
+                       group={"factors": [4100], "subgroup_divisors": [3]})
+    assert main(["run", str(cfg)]) == 1
+
+
 @pytest.mark.parametrize("overrides", [
     {"tolerances": {"fourier-parseval": float("inf")}},
     {"experiment": "decay", "gammas": [0.5, float("inf")]},

@@ -24,12 +24,12 @@ from fingabor.group import (
     make_group,
     phase_spec,
     residue_grid,
-    tile_indices,
+    tile_cover,
 )
 from fingabor.experiments import run_identities
 from fingabor.signal import PhaseFunction, Signal, norm_l2
 from fingabor.tfa import gaussian_window, stft, window_constant
-from oracles import quotient_coefficients
+from oracles import quotient_coefficients, tile_indices
 
 
 def rand_signal(spec, rng):
@@ -67,6 +67,7 @@ def test_quasi_lattice_partitions_phase_space(spec):
     grid = residue_grid(pspec)
     mods = np.array(pspec.factors)
     seen = np.zeros(pspec.order, dtype=int)
+    np.testing.assert_array_equal(tile_cover(spec, [0])[0], tile_indices(spec))
     for pt in lat.flat_indices:
         for off in tile_indices(spec):
             res = tuple(int(v) for v in (grid[pt] + grid[off]) % mods)
@@ -181,6 +182,30 @@ def test_dual_of_indicator_is_rescaled_indicator():
     h = dual_window(phi, lat)
     A, _ = frame_bounds(phi, lat)
     np.testing.assert_allclose(h.values, phi.values / A, atol=1e-12)
+
+
+def test_dual_window_builds_one_frame_operator(monkeypatch):
+    # S_{g,g} is built once and eigensolved once; the bounds come from that S
+    import fingabor.gabor as gabor
+
+    spec = make_group([6], [3])
+    phi = gaussian_window(spec)
+    lat = quasi_lattice(spec)
+    calls = {"S_gg": 0, "eigen": 0}
+    build, eigen = gabor.frame_operator, gabor.hermitian_eigen
+
+    def counted_build(h, g, lattice):
+        calls["S_gg"] += h is g
+        return build(h, g, lattice)
+
+    def counted_eigen(S):
+        calls["eigen"] += 1
+        return eigen(S)
+
+    monkeypatch.setattr(gabor, "frame_operator", counted_build)
+    monkeypatch.setattr(gabor, "hermitian_eigen", counted_eigen)
+    dual_window(phi, lat)
+    assert calls == {"S_gg": 1, "eigen": 1}
 
 
 @pytest.mark.parametrize("factors,divisors", [([4], [2]), ([6], [3])])

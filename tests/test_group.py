@@ -20,7 +20,6 @@ from fingabor.group import (
     diff_table,
     dual_spec,
     make_group,
-    neg_index,
     phase_spec,
     point_index,
     residue_grid,
@@ -28,10 +27,10 @@ from fingabor.group import (
     subgroup_character_table,
     subgroup_indices,
     tile_cover,
-    tile_indices,
+    trivial_subgroup_spec,
 )
-from oracles import (add, annihilator, character, index_of, neg, phase_point, residues, sub,
-                     translation_perm)
+from oracles import (add, annihilator, character, index_of, neg, neg_index, phase_point,
+                     residues, sub, tile_indices, translation_perm)
 
 
 def brute_character(spec, xi_res, x_res):
@@ -94,9 +93,12 @@ def test_element_reduction_and_index():
 
 
 def test_element_arithmetic():
-    # on Z_5: 3 + 4 = 2, 3 - 4 = 4, -3 = 2 through the index tables
+    # on Z_5: 3 + 4 = 2, 3 - 4 = 4, -3 = 2 through the difference table,
+    # whose row 0 is index(-y)
     spec = make_group([5], [1])
-    D, minus = diff_table(spec), neg_index(spec)
+    D = diff_table(spec)
+    minus = D[0]
+    assert np.array_equal(minus, neg_index(spec))
     assert D[3, minus[4]] == add(spec, 3, 4) == 2
     assert D[3, 4] == sub(spec, 3, 4) == 4
     assert minus[3] == neg(spec, 3) == 2
@@ -225,6 +227,17 @@ def test_coset_representatives_tile_the_group():
 # index tables
 
 
+@pytest.mark.parametrize("spec", [make_group([12], [3]), make_group([6, 2], [3, 2]),
+                                  make_group([8], [8])])
+def test_factor_tables_are_shared_across_specs(spec):
+    # the grid, character and difference tables read only the factors, so the
+    # dual, the trivial-subgroup spec and any point mass share one array each
+    others = [dual_spec(spec), trivial_subgroup_spec(spec),
+              GroupSpec(spec.factors, spec.subgroup_divisors, 0.25)]
+    for table in (residue_grid, character_table, diff_table):
+        assert all(table(other) is table(spec) for other in others), table.__name__
+
+
 def test_diff_table_brute_force():
     spec = make_group([6, 2], [1, 1])
     table = diff_table(spec)
@@ -240,7 +253,9 @@ def test_tile_cover_matches_residue_grid(spec):
     pspec = phase_spec(spec)
     grid = residue_grid(pspec)
     flat = np.random.default_rng(11).integers(pspec.order, size=20)
-    offs = grid[tile_indices(spec)]
+    tile = tile_indices(spec)
+    np.testing.assert_array_equal(tile_cover(spec, [0])[0], tile)
+    offs = grid[tile]
     want = [[np.ravel_multi_index(tuple((grid[p] + o) % pspec.factors), pspec.factors)
              for o in offs] for p in flat]
     np.testing.assert_array_equal(tile_cover(spec, flat), want)
@@ -258,8 +273,11 @@ def test_index_work_stays_in_group():
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                     for a in n.names}
-        # the residue-grid shift is a test oracle; the library shifts through shift_index
-        assert "translation_perm" not in path.read_text(), path.name
+        # the residue-grid shift is a test oracle; the library shifts through
+        # shift_index, negates through row 0 of diff_table and reads the tile
+        # K x K_perp as tile_cover(spec, [0])[0]
+        for oracle in ("translation_perm", "neg_index", "tile_indices"):
+            assert oracle not in path.read_text(), (path.name, oracle)
         if path.name == "group.py":
             # K's product form is read by the spec, the quotient split and K's own
             # character table; every other index map is built from those
@@ -339,7 +357,8 @@ def test_translation_perm_and_neg_index():
     perm = translation_perm(spec, shift)
     for y in range(spec.order):
         assert perm[y] == add(spec, y, index_of(spec, shift))
-    minus = neg_index(spec)
+    minus = diff_table(spec)[0]
+    assert np.array_equal(minus, neg_index(spec))
     for y in range(spec.order):
         assert minus[y] == neg(spec, y)
     assert grid.shape == (spec.order, 2)

@@ -25,7 +25,7 @@ from fingabor.group import (
     quotient_indices,
     residue_grid,
     subgroup_indices,
-    tile_indices,
+    tile_cover,
 )
 from fingabor.norms import (
     Exponents,
@@ -42,7 +42,8 @@ from fingabor.norms import (
 from fingabor.signal import PhaseFunction, Signal, norm_l2
 from fingabor.spectral import decay_profile, haar_baseline
 from fingabor.tfa import gaussian_window, stft
-from oracles import dense_amalgam, gather_maximum, plain_norm_pointwise_trial, young_verify
+from oracles import (dense_amalgam, gather_maximum, plain_norm_pointwise_trial, tile_indices,
+                     young_verify)
 
 GRID = [0.5, 1.0, 2.0, math.inf]
 
@@ -161,8 +162,10 @@ def test_canonical_window_is_subgroup_tile():
     kk = subgroup_indices(spec)
     aa = annihilator_indices(spec)
     expected = sorted(int(k) * 6 + int(a) for k in kk for a in aa)
-    assert sorted(tile_indices(spec).tolist()) == expected
-    assert len(tile_indices(spec)) == spec.order  # |K| |K_perp| = |G|
+    tile = tile_cover(spec, [0])[0]
+    assert np.array_equal(tile, tile_indices(spec))
+    assert sorted(tile.tolist()) == expected
+    assert len(tile) == spec.order  # |K| |K_perp| = |G|
 
 
 @pytest.mark.parametrize("spec", [

@@ -327,6 +327,16 @@ def test_convolve_phase_builds_no_phase_space_table():
     np.testing.assert_allclose(out.values, spec.order, rtol=1e-12)
 
 
+def test_fourier_and_inverse_share_one_character_table():
+    # G and its dual have the same factors, so the round trip builds one table
+    spec = make_group([64], [8])
+    character_table.cache_clear()
+    f = Signal(spec, np.arange(spec.order, dtype=float))
+    back = inverse_fourier(fourier(f))
+    assert character_table.cache_info().misses == 1
+    np.testing.assert_allclose(back.values, f.values, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # inner products, tensor
 
