@@ -71,7 +71,6 @@ from .norms import (
     Exponents,
     NonPositiveExponent,
     Weight,
-    inclusion_check,
     mixed_quasi_norm,
     modulation_norm,
     polynomial_weight,

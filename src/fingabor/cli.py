@@ -111,14 +111,15 @@ def _decay_extras(cfg: dict) -> dict:
 
 
 class _Experiment(NamedTuple):
-    """Default trials, optional config keys with their validator, driver call.
+    """Default trials, optional config keys with their validator, driver call
+    returning ``(summary, tables)``.
 
     ``run`` names its driver in a lambda body, so the ``run_*`` bound in this
     module is looked up at each call and a wrapper installed there sees it.
     """
 
     trials: int
-    run: Callable[[GroupSpec, dict], tuple]
+    run: Callable[[GroupSpec, dict], tuple[dict, dict]]
     keys: frozenset = frozenset()
     extras: Callable[[dict], dict] = lambda cfg: {}
 
@@ -224,10 +225,10 @@ def _write_artifacts(outdir: str, name: str, summary: dict, tables: dict) -> lis
     return written
 
 
-def _dispatch(norm: dict) -> tuple[dict, list[str], dict]:
+def _dispatch(norm: dict) -> tuple[dict, dict]:
+    """The driver's ``(summary, tables)`` for a normalized config."""
     spec = make_group(norm["factors"], norm["subgroup_divisors"])
-    summary, failures, *tables = _EXPERIMENTS[norm["experiment"]].run(spec, norm)
-    return summary, failures, tables[0] if tables else {}
+    return _EXPERIMENTS[norm["experiment"]].run(spec, norm)
 
 
 def _cmd_list_identities() -> int:
@@ -251,7 +252,7 @@ def _cmd_run(config_path: str) -> int:
         return 1
     try:
         norm = validate_config(cfg)
-        summary, failures, tables = _dispatch(norm)
+        summary, tables = _dispatch(norm)
     except TableLimit as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
@@ -262,6 +263,7 @@ def _cmd_run(config_path: str) -> int:
     written = _write_artifacts(outdir, norm["experiment"], summary, tables)
     for path in written:
         print(f"wrote {path}")
+    failures = summary["failures"]
     if failures:
         for msg in failures:
             print(f"failure: {msg}")

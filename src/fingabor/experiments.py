@@ -1,17 +1,22 @@
 """Experiment drivers shared by the command line tool and the test suite.
 
 Each driver takes a group, a seed, and a trial count, runs a batch of
-randomized or structural checks, and returns a JSON-friendly summary plus
-optional CSV tables.  Randomness always flows through counter-based Philox
-streams keyed by (seed, stream), so reruns with the same configuration
-produce identical artifacts.
+randomized or structural checks, and returns ``(summary, tables)``: a
+JSON-friendly summary and its CSV tables by file stem, ``{}`` for
+identities, frames, locop and decay.  Randomness always flows through
+counter-based Philox streams keyed by (seed, stream), so reruns with the
+same configuration produce identical artifacts.
 
-Every check is declared with its tolerance: identities in IDENTITY_REGISTRY,
-the other drivers' checks in _CHECKS.  A driver hands each residual to
-_verdict, which writes ``results[name] = {tolerance, residual, passed}``
-and, when the residual is above the tolerance or is NaN, appends the line
-``"<name>: residual <r:.3e> exceeds tolerance <tol:.3e>"`` to ``failures``.
-The decay driver has no tolerance check; it fails only on non-finite norms.
+Only this module folds residuals over trials and judges them; the library
+computes residuals and bounds.  Every check is declared with its tolerance:
+identities in IDENTITY_REGISTRY, each a one-trial residual, the other
+drivers' checks in _CHECKS.  A driver folds each check's residuals with
+_worse, which keeps a NaN, and hands the worst to _verdict, which writes
+``results[name] = {tolerance, residual, passed}`` and, when the residual is
+above the tolerance or is NaN, appends the line ``"<name>: residual <r:.3e>
+exceeds tolerance <tol:.3e>"`` to ``summary["failures"]``, the only failure
+list.  The decay driver has no tolerance check; it fails only on non-finite
+norms.
 """
 from __future__ import annotations
 
@@ -132,12 +137,12 @@ _EXPONENT_GRID = tuple(Exponents.of(p, q) for p in _NORM_GRID for q in _NORM_GRI
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One verifiable identity with its tolerance and cost cap."""
+    """One verifiable identity: the residual of one trial, its tolerance and cost cap."""
 
     name: str
     summary: str
     tolerance: float
-    runner: Callable[[GroupSpec, np.random.Generator, int], float]
+    trial: Callable[[GroupSpec, np.random.Generator], float]
     max_order: int | None = None
     randomized: bool = True
 
@@ -146,18 +151,6 @@ def _worse(worst: float, r: float) -> float:
     """max(worst, r), except that a NaN on either side is kept: max(0.0, nan)
     is 0.0, and a residual that is not a number must fail its tolerance."""
     return r if r > worst or math.isnan(r) else worst
-
-
-def _worst(trial: Callable[[GroupSpec, np.random.Generator], float]):
-    """Runner that folds ``trial``'s residuals into their worst over ``trials``."""
-
-    def runner(spec: GroupSpec, rng: np.random.Generator, trials: int) -> float:
-        worst = 0.0
-        for _ in range(trials):
-            worst = _worse(worst, trial(spec, rng))
-        return worst
-
-    return runner
 
 
 def _commutation(spec, rng):
@@ -184,7 +177,7 @@ def _rihaczek_covariance(spec, rng):
     return rihaczek_covariance_residual(*_shifted_pair_args(spec, rng))
 
 
-def _check_window_support(spec, rng, trials):
+def _check_window_support(spec, rng):
     phi = gaussian_window(spec)
     V = stft(phi, phi).mat
     mask = np.zeros(V.shape, dtype=bool)
@@ -264,15 +257,13 @@ def _covered_and_plain(spec: GroupSpec, f: Signal, phi: Signal) -> tuple[np.ndar
     return covered, mixed_norm_stack(W, _EXPONENT_GRID, spec.mass, spec.mass_dual)[0]
 
 
-def _pointwise_maximal(spec, rng, trials):
-    """With a trivial subgroup the modulation norm is the plain mixed norm of |V|."""
+def _pointwise_maximal(spec, rng):
+    """With a trivial subgroup the modulation norm is the plain mixed norm of
+    |V|; the residual of one signal is the worst over _EXPONENT_GRID."""
     trivial = trivial_subgroup_spec(spec)
-    phi = gaussian_window(trivial)
-    worst = 0.0
-    for _ in range(trials):
-        covered, plain = _covered_and_plain(trivial, random_signal(trivial, rng), phi)
-        worst = functools.reduce(_worse, (np.abs(covered - plain) / (1.0 + plain)).tolist(), worst)
-    return worst
+    covered, plain = _covered_and_plain(trivial, random_signal(trivial, rng),
+                                        gaussian_window(trivial))
+    return functools.reduce(_worse, (np.abs(covered - plain) / (1.0 + plain)).tolist(), 0.0)
 
 
 IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
@@ -280,19 +271,19 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "shift-commutation",
         "modulation after translation equals the character times the swapped order",
         1e-14,
-        _worst(_commutation),
+        _commutation,
     ),
     IdentityCheck(
         "stft-shift",
         "transforming a shifted pair shifts and twists the transform",
         1e-12,
-        _worst(_stft_shift),
+        _stft_shift,
     ),
     IdentityCheck(
         "rihaczek-covariance",
         "shifting both arguments rotates the cross spectrogram on phase space",
         1e-12,
-        _worst(_rihaczek_covariance),
+        _rihaczek_covariance,
     ),
     IdentityCheck(
         "window-transform-support",
@@ -305,62 +296,62 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "stft-of-rihaczek",
         "the transform of a cross spectrogram factors into two window transforms",
         1e-10,
-        _worst(_magic),
+        _magic,
         max_order=16,
     ),
     IdentityCheck(
         "quantization-weak-form",
         "the operator pairing equals the symbol paired with the cross spectrogram",
         1e-11,
-        _worst(_kn_weak),
+        _kn_weak,
     ),
     IdentityCheck(
         "quantization-kernel",
         "the integral kernel of the quantization reproduces the operator pairing",
         1e-11,
-        _worst(_kn_kernel),
+        _kn_kernel,
     ),
     IdentityCheck(
         "channel-matrix-closed-form",
         "the sampled operator matrix matches its single-sum closed form",
         1e-10,
-        _worst(_gabor_matrix),
+        _gabor_matrix,
     ),
     IdentityCheck(
         "localization-as-quantization",
         "masking in phase space equals quantizing a smoothed symbol",
         1e-9,
-        _worst(_loc_kn),
+        _loc_kn,
     ),
     IdentityCheck(
         "transform-energy",
         "the phase-space energy of the transform equals the signal energies",
         1e-12,
-        _worst(_moyal),
+        _moyal,
     ),
     IdentityCheck(
         "fourier-parseval",
         "the Fourier transform preserves inner products",
         1e-12,
-        _worst(_parseval),
+        _parseval,
     ),
     IdentityCheck(
         "fourier-inversion",
         "the inverse transform undoes the forward transform pointwise",
         1e-12,
-        _worst(_inversion),
+        _inversion,
     ),
     IdentityCheck(
         "convolution-diagonalization",
         "the Fourier transform turns convolution into a pointwise product",
         1e-12,
-        _worst(_conv_diag),
+        _conv_diag,
     ),
     IdentityCheck(
         "coset-representative-independence",
         "per-coset maxima of the transform do not depend on the representative",
         0.0,
-        _worst(_quotient),
+        _quotient,
         max_order=16,
     ),
     IdentityCheck(
@@ -442,8 +433,9 @@ def run_identities(
     trials: int,
     names: Sequence[str] | None = None,
     tolerances: dict[str, float] | None = None,
-) -> tuple[dict, list[str]]:
-    """Run the registry on one group; returns (summary, failure messages)."""
+) -> tuple[dict, dict]:
+    """Run the registry on one group; returns (summary, {}).  A check's
+    residual is the worst of its trials, one trial when not randomized."""
     wanted = set(names) if names is not None else None
     tolerances = tolerances or {}
     summary = _header("identities", spec, seed, trials, results={})
@@ -461,16 +453,19 @@ def run_identities(
             continue
         rng = stream_rng(seed, stream)
         n_trials = trials if check.randomized else 1
-        entry = _verdict(summary, check.name, check.runner(spec, rng, n_trials), tol)
+        worst = 0.0
+        for _ in range(n_trials):
+            worst = _worse(worst, check.trial(spec, rng))
+        entry = _verdict(summary, check.name, worst, tol)
         entry.update(summary=check.summary, trials=n_trials)
-    return summary, summary["failures"]
+    return summary, {}
 
 
 # ---------------------------------------------------------------------------
 # frames
 
 
-def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]]:
+def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     lattice = quasi_lattice(spec)
     g = gaussian_window(spec)
     a, b = frame_bounds(g, lattice)
@@ -502,7 +497,7 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]
     summary["deficient_bounds"] = [da, db]
     # at K = G nothing is kept, and the zero operator has A = B = 0
     _verdict(summary, "deficient-lattice-collapse", da / db if db else 0.0)
-    return summary, summary["failures"]
+    return summary, {}
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +508,7 @@ def _fmt_p(p: float) -> str:
     return "inf" if math.isinf(p) else (f"{p:g}")
 
 
-def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str], dict]:
+def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     """Covered-vs-plain norm comparison, subadditivity, and inclusion fuzzing."""
     phi = gaussian_window(spec)
     rng = stream_rng(seed, 0)
@@ -579,7 +574,7 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
                 rows.append((_fmt_p(e.p), _fmt_p(e.q), wid, gid, f"{val!r}"))
 
     tables = {"norm_sweep": [("p", "q", "weight", "window", "value")] + rows}
-    return summary, summary["failures"], tables
+    return summary, tables
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +609,7 @@ def _young_block(spec: GroupSpec) -> int:
     return max(1, _YOUNG_BLOCK_BYTES // (8 * spec.order ** 2))
 
 
-def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str], dict]:
+def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     rng = stream_rng(seed, 0)
     combos = [
         (ax1, ax2)
@@ -661,7 +656,7 @@ def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str],
     max_ratio = functools.reduce(_worse, worst, 0.0)
     summary = _header("young", spec, seed, trials, combos=len(combos), max_ratio=max_ratio)
     _verdict(summary, "young-inequality", max_ratio - 1.0)
-    return summary, summary["failures"], {"young_ratios": rows}
+    return summary, {"young_ratios": rows}
 
 
 _CONVREL_CASES = (
@@ -674,7 +669,7 @@ _CONVREL_CASES = (
 )
 
 
-def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str], dict]:
+def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     rng = stream_rng(seed, 0)
     px = polynomial_weight(spec, 1.0)
     pxi = polynomial_weight(dual_spec(spec), 1.0)
@@ -711,14 +706,14 @@ def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str
         )
     summary = _header("convrel", spec, seed, trials, cases=len(_CONVREL_CASES), spreads=spreads)
     _verdict(summary, "convolution-relation-spread", functools.reduce(_worse, spreads.values(), 0.0))
-    return summary, summary["failures"], {"convrel_constants": rows}
+    return summary, {"convrel_constants": rows}
 
 
 # ---------------------------------------------------------------------------
 # localization operators
 
 
-def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]]:
+def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     rng = stream_rng(seed, 0)
     worst_kn = 0.0
     worst_herm = 0.0
@@ -741,7 +736,7 @@ def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, list[str]]
     _verdict(summary, "localization-as-quantization", worst_kn)
     _verdict(summary, "localization-apply", worst_apply)
     _verdict(summary, "localization-hermitian", worst_herm)
-    return summary, summary["failures"]
+    return summary, {}
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +776,7 @@ def run_decay(
     gammas: Sequence[float] = (0.5, 1.0, 2.0),
     top_k: int = 3,
     control_seeds: Sequence[int] = tuple(range(10)),
-) -> tuple[dict, list[str]]:
+) -> tuple[dict, dict]:
     a = bump_symbol(spec)
     phi = gaussian_window(spec)
     A = localization_matrix(a, phi, phi)
@@ -809,4 +804,4 @@ def run_decay(
     bad = {r["gamma"] for r in rows if not all(map(math.isfinite, (r["norm"], r["ratio"])))}
     for g in sorted(bad):
         summary["failures"].append(f"decay gamma {g!r}: non-finite norm or ratio")
-    return summary, summary["failures"]
+    return summary, {}

@@ -329,12 +329,7 @@ def phase_spec(spec: GroupSpec) -> GroupSpec:
     the canonical product character realizes the pairing
     <(omega, u), (x, xi)> = <omega, x> <xi, u>.
     """
-    dual = dual_spec(spec)
-    return GroupSpec(
-        spec.factors + dual.factors,
-        spec.subgroup_divisors + dual.subgroup_divisors,
-        mass=spec.mass * spec.mass_dual,
-    )
+    return product_spec(spec, dual_spec(spec))
 
 
 def trivial_subgroup_spec(spec: GroupSpec) -> GroupSpec:

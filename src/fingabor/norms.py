@@ -42,10 +42,6 @@ from .group import (GroupMismatch, GroupSpec, circular_distance, quotient_indice
                      subgroup_character_table)
 from .signal import PhaseFunction, Signal
 
-# Relative excess of the inclusion ratio over its bound that inclusion_check
-# still accepts.
-INCLUSION_SLACK = 1e-10
-
 
 class NonPositiveExponent(ValueError):
     """Quasi-norm exponent must be strictly positive."""
@@ -207,44 +203,21 @@ def inclusion_bound(
     spec: GroupSpec,
     e1: Exponents | Sequence[float],
     e2: Exponents | Sequence[float],
-    m1: Weight | None = None,
-    m2: Weight | None = None,
 ) -> float:
-    """Constant of the modulation-norm inclusion ||f||_{e2, m2} <= bound
-    ||f||_{e1, m1}, from the point masses and the weight quotient.
+    """Constant of the unweighted modulation-norm inclusion ||f||_{e2} <=
+    bound ||f||_{e1}, from the point masses.
 
-    Requires p1 <= p2 and q1 <= q2.
+    Requires p1 <= p2 and q1 <= q2.  The experiments judge the inclusion;
+    this module gives only the bound and :func:`inclusion_ratio`.
     """
     e1 = Exponents.of(e1)
     e2 = Exponents.of(e2)
     if e1.p > e2.p or e1.q > e2.q:
         raise ValueError("inclusion requires componentwise increasing exponents")
-    n2sq = spec.order ** 2
-    w1 = m1.values if m1 is not None else np.ones(n2sq)
-    w2 = m2.values if m2 is not None else np.ones(n2sq)
-    wquot = float(np.max(w2 / w1))
     return float(
-        wquot
-        * spec.mass ** (_inv(e2.p) - _inv(e1.p))
+        spec.mass ** (_inv(e2.p) - _inv(e1.p))
         * spec.mass_dual ** (_inv(e2.q) - _inv(e1.q))
     )
-
-
-def inclusion_check(
-    f: Signal,
-    e1: Exponents | Sequence[float],
-    e2: Exponents | Sequence[float],
-    m1: Weight | None = None,
-    m2: Weight | None = None,
-):
-    """Check the modulation-norm inclusion for increasing exponents.
-
-    Returns (ok, ratio, bound) where ratio is :func:`inclusion_ratio` of
-    the two norms and bound is :func:`inclusion_bound`.
-    """
-    bound = inclusion_bound(f.group, e1, e2, m1, m2)
-    ratio = inclusion_ratio(modulation_norm(f, e1, m1), modulation_norm(f, e2, m2))
-    return bool(ratio <= bound * (1.0 + INCLUSION_SLACK)), ratio, bound
 
 
 def inclusion_ratio(n1: float, n2: float) -> float:

@@ -36,7 +36,8 @@ from fingabor.group import (
 )
 from fingabor.norms import (
     Exponents,
-    inclusion_check,
+    inclusion_bound,
+    inclusion_ratio,
     mixed_quasi_norm,
     modulation_norm,
     rnorm_subadditivity_residual,
@@ -66,10 +67,10 @@ def rand_signal(spec, rng):
 @pytest.fixture(scope="module")
 def decay_report():
     start = time.monotonic()
-    summary, failures = run_decay(make_group([64], [8]), seed=0, trials=500,
-                                  control_seeds=range(10))
+    summary, _ = run_decay(make_group([64], [8]), seed=0, trials=500,
+                           control_seeds=range(10))
     elapsed = time.monotonic() - start
-    assert not failures
+    assert not summary["failures"]
     return summary, elapsed
 
 
@@ -83,7 +84,8 @@ def test_identity_suite_on_reference_groups():
     start = time.monotonic()
     for factors, divisors in GROUPS:
         spec = make_group(factors, divisors)
-        summary, failures = run_identities(spec, seed=0, trials=50, names=names)
+        summary, _ = run_identities(spec, seed=0, trials=50, names=names)
+        failures = summary["failures"]
         assert not failures, f"{factors}/{divisors}: {failures}"
         skipped = {n for n, row in summary["results"].items() if row.get("skipped")}
         if spec.order > 16:
@@ -154,8 +156,8 @@ def test_subgroup_indicator_gabor_frames(factors, divisors):
 
 def test_inequalities_hold_across_seeded_trials():
     # convolution inequality across the admissible grid
-    summary, failures, _ = run_young(make_group([6], [3]), seed=0, trials=200)
-    assert not failures and summary["results"]["young-inequality"]["passed"]
+    summary, _ = run_young(make_group([6], [3]), seed=0, trials=200)
+    assert not summary["failures"] and summary["results"]["young-inequality"]["passed"]
 
     # r-norm subadditivity
     spec = make_group([8], [2])
@@ -181,12 +183,14 @@ def test_inequalities_hold_across_seeded_trials():
     for _ in range(200):
         f = rand_signal(spec6, rng)
         for e1, e2 in pairs:
-            ok, ratio, bound = inclusion_check(f, e1, e2)
-            assert ok, f"{e1} -> {e2}: ratio {ratio:.6f} above bound {bound:.6f}"
+            bound = inclusion_bound(spec6, e1, e2)
+            ratio = inclusion_ratio(modulation_norm(f, e1), modulation_norm(f, e2))
+            assert ratio <= bound * (1.0 + 1e-10), \
+                f"{e1} -> {e2}: ratio {ratio:.6f} above bound {bound:.6f}"
 
     # convolution relation constants stay finite and stable
-    summary, failures, _ = run_convrel(make_group([6], [3]), seed=0, trials=200)
-    assert not failures
+    summary, _ = run_convrel(make_group([6], [3]), seed=0, trials=200)
+    assert not summary["failures"]
     spreads = summary["spreads"]
     assert all(np.isfinite(v) and v <= 10.0 for v in spreads.values()), spreads
     print(f"inequalities: young 0 violations, subadditivity excess {sub_worst:.2e}, "

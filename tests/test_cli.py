@@ -236,8 +236,8 @@ def test_nan_signal_fails_covered_equals_plain(monkeypatch):
         return f
 
     monkeypatch.setattr("fingabor.experiments.random_signal", nan_in_second_signal)
-    summary, failures, _ = run_norms(make_group([16], [4]), seed=0, trials=4)
-    assert "covered-equals-plain: residual nan exceeds tolerance 1.000e-12" in failures
+    summary, _ = run_norms(make_group([16], [4]), seed=0, trials=4)
+    assert "covered-equals-plain: residual nan exceeds tolerance 1.000e-12" in summary["failures"]
     assert summary["results"]["covered-equals-plain"]["passed"] is False
     assert all(math.isnan(lo) and math.isnan(hi)
                for lo, hi in summary["covered_over_plain"].values())
@@ -254,8 +254,8 @@ def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypa
         return convolve_phase(F, H)
 
     monkeypatch.setattr("fingabor.experiments.convolve_phase", nan_on_third_call)
-    summary, failures, _ = run_young(make_group([4], [2]), seed=0, trials=5)
-    assert failures == ["young-inequality: residual nan exceeds tolerance 1.000e-10"]
+    summary, _ = run_young(make_group([4], [2]), seed=0, trials=5)
+    assert summary["failures"] == ["young-inequality: residual nan exceeds tolerance 1.000e-10"]
     assert not math.isfinite(summary["max_ratio"])
     calls.clear()
     cfg = write_config(tmp_path, experiment="young", trials=5)
@@ -266,8 +266,9 @@ def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypa
 
 def test_nan_localization_residual_fails(monkeypatch):
     monkeypatch.setattr("fingabor.experiments.loc_kn_matrix_residual", lambda *a: math.nan)
-    summary, failures = run_locop(make_group([4], [2]), seed=0, trials=2)
-    assert failures == ["localization-as-quantization: residual nan exceeds tolerance 1.000e-09"]
+    summary, _ = run_locop(make_group([4], [2]), seed=0, trials=2)
+    assert summary["failures"] == [
+        "localization-as-quantization: residual nan exceeds tolerance 1.000e-09"]
     assert math.isnan(summary["results"]["localization-as-quantization"]["residual"])
 
 
@@ -276,7 +277,8 @@ def test_degenerate_convolution_relation_trial_fails_once(tmp_path, capsys, monk
     # is NaN, and the one spread check fails with one line
     monkeypatch.setattr("fingabor.experiments.convolution_relation_probe",
                         lambda *a, **k: (math.nan, math.nan))
-    summary, failures, tables = run_convrel(make_group([6], [3]), seed=0, trials=3)
+    summary, tables = run_convrel(make_group([6], [3]), seed=0, trials=3)
+    failures = summary["failures"]
     assert failures == ["convolution-relation-spread: residual nan exceeds tolerance 1.000e+01"]
     assert all(math.isnan(s) for s in summary["spreads"].values())
     assert [row[-3:] for row in tables["convrel_constants"][1:]] == [("nan",) * 3] * 4

@@ -1,0 +1,84 @@
+"""The driver contract: every run_* returns (summary, tables), and
+run_identities is the one fold of the identity registry."""
+import json
+import math
+
+import pytest
+
+from fingabor import experiments
+from fingabor.cli import _jsonable, main
+from fingabor.experiments import (
+    IdentityCheck,
+    run_convrel,
+    run_decay,
+    run_frames,
+    run_identities,
+    run_locop,
+    run_norms,
+    run_young,
+)
+from fingabor.group import make_group
+
+DRIVERS = {
+    "identities": run_identities,
+    "frames": run_frames,
+    "norms": run_norms,
+    "young": run_young,
+    "convrel": run_convrel,
+    "locop": run_locop,
+    "decay": run_decay,
+}
+
+
+@pytest.mark.parametrize("experiment", list(DRIVERS))
+def test_driver_returns_summary_and_the_tables_cli_writes(experiment, tmp_path, capsys):
+    spec = make_group([6], [3])
+    result = DRIVERS[experiment](spec, 0, 2)
+    assert isinstance(result, tuple) and len(result) == 2
+    summary, tables = result
+    assert isinstance(summary, dict) and isinstance(tables, dict)
+    assert isinstance(summary["failures"], list)
+    # the same run through the command line writes this summary and one CSV per table
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"experiment": experiment, "seed": 0, "trials": 2,
+                               "output_dir": str(out),
+                               "group": {"factors": [6], "subgroup_divisors": [3]}}))
+    assert main(["run", str(cfg)]) == (2 if summary["failures"] else 0)
+    written = {p.name for p in out.iterdir()}
+    assert written == {f"{experiment}_summary.json"} | {f"{name}.csv" for name in tables}
+    on_disk = json.loads((out / f"{experiment}_summary.json").read_text())
+    assert on_disk == json.loads(json.dumps(_jsonable(summary)))
+
+
+def test_run_identities_folds_one_trial_residuals(monkeypatch):
+    residuals = iter([0.1, math.nan, 0.2])
+    single_calls = []
+
+    def single(spec, rng):
+        single_calls.append(None)
+        return 0.5
+
+    monkeypatch.setattr(experiments, "IDENTITY_REGISTRY", (
+        IdentityCheck("three-trials", "0.1, NaN, 0.2", 1.0, lambda spec, rng: next(residuals)),
+        IdentityCheck("structural", "one call", 1.0, single, randomized=False),
+    ))
+    summary, tables = run_identities(make_group([4], [2]), 0, 3)
+    assert tables == {}
+    # max(0.1, nan, 0.2) would drop the NaN; the fold keeps it and fails
+    folded = summary["results"]["three-trials"]
+    assert math.isnan(folded["residual"]) and folded["passed"] is False
+    assert folded["trials"] == 3
+    assert summary["failures"] == ["three-trials: residual nan exceeds tolerance 1.000e+00"]
+    assert len(single_calls) == 1
+    assert summary["results"]["structural"]["trials"] == 1
+    assert summary["results"]["structural"]["residual"] == 0.5
+
+
+def test_the_inclusion_and_the_trial_fold_have_one_judge():
+    import fingabor
+    from fingabor import norms
+
+    assert not hasattr(experiments, "_worst")
+    assert not hasattr(norms, "inclusion_check") and not hasattr(norms, "INCLUSION_SLACK")
+    assert not hasattr(fingabor, "inclusion_check")

@@ -208,6 +208,38 @@ def test_dual_window_builds_one_frame_operator(monkeypatch):
     assert calls == {"S_gg": 1, "eigen": 1}
 
 
+def test_dual_window_checks_one_mixed_operator(monkeypatch):
+    # S_{g,g} and S_{h,g}: S_{g,h} is the adjoint of S_{h,g} and is not built
+    import fingabor.gabor as gabor
+
+    spec = make_group([6], [3])
+    phi = gaussian_window(spec)
+    built = []
+    build = gabor.frame_operator
+
+    def counted(h, g, lattice):
+        built.append((h is phi, g is phi))
+        return build(h, g, lattice)
+
+    monkeypatch.setattr(gabor, "frame_operator", counted)
+    dual_window(phi, quasi_lattice(spec))
+    assert built == [(True, True), (False, True)]
+
+
+@pytest.mark.parametrize("spec", [make_group([6], [3]), make_group([64], [8]),
+                                  GroupSpec((12,), (3,), 0.25), make_group([4, 8], [2, 4])],
+                         ids=["z6", "z64", "z12-mass", "z4xz8"])
+def test_mixed_frame_operators_deviate_equally(spec):
+    # the check dual_window drops measures the adjoint of the one it keeps
+    phi = gaussian_window(spec)
+    lat = quasi_lattice(spec)
+    h = dual_window(phi, lat)
+    eye = np.eye(spec.order)
+    r_hg = np.max(np.abs(frame_operator(h, phi, lat).entries - eye))
+    r_gh = np.max(np.abs(frame_operator(phi, h, lat).entries - eye))
+    assert abs(r_hg - r_gh) <= 1e-15
+
+
 @pytest.mark.parametrize("factors,divisors", [([4], [2]), ([6], [3])])
 def test_expansion_reconstructs(factors, divisors):
     spec = make_group(factors, divisors)
@@ -334,8 +366,8 @@ def test_nan_transform_fails_the_representative_sweep(monkeypatch):
     monkeypatch.setattr("fingabor.gabor.stft", lambda f, g: PhaseFunction(
         f.group, np.full(f.group.order ** 2, math.nan)))
     spec = make_group([16], [4])
-    summary, failures = run_identities(spec, seed=0, trials=2,
-                                       names=["coset-representative-independence"])
+    summary, _ = run_identities(spec, seed=0, trials=2,
+                                names=["coset-representative-independence"])
     result = summary["results"]["coset-representative-independence"]
     assert result["passed"] is False and math.isnan(result["residual"])
-    assert failures == ["coset-representative-independence: residual nan exceeds tolerance 0.000e+00"]
+    assert summary["failures"] == ["coset-representative-independence: residual nan exceeds tolerance 0.000e+00"]
