@@ -108,7 +108,7 @@ from .spectral import (
     EigenPair,
     NotHermitian,
     decay_comparison,
-    decay_profile,
+    decay_profiles,
     hermitian_eigen,
 )
 

@@ -10,6 +10,8 @@ Two subcommands:
 Exit codes: 0 on success, 1 on a configuration problem, 2 when the
 experiment ran but at least one check exceeded its tolerance, 3 when a
 valid config needs a table above the cached-table limit (a resource limit).
+An output directory that cannot be written is a configuration problem, found
+before the experiment runs (or, failing that, when the artifacts are written).
 """
 from __future__ import annotations
 
@@ -225,6 +227,16 @@ def _write_artifacts(outdir: str, name: str, summary: dict, tables: dict) -> lis
     return written
 
 
+def _check_writable(outdir: str) -> None:
+    """Refuse an output directory whose nearest existing ancestor (itself, if
+    it exists) is not a directory with write and search permission."""
+    path = os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write artifacts: {path} is not a writable directory")
+
+
 def _dispatch(norm: dict) -> tuple[dict, dict]:
     """The driver's ``(summary, tables)`` for a normalized config."""
     spec = make_group(norm["factors"], norm["subgroup_divisors"])
@@ -252,6 +264,8 @@ def _cmd_run(config_path: str) -> int:
         return 1
     try:
         norm = validate_config(cfg)
+        outdir = os.environ.get("FINGABOR_OUTPUT_DIR") or norm["output_dir"]
+        _check_writable(outdir)
         summary, tables = _dispatch(norm)
     except TableLimit as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
@@ -259,8 +273,11 @@ def _cmd_run(config_path: str) -> int:
     except (ConfigError, GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = os.environ.get("FINGABOR_OUTPUT_DIR") or norm["output_dir"]
-    written = _write_artifacts(outdir, norm["experiment"], summary, tables)
+    try:
+        written = _write_artifacts(outdir, norm["experiment"], summary, tables)
+    except OSError as exc:
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+        return 1
     for path in written:
         print(f"wrote {path}")
     failures = summary["failures"]

@@ -332,6 +332,7 @@ def phase_spec(spec: GroupSpec) -> GroupSpec:
     return product_spec(spec, dual_spec(spec))
 
 
+@lru_cache(maxsize=32)
 def trivial_subgroup_spec(spec: GroupSpec) -> GroupSpec:
     """The same group and point mass with the trivial subgroup K = {0}."""
     return GroupSpec(spec.factors, spec.factors, spec.mass)

@@ -21,7 +21,8 @@ Random draws use the Philox counter-based generator keyed by
 The Haar baseline of ``decay_comparison`` draws those same vectors, from
 one generator whose state is reset per trial, into one preallocated
 block, normalizes all rows with one stacked product, and evaluates them
-in one product, bit-identical to a ``decay_profile`` per trial.
+in one product, bit-identical to a one-row ``decay_profiles`` call per
+trial.  ``decay_comparison`` profiles its top eigenvectors in one call too.
 """
 
 from __future__ import annotations
@@ -90,24 +91,13 @@ def hermitian_eigen(M: OperatorMatrix) -> list[EigenPair]:
 # decay diagnostics
 
 
-@dataclass(frozen=True)
-class DecayProfile:
-    gammas: tuple[float, ...]
-    norms: tuple[float, ...]
-    ratios: tuple[float, ...]
+def decay_profiles(spec: GroupSpec, F: np.ndarray, gammas) -> tuple[np.ndarray, np.ndarray]:
+    """Modulation norms M^{gamma,gamma} [b, gamma] of each unit row F[b], and
+    their ratios to M^2, for the window 1_K and the window set K x K_perp.
 
-
-def decay_profile(f: Signal, gammas: tuple[float, ...] = (0.5, 1.0, 2.0)) -> DecayProfile:
-    """Modulation norms M^{gamma,gamma} of a unit vector, and ratios to M^2,
-    for the window 1_K and the window set K x K_perp."""
-    norms, ratios = _profiles(f.group, f.values[None, :], gammas)
-    return DecayProfile(
-        tuple(gammas), tuple(float(v) for v in norms[0]), tuple(float(r) for r in ratios[0])
-    )
-
-
-def _profiles(spec: GroupSpec, F: np.ndarray, gammas) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and ratios [b, gamma] of decay_profile for each row F[b] at once."""
+    Row b does not depend on the other rows, bit for bit: it equals the
+    one-row call on F[b:b + 1].  A signal f is the row f.values[None, :].
+    """
     out = modulation_norms(spec, F, [Exponents(g, g) for g in gammas] + [Exponents(2.0, 2.0)])
     return out[:, :-1], out[:, :-1] / out[:, -1:]
 
@@ -154,11 +144,11 @@ def haar_baseline(
 ) -> np.ndarray:
     """Decay ratios [trial, gamma] of the Haar-random unit vectors of seed.
 
-    Row t equals the ``decay_profile`` ratios of the trial-t vector drawn on
-    its own, ``_haar_rows(spec, seed, [t])[0]``, bit for bit; all trials are
+    Row t equals the ``decay_profiles`` ratios of the trial-t vector drawn
+    on its own, ``_haar_rows(spec, seed, [t])``, bit for bit; all trials are
     evaluated at once.
     """
-    return _profiles(spec, _haar_rows(spec, seed, range(trials)), gammas)[1]
+    return decay_profiles(spec, _haar_rows(spec, seed, range(trials)), gammas)[1]
 
 
 def decay_comparison(
@@ -181,37 +171,24 @@ def decay_comparison(
     if abs(pairs[0].value) <= 1e-8:
         raise DegenerateSpectrum(f"dominant eigenvalue {pairs[0].value} is negligible")
     top = pairs[: min(top_k, len(pairs))]
-    lead = abs(pairs[0].value)
-    ties = []
-    values = [p.value for p in pairs]
-    for i, p in enumerate(top):
-        tied = any(
-            j != i and abs(abs(values[j]) - abs(p.value)) <= 1e-10 * lead
-            for j in range(len(values))
-        )
-        ties.append(bool(tied))
+    # tied: another eigenvalue's modulus is within 1e-10 * lead; the moduli
+    # are sorted, so the nearest other one is a neighbour
+    moduli = np.array([abs(p.value) for p in pairs])
+    near = np.diff(moduli) >= -1e-10 * moduli[0]
+    ties = (np.append(False, near) | np.append(near, False))[: len(top)].tolist()
     if REF_GAMMA not in gammas:
         gammas = tuple(gammas) + (REF_GAMMA,)
-    ref_pos = tuple(gammas).index(REF_GAMMA)
     if baseline is None:
         baseline = haar_baseline(spec, (REF_GAMMA,), trials, seed)[:, 0]
-    profiles = []
-    percentiles = []
-    for p in top:
-        prof = decay_profile(p.vector, gammas)
-        profiles.append(
-            [
-                {"gamma": float(g), "norm": float(n), "ratio": float(r)}
-                for g, n, r in zip(prof.gammas, prof.norms, prof.ratios)
-            ]
-        )
-        v = prof.ratios[ref_pos]
-        rank = float(np.count_nonzero(baseline < v) + 0.5 * np.count_nonzero(baseline == v))
-        percentiles.append(100.0 * rank / trials)
+    norms, ratios = decay_profiles(spec, np.stack([p.vector.values for p in top]), gammas)
+    v = ratios[:, list(gammas).index(REF_GAMMA), None]
+    rank = np.count_nonzero(baseline < v, axis=1) + 0.5 * np.count_nonzero(baseline == v, axis=1)
+    profiles = [[{"gamma": float(g), "norm": float(n), "ratio": float(r)}
+                 for g, n, r in zip(gammas, ns, rs)] for ns, rs in zip(norms, ratios)]
     return {
         "eigenvalues": [float(p.value) for p in top],
         "profiles": profiles,
-        "percentiles": [float(p) for p in percentiles],
+        "percentiles": (100.0 * rank / trials).tolist(),
         "ties": ties,
         "ref_gamma": float(REF_GAMMA),
         "seed": int(seed),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fingabor.cli import ConfigError, main, validate_config
-from fingabor.experiments import random_signal, run_convrel, run_locop, run_norms, run_young
+from fingabor.experiments import (random_signal, run_convrel, run_identities, run_locop,
+                                  run_norms, run_young)
 from fingabor.group import make_group
 from fingabor.signal import PhaseFunction, Signal, convolve_phase
 
@@ -178,20 +179,64 @@ class _Entered(Exception):
     pass
 
 
+def _enter(*args, **kwargs):
+    raise _Entered
+
+
 @pytest.mark.parametrize("experiment", [
     "identities", "frames", "norms", "young", "convrel", "locop", "decay",
 ])
 def test_run_calls_the_driver_bound_in_cli(tmp_path, monkeypatch, experiment):
     # a wrapper installed on fingabor.cli.run_<name> must see the call: the
     # benchmark's set-up probes stop there
-    def entered(*args, **kwargs):
-        raise _Entered
-
-    monkeypatch.setattr(f"fingabor.cli.run_{experiment}", entered)
+    monkeypatch.setattr(f"fingabor.cli.run_{experiment}", _enter)
     cfg = write_config(tmp_path, experiment=experiment)
     with pytest.raises(_Entered):
         main(["run", str(cfg)])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["output-dir", "env"])
+def test_run_refuses_an_output_dir_under_a_file(tmp_path, capsys, monkeypatch, via_env):
+    # found before the experiment runs, not when its artifacts are written
+    monkeypatch.setattr("fingabor.cli.run_identities", _enter)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "x")
+    group = {"factors": [8], "subgroup_divisors": [2]}
+    if via_env:
+        monkeypatch.setenv("FINGABOR_OUTPUT_DIR", target)
+        cfg = write_config(tmp_path, group=group, trials=1)
+    else:
+        cfg = write_config(tmp_path, group=group, trials=1, output_dir=target)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write artifacts: {blocker} is not a writable directory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_an_output_dir_it_cannot_write(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("fingabor.cli.run_identities", _enter)
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path)
+                        and access(path, mode))
+    assert main(["run", str(write_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write artifacts: {tmp_path} is not a writable directory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reports_a_failed_artifact_write(tmp_path, capsys, monkeypatch):
+    # the directory passes the check, then a file takes its place during the run
+    def driver(*args, **kwargs):
+        (tmp_path / "out").write_text("")
+        return run_identities(*args, **kwargs)
+
+    monkeypatch.setattr("fingabor.cli.run_identities", driver)
+    assert main(["run", str(write_config(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert "error: cannot write artifacts:" in captured.err
+    assert "status:" not in captured.out
 
 
 # ---------------------------------------------------------------------------

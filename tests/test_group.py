@@ -376,6 +376,15 @@ def test_dual_spec_involution():
     assert dual_spec(dual) == spec
 
 
+def test_derived_specs_are_cached():
+    # the pointwise identity check asks for the trivial-subgroup spec every trial
+    spec = GroupSpec((6, 2), (3, 1), 0.5)
+    for derive in (dual_spec, phase_spec, trivial_subgroup_spec):
+        assert derive(spec) is derive(GroupSpec((6, 2), (3, 1), 0.5))
+    trivial = trivial_subgroup_spec(spec)
+    assert (trivial.factors, trivial.subgroup_divisors, trivial.mass) == ((6, 2), (6, 2), 0.5)
+
+
 def test_phase_spec_shape_and_mass():
     spec = GroupSpec((6,), (3,), 0.25)
     ps = phase_spec(spec)

@@ -9,14 +9,14 @@ from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupSpec, make_group
 from fingabor.norms import mixed_quasi_norm
 from fingabor.operators import OperatorMatrix, localization_matrix
-from fingabor.signal import Signal, norm_l2
+from fingabor.signal import norm_l2
 from fingabor.spectral import (
     DegenerateSpectrum,
     NotHermitian,
     _haar_rows,
     check_seed,
     decay_comparison,
-    decay_profile,
+    decay_profiles,
     haar_baseline,
     hermitian_eigen,
 )
@@ -262,22 +262,19 @@ def test_flat_vector_ratio_closed_form():
     # trivial subgroup: |V| only sees |f|, so a flat unit vector gives
     # mixed norm n^(1/gamma) / sqrt(n) relative to gamma = 2
     spec = make_group([8], [8])
-    flat = Signal(spec, np.full(8, 1 / np.sqrt(8)))
-    prof = decay_profile(flat)
-    for g, ratio in zip(prof.gammas, prof.ratios):
+    gammas = (0.5, 1.0, 2.0)
+    _, ratios = decay_profiles(spec, np.full((1, 8), 1 / np.sqrt(8)), gammas)
+    for g, ratio in zip(gammas, ratios[0]):
         assert ratio == pytest.approx(8.0 ** (1 / g - 0.5), rel=1e-12)
 
 
 def test_delta_is_more_concentrated_than_flat():
     spec = make_group([8], [8])
-    delta = Signal(spec, np.eye(8)[0])
-    flat = Signal(spec, np.full(8, 1 / np.sqrt(8)))
-    d = decay_profile(delta)
-    f = decay_profile(flat)
-    assert d.gammas == (0.5, 1.0, 2.0)
+    d, f = decay_profiles(spec, np.stack([np.eye(8)[0], np.full(8, 1 / np.sqrt(8))]),
+                          (0.5, 1.0, 2.0))[1]
     # small gamma penalizes spreading
-    assert d.ratios[0] == pytest.approx(1.0, rel=1e-12)
-    assert d.ratios[0] < f.ratios[0]
+    assert d[0] == pytest.approx(1.0, rel=1e-12)
+    assert d[0] < f[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +296,20 @@ def test_decay_comparison_reports_consistent_fields():
         assert 0.5 in gammas and 2.0 in gammas
         for row in prof:
             assert row["norm"] > 0 and row["ratio"] > 0
+
+
+@pytest.mark.parametrize("diag, top_k, ties", [
+    ([2.0, -2.0, 1.0, 0.5], 3, [True, True, False]),
+    ([3.0, -1.0, 0.5, 2.0], 3, [False, False, False]),
+    # the partner of a tie may lie below the top k
+    ([3.0, 1.0, -1.0, 0.5], 2, [False, True]),
+    # tied within 1e-10 of the leading modulus, and just outside it
+    ([2.0, 1.0, 1.0 + 1e-11, 0.25], 4, [False, True, True, False]),
+    ([2.0, 1.0, 1.0 + 1e-9, 0.25], 4, [False, False, False, False]),
+], ids=["pair", "none", "below-top-k", "within-tol", "outside-tol"])
+def test_decay_comparison_flags_tied_moduli(diag, top_k, ties):
+    M = OperatorMatrix(make_group([4], [2]), np.diag(diag))
+    assert decay_comparison(M, trials=5, seed=0, top_k=top_k)["ties"] == ties
 
 
 def test_decay_comparison_is_deterministic():
@@ -324,8 +335,9 @@ over_decay_groups = pytest.mark.parametrize("spec", [
 def test_haar_baseline_blocks_equal_serial_profiles(spec):
     gammas = (0.5, 1.0, 2.0)
     trials = 37
-    serial = np.array([
-        decay_profile(haar_random_unit(spec, 3, t), gammas).ratios for t in range(trials)
+    serial = np.concatenate([
+        decay_profiles(spec, haar_random_unit(spec, 3, t).values[None, :], gammas)[1]
+        for t in range(trials)
     ])
     assert np.array_equal(haar_baseline(spec, gammas, trials, seed=3), serial)
     # decay_comparison ranks against exactly this baseline
@@ -333,6 +345,33 @@ def test_haar_baseline_blocks_equal_serial_profiles(spec):
     v = rep["profiles"][0][0]["ratio"]
     rank = np.count_nonzero(serial[:, 0] < v) + 0.5 * np.count_nonzero(serial[:, 0] == v)
     assert rep["percentiles"] == [100.0 * rank / trials]
+
+
+@over_decay_groups
+def test_decay_comparison_profiles_its_vectors_in_one_call(spec, monkeypatch):
+    # the top-k eigenvectors go to the kernel as one stack, and each row of
+    # the report equals that vector profiled on its own
+    M = random_hermitian(spec, 6)
+    gammas = (0.5, 1.0, 2.0)
+    trials = 20
+    baseline = haar_baseline(spec, (0.5,), trials, seed=2)[:, 0]
+    calls = []
+
+    def counting(spec, F, exps, _real=spectral.modulation_norms):
+        calls.append(F.shape)
+        return _real(spec, F, exps)
+
+    monkeypatch.setattr(spectral, "modulation_norms", counting)
+    rep = decay_comparison(M, gammas, trials=trials, seed=2, top_k=3, baseline=baseline)
+    assert calls == [(3, spec.order)]
+    monkeypatch.undo()
+    for pair, prof, pct in zip(hermitian_eigen(M), rep["profiles"], rep["percentiles"]):
+        (norms,), (ratios,) = decay_profiles(spec, pair.vector.values[None, :], gammas)
+        assert [row["norm"] for row in prof] == norms.tolist()
+        assert [row["ratio"] for row in prof] == ratios.tolist()
+        v = ratios[0]
+        rank = np.count_nonzero(baseline < v) + 0.5 * np.count_nonzero(baseline == v)
+        assert pct == 100.0 * rank / trials
 
 
 def dense_profile(f, gammas):
@@ -349,9 +388,9 @@ def test_quotient_profiles_match_dense_oracle(spec):
     for t in range(trials):
         f = haar_random_unit(spec, 4, t)
         norms = dense_profile(f, gammas + (2.0,))
-        prof = decay_profile(f, gammas)
-        np.testing.assert_allclose(prof.norms, norms[:-1], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(prof.ratios, norms[:-1] / norms[-1], rtol=1e-13, atol=0)
+        (prof_norms,), (prof_ratios,) = decay_profiles(spec, f.values[None, :], gammas)
+        np.testing.assert_allclose(prof_norms, norms[:-1], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(prof_ratios, norms[:-1] / norms[-1], rtol=1e-13, atol=0)
         np.testing.assert_allclose(baseline[t], norms[:-1] / norms[-1], rtol=1e-13, atol=0)
 
 
