@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gabor import (
-    NotAFrame,
     dual_window,
     expansion_residual,
     frame_bounds,
@@ -72,7 +71,7 @@ from .signal import (
     norm_l2,
     translate,
 )
-from .spectral import REF_GAMMA, check_seed, decay_comparison, haar_baseline
+from .spectral import check_seed, decay_comparison, haar_baseline
 from .tfa import (
     gaussian_window,
     magic_formula_residual,
@@ -490,10 +489,7 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
 
     # removing one full time coset must destroy the frame property
     kept = lattice.x != lattice.x[0]
-    try:
-        da, db = frame_bounds(g, lattice_from_points(spec, lattice.x[kept], lattice.xi[kept]))
-    except NotAFrame as exc:
-        da, db = exc.bounds
+    da, db = frame_bounds(g, lattice_from_points(spec, lattice.x[kept], lattice.xi[kept]))
     summary["deficient_bounds"] = [da, db]
     # at K = G nothing is kept, and the zero operator has A = B = 0
     _verdict(summary, "deficient-lattice-collapse", da / db if db else 0.0)
@@ -781,16 +777,13 @@ def run_decay(
     phi = gaussian_window(spec)
     A = localization_matrix(a, phi, phi)
     # the run's seed is also a control seed by default: draw each seed's baseline once
-    baselines = {s: haar_baseline(spec, (REF_GAMMA,), trials, s)[:, 0]
-                 for s in dict.fromkeys((seed, *control_seeds))}
-    report = decay_comparison(A, gammas=tuple(gammas), trials=trials, seed=seed, top_k=top_k,
-                              baseline=baselines[seed])
+    baselines = {s: haar_baseline(spec, trials, s) for s in dict.fromkeys((seed, *control_seeds))}
+    report = {**decay_comparison(A, baselines[seed], tuple(gammas), top_k), "seed": seed}
     rows = [row for prof in report["profiles"] for row in prof]
     controls = []
     for cs in control_seeds:
         B = OperatorMatrix(spec, _control_matrix(spec.order, cs))
-        crep = decay_comparison(B, gammas=tuple(gammas), trials=trials, seed=cs, top_k=1,
-                                baseline=baselines[cs])
+        crep = decay_comparison(B, baselines[cs], tuple(gammas), top_k=1)
         rows += crep["profiles"][0]
         controls.append(
             {

@@ -43,10 +43,6 @@ DUAL_SLACK = 1e-10
 class NotAFrame(ValueError):
     """System whose lower frame bound vanishes relative to the upper one."""
 
-    def __init__(self, message: str, bounds: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bounds = bounds
-
 
 @dataclass(frozen=True, eq=False)
 class QuasiLattice:
@@ -120,19 +116,15 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatri
 
 
 def frame_bounds(g: Signal, lattice: QuasiLattice) -> tuple[float, float]:
-    """(A, B) = extreme eigenvalues of S_{g,g}; raises NotAFrame when A
-    vanishes relative to B."""
+    """(A, B) = extreme eigenvalues of S_{g,g}, whether or not the system is
+    a frame; the caller judges A against B."""
     return _bounds(frame_operator(g, g, lattice))
 
 
 def _bounds(S: OperatorMatrix) -> tuple[float, float]:
     """:func:`frame_bounds` of the frame operator S."""
-    pairs = hermitian_eigen(S)
-    values = [p.value for p in pairs]
-    A, B = float(min(values)), float(max(values))
-    if A <= 1e-10 * B:
-        raise NotAFrame(f"lower frame bound {A} vanishes against {B}", (A, B))
-    return A, B
+    values = [p.value for p in hermitian_eigen(S)]
+    return float(min(values)), float(max(values))
 
 
 class DualWindowMismatch(ValueError):
@@ -142,7 +134,9 @@ class DualWindowMismatch(ValueError):
 def dual_window(g: Signal, lattice: QuasiLattice) -> Signal:
     """Canonical dual window h = S_{g,g}^{-1} g, verified to invert the frame.
 
-    The mixed frame operator S_{h,g} is checked against the identity; on a
+    S_{g,g} cannot be inverted when its lower bound A vanishes relative to
+    its upper bound B, A <= 1e-10 B, and NotAFrame is raised.  The mixed
+    frame operator S_{h,g} is checked against the identity; on a
     quasi-lattice this can genuinely fail for windows whose frame operator
     does not commute with the lattice shifts, in which case
     DualWindowMismatch is raised.  S_{g,h} is the adjoint of S_{h,g}, so
@@ -150,7 +144,9 @@ def dual_window(g: Signal, lattice: QuasiLattice) -> Signal:
     entry modulus; checking it as well would only repeat the product.
     """
     S = frame_operator(g, g, lattice)
-    A, B = _bounds(S)   # raises NotAFrame if deficient
+    A, B = _bounds(S)
+    if A <= 1e-10 * B:
+        raise NotAFrame(f"lower frame bound {A} vanishes against {B}")
     h = Signal(g.group, np.linalg.solve(S.entries, g.values))
     r = np.max(np.abs(frame_operator(h, g, lattice).entries - np.eye(g.group.order)))
     if r > DUAL_SLACK * max(1.0, B):

@@ -213,6 +213,8 @@ def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> Operato
     h[t, d] = psi2(t) conj(psi1(t - d)), then L[y, y'] = L'[y, y - y'].
     """
     spec = a.group
+    if psi1.group != spec or psi2.group != spec:
+        raise GroupMismatch("localization pieces live on different groups")
     T = character_table(spec)
     D = diff_table(spec)                                        # D[y, y'] = index(y - y')
     h = psi2.values[:, None] * np.conj(psi1.values[D])

@@ -97,7 +97,7 @@ def constant(spec: GroupSpec, value: complex = 1.0) -> Signal:
 
 def indicator(spec: GroupSpec, indices: Sequence[int] | np.ndarray) -> Signal:
     vals = np.zeros(spec.order, dtype=np.complex128)
-    vals[np.asarray(indices, dtype=np.int64)] = 1.0
+    vals[[point_index(spec, x) for x in indices]] = 1.0
     return Signal(spec, vals)
 
 

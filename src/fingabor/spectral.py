@@ -18,11 +18,12 @@ evaluates on the quotient G/K x G^/K_perp.
 
 Random draws use the Philox counter-based generator keyed by
 (seed, trial), which makes serial and parallel evaluation agree exactly.
-The Haar baseline of ``decay_comparison`` draws those same vectors, from
-one generator whose state is reset per trial, into one preallocated
-block, normalizes all rows with one stacked product, and evaluates them
-in one product, bit-identical to a one-row ``decay_profiles`` call per
-trial.  ``decay_comparison`` profiles its top eigenvectors in one call too.
+``haar_baseline`` draws those same vectors, from one generator whose
+state is reset per trial, into one preallocated block, normalizes all
+rows with one stacked product, and evaluates them in one product,
+bit-identical to a one-row ``decay_profiles`` call per trial.
+``decay_comparison`` ranks the top eigenvectors, profiled in one call,
+against the baseline its caller passes; it draws nothing.
 """
 
 from __future__ import annotations
@@ -139,32 +140,28 @@ def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
     return C / (np.sqrt(sq) * math.sqrt(spec.mass))[:, None]
 
 
-def haar_baseline(
-    spec: GroupSpec, gammas: tuple[float, ...], trials: int, seed: int
-) -> np.ndarray:
-    """Decay ratios [trial, gamma] of the Haar-random unit vectors of seed.
+def haar_baseline(spec: GroupSpec, trials: int, seed: int) -> np.ndarray:
+    """REF_GAMMA decay ratios [trial] of the Haar-random unit vectors of seed.
 
-    Row t equals the ``decay_profiles`` ratios of the trial-t vector drawn
+    Entry t equals the ``decay_profiles`` ratio of the trial-t vector drawn
     on its own, ``_haar_rows(spec, seed, [t])``, bit for bit; all trials are
     evaluated at once.
     """
-    return decay_profiles(spec, _haar_rows(spec, seed, range(trials)), gammas)[1]
+    return decay_profiles(spec, _haar_rows(spec, seed, range(trials)), (REF_GAMMA,))[1][:, 0]
 
 
 def decay_comparison(
     A: OperatorMatrix,
+    baseline: np.ndarray,
     gammas: tuple[float, ...] = (0.5, 1.0, 2.0),
-    trials: int = 500,
-    seed: int = 0,
     top_k: int = 3,
-    baseline: np.ndarray | None = None,
 ) -> dict:
-    """Decay profiles of the top eigenfunctions against random unit vectors.
+    """Decay profiles of the top eigenfunctions against a baseline of ratios.
 
-    Each of the top_k eigenfunctions gets a percentile rank of its
-    REF_GAMMA ratio within the ratios of ``trials`` Haar-random unit
-    vectors drawn from the (seed, trial)-keyed generator; a caller may pass
-    them, ``haar_baseline(spec, (REF_GAMMA,), trials, seed)[:, 0]``, as ``baseline``.
+    Each of the top_k eigenfunctions gets a percentile rank, in [0, 100],
+    of its REF_GAMMA ratio within ``baseline``, for instance
+    ``haar_baseline(spec, trials, seed)``; the report's ``trials`` is
+    ``len(baseline)``.
     """
     spec = A.group
     pairs = hermitian_eigen(A)
@@ -178,8 +175,6 @@ def decay_comparison(
     ties = (np.append(False, near) | np.append(near, False))[: len(top)].tolist()
     if REF_GAMMA not in gammas:
         gammas = tuple(gammas) + (REF_GAMMA,)
-    if baseline is None:
-        baseline = haar_baseline(spec, (REF_GAMMA,), trials, seed)[:, 0]
     norms, ratios = decay_profiles(spec, np.stack([p.vector.values for p in top]), gammas)
     v = ratios[:, list(gammas).index(REF_GAMMA), None]
     rank = np.count_nonzero(baseline < v, axis=1) + 0.5 * np.count_nonzero(baseline == v, axis=1)
@@ -188,9 +183,8 @@ def decay_comparison(
     return {
         "eigenvalues": [float(p.value) for p in top],
         "profiles": profiles,
-        "percentiles": (100.0 * rank / trials).tolist(),
+        "percentiles": (100.0 * rank / len(baseline)).tolist(),
         "ties": ties,
         "ref_gamma": float(REF_GAMMA),
-        "seed": int(seed),
-        "trials": int(trials),
+        "trials": len(baseline),
     }

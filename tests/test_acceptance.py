@@ -148,8 +148,11 @@ def test_subgroup_indicator_gabor_frames(factors, divisors):
     assert worst <= 1e-10, f"worst expansion residual {worst:.3e}"
 
     kept = lat.x != lat.x[0]
+    deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
+    dA, dB = frame_bounds(phi, deficient)
+    assert dA <= 1e-10 * dB, f"deficient lattice bounds A={dA} B={dB}"
     with pytest.raises(NotAFrame):
-        frame_bounds(phi, lattice_from_points(spec, lat.x[kept], lat.xi[kept]))
+        dual_window(phi, deficient)
     print(f"{factors}/{divisors}: tight (A={A:.12f}), reconstruction {worst:.3e}, "
           "deficient lattice rejected")
 

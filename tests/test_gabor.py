@@ -28,7 +28,6 @@ from fingabor.group import (
 )
 from fingabor.experiments import run_frames, run_identities
 from fingabor.signal import PhaseFunction, Signal, norm_l2
-from fingabor.spectral import hermitian_eigen
 from fingabor.tfa import gaussian_window, stft, window_constant
 from oracles import quotient_coefficients, tile_indices
 
@@ -277,10 +276,10 @@ def test_missing_time_coset_is_not_a_frame(spec):
     assert not kept.all()
     deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
     phi = gaussian_window(spec)
-    with pytest.raises(NotAFrame) as info:
-        frame_bounds(phi, deficient)
-    A, B = info.value.bounds
+    A, B = frame_bounds(phi, deficient)
     assert A <= 1e-10 * B
+    with pytest.raises(NotAFrame):
+        dual_window(phi, deficient)
 
 
 @pytest.mark.parametrize("spec", [make_group([6], [3]), make_group([4], [1])],
@@ -289,10 +288,8 @@ def test_run_frames_reports_the_deficient_bounds(spec):
     summary, _ = run_frames(spec, 0, 2)
     lat = quasi_lattice(spec)
     kept = lat.x != lat.x[0]
-    g = gaussian_window(spec)
-    S = frame_operator(g, g, lattice_from_points(spec, lat.x[kept], lat.xi[kept]))
-    values = [p.value for p in hermitian_eigen(S)]
-    assert summary["deficient_bounds"] == [min(values), max(values)]
+    deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
+    assert summary["deficient_bounds"] == list(frame_bounds(gaussian_window(spec), deficient))
     if spec.subgroup_order == spec.order:
         # with K = G nothing is kept, and the zero operator has A = B = 0
         assert summary["deficient_bounds"] == [0.0, 0.0]

@@ -288,6 +288,17 @@ def test_localization_matrix_matches_apply(spec):
     np.testing.assert_allclose(M.entries, C.entries, atol=1e-10)
 
 
+def test_localization_matrix_rejects_mixed_groups():
+    # the windows share a's factors and subgroup but not its point mass
+    a = rand_symbol(make_group([8], [2]), np.random.default_rng(11))
+    psi = gaussian_window(GroupSpec((8,), (2,), 0.5))
+    f = Signal(a.group, np.ones(8))
+    for build in (lambda: localization_matrix(a, psi, psi),
+                  lambda: localization_apply(a, psi, psi, f)):
+        with pytest.raises(GroupMismatch, match="localization pieces live on different groups"):
+            build()
+
+
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)
 def test_localization_kernels_match_shift_stack_oracle(spec):
     rng = np.random.default_rng(17)

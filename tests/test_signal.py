@@ -84,7 +84,9 @@ def test_constructors():
     ind = indicator(spec, [0, 4])
     assert ind.values[0] == 1 and ind.values[4] == 1 and ind.values.sum() == 2
     chi = subgroup_indicator(spec)
-    np.testing.assert_array_equal(chi.values.real, [1, 0, 0, 1, 0, 0])
+    np.testing.assert_array_equal(chi.values, [1, 0, 0, 1, 0, 0])
+    np.testing.assert_array_equal(subgroup_indicator(make_group([8], [2])).values,
+                                  [1, 0, 1, 0, 1, 0, 1, 0])
 
 
 def test_shape_validation():
@@ -161,6 +163,7 @@ def test_tf_shift_is_modulate_translate():
     pytest.param(lambda f, p: tf_shift(f, p, 0), id="tf_shift-time"),
     pytest.param(lambda f, p: tf_shift(f, 0, p), id="tf_shift-frequency"),
     pytest.param(lambda f, p: delta(f.group, p), id="delta"),
+    pytest.param(lambda f, p: indicator(f.group, [0, p]), id="indicator"),
     pytest.param(lambda f, p: lattice_from_points(f.group, [0, p], [0, 0]), id="lattice-time"),
     pytest.param(lambda f, p: lattice_from_points(f.group, [0], [p]), id="lattice-frequency"),
 ])

@@ -111,7 +111,7 @@ def test_eigen_degenerate_top_eigenspace():
         assert lead.real > 0
     # the two vectors of the tied eigenvalue span its eigenspace
     assert abs(np.vdot(pairs[0].vector.values, pairs[1].vector.values)) < 1e-12
-    rep = decay_comparison(M, trials=20, seed=0, top_k=3)
+    rep = decay_comparison(M, haar_baseline(spec, 20, 0), top_k=3)
     assert rep["ties"] == [True, True, False]
 
 
@@ -157,7 +157,8 @@ def recorded_eigen(monkeypatch, module):
 
 def test_decay_comparison_normalizes_only_the_vectors_it_reads(monkeypatch):
     calls = recorded_eigen(monkeypatch, spectral)
-    decay_comparison(decay_localization_matrix(), trials=20, seed=0, top_k=3)
+    M = decay_localization_matrix()
+    decay_comparison(M, haar_baseline(M.group, 20, 0), top_k=3)
     (pairs,) = calls
     assert ["vector" in p.__dict__ for p in pairs] == [True] * 3 + [False] * (len(pairs) - 3)
 
@@ -284,11 +285,11 @@ def test_delta_is_more_concentrated_than_flat():
 def test_decay_comparison_reports_consistent_fields():
     spec = make_group([8], [2])
     M = random_hermitian(spec, 4)
-    rep = decay_comparison(M, trials=50, seed=0, top_k=2)
+    rep = decay_comparison(M, haar_baseline(spec, 50, 0), top_k=2)
     assert len(rep["eigenvalues"]) == 2
     assert len(rep["percentiles"]) == 2
     assert len(rep["ties"]) == 2
-    assert rep["trials"] == 50 and rep["seed"] == 0 and rep["ref_gamma"] == 0.5
+    assert rep["trials"] == 50 and "seed" not in rep and rep["ref_gamma"] == 0.5
     for pct in rep["percentiles"]:
         assert 0.0 <= pct <= 100.0
     for prof in rep["profiles"]:
@@ -296,6 +297,21 @@ def test_decay_comparison_reports_consistent_fields():
         assert 0.5 in gammas and 2.0 in gammas
         for row in prof:
             assert row["norm"] > 0 and row["ratio"] > 0
+
+
+def test_decay_comparison_ranks_within_the_baseline_it_is_given():
+    # percentiles divide by the baseline's own length, whatever drew it
+    spec = make_group([8], [2])
+    M = random_hermitian(spec, 4)
+    baseline = haar_baseline(spec, 40, 0)
+    rep = decay_comparison(M, baseline, top_k=3)
+    assert rep["trials"] == 40
+    assert len(rep["percentiles"]) == 3
+    for prof, pct in zip(rep["profiles"], rep["percentiles"]):
+        v = next(row["ratio"] for row in prof if row["gamma"] == rep["ref_gamma"])
+        rank = np.count_nonzero(baseline < v) + 0.5 * np.count_nonzero(baseline == v)
+        assert pct == 100.0 * rank / 40
+        assert 0.0 <= pct <= 100.0
 
 
 @pytest.mark.parametrize("diag, top_k, ties", [
@@ -309,14 +325,14 @@ def test_decay_comparison_reports_consistent_fields():
 ], ids=["pair", "none", "below-top-k", "within-tol", "outside-tol"])
 def test_decay_comparison_flags_tied_moduli(diag, top_k, ties):
     M = OperatorMatrix(make_group([4], [2]), np.diag(diag))
-    assert decay_comparison(M, trials=5, seed=0, top_k=top_k)["ties"] == ties
+    assert decay_comparison(M, haar_baseline(M.group, 5, 0), top_k=top_k)["ties"] == ties
 
 
 def test_decay_comparison_is_deterministic():
     spec = make_group([6], [3])
     M = random_hermitian(spec, 5)
-    a = decay_comparison(M, trials=40, seed=11, top_k=1)
-    b = decay_comparison(M, trials=40, seed=11, top_k=1)
+    a = decay_comparison(M, haar_baseline(spec, 40, 11), top_k=1)
+    b = decay_comparison(M, haar_baseline(spec, 40, 11), top_k=1)
     assert a == b
 
 
@@ -339,9 +355,12 @@ def test_haar_baseline_blocks_equal_serial_profiles(spec):
         decay_profiles(spec, haar_random_unit(spec, 3, t).values[None, :], gammas)[1]
         for t in range(trials)
     ])
-    assert np.array_equal(haar_baseline(spec, gammas, trials, seed=3), serial)
+    assert np.array_equal(decay_profiles(spec, _haar_rows(spec, 3, range(trials)), gammas)[1],
+                          serial)
+    baseline = haar_baseline(spec, trials, seed=3)
+    assert np.array_equal(baseline, serial[:, 0])
     # decay_comparison ranks against exactly this baseline
-    rep = decay_comparison(random_hermitian(spec, 6), trials=trials, seed=3, top_k=1)
+    rep = decay_comparison(random_hermitian(spec, 6), baseline, top_k=1)
     v = rep["profiles"][0][0]["ratio"]
     rank = np.count_nonzero(serial[:, 0] < v) + 0.5 * np.count_nonzero(serial[:, 0] == v)
     assert rep["percentiles"] == [100.0 * rank / trials]
@@ -354,7 +373,7 @@ def test_decay_comparison_profiles_its_vectors_in_one_call(spec, monkeypatch):
     M = random_hermitian(spec, 6)
     gammas = (0.5, 1.0, 2.0)
     trials = 20
-    baseline = haar_baseline(spec, (0.5,), trials, seed=2)[:, 0]
+    baseline = haar_baseline(spec, trials, seed=2)
     calls = []
 
     def counting(spec, F, exps, _real=spectral.modulation_norms):
@@ -362,7 +381,7 @@ def test_decay_comparison_profiles_its_vectors_in_one_call(spec, monkeypatch):
         return _real(spec, F, exps)
 
     monkeypatch.setattr(spectral, "modulation_norms", counting)
-    rep = decay_comparison(M, gammas, trials=trials, seed=2, top_k=3, baseline=baseline)
+    rep = decay_comparison(M, baseline, gammas, top_k=3)
     assert calls == [(3, spec.order)]
     monkeypatch.undo()
     for pair, prof, pct in zip(hermitian_eigen(M), rep["profiles"], rep["percentiles"]):
@@ -384,7 +403,7 @@ def dense_profile(f, gammas):
 def test_quotient_profiles_match_dense_oracle(spec):
     gammas = (0.5, 1.0, 2.0, math.inf)
     trials = 12
-    baseline = haar_baseline(spec, gammas, trials, seed=4)
+    baseline = decay_profiles(spec, _haar_rows(spec, 4, range(trials)), gammas)[1]
     for t in range(trials):
         f = haar_random_unit(spec, 4, t)
         norms = dense_profile(f, gammas + (2.0,))
@@ -398,7 +417,7 @@ def test_decay_comparison_rejects_null_operator():
     spec = make_group([4], [2])
     Z = OperatorMatrix(spec, np.zeros((4, 4)))
     with pytest.raises(DegenerateSpectrum):
-        decay_comparison(Z, trials=5, seed=0)
+        decay_comparison(Z, haar_baseline(spec, 5, 0))
 
 
 def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
@@ -406,9 +425,9 @@ def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
     # and every report equals the one with a baseline of its own
     seen = []
 
-    def counting(spec, gammas, trials, seed, _real=spectral.haar_baseline):
+    def counting(spec, trials, seed, _real=spectral.haar_baseline):
         seen.append(seed)
-        return _real(spec, gammas, trials, seed)
+        return _real(spec, trials, seed)
 
     monkeypatch.setattr(spectral, "haar_baseline", counting)
     monkeypatch.setattr(experiments, "haar_baseline", counting, raising=False)
@@ -418,9 +437,10 @@ def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
     monkeypatch.undo()
     phi = gaussian_window(spec)
     A = localization_matrix(bump_symbol(spec), phi, phi)
-    assert summary["localization"] == decay_comparison(A, trials=40, seed=0)
+    assert summary["localization"] == {**decay_comparison(A, haar_baseline(spec, 40, 0)),
+                                       "seed": 0}
     for control, cs in zip(summary["controls"], (0, 1, 0)):
-        rep = decay_comparison(OperatorMatrix(spec, _control_matrix(16, cs)), trials=40,
-                               seed=cs, top_k=1)
+        rep = decay_comparison(OperatorMatrix(spec, _control_matrix(16, cs)),
+                               haar_baseline(spec, 40, cs), top_k=1)
         assert control["percentile"] == rep["percentiles"][0]
         assert control["top_ratio"] == rep["profiles"][0][0]["ratio"]
