@@ -61,7 +61,6 @@ from .signal import (
     zeros,
 )
 from .tfa import (
-    gaussian_window,
     moyal_residual,
     rihaczek,
     stft,
@@ -77,14 +76,15 @@ from .norms import (
 )
 from .gabor import (
     DualWindowMismatch,
+    GaborSystem,
     NotAFrame,
     QuasiLattice,
     analysis,
     discrete_modnorm,
     dual_window,
     expansion_residual,
-    frame_bounds,
     frame_operator,
+    gabor_system,
     lattice_from_points,
     quasi_lattice,
     representative_independence_residual,

@@ -28,9 +28,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gabor import (
+    DualWindowMismatch,
+    NotAFrame,
     dual_window,
     expansion_residual,
-    frame_bounds,
+    gabor_system,
     lattice_from_points,
     quasi_lattice,
     representative_independence_residual,
@@ -69,11 +71,11 @@ from .signal import (
     inverse_fourier,
     modulate,
     norm_l2,
+    subgroup_indicator,
     translate,
 )
 from .spectral import check_seed, decay_comparison, haar_baseline
 from .tfa import (
-    gaussian_window,
     magic_formula_residual,
     moyal_residual,
     rihaczek_covariance_residual,
@@ -177,7 +179,7 @@ def _rihaczek_covariance(spec, rng):
 
 
 def _check_window_support(spec, rng):
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     V = stft(phi, phi).mat
     mask = np.zeros(V.shape, dtype=bool)
     mask.flat[tile_cover(spec, [0])[0]] = True
@@ -244,7 +246,7 @@ def _conv_diag(spec, rng):
 
 def _quotient(spec, rng):
     return representative_independence_residual(
-        random_signal(spec, rng), gaussian_window(spec), quasi_lattice(spec)
+        random_signal(spec, rng), subgroup_indicator(spec), quasi_lattice(spec)
     )
 
 
@@ -261,7 +263,7 @@ def _pointwise_maximal(spec, rng):
     |V|; the residual of one signal is the worst over _EXPONENT_GRID."""
     trivial = trivial_subgroup_spec(spec)
     covered, plain = _covered_and_plain(trivial, random_signal(trivial, rng),
-                                        gaussian_window(trivial))
+                                        subgroup_indicator(trivial))
     return functools.reduce(_worse, (np.abs(covered - plain) / (1.0 + plain)).tolist(), 0.0)
 
 
@@ -466,30 +468,29 @@ def run_identities(
 
 def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     lattice = quasi_lattice(spec)
-    g = gaussian_window(spec)
-    a, b = frame_bounds(g, lattice)
+    g = subgroup_indicator(spec)
+    canonical = gabor_system(g, lattice)
+    a, b = canonical.bounds
     summary = _header("frames", spec, seed, trials, lower_bound=a, upper_bound=b,
-                      redundancy=lattice.redundancy, lattice_size=len(lattice.x))
+                      redundancy=len(lattice.x) / spec.order, lattice_size=len(lattice.x))
     _verdict(summary, "frame-tightness", (b - a) / b)
 
-    rng = stream_rng(seed, 0)
     expansion = math.nan
     try:
-        h = dual_window(g, lattice)
-        worst = 0.0
-        for _ in range(trials):
-            f = random_signal(spec, rng)
-            r1, r2 = expansion_residual(f, g, h, lattice)
-            worst = _worse(_worse(worst, r1), r2)
-        summary["dual_window_norm"] = norm_l2(h)
-        expansion = worst
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        h = dual_window(canonical)
+    except (NotAFrame, DualWindowMismatch) as exc:
         summary["dual_window_error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        rng = stream_rng(seed, 0)
+        residuals = (r for _ in range(trials)
+                     for r in expansion_residual(random_signal(spec, rng), g, h, lattice))
+        expansion = functools.reduce(_worse, residuals, 0.0)
+        summary["dual_window_norm"] = norm_l2(h)
     _verdict(summary, "frame-expansion", expansion)
 
     # removing one full time coset must destroy the frame property
     kept = lattice.x != lattice.x[0]
-    da, db = frame_bounds(g, lattice_from_points(spec, lattice.x[kept], lattice.xi[kept]))
+    da, db = gabor_system(g, lattice_from_points(spec, lattice.x[kept], lattice.xi[kept])).bounds
     summary["deficient_bounds"] = [da, db]
     # at K = G nothing is kept, and the zero operator has A = B = 0
     _verdict(summary, "deficient-lattice-collapse", da / db if db else 0.0)
@@ -506,7 +507,7 @@ def _fmt_p(p: float) -> str:
 
 def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     """Covered-vs-plain norm comparison, subadditivity, and inclusion fuzzing."""
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     rng = stream_rng(seed, 0)
 
     # |V_phi f| is constant on K x K_perp cosets, so the amalgam norm on the
@@ -774,7 +775,7 @@ def run_decay(
     control_seeds: Sequence[int] = tuple(range(10)),
 ) -> tuple[dict, dict]:
     a = bump_symbol(spec)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     A = localization_matrix(a, phi, phi)
     # the run's seed is also a control seed by default: draw each seed's baseline once
     baselines = {s: haar_baseline(spec, trials, s) for s in dict.fromkeys((seed, *control_seeds))}

@@ -62,10 +62,6 @@ class QuasiLattice:
     def flat_indices(self) -> np.ndarray:
         return self.x * self.group.order + self.xi
 
-    @property
-    def redundancy(self) -> float:
-        return len(self.x) / self.group.order
-
 
 @lru_cache(maxsize=16)
 def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
@@ -115,23 +111,29 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatri
     return OperatorMatrix(h.group, H.T @ np.conj(G) * g.group.mass)
 
 
-def frame_bounds(g: Signal, lattice: QuasiLattice) -> tuple[float, float]:
-    """(A, B) = extreme eigenvalues of S_{g,g}, whether or not the system is
-    a frame; the caller judges A against B."""
-    return _bounds(frame_operator(g, g, lattice))
+@dataclass(frozen=True, eq=False)
+class GaborSystem:
+    """``window`` over ``lattice``: its frame operator S_{g,g} and bounds (A, B)."""
+
+    window: Signal
+    lattice: QuasiLattice
+    operator: OperatorMatrix
+    bounds: tuple[float, float]
 
 
-def _bounds(S: OperatorMatrix) -> tuple[float, float]:
-    """:func:`frame_bounds` of the frame operator S."""
+def gabor_system(g: Signal, lattice: QuasiLattice) -> GaborSystem:
+    """S_{g,g} built and eigensolved once; (A, B) are its extreme eigenvalues
+    whether or not the system is a frame, and the caller judges A against B."""
+    S = frame_operator(g, g, lattice)
     values = [p.value for p in hermitian_eigen(S)]
-    return float(min(values)), float(max(values))
+    return GaborSystem(g, lattice, S, (float(min(values)), float(max(values))))
 
 
 class DualWindowMismatch(ValueError):
     """S^{-1} g fails to generate the dual system on this lattice."""
 
 
-def dual_window(g: Signal, lattice: QuasiLattice) -> Signal:
+def dual_window(system: GaborSystem) -> Signal:
     """Canonical dual window h = S_{g,g}^{-1} g, verified to invert the frame.
 
     S_{g,g} cannot be inverted when its lower bound A vanishes relative to
@@ -143,11 +145,11 @@ def dual_window(g: Signal, lattice: QuasiLattice) -> Signal:
     S_{g,h} - I is the adjoint of S_{h,g} - I and has the same largest
     entry modulus; checking it as well would only repeat the product.
     """
-    S = frame_operator(g, g, lattice)
-    A, B = _bounds(S)
+    g, lattice = system.window, system.lattice
+    A, B = system.bounds
     if A <= 1e-10 * B:
         raise NotAFrame(f"lower frame bound {A} vanishes against {B}")
-    h = Signal(g.group, np.linalg.solve(S.entries, g.values))
+    h = Signal(g.group, np.linalg.solve(system.operator.entries, g.values))
     r = np.max(np.abs(frame_operator(h, g, lattice).entries - np.eye(g.group.order)))
     if r > DUAL_SLACK * max(1.0, B):
         raise DualWindowMismatch(f"mixed frame operators deviate from identity by {r:.3e}")

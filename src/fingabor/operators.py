@@ -52,9 +52,10 @@ from .signal import (
     fourier,
     inner,
     inner_phase,
+    subgroup_indicator,
     tf_shift_rows,
 )
-from .tfa import gaussian_window, rihaczek, stft, window_constant
+from .tfa import rihaczek, stft, window_constant
 
 if TYPE_CHECKING:
     from .gabor import QuasiLattice
@@ -181,7 +182,7 @@ def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.
 
 def gabor_matrix_residual(sigma: PhaseFunction, lattice: QuasiLattice) -> float:
     """Max entry difference between the direct and closed-form Gabor matrices."""
-    phi = gaussian_window(sigma.group)
+    phi = subgroup_indicator(sigma.group)
     direct = gabor_matrix(sigma, phi, lattice)
     closed = gabor_matrix_closed_form(sigma, lattice)
     return float(np.max(np.abs(direct - closed)))

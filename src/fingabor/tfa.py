@@ -32,11 +32,6 @@ from .signal import (
 )
 
 
-def gaussian_window(spec: GroupSpec) -> Signal:
-    """Indicator of the subgroup K (the degenerate-Euclidean Gaussian)."""
-    return subgroup_indicator(spec)
-
-
 def stft(f: Signal, g: Signal) -> PhaseFunction:
     """Full STFT of f against window g over every phase-space point."""
     if f.group != g.group:
@@ -49,7 +44,7 @@ def stft(f: Signal, g: Signal) -> PhaseFunction:
 
 def window_constant(spec: GroupSpec) -> complex:
     """c(K) = V_phi phi at the origin of phase space, that is <phi, phi>."""
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     return inner(phi, phi)
 
 

@@ -60,11 +60,12 @@ from fingabor.signal import (
     convolve,
     convolve_phase,
     modulate,
+    subgroup_indicator,
     tf_shift,
     translate,
 )
 from fingabor.spectral import _haar_rows
-from fingabor.tfa import gaussian_window, rihaczek, stft, window_constant
+from fingabor.tfa import rihaczek, stft, window_constant
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def gather_maximum(F, offsets):
 def dense_amalgam(f, window=None):
     """Maximum of |V_window f| over the tile K x K_perp; window 1_K by default."""
     spec = f.group
-    g = gaussian_window(spec) if window is None else window
+    g = subgroup_indicator(spec) if window is None else window
     return gather_maximum(stft(f, g), tile_indices(spec))
 
 
@@ -195,7 +196,7 @@ def gather_gabor_matrix_closed_form(sigma, points):
     D = diff_table(spec)
     neg_k = neg_index(spec)[subgroup_indices(spec)]
     neg_a = neg_index(spec)[annihilator_indices(spec)]
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     S = np.conj(rihaczek(phi, phi).values[tile_indices(spec)]) * (spec.mass * spec.mass_dual)
     S = S.reshape(len(neg_k), len(neg_a))
     x, xi = np.array(points, dtype=np.int64).T
@@ -235,7 +236,7 @@ def full_window_rihaczek_probe(g, f, e_out, e_g, e_f, v=None):
     """rihaczek_continuity_probe with c read off the full R(phi, phi)."""
     spec = f.group
     n = spec.order
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     R = rihaczek(g, f).as_signal()
     c = abs(rihaczek(phi, phi).values[0])
     vvals = np.ones(n * n) if v is None else v.values
@@ -279,7 +280,7 @@ def point_list_gabor_matrix_residual(sigma, points):
     """Channel-matrix residual with the direct and closed-form Gabor matrices
     evaluated on a list of (x, xi) pairs, turned into index arrays per call."""
     spec = sigma.group
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     V = point_list_tf_shift_rows(phi, points)
     direct = np.conj(V) @ (kn_matrix(sigma).entries @ V.T) * spec.mass
     T = character_table(spec)
@@ -306,7 +307,7 @@ def plain_norm_pointwise_trial(spec, rng):
     window and one mixed_quasi_norm of the transform per exponent."""
     trivial = GroupSpec(spec.factors, spec.factors, spec.mass)
     f = random_signal(trivial, rng)
-    V = stft(f, gaussian_window(trivial))
+    V = stft(f, subgroup_indicator(trivial))
     covered_row = modulation_norms(trivial, f.values[None], _EXPONENT_GRID)[0]
     worst = 0.0
     for e, covered in zip(_EXPONENT_GRID, covered_row):
@@ -330,7 +331,7 @@ def one_exponent_mixed_norm(W, e, mass, mass_dual):
 
 def gaussian_circ(spec: GroupSpec) -> Signal:
     """Self-convolution of the canonical window; equals |K| * mass on K."""
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     return convolve(phi, phi)
 
 

@@ -24,7 +24,7 @@ from fingabor.gabor import (
     NotAFrame,
     dual_window,
     expansion_residual,
-    frame_bounds,
+    gabor_system,
     lattice_from_points,
     quasi_lattice,
     representative_independence_residual,
@@ -42,8 +42,8 @@ from fingabor.norms import (
     modulation_norm,
     rnorm_subadditivity_residual,
 )
-from fingabor.signal import PhaseFunction, Signal, constant, delta
-from fingabor.tfa import gaussian_window, stft
+from fingabor.signal import PhaseFunction, Signal, constant, delta, subgroup_indicator
+from fingabor.tfa import stft
 
 GROUPS = [([4], [2]), ([6], [3]), ([8], [2]), ([64], [8]), ([6, 2], [3, 2])]
 
@@ -97,7 +97,7 @@ def test_identity_suite_on_reference_groups():
             assert not skipped
 
         # the window transform hits its constant exactly on the tile
-        phi = gaussian_window(spec)
+        phi = subgroup_indicator(spec)
         V = stft(phi, phi).mat
         kk = subgroup_indices(spec)
         aa = annihilator_indices(spec)
@@ -114,7 +114,7 @@ def test_identity_suite_on_reference_groups():
 
 def test_trivial_subgroup_collapses_the_wiener_norm():
     spec = make_group([8], [8])
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     rng = np.random.default_rng(0)
     grid = [0.5, 1.0, 2.0, math.inf]
     worst = 0.0
@@ -133,12 +133,13 @@ def test_trivial_subgroup_collapses_the_wiener_norm():
 @pytest.mark.parametrize("factors,divisors", [([4], [2]), ([6], [3])])
 def test_subgroup_indicator_gabor_frames(factors, divisors):
     spec = make_group(factors, divisors)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     lat = quasi_lattice(spec)
-    A, B = frame_bounds(phi, lat)
+    system = gabor_system(phi, lat)
+    A, B = system.bounds
     assert B / A - 1.0 <= 1e-10, f"frame bounds A={A} B={B}"
 
-    h = dual_window(phi, lat)
+    h = dual_window(system)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
@@ -149,10 +150,11 @@ def test_subgroup_indicator_gabor_frames(factors, divisors):
 
     kept = lat.x != lat.x[0]
     deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
-    dA, dB = frame_bounds(phi, deficient)
+    deficient_system = gabor_system(phi, deficient)
+    dA, dB = deficient_system.bounds
     assert dA <= 1e-10 * dB, f"deficient lattice bounds A={dA} B={dB}"
     with pytest.raises(NotAFrame):
-        dual_window(phi, deficient)
+        dual_window(deficient_system)
     print(f"{factors}/{divisors}: tight (A={A:.12f}), reconstruction {worst:.3e}, "
           "deficient lattice rejected")
 
@@ -234,7 +236,7 @@ def test_representative_choice_never_matters():
     for spec in spec_variants:
         lat = quasi_lattice(spec)
         probes = [rand_signal(spec, rng), delta(spec), constant(spec, 1.0)]
-        windows = [gaussian_window(spec), rand_signal(spec, rng)]
+        windows = [subgroup_indicator(spec), rand_signal(spec, rng)]
         for f in probes:
             for g in windows:
                 assert representative_independence_residual(f, g, lat) == 0.0

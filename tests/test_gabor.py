@@ -10,8 +10,8 @@ from fingabor.gabor import (
     discrete_modnorm,
     dual_window,
     expansion_residual,
-    frame_bounds,
     frame_operator,
+    gabor_system,
     lattice_from_points,
     quasi_lattice,
     representative_independence_residual,
@@ -26,9 +26,10 @@ from fingabor.group import (
     residue_grid,
     tile_cover,
 )
+from fingabor import experiments
 from fingabor.experiments import run_frames, run_identities
-from fingabor.signal import PhaseFunction, Signal, norm_l2
-from fingabor.tfa import gaussian_window, stft, window_constant
+from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
+from fingabor.tfa import stft, window_constant
 from oracles import quotient_coefficients, tile_indices
 
 
@@ -61,7 +62,6 @@ def test_quasi_lattice_partitions_phase_space(spec):
     lat = quasi_lattice(spec)
     d1, d2 = coset_representatives(spec)
     assert len(lat.x) == len(lat.xi) == len(d1) * len(d2) == spec.order
-    assert lat.redundancy == 1.0
     # independent cover count: every phase point hit exactly once
     pspec = phase_spec(spec)
     grid = residue_grid(pspec)
@@ -134,7 +134,7 @@ def test_frame_operator_rejects_mixed_groups():
     a = make_group([4], [2])
     b = make_group([6], [3])
     with pytest.raises(GroupMismatch):
-        frame_operator(gaussian_window(a), gaussian_window(b), quasi_lattice(a))
+        frame_operator(subgroup_indicator(a), subgroup_indicator(b), quasi_lattice(a))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +144,9 @@ def test_frame_operator_rejects_mixed_groups():
 @pytest.mark.parametrize("factors,divisors,mass", [([4], [2], 1.0), ([6], [3], 1.0), ([6], [3], 0.5)])
 def test_indicator_window_is_tight(factors, divisors, mass):
     spec = GroupSpec(tuple(factors), tuple(divisors), mass)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     lat = quasi_lattice(spec)
-    A, B = frame_bounds(phi, lat)
+    A, B = gabor_system(phi, lat).bounds
     assert B / A - 1.0 <= 1e-10
     assert A == pytest.approx(window_constant(spec), rel=1e-12)
 
@@ -158,7 +158,7 @@ def test_random_points_give_loose_frame():
     idx = sorted(rng.choice(16, size=9, replace=False))
     lat = lattice_from_points(spec, x[idx], xi[idx])
     g = rand_signal(spec, rng)
-    A, B = frame_bounds(g, lat)
+    A, B = gabor_system(g, lat).bounds
     assert A > 0 and B / A - 1.0 > 1e-10
 
 
@@ -166,7 +166,7 @@ def test_delta_window_on_full_lattice():
     spec = make_group([6], [6])
     delta = Signal(spec, np.eye(6)[0])
     lat = lattice_from_points(spec, *all_phase_points(spec))
-    A, B = frame_bounds(delta, lat)
+    A, B = gabor_system(delta, lat).bounds
     assert A == pytest.approx(6.0, rel=1e-12)
     assert B == pytest.approx(6.0, rel=1e-12)
 
@@ -177,25 +177,23 @@ def test_delta_window_on_full_lattice():
 
 def test_dual_of_indicator_is_rescaled_indicator():
     spec = make_group([6], [3])
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     lat = quasi_lattice(spec)
-    h = dual_window(phi, lat)
-    A, _ = frame_bounds(phi, lat)
+    system = gabor_system(phi, lat)
+    h = dual_window(system)
+    A, _ = system.bounds
     np.testing.assert_allclose(h.values, phi.values / A, atol=1e-12)
 
 
-def test_dual_window_builds_one_frame_operator(monkeypatch):
-    # S_{g,g} is built once and eigensolved once; the bounds come from that S
+def count_frame_work(monkeypatch):
+    """Patch gabor to count S_{g,g} builds, S_{h,g} builds and eigensolves."""
     import fingabor.gabor as gabor
 
-    spec = make_group([6], [3])
-    phi = gaussian_window(spec)
-    lat = quasi_lattice(spec)
-    calls = {"S_gg": 0, "eigen": 0}
+    calls = {"S_gg": 0, "S_hg": 0, "eigen": 0}
     build, eigen = gabor.frame_operator, gabor.hermitian_eigen
 
     def counted_build(h, g, lattice):
-        calls["S_gg"] += h is g
+        calls["S_gg" if h is g else "S_hg"] += 1
         return build(h, g, lattice)
 
     def counted_eigen(S):
@@ -204,8 +202,28 @@ def test_dual_window_builds_one_frame_operator(monkeypatch):
 
     monkeypatch.setattr(gabor, "frame_operator", counted_build)
     monkeypatch.setattr(gabor, "hermitian_eigen", counted_eigen)
-    dual_window(phi, lat)
-    assert calls == {"S_gg": 1, "eigen": 1}
+    return calls
+
+
+def test_dual_window_builds_one_frame_operator(monkeypatch):
+    # the system carries S_{g,g} and its bounds: the dual builds only S_{h,g}
+    # and solves no eigenproblem
+    spec = make_group([6], [3])
+    system = gabor_system(subgroup_indicator(spec), quasi_lattice(spec))
+    calls = count_frame_work(monkeypatch)
+    dual_window(system)
+    assert calls == {"S_gg": 0, "S_hg": 1, "eigen": 0}
+
+
+@pytest.mark.parametrize("spec", [make_group([6], [3]), make_group([64], [8])],
+                         ids=["z6", "z64"])
+def test_run_frames_builds_one_frame_operator_per_system(monkeypatch, spec):
+    # one S_{g,g} build and one eigensolve for each system the run checks
+    calls = count_frame_work(monkeypatch)
+    summary, _ = run_frames(spec, 0, 1)
+    systems = 2
+    assert (calls["S_gg"], calls["eigen"]) == (systems, systems)
+    assert "dual_window_error" not in summary
 
 
 def test_dual_window_checks_one_mixed_operator(monkeypatch):
@@ -213,7 +231,7 @@ def test_dual_window_checks_one_mixed_operator(monkeypatch):
     import fingabor.gabor as gabor
 
     spec = make_group([6], [3])
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     built = []
     build = gabor.frame_operator
 
@@ -222,7 +240,7 @@ def test_dual_window_checks_one_mixed_operator(monkeypatch):
         return build(h, g, lattice)
 
     monkeypatch.setattr(gabor, "frame_operator", counted)
-    dual_window(phi, quasi_lattice(spec))
+    dual_window(gabor_system(phi, quasi_lattice(spec)))
     assert built == [(True, True), (False, True)]
 
 
@@ -231,9 +249,9 @@ def test_dual_window_checks_one_mixed_operator(monkeypatch):
                          ids=["z6", "z64", "z12-mass", "z4xz8"])
 def test_mixed_frame_operators_deviate_equally(spec):
     # the check dual_window drops measures the adjoint of the one it keeps
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     lat = quasi_lattice(spec)
-    h = dual_window(phi, lat)
+    h = dual_window(gabor_system(phi, lat))
     eye = np.eye(spec.order)
     r_hg = np.max(np.abs(frame_operator(h, phi, lat).entries - eye))
     r_gh = np.max(np.abs(frame_operator(phi, h, lat).entries - eye))
@@ -243,9 +261,9 @@ def test_mixed_frame_operators_deviate_equally(spec):
 @pytest.mark.parametrize("factors,divisors", [([4], [2]), ([6], [3])])
 def test_expansion_reconstructs(factors, divisors):
     spec = make_group(factors, divisors)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     lat = quasi_lattice(spec)
-    h = dual_window(phi, lat)
+    h = dual_window(gabor_system(phi, lat))
     rng = np.random.default_rng(6)
     for _ in range(20):
         f = rand_signal(spec, rng)
@@ -258,13 +276,13 @@ def test_perturbed_window_has_no_lattice_dual():
     # quasi-lattice shifts, so S^{-1} g stops generating the dual system
     spec = make_group([4], [2])
     lat = quasi_lattice(spec)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     bumped = Signal(spec, phi.values + 0.3 * np.array([0.1, -0.2, 0.05, 0.15]))
     with pytest.raises(DualWindowMismatch):
-        dual_window(bumped, lat)
+        dual_window(gabor_system(bumped, lat))
     rng = np.random.default_rng(3)
     with pytest.raises(DualWindowMismatch):
-        dual_window(rand_signal(spec, rng), lat)
+        dual_window(gabor_system(rand_signal(spec, rng), lat))
 
 
 @pytest.mark.parametrize("spec", [make_group([6], [3]), make_group([4], [1])],
@@ -275,11 +293,12 @@ def test_missing_time_coset_is_not_a_frame(spec):
     kept = lat.x != lat.x[0]
     assert not kept.all()
     deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
-    phi = gaussian_window(spec)
-    A, B = frame_bounds(phi, deficient)
+    phi = subgroup_indicator(spec)
+    system = gabor_system(phi, deficient)
+    A, B = system.bounds
     assert A <= 1e-10 * B
     with pytest.raises(NotAFrame):
-        dual_window(phi, deficient)
+        dual_window(system)
 
 
 @pytest.mark.parametrize("spec", [make_group([6], [3]), make_group([4], [1])],
@@ -289,11 +308,34 @@ def test_run_frames_reports_the_deficient_bounds(spec):
     lat = quasi_lattice(spec)
     kept = lat.x != lat.x[0]
     deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
-    assert summary["deficient_bounds"] == list(frame_bounds(gaussian_window(spec), deficient))
+    assert summary["deficient_bounds"] == list(gabor_system(subgroup_indicator(spec), deficient).bounds)
     if spec.subgroup_order == spec.order:
         # with K = G nothing is kept, and the zero operator has A = B = 0
         assert summary["deficient_bounds"] == [0.0, 0.0]
     assert summary["results"]["deficient-lattice-collapse"]["passed"]
+
+
+def test_run_frames_reports_a_dual_window_mismatch(monkeypatch):
+    def mismatch(*args):
+        raise DualWindowMismatch("mixed frame operators deviate from identity by 1.000e+00")
+
+    monkeypatch.setattr(experiments, "dual_window", mismatch)
+    summary, _ = run_frames(make_group([6], [3]), 0, 2)
+    assert summary["dual_window_error"] == (
+        "DualWindowMismatch: mixed frame operators deviate from identity by 1.000e+00")
+    assert "dual_window_norm" not in summary
+    entry = summary["results"]["frame-expansion"]
+    assert math.isnan(entry["residual"]) and entry["passed"] is False
+
+
+def test_run_frames_propagates_a_programming_error(monkeypatch):
+    # only a frame that has no dual is reported; any other error is a bug
+    def broken(*args):
+        raise TypeError("dual_window() got an unexpected argument")
+
+    monkeypatch.setattr(experiments, "dual_window", broken)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        run_frames(make_group([6], [3]), 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +377,7 @@ def test_discrete_modnorm_needs_full_lattice():
     partial = lattice_from_points(spec, lat.x[:-1], lat.xi[:-1])
     f = Signal(spec, np.ones(4))
     with pytest.raises(GroupMismatch):
-        discrete_modnorm(f, gaussian_window(spec), partial, (2, 2))
+        discrete_modnorm(f, subgroup_indicator(spec), partial, (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +414,7 @@ def test_representative_choice_is_immaterial(spec):
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
     assert representative_independence_residual(f, g, lat) == 0.0
-    assert representative_independence_residual(f, gaussian_window(spec), lat) == 0.0
+    assert representative_independence_residual(f, subgroup_indicator(spec), lat) == 0.0
 
 
 def test_nan_transform_fails_the_representative_sweep(monkeypatch):

@@ -40,9 +40,9 @@ from fingabor.norms import (
     polynomial_weight,
     rnorm_subadditivity_residual,
 )
-from fingabor.signal import PhaseFunction, Signal, norm_l2
+from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.spectral import decay_profiles, haar_baseline
-from fingabor.tfa import gaussian_window, stft
+from fingabor.tfa import stft
 from oracles import (dense_amalgam, gather_maximum, plain_norm_pointwise_trial, tile_indices,
                      young_verify)
 
@@ -350,7 +350,7 @@ def test_modulation_norm_energy_case():
     for spec in (make_group([8], [2]), GroupSpec((12,), (3,), 0.25), make_group([6, 2], [3, 2])):
         rng = np.random.default_rng(15)
         f = rand_signal(spec, rng)
-        want = norm_l2(f) * norm_l2(gaussian_window(spec))
+        want = norm_l2(f) * norm_l2(subgroup_indicator(spec))
         assert modulation_norm(f, (2, 2)) == pytest.approx(want, rel=1e-12)
 
 
@@ -358,7 +358,7 @@ def test_modulation_norm_trivial_subgroup_collapses():
     # K = {0}: the canonical tile only moves xi and |V| does not depend on it
     spec = make_group([8], [8])
     rng = np.random.default_rng(16)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     for _ in range(10):
         f = rand_signal(spec, rng)
         V = stft(f, phi)
@@ -377,7 +377,7 @@ def test_canonical_window_transform_is_tile_constant():
         spec = make_group(factors, divisors)
         rng = np.random.default_rng(17)
         f = rand_signal(spec, rng)
-        V = stft(f, gaussian_window(spec)).mat
+        V = stft(f, subgroup_indicator(spec)).mat
         grid = residue_grid(spec)
         mods = np.array(spec.factors)
         for k in subgroup_indices(spec):

@@ -36,9 +36,10 @@ from fingabor.signal import (
     fourier,
     inner,
     inverse_fourier,
+    subgroup_indicator,
     tf_shift,
 )
-from fingabor.tfa import gaussian_window, rihaczek, stft
+from fingabor.tfa import rihaczek, stft
 from oracles import (
     annihilator,
     coset_sums,
@@ -205,7 +206,7 @@ def test_closed_form_on_all_phase_points():
     sigma = rand_symbol(spec, rng)
     pts = [(i, j) for i in range(4) for j in range(4)]
     lat = lattice_from_points(spec, *zip(*pts))
-    direct = gabor_matrix(sigma, gaussian_window(spec), lat)
+    direct = gabor_matrix(sigma, subgroup_indicator(spec), lat)
     closed = gabor_matrix_closed_form(sigma, lat)
     np.testing.assert_allclose(closed, direct, atol=1e-12)
     assert np.array_equal(closed, gather_gabor_matrix_closed_form(sigma, pts))
@@ -291,7 +292,7 @@ def test_localization_matrix_matches_apply(spec):
 def test_localization_matrix_rejects_mixed_groups():
     # the windows share a's factors and subgroup but not its point mass
     a = rand_symbol(make_group([8], [2]), np.random.default_rng(11))
-    psi = gaussian_window(GroupSpec((8,), (2,), 0.5))
+    psi = subgroup_indicator(GroupSpec((8,), (2,), 0.5))
     f = Signal(a.group, np.ones(8))
     for build in (lambda: localization_matrix(a, psi, psi),
                   lambda: localization_apply(a, psi, psi, f)):
@@ -426,7 +427,7 @@ def test_probes_match_dense_oracle(spec):
     rng = np.random.default_rng(17)
     g = rand_signal(spec, rng)
     f = rand_signal(spec, rng)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     poly = Weight.tensor(polynomial_weight(spec, 1.0), polynomial_weight(dual_spec(spec), 1.0))
     Phi = rihaczek(phi, phi).as_signal()
     R = rihaczek(g, f).as_signal()

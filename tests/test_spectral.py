@@ -9,7 +9,7 @@ from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupSpec, make_group
 from fingabor.norms import mixed_quasi_norm
 from fingabor.operators import OperatorMatrix, localization_matrix
-from fingabor.signal import norm_l2
+from fingabor.signal import norm_l2, subgroup_indicator
 from fingabor.spectral import (
     DegenerateSpectrum,
     NotHermitian,
@@ -20,7 +20,6 @@ from fingabor.spectral import (
     haar_baseline,
     hermitian_eigen,
 )
-from fingabor.tfa import gaussian_window
 from oracles import dense_amalgam, eager_eigenpairs, haar_random_unit
 
 
@@ -118,7 +117,7 @@ def test_eigen_degenerate_top_eigenspace():
 def decay_localization_matrix():
     # decay's operator on Z_64/8: its top eigenspace is tied
     spec = make_group([64], [8])
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     return localization_matrix(bump_symbol(spec), phi, phi)
 
 
@@ -166,7 +165,7 @@ def test_decay_comparison_normalizes_only_the_vectors_it_reads(monkeypatch):
 def test_frame_bounds_normalizes_no_vector(monkeypatch):
     calls = recorded_eigen(monkeypatch, gabor)
     spec = make_group([6, 2], [3, 2])
-    gabor.frame_bounds(gaussian_window(spec), quasi_lattice(spec))
+    gabor.gabor_system(subgroup_indicator(spec), quasi_lattice(spec))
     (pairs,) = calls
     assert pairs and not any("vector" in p.__dict__ for p in pairs)
 
@@ -435,7 +434,7 @@ def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
     summary, _ = run_decay(spec, 0, 40, control_seeds=(0, 1, 0))
     assert sorted(seen) == [0, 1]
     monkeypatch.undo()
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     A = localization_matrix(bump_symbol(spec), phi, phi)
     assert summary["localization"] == {**decay_comparison(A, haar_baseline(spec, 40, 0)),
                                        "seed": 0}

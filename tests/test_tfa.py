@@ -12,9 +12,8 @@ from fingabor.group import (
     phase_spec,
     subgroup_indices,
 )
-from fingabor.signal import Signal, fourier, inner, norm_l2
+from fingabor.signal import Signal, fourier, inner, norm_l2, subgroup_indicator
 from fingabor.tfa import (
-    gaussian_window,
     magic_formula_residual,
     moyal_residual,
     rihaczek,
@@ -65,7 +64,7 @@ def test_stft_matches_brute_force(factors, divisors, mass):
 
 def test_stft_lives_on_phase_spec():
     spec = GroupSpec((6,), (3,), 0.5)
-    f = gaussian_window(spec)
+    f = subgroup_indicator(spec)
     V = stft(f, f)
     assert V.group == spec
     assert phase_spec(spec).mass == pytest.approx(spec.mass * spec.mass_dual)
@@ -74,7 +73,7 @@ def test_stft_lives_on_phase_spec():
 def test_stft_of_shift_is_inner_product():
     # <pi(x, xi) g, pi(x, xi) g> recovers the window energy at the origin
     spec = make_group([6], [3])
-    g = gaussian_window(spec)
+    g = subgroup_indicator(spec)
     V = stft(g, g)
     assert V.mat[0, 0] == pytest.approx(inner(g, g))
 
@@ -86,7 +85,7 @@ def test_stft_of_shift_is_inner_product():
 @pytest.mark.parametrize("factors,divisors", [([4], [2]), ([6], [3]), ([6, 2], [3, 2]), ([8], [8])])
 def test_window_transform_support_exact(factors, divisors):
     spec = make_group(factors, divisors)
-    phi = gaussian_window(spec)
+    phi = subgroup_indicator(spec)
     V = stft(phi, phi).mat
     kk = subgroup_indices(spec)
     aa = annihilator_indices(spec)
@@ -116,7 +115,7 @@ def test_gaussian_circ_is_scaled_indicator():
     for spec in (make_group([6], [3]), GroupSpec((12,), (3,), 0.25), make_group([6, 2], [3, 2]),
                  GroupSpec((9,), (3,), 0.3), make_group([8], [8])):
         circ = gaussian_circ(spec)
-        phi = gaussian_window(spec)
+        phi = subgroup_indicator(spec)
         np.testing.assert_allclose(
             circ.values, spec.subgroup_order * spec.mass * phi.values, atol=1e-14
         )
