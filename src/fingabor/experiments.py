@@ -741,11 +741,12 @@ def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
 
 
 def bump_symbol(spec: GroupSpec) -> PhaseFunction:
-    """Smooth mask over one subgroup tile anchored at the phase-space origin.
+    """Smooth mask on the box of the first |K| points of the group times the
+    first |K_perp| points of the dual, in canonical order.
 
-    A raised-cosine profile over the first |K| points of the group in
-    canonical order and the first |K_perp| points of the dual, normalized
-    to peak value one.
+    A raised-cosine profile along each side of the box, normalized to peak
+    value one.  The box is not a tile of K x K_perp: on Z_64/8 its 64 points
+    lie in 64 different tiles, one point in each.
     """
     n = spec.order
     nk = spec.subgroup_order

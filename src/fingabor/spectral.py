@@ -161,8 +161,11 @@ def decay_comparison(
     Each of the top_k eigenfunctions gets a percentile rank, in [0, 100],
     of its REF_GAMMA ratio within ``baseline``, for instance
     ``haar_baseline(spec, trials, seed)``; the report's ``trials`` is
-    ``len(baseline)``.
+    ``len(baseline)``.  An empty baseline ranks nothing and raises
+    ValueError.
     """
+    if len(baseline) == 0:
+        raise ValueError("decay_comparison needs a non-empty baseline")
     spec = A.group
     pairs = hermitian_eigen(A)
     if abs(pairs[0].value) <= 1e-8:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,14 @@ def test_decay_comparison_rejects_null_operator():
     Z = OperatorMatrix(spec, np.zeros((4, 4)))
     with pytest.raises(DegenerateSpectrum):
         decay_comparison(Z, haar_baseline(spec, 5, 0))
+
+
+def test_decay_comparison_rejects_an_empty_baseline():
+    # zero trials draw an empty baseline: refused before any percentile is divided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-empty baseline"):
+            run_decay(make_group([8], [2]), 0, 0, control_seeds=(0,))
 
 
 def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
