@@ -29,6 +29,7 @@ import numpy as np
 
 from .gabor import (
     DualWindowMismatch,
+    GaborSystem,
     NotAFrame,
     dual_window,
     expansion_residual,
@@ -37,7 +38,14 @@ from .gabor import (
     quasi_lattice,
     representative_independence_residual,
 )
-from .group import GroupSpec, character_row, dual_spec, tile_cover, trivial_subgroup_spec
+from .group import (
+    GroupSpec,
+    character_row,
+    dual_spec,
+    subgroup_indices,
+    tile_cover,
+    trivial_subgroup_spec,
+)
 from .norms import (
     Exponents,
     Weight,
@@ -380,6 +388,8 @@ _CHECKS: dict[str, dict[str, float]] = {
         "frame-tightness": 1e-10,             # (B - A) / B of the subgroup system
         "frame-expansion": 1e-10,             # worst reconstruction error; NaN without a dual
         "deficient-lattice-collapse": 1e-10,  # A / B once one time coset is dropped
+        "painless-frame-bounds": 1e-12,       # (A, B) against the closed form, relative to B
+        "painless-dual": 1e-12,               # the dual against its closed form; NaN without one
     },
     "norms": {
         "covered-equals-plain": 1e-12,        # max |covered / plain - 1|
@@ -494,7 +504,46 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     summary["deficient_bounds"] = [da, db]
     # at K = G nothing is kept, and the zero operator has A = B = 0
     _verdict(summary, "deficient-lattice-collapse", da / db if db else 0.0)
+
+    # a random complex window supported on K, over the same lattice
+    rng = stream_rng(seed, 1)
+    k = subgroup_indices(spec)
+    values = np.zeros(spec.order, dtype=np.complex128)
+    values[k] = rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
+    painless = gabor_system(Signal(spec, values), lattice)
+    summary["painless_bounds"] = list(painless.bounds)
+    dual = None
+    try:
+        dual = dual_window(painless)
+    except (NotAFrame, DualWindowMismatch) as exc:
+        summary["painless_dual_error"] = f"{type(exc).__name__}: {exc}"
+    bounds_residual, dual_residual = _painless_residuals(painless, dual)
+    _verdict(summary, "painless-frame-bounds", bounds_residual)
+    _verdict(summary, "painless-dual", dual_residual)
     return summary, {}
+
+
+def _painless_residuals(system: GaborSystem, h: Signal | None) -> tuple[float, float]:
+    """Residuals of the closed forms of a window g supported on K over the
+    canonical quasi-lattice: with c = mass |K|, A = c min_K |g|^2,
+    B = c max_K |g|^2, and the dual window is g / (c |g|^2) on K, 0 off K.
+
+    The frequency transversal restricts to every character of K exactly once,
+    so S_{g,g} multiplies f(y) by c |g(y - x)|^2 on each time coset x + K: the
+    finite painless case of Daubechies, Grossmann and Meyer (J. Math. Phys.
+    27, 1986).  The bounds residual is relative to c max|g|^2, the dual's to
+    the closed form's largest modulus, and the latter is NaN without a dual.
+    """
+    spec = system.lattice.group
+    k = subgroup_indices(spec)
+    c = spec.mass * spec.subgroup_order
+    sq = np.abs(system.window.values[k]) ** 2
+    A, B = system.bounds
+    lo, hi = c * sq.min(), c * sq.max()
+    closed = np.zeros(spec.order, dtype=np.complex128)
+    closed[k] = system.window.values[k] / (c * sq)
+    deviation = math.nan if h is None else np.max(np.abs(h.values - closed))
+    return float(max(abs(A - lo), abs(B - hi)) / hi), float(deviation / np.max(np.abs(closed)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fingabor import experiments
 from fingabor.experiments import run_frames, run_identities
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.tfa import stft, window_constant
-from oracles import quotient_coefficients, tile_indices
+from oracles import quotient_coefficients, subgroup_points, tile_indices
 
 
 def rand_signal(spec, rng):
@@ -221,7 +221,7 @@ def test_run_frames_builds_one_frame_operator_per_system(monkeypatch, spec):
     # one S_{g,g} build and one eigensolve for each system the run checks
     calls = count_frame_work(monkeypatch)
     summary, _ = run_frames(spec, 0, 1)
-    systems = 2
+    systems = 3
     assert (calls["S_gg"], calls["eigen"]) == (systems, systems)
     assert "dual_window_error" not in summary
 
@@ -308,11 +308,48 @@ def test_run_frames_reports_the_deficient_bounds(spec):
     lat = quasi_lattice(spec)
     kept = lat.x != lat.x[0]
     deficient = lattice_from_points(spec, lat.x[kept], lat.xi[kept])
-    assert summary["deficient_bounds"] == list(gabor_system(subgroup_indicator(spec), deficient).bounds)
+    bounds = gabor_system(subgroup_indicator(spec), deficient).bounds
+    assert summary["deficient_bounds"] == list(bounds)
     if spec.subgroup_order == spec.order:
         # with K = G nothing is kept, and the zero operator has A = B = 0
         assert summary["deficient_bounds"] == [0.0, 0.0]
     assert summary["results"]["deficient-lattice-collapse"]["passed"]
+
+
+# Z_16/4, Z_64/8, the lattice groups (K = G among them) and a trivial K
+PAINLESS_GROUPS = [make_group([16], [4]), make_group([64], [8])] + LATTICE_GROUPS + [
+    make_group([8], [8])]
+PAINLESS_IDS = ["z16", "z64"] + LATTICE_IDS + ["z8-K-trivial"]
+
+
+@pytest.mark.parametrize("spec", PAINLESS_GROUPS, ids=PAINLESS_IDS)
+def test_window_on_K_has_the_painless_closed_forms(spec):
+    # the frequency transversal restricts to every character of K exactly
+    # once, so S_{g,g} is diagonal with entries c |g|^2, c = mass |K|, each
+    # value of g on K once per time coset
+    rng = np.random.default_rng(14)
+    on_K = np.isin(np.arange(spec.order), subgroup_points(spec))
+    values = np.zeros(spec.order, dtype=complex)
+    values[on_K] = rng.standard_normal(on_K.sum()) + 1j * rng.standard_normal(on_K.sum())
+    system = gabor_system(Signal(spec, values), quasi_lattice(spec))
+    c = spec.mass * spec.subgroup_order
+    sq = np.abs(values[on_K]) ** 2
+    S = system.operator.entries
+    cosets = spec.order // spec.subgroup_order
+    np.testing.assert_allclose(np.sort(np.diag(S).real), np.sort(np.tile(c * sq, cosets)),
+                               rtol=1e-12, atol=0)
+    assert np.max(np.abs(S - np.diag(np.diag(S)))) <= 1e-12 * c * sq.max()
+    A, B = system.bounds
+    assert max(abs(A - c * sq.min()), abs(B - c * sq.max())) <= 1e-12 * c * sq.max()
+    closed = np.zeros(spec.order, dtype=complex)
+    closed[on_K] = values[on_K] / (c * sq)
+    h = dual_window(system)
+    assert np.max(np.abs(h.values - closed)) <= 1e-12 * np.max(np.abs(closed))
+    # the frames experiment checks its own seeded window the same way
+    summary, _ = run_frames(spec, 0, 1)
+    assert "painless_dual_error" not in summary
+    for name in ("painless-frame-bounds", "painless-dual"):
+        assert summary["results"][name]["passed"], summary["results"][name]
 
 
 def test_run_frames_reports_a_dual_window_mismatch(monkeypatch):
@@ -325,6 +362,10 @@ def test_run_frames_reports_a_dual_window_mismatch(monkeypatch):
         "DualWindowMismatch: mixed frame operators deviate from identity by 1.000e+00")
     assert "dual_window_norm" not in summary
     entry = summary["results"]["frame-expansion"]
+    assert math.isnan(entry["residual"]) and entry["passed"] is False
+    # the painless system's dual fails the same way, and its check with it
+    assert summary["painless_dual_error"].startswith("DualWindowMismatch: ")
+    entry = summary["results"]["painless-dual"]
     assert math.isnan(entry["residual"]) and entry["passed"] is False
 
 
