@@ -388,7 +388,7 @@ _CHECKS: dict[str, dict[str, float]] = {
         "frame-tightness": 1e-10,             # (B - A) / B of the subgroup system
         "frame-expansion": 1e-10,             # worst reconstruction error; NaN without a dual
         "deficient-lattice-collapse": 1e-10,  # A / B once one time coset is dropped
-        "painless-frame-bounds": 1e-12,       # (A, B) against the closed form, relative to B
+        "painless-frame-bounds": 1e-12,       # (A, B) against c min, c max of |g|^2 on K
         "painless-dual": 1e-12,               # the dual against its closed form; NaN without one
     },
     "norms": {
@@ -537,11 +537,11 @@ def _painless_residuals(system: GaborSystem, h: Signal | None) -> tuple[float, f
     spec = system.lattice.group
     k = subgroup_indices(spec)
     c = spec.mass * spec.subgroup_order
-    sq = np.abs(system.window.values[k]) ** 2
-    A, B = system.bounds
+    g = system.window.values[k]
+    sq, (A, B) = np.abs(g) ** 2, system.bounds
     lo, hi = c * sq.min(), c * sq.max()
     closed = np.zeros(spec.order, dtype=np.complex128)
-    closed[k] = system.window.values[k] / (c * sq)
+    closed[k] = g / (c * sq)
     deviation = math.nan if h is None else np.max(np.abs(h.values - closed))
     return float(max(abs(A - lo), abs(B - hi)) / hi), float(deviation / np.max(np.abs(closed)))
 
