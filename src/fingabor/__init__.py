@@ -82,7 +82,7 @@ from .gabor import (
     analysis,
     discrete_modnorm,
     dual_window,
-    expansion_residual,
+    expansion_residuals,
     frame_operator,
     gabor_system,
     lattice_from_points,

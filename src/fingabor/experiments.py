@@ -32,7 +32,7 @@ from .gabor import (
     GaborSystem,
     NotAFrame,
     dual_window,
-    expansion_residual,
+    expansion_residuals,
     gabor_system,
     lattice_from_points,
     quasi_lattice,
@@ -53,8 +53,6 @@ from .norms import (
     inclusion_bound,
     inclusion_ratio,
     mixed_norm_stack,
-    mixed_quasi_norm,
-    modulation_norm,
     modulation_norms,
     polynomial_weight,
     rnorm_subadditivity_residual,
@@ -492,8 +490,8 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
         summary["dual_window_error"] = f"{type(exc).__name__}: {exc}"
     else:
         rng = stream_rng(seed, 0)
-        residuals = (r for _ in range(trials)
-                     for r in expansion_residual(random_signal(spec, rng), g, h, lattice))
+        signals = (random_signal(spec, rng) for _ in range(trials))
+        residuals = (r for pair in expansion_residuals(signals, g, h, lattice) for r in pair)
         expansion = functools.reduce(_worse, residuals, 0.0)
         summary["dual_window_norm"] = norm_l2(h)
     _verdict(summary, "frame-expansion", expansion)
@@ -611,12 +609,13 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
         "flat": None,
         "poly1": Weight.tensor(polynomial_weight(spec, 1.0), polynomial_weight(dual_spec(spec), 1.0)),
     }
-    V0 = stft(f0, phi)
+    V0 = np.abs(stft(f0, phi).mat)[None]
     for wid, m in weights.items():
         # window set K x K_perp, then the unit set {0}: the plain norm of V
-        for gid in ("tile", "unit"):
-            for e in _EXPONENT_GRID:
-                val = modulation_norm(f0, e=e, m=m) if gid == "tile" else mixed_quasi_norm(V0, e, m)
+        tile = modulation_norms(spec, f0.values[None, :], _EXPONENT_GRID, m)[0]
+        unit = mixed_norm_stack(V0, _EXPONENT_GRID, spec.mass, spec.mass_dual, m)[0]
+        for gid, values in (("tile", tile.tolist()), ("unit", unit.tolist())):
+            for e, val in zip(_EXPONENT_GRID, values):
                 rows.append((_fmt_p(e.p), _fmt_p(e.q), wid, gid, f"{val!r}"))
 
     tables = {"norm_sweep": [("p", "q", "weight", "window", "value")] + rows}
@@ -717,34 +716,22 @@ _CONVREL_CASES = (
 
 def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     rng = stream_rng(seed, 0)
-    px = polynomial_weight(spec, 1.0)
     pxi = polynomial_weight(dual_spec(spec), 1.0)
-    m = Weight.tensor(px, pxi)
-    v = m
+    m = Weight.tensor(polynomial_weight(spec, 1.0), pxi)
     nu = np.sqrt(pxi.values)
-    stats = {i: [math.inf, 0.0] for i in range(len(_CONVREL_CASES))}
+    c_min, c_max = np.full(len(_CONVREL_CASES), math.inf), np.zeros(len(_CONVREL_CASES))
     for _ in range(trials):
         f = random_signal(spec, rng)
         g = random_signal(spec, rng)
-        for i, (eo, ef, eg) in enumerate(_CONVREL_CASES):
-            lhs, rhs = convolution_relation_probe(
-                f,
-                g,
-                Exponents.of(*eo),
-                Exponents.of(*ef),
-                Exponents.of(*eg),
-                m=m,
-                v=v,
-                nu=nu,
-            )
-            # a degenerate trial gives its case a NaN constant, which the fold keeps
-            ok = math.isfinite(lhs) and math.isfinite(rhs) and rhs > 0
-            c = lhs / rhs if ok else math.nan
-            stats[i] = [float(np.minimum(stats[i][0], c)), float(np.maximum(stats[i][1], c))]
+        lhs, rhs = convolution_relation_probe(f, g, _CONVREL_CASES, m=m, nu=nu).T
+        # a degenerate trial gives its case a NaN constant, which the fold keeps
+        ok = np.isfinite(lhs) & np.isfinite(rhs) & (rhs > 0)
+        c = np.divide(lhs, rhs, out=np.full_like(lhs, math.nan), where=ok)
+        c_min, c_max = np.minimum(c_min, c), np.maximum(c_max, c)
     rows = [("case", "p_out", "q_out", "p_f", "q_f", "p_g", "q_g", "min_c", "max_c", "spread")]
     spreads = {}
-    for i, (eo, ef, eg) in enumerate(_CONVREL_CASES):
-        lo, hi = stats[i]
+    bounds = zip(_CONVREL_CASES, c_min.tolist(), c_max.tolist())
+    for i, ((eo, ef, eg), lo, hi) in enumerate(bounds):
         spreads[str(i)] = spread = math.inf if lo <= 0 else hi / lo
         rows.append(
             (str(i), _fmt_p(eo[0]), _fmt_p(eo[1]), _fmt_p(ef[0]), _fmt_p(ef[1]),

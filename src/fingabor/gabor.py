@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,8 +106,8 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatri
     """S_{h,g} f = sum_w <f, pi(w) g> pi(w) h."""
     if h.group != g.group:
         raise GroupMismatch("both windows must live on the same group")
-    H = tf_shift_rows(h, lattice.x, lattice.xi)
     G = tf_shift_rows(g, lattice.x, lattice.xi)
+    H = G if h is g else tf_shift_rows(h, lattice.x, lattice.xi)
     return OperatorMatrix(h.group, H.T @ np.conj(G) * g.group.mass)
 
 
@@ -156,15 +156,21 @@ def dual_window(system: GaborSystem) -> Signal:
     return h
 
 
-def expansion_residual(
-    f: Signal, g: Signal, h: Signal, lattice: QuasiLattice
-) -> tuple[float, float]:
-    """Reconstruction errors with (analysis g, synthesis h) and swapped."""
-    c_g = analysis(g, lattice, f)
-    c_h = analysis(h, lattice, f)
-    r1 = norm_l2(Signal(f.group, synthesis(h, lattice, c_g).values - f.values))
-    r2 = norm_l2(Signal(f.group, synthesis(g, lattice, c_h).values - f.values))
-    return float(r1), float(r2)
+def expansion_residuals(
+    fs: Iterable[Signal], g: Signal, h: Signal, lattice: QuasiLattice
+) -> Iterator[tuple[float, float]]:
+    """Reconstruction errors of each f in ``fs`` with (analysis g, synthesis h)
+    and swapped.  The shifted stacks of g and h are built once; each f takes
+    the matrix-vector products of :func:`analysis` and :func:`synthesis`."""
+    G = tf_shift_rows(g, lattice.x, lattice.xi)
+    H = tf_shift_rows(h, lattice.x, lattice.xi)
+    G_conj, H_conj = np.conj(G), np.conj(H)
+    for f in fs:
+        c_g = G_conj @ f.values * f.group.mass
+        c_h = H_conj @ f.values * f.group.mass
+        r1 = norm_l2(Signal(f.group, c_g @ H - f.values))
+        r2 = norm_l2(Signal(f.group, c_h @ G - f.values))
+        yield float(r1), float(r2)
 
 
 # ---------------------------------------------------------------------------

@@ -110,26 +110,27 @@ def mixed_quasi_norm(
 ) -> float:
     """Weighted L^{p,q} quasi-norm on phase space, x inner, xi outer."""
     spec = F.group
-    n = spec.order
-    W = np.abs(F.values)
-    if m is not None:
-        if m.values.shape != (n * n,):
-            raise GroupMismatch("weight does not match the phase space")
-        W = W * m.values
-    return float(mixed_norm_stack(W.reshape(1, n, n), [Exponents.of(e)],
-                                  spec.mass, spec.mass_dual)[0, 0])
+    return float(mixed_norm_stack(np.abs(F.mat)[None], [Exponents.of(e)],
+                                  spec.mass, spec.mass_dual, m)[0, 0])
 
 
 def mixed_norm_stack(
-    W: np.ndarray, exps: Sequence[Exponents], mass: float, mass_dual: float
+    W: np.ndarray, exps: Sequence[Exponents], mass: float, mass_dual: float,
+    m: Weight | None = None,
 ) -> np.ndarray:
-    """Unweighted mixed quasi-norms [b, i] of each nonnegative W[b, x, xi] for
-    each exps[i], with ``mass`` per point x and ``mass_dual`` per point xi.
+    """Mixed quasi-norms [b, i] of each nonnegative W[b, x, xi], times the
+    weight m(x, xi) when one is given, for each exps[i], with ``mass`` per
+    point x and ``mass_dual`` per point xi.
 
     Each distinct inner p-sum is taken once for the whole list.  Entry
     [b, i] does not depend on the other rows of the stack or on the other
     exponents of the list, bit for bit.
     """
+    if m is not None:
+        if m.values.shape != (W.shape[1] * W.shape[2],):
+            raise GroupMismatch("weight does not match the phase space")
+        # a C-ordered product sums each row as a one-row stack would
+        W = np.multiply(W, m.values.reshape(W.shape[1:]), order="C")
     out = np.empty((W.shape[0], len(exps)))
     inner: dict[float, np.ndarray] = {}
     for i, e in enumerate(exps):
@@ -164,23 +165,23 @@ def modulation_norm(
     f: Signal, e: Exponents | Sequence[float] = (2.0, 2.0), m: Weight | None = None
 ) -> float:
     """Modulation quasi-norm of f for the window 1_K and the window set
-    K x K_perp, evaluated on the quotient."""
-    e = Exponents.of(e)
-    spec = f.group
-    if m is None:
-        return float(modulation_norms(spec, f.values[None, :], [e])[0, 0])
-    _, coset, eta = quotient_indices(spec)
-    Q = _coset_magnitudes(spec, f.values[None, :])[0]
-    return mixed_quasi_norm(PhaseFunction(spec, Q[np.ix_(coset, eta)].reshape(-1)), e, m)
+    K x K_perp: the one-row, one-exponent view of :func:`modulation_norms`."""
+    return float(modulation_norms(f.group, f.values[None, :], [Exponents.of(e)], m)[0, 0])
 
 
-def modulation_norms(spec: GroupSpec, F: np.ndarray, exps: Sequence[Exponents]) -> np.ndarray:
-    """Unweighted modulation norms [b, i] of each row F[b] for each exps[i];
-    the multiplicities |K| and |K_perp| of the quotient go into the masses."""
+def modulation_norms(
+    spec: GroupSpec, F: np.ndarray, exps: Sequence[Exponents], m: Weight | None = None
+) -> np.ndarray:
+    """Modulation norms [b, i] of each row F[b] for each exps[i], from one
+    kernel call.  Unweighted, the multiplicities |K| and |K_perp| of the
+    quotient go into the masses; a weight gets Q broadcast back to (x, xi)."""
     Q = _coset_magnitudes(spec, F)
-    mass = spec.mass * spec.subgroup_order
-    mass_dual = spec.mass_dual * spec.annihilator_order
-    return mixed_norm_stack(Q, exps, mass, mass_dual)
+    if m is None:
+        mass = spec.mass * spec.subgroup_order
+        mass_dual = spec.mass_dual * spec.annihilator_order
+        return mixed_norm_stack(Q, exps, mass, mass_dual)
+    _, coset, eta = quotient_indices(spec)
+    return mixed_norm_stack(Q[:, coset][:, :, eta], exps, spec.mass, spec.mass_dual, m)
 
 
 def _coset_magnitudes(spec: GroupSpec, F: np.ndarray) -> np.ndarray:

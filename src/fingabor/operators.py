@@ -43,7 +43,7 @@ from .group import (
     coset_points,
     diff_table,
 )
-from .norms import Exponents, Weight, _inv, modulation_norm
+from .norms import Exponents, Weight, _inv, modulation_norm, modulation_norms
 from .signal import (
     PhaseFunction,
     Signal,
@@ -277,47 +277,42 @@ def rihaczek_continuity_probe(
 def convolution_relation_probe(
     f: Signal,
     g: Signal,
-    e_out: Exponents | Sequence[float],
-    e_f: Exponents | Sequence[float],
-    e_g: Exponents | Sequence[float],
+    cases: Sequence[tuple[Exponents | Sequence[float], ...]],
     m: Weight | None = None,
-    v: Weight | None = None,
     nu: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Realized pair (lhs, rhs) for the modulation-space convolution bound.
+) -> np.ndarray:
+    """Realized pairs [case, (lhs, rhs)] for the modulation-space convolution
+    bound, one row per exponent triple (e_out, e_f, e_g) of ``cases``.
 
     lhs = norm of f * g in M^{r, gamma}_m computed with the self-convolved
     window phi * phi = c 1_K, that is |c| times the canonical norm, where
     c = mass |K| = <phi, phi> is the window constant; rhs = product of the
-    factor norms with marginal weights m1 x nu and v1 x (v2 / nu), both with
+    factor norms with marginal weights m1 x nu and m1 x (m2 / nu), both with
     the canonical window.  Exponents
     must satisfy 1/u + 1/t = 1/gamma and either r >= 1 with
-    1/p + 1/q = 1 + 1/r or p = q = r < 1.
+    1/p + 1/q = 1 + 1/r or p = q = r < 1.  The convolution is taken once,
+    and each of f * g, f and g takes all its exponents in one norm call.
     """
-    e_out = Exponents.of(e_out)
-    e_f = Exponents.of(e_f)
-    e_g = Exponents.of(e_g)
-    r, gamma = e_out.p, e_out.q
-    p, u = e_f.p, e_f.q
-    q, t = e_g.p, e_g.q
-    if abs(_inv(u) + _inv(t) - _inv(gamma)) > 1e-12:
-        raise ValueError("outer exponents do not split: need 1/u + 1/t = 1/gamma")
-    if r >= 1.0:
-        if min(p, q) < 1.0 or abs(_inv(p) + _inv(q) - 1.0 - _inv(r)) > 1e-12:
-            raise ValueError("inner exponents do not split: need 1/p + 1/q = 1 + 1/r")
-    elif not (p == q == r):
-        raise ValueError("below r = 1 the inner exponents must all coincide")
+    cases = [tuple(Exponents.of(e) for e in case) for case in cases]
+    for e_out, e_f, e_g in cases:
+        r, gamma = e_out.p, e_out.q
+        p, u = e_f.p, e_f.q
+        q, t = e_g.p, e_g.q
+        if abs(_inv(u) + _inv(t) - _inv(gamma)) > 1e-12:
+            raise ValueError("outer exponents do not split: need 1/u + 1/t = 1/gamma")
+        if r >= 1.0:
+            if min(p, q) < 1.0 or abs(_inv(p) + _inv(q) - 1.0 - _inv(r)) > 1e-12:
+                raise ValueError("inner exponents do not split: need 1/p + 1/q = 1 + 1/r")
+        elif not (p == q == r):
+            raise ValueError("below r = 1 the inner exponents must all coincide")
     spec = f.group
     n = spec.order
-    mvals = m.values if m is not None else np.ones(n * n)
-    vvals = v.values if v is not None else np.ones(n * n)
+    mvals = (m.values if m is not None else np.ones(n * n)).reshape(n, n)
     nuvals = np.asarray(nu, dtype=float) if nu is not None else np.ones(n)
-    m1 = mvals.reshape(n, n)[:, 0]
-    v1 = vvals.reshape(n, n)[:, 0]
-    v2 = vvals.reshape(n, n)[0, :]
+    m1, m2 = mvals[:, 0], mvals[0, :]
+    e_out, e_f, e_g = (list(side) for side in zip(*cases))
     c = abs(window_constant(spec))
-    lhs = c * modulation_norm(convolve(f, g), e_out, m)
-    rhs = modulation_norm(f, e_f, Weight.tensor(m1, nuvals)) * modulation_norm(
-        g, e_g, Weight.tensor(v1, v2 / nuvals)
-    )
-    return float(lhs), float(rhs)
+    lhs = c * modulation_norms(spec, convolve(f, g).values[None, :], e_out, m)[0]
+    rhs = (modulation_norms(spec, f.values[None, :], e_f, Weight.tensor(m1, nuvals))[0]
+           * modulation_norms(spec, g.values[None, :], e_g, Weight.tensor(m1, m2 / nuvals))[0])
+    return np.stack([lhs, rhs], axis=1)

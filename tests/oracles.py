@@ -12,7 +12,10 @@ a phase-space translation and a phase-space character.  The Gabor matrix
 residual takes its points as a list of (x, xi) pairs, and the pointwise
 covering check its plain norms from one ``mixed_quasi_norm`` call each.
 The mixed norm is also taken by the one-exponent kernel, with no inner sum
-shared between exponents.  The canonical window's self-convolution, the
+shared between exponents.  A weighted modulation norm is taken one
+exponent at a time through a dense phase function, the convolution probe
+one exponent triple at a time, and the frame expansion one signal at a
+time with its shifted stacks rebuilt for each.  The canonical window's self-convolution, the
 per-coset maxima of |V_g f| over a lattice, the annihilator as a list of
 characters and one Haar-random unit vector are built the direct way.
 
@@ -33,7 +36,7 @@ import math
 import numpy as np
 
 from fingabor.experiments import _EXPONENT_GRID, _worse, random_signal
-from fingabor.gabor import QuasiLattice
+from fingabor.gabor import QuasiLattice, analysis, synthesis
 from fingabor.group import (
     GroupSpec,
     annihilator_indices,
@@ -41,6 +44,7 @@ from fingabor.group import (
     diff_table,
     dual_spec,
     phase_spec,
+    quotient_indices,
     residue_grid,
     subgroup_indices,
     tile_cover,
@@ -48,6 +52,8 @@ from fingabor.group import (
 from fingabor.norms import (
     Exponents,
     Weight,
+    _coset_magnitudes,
+    _inv,
     check_young_exponents,
     mixed_quasi_norm,
     modulation_norm,
@@ -60,6 +66,7 @@ from fingabor.signal import (
     convolve,
     convolve_phase,
     modulate,
+    norm_l2,
     subgroup_indicator,
     tf_shift,
     translate,
@@ -327,6 +334,58 @@ def one_exponent_mixed_norm(W, e, mass, mass_dual):
         return inner.max(axis=1)
     outer = mass_dual * (inner ** e.q).sum(axis=1)
     return np.array([s ** (1.0 / e.q) for s in outer.tolist()])
+
+
+def broadcast_modulation_norm(f, e, m):
+    """Weighted modulation norm of f for one exponent pair: Q broadcast back
+    to every (x, xi) as a dense phase function, then one mixed_quasi_norm."""
+    spec = f.group
+    _, coset, eta = quotient_indices(spec)
+    Q = _coset_magnitudes(spec, f.values[None, :])[0]
+    return mixed_quasi_norm(PhaseFunction(spec, Q[np.ix_(coset, eta)].reshape(-1)), e, m)
+
+
+def one_case_convolution_probe(f, g, e_out, e_f, e_g, m=None, v=None, nu=None):
+    """Both sides (lhs, rhs) of the modulation-space convolution bound for one
+    exponent triple, with one convolution and three modulation_norm calls;
+    rhs has the marginal weights m1 x nu and v1 x (v2 / nu)."""
+    e_out = Exponents.of(e_out)
+    e_f = Exponents.of(e_f)
+    e_g = Exponents.of(e_g)
+    r, gamma = e_out.p, e_out.q
+    p, u = e_f.p, e_f.q
+    q, t = e_g.p, e_g.q
+    if abs(_inv(u) + _inv(t) - _inv(gamma)) > 1e-12:
+        raise ValueError("outer exponents do not split: need 1/u + 1/t = 1/gamma")
+    if r >= 1.0:
+        if min(p, q) < 1.0 or abs(_inv(p) + _inv(q) - 1.0 - _inv(r)) > 1e-12:
+            raise ValueError("inner exponents do not split: need 1/p + 1/q = 1 + 1/r")
+    elif not (p == q == r):
+        raise ValueError("below r = 1 the inner exponents must all coincide")
+    spec = f.group
+    n = spec.order
+    mvals = m.values if m is not None else np.ones(n * n)
+    vvals = v.values if v is not None else np.ones(n * n)
+    nuvals = np.asarray(nu, dtype=float) if nu is not None else np.ones(n)
+    m1 = mvals.reshape(n, n)[:, 0]
+    v1 = vvals.reshape(n, n)[:, 0]
+    v2 = vvals.reshape(n, n)[0, :]
+    c = abs(window_constant(spec))
+    lhs = c * modulation_norm(convolve(f, g), e_out, m)
+    rhs = modulation_norm(f, e_f, Weight.tensor(m1, nuvals)) * modulation_norm(
+        g, e_g, Weight.tensor(v1, v2 / nuvals)
+    )
+    return float(lhs), float(rhs)
+
+
+def one_signal_expansion_residual(f, g, h, lattice):
+    """Reconstruction errors of f with (analysis g, synthesis h) and swapped,
+    each analysis and synthesis building its shifted stack afresh."""
+    c_g = analysis(g, lattice, f)
+    c_h = analysis(h, lattice, f)
+    r1 = norm_l2(Signal(f.group, synthesis(h, lattice, c_g).values - f.values))
+    r2 = norm_l2(Signal(f.group, synthesis(g, lattice, c_h).values - f.values))
+    return float(r1), float(r2)
 
 
 def gaussian_circ(spec: GroupSpec) -> Signal:

@@ -259,7 +259,7 @@ def test_nan_residual_fails_its_check(tmp_path, capsys, monkeypatch):
 def test_nan_modulation_norm_fails_the_norms_run(tmp_path, capsys, monkeypatch):
     # the covered/plain ratio is a check: a NaN must not drop out of its fold
     monkeypatch.setattr("fingabor.experiments.modulation_norms",
-                        lambda spec, F, exps: np.full((len(F), len(exps)), math.nan))
+                        lambda spec, F, exps, m=None: np.full((len(F), len(exps)), math.nan))
     cfg = write_config(tmp_path, experiment="norms", trials=2)
     assert main(["run", str(cfg)]) == 2
     out = capsys.readouterr().out
@@ -321,7 +321,7 @@ def test_degenerate_convolution_relation_trial_fails_once(tmp_path, capsys, monk
     # a trial with non-finite sides makes its case's constant NaN: the spread
     # is NaN, and the one spread check fails with one line
     monkeypatch.setattr("fingabor.experiments.convolution_relation_probe",
-                        lambda *a, **k: (math.nan, math.nan))
+                        lambda f, g, cases, **k: np.full((len(cases), 2), math.nan))
     summary, tables = run_convrel(make_group([6], [3]), seed=0, trials=3)
     failures = summary["failures"]
     assert failures == ["convolution-relation-spread: residual nan exceeds tolerance 1.000e+01"]

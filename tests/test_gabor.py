@@ -9,7 +9,7 @@ from fingabor.gabor import (
     analysis,
     discrete_modnorm,
     dual_window,
-    expansion_residual,
+    expansion_residuals,
     frame_operator,
     gabor_system,
     lattice_from_points,
@@ -30,7 +30,8 @@ from fingabor import experiments
 from fingabor.experiments import run_frames, run_identities
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.tfa import stft, window_constant
-from oracles import quotient_coefficients, subgroup_points, tile_indices
+from oracles import (one_signal_expansion_residual, quotient_coefficients, subgroup_points,
+                     tile_indices)
 
 
 def rand_signal(spec, rng):
@@ -265,10 +266,51 @@ def test_expansion_reconstructs(factors, divisors):
     lat = quasi_lattice(spec)
     h = dual_window(gabor_system(phi, lat))
     rng = np.random.default_rng(6)
-    for _ in range(20):
-        f = rand_signal(spec, rng)
-        r1, r2 = expansion_residual(f, phi, h, lat)
+    signals = [rand_signal(spec, rng) for _ in range(20)]
+    for f, (r1, r2) in zip(signals, expansion_residuals(signals, phi, h, lat)):
         assert max(r1, r2) <= 1e-10 * max(1.0, norm_l2(f))
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([64], [8]),
+    make_group([6, 2], [3, 2]),
+    GroupSpec((12,), (3,), 0.25),
+    make_group([8], [1]),
+    make_group([8], [8]),
+], ids=["z64", "z6xz2", "z12-mass", "z8-k-is-g", "z8-trivial-k"])
+def test_expansion_residuals_equal_one_signal_oracle(spec):
+    # the stacks of g and h are built once, and each signal still takes its
+    # own matrix-vector products: every residual is the per-signal one, bit for bit
+    lat = quasi_lattice(spec)
+    rng = np.random.default_rng(7)
+    g = Signal(spec, subgroup_indicator(spec).values * (1.0 + rng.random(spec.order)))
+    h = dual_window(gabor_system(g, lat))
+    signals = [rand_signal(spec, rng) for _ in range(5)]
+    want = [one_signal_expansion_residual(f, g, h, lat) for f in signals]
+    assert list(expansion_residuals(iter(signals), g, h, lat)) == want
+
+
+@pytest.mark.parametrize("spec", [make_group([6], [3]), make_group([64], [8])],
+                         ids=["z6", "z64"])
+def test_run_frames_builds_each_window_stack_once(monkeypatch, spec):
+    # the expansion trials share the stacks of g and h: the number of
+    # shifted-window stacks a run gathers does not grow with the trials
+    import fingabor.gabor as gabor
+
+    calls = []
+    stack = gabor.tf_shift_rows
+
+    def counted(*args):
+        calls.append(None)
+        return stack(*args)
+
+    monkeypatch.setattr(gabor, "tf_shift_rows", counted)
+    counts = []
+    for trials in (1, 100):
+        calls.clear()
+        run_frames(spec, 0, trials)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 10
 
 
 def test_perturbed_window_has_no_lattice_dual():

@@ -5,19 +5,22 @@ import numpy as np
 import pytest
 
 import oracles
-from fingabor import norms
+from fingabor import norms, operators
 from fingabor.experiments import (
+    _EXPONENT_GRID,
     _YOUNG_AXIS,
     _pointwise_maximal,
     _worse,
     _young_block,
     random_phase_function,
+    run_convrel,
     run_identities,
     run_norms,
     run_young,
     stream_rng,
 )
 from fingabor.group import (
+    GroupMismatch,
     GroupSpec,
     annihilator_indices,
     dual_spec,
@@ -37,6 +40,7 @@ from fingabor.norms import (
     mixed_norm_stack,
     mixed_quasi_norm,
     modulation_norm,
+    modulation_norms,
     polynomial_weight,
     rnorm_subadditivity_residual,
 )
@@ -249,6 +253,15 @@ def test_mixed_norm_weight_shape_checked():
         mixed_quasi_norm(F, (2, 2), Weight(np.ones(4)))
 
 
+def test_modulation_norm_weight_shape_checked():
+    # a weight on the group, not on phase space, is refused by the weighted
+    # route as it is by mixed_quasi_norm
+    spec = make_group([4], [2])
+    f = Signal(spec, np.ones(spec.order))
+    with pytest.raises(GroupMismatch):
+        modulation_norm(f, (2, 2), Weight(np.ones(spec.order)))
+
+
 # ---------------------------------------------------------------------------
 # maximal function oracle and modulation norm
 
@@ -321,6 +334,32 @@ def test_modulation_norm_matches_dense_oracle(spec):
                     want = mixed_quasi_norm(M, (p, q), m)
                     got = modulation_norm(f, (p, q), m)
                     assert got == pytest.approx(want, rel=1e-13, abs=0), (p, q, m)
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([64], [8]),
+    make_group([6, 2], [3, 2]),
+    GroupSpec((12,), (3,), 0.25),
+    make_group([8], [8]),
+    make_group([8], [1]),
+], ids=["z64", "z6xz2", "z12-mass", "z8-trivial-k", "z8-k-is-g"])
+def test_weighted_modulation_norms_equal_one_row_calls(spec):
+    # one weighted kernel call over a stack and the exponent grid gives each
+    # entry the one-row, one-exponent norm, and the norm of Q broadcast to a
+    # dense phase function, bit for bit; a NaN row stays NaN
+    rng = np.random.default_rng(25)
+    poly1 = Weight.tensor(polynomial_weight(spec, 1.0), polynomial_weight(dual_spec(spec), 1.0))
+    F = np.stack([rand_signal(spec, rng).values for _ in range(4)])
+    F[2, 1] = np.nan
+    full = modulation_norms(spec, F, _EXPONENT_GRID, poly1)
+    assert np.isnan(full[2]).all() and np.isfinite(np.delete(full, 2, axis=0)).all()
+    for b, row in enumerate(F):
+        f = Signal(spec, row)
+        for i, e in enumerate(_EXPONENT_GRID):
+            one = modulation_norms(spec, F[b:b + 1], [e], poly1)[0, 0]
+            np.testing.assert_array_equal(full[b, i], one)
+            np.testing.assert_array_equal(modulation_norm(f, e, poly1), one)
+            np.testing.assert_array_equal(oracles.broadcast_modulation_norm(f, e, poly1), one)
 
 
 def test_quotient_norms_are_an_independent_route(monkeypatch):
@@ -599,9 +638,9 @@ def test_grid_sweeps_make_one_kernel_call_per_stack(monkeypatch):
     calls = []
     kernel = norms.mixed_norm_stack
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     for module in ("fingabor.norms", "fingabor.experiments"):
         monkeypatch.setattr(f"{module}.mixed_norm_stack", counted)
@@ -614,11 +653,27 @@ def test_grid_sweeps_make_one_kernel_call_per_stack(monkeypatch):
     run_young(spec, seed=0, trials=_young_block(spec) + 1)
     assert len(calls) == 3 * 2
     # run_norms: one call each per trial for the covered row, the plain row,
-    # the subadditivity stack and the inclusion exponents
+    # the subadditivity stack and the inclusion exponents, and one for each
+    # (weight, window) pair of the sweep table
     spec = make_group([16], [4])
     counts = []
     for trials in (1, 2):
         calls.clear()
         run_norms(spec, seed=0, trials=trials)
         counts.append(len(calls))
-    assert counts[1] - counts[0] == 4
+    assert counts == [4 * 1 + 4, 4 * 2 + 4]
+    # run_convrel: one convolution per trial, and one kernel call each for
+    # f * g, f and g with all the cases' exponents
+    convolutions = []
+    convolve = operators.convolve
+
+    def counted_convolve(f, g):
+        convolutions.append(None)
+        return convolve(f, g)
+
+    monkeypatch.setattr(operators, "convolve", counted_convolve)
+    for spec in (make_group([64], [8]), make_group([6, 2], [3, 2])):
+        calls.clear()
+        convolutions.clear()
+        run_convrel(spec, seed=0, trials=5)
+        assert (len(convolutions), len(calls)) == (5, 3 * 5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fingabor import operators
-from fingabor.experiments import _gabor_matrix, random_phase_function, stream_rng
+from fingabor.experiments import _CONVREL_CASES, _gabor_matrix, random_phase_function, stream_rng
 from fingabor.gabor import lattice_from_points, quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
 from fingabor.group import (annihilator_indices, coset_points, coset_representatives, dual_spec,
@@ -45,6 +45,7 @@ from oracles import (
     coset_sums,
     dense_modulation_norm,
     full_window_rihaczek_probe,
+    one_case_convolution_probe,
     gather_gabor_matrix_closed_form,
     point_list_gabor_matrix_residual,
     residues,
@@ -412,10 +413,11 @@ def test_convolution_probe_returns_finite_pair():
     rng = np.random.default_rng(16)
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
-    lhs, rhs = convolution_relation_probe(f, g, (1, 2), (1, 4), (1, 4))
-    assert np.isfinite(lhs) and np.isfinite(rhs) and lhs > 0 and rhs > 0
-    lhs, rhs = convolution_relation_probe(f, g, (0.5, 1), (0.5, 2), (0.5, 2))
-    assert np.isfinite(lhs) and np.isfinite(rhs)
+    cases = [((1, 2), (1, 4), (1, 4)), ((0.5, 1), (0.5, 2), (0.5, 2))]
+    rows = convolution_relation_probe(f, g, cases)
+    assert rows.shape == (2, 2) and np.isfinite(rows).all()
+    lhs, rhs = rows[0]
+    assert lhs > 0 and rhs > 0
 
 
 @pytest.mark.parametrize("spec", [make_group([4], [2]), GroupSpec((6,), (2,), 0.5)],
@@ -442,15 +444,15 @@ def test_probes_match_dense_oracle(spec):
             np.testing.assert_allclose(got, (lhs, rhs), rtol=1e-12, atol=0)
     nu = np.sqrt(polynomial_weight(dual_spec(spec), 1.0).values)
     circ = convolve(phi, phi)
-    for e_out, e_f, e_g in [((1, 2), (1, 4), (1, 4)), ((0.5, 1), (0.5, 2), (0.5, 2))]:
-        for m, weights in ((None, None), (poly, poly)):
-            mm = np.ones((n, n)) if m is None else m.values.reshape(n, n)
-            nuv = np.ones(n) if m is None else nu
+    cases = [((1, 2), (1, 4), (1, 4)), ((0.5, 1), (0.5, 2), (0.5, 2))]
+    for m in (None, poly):
+        mm = np.ones((n, n)) if m is None else m.values.reshape(n, n)
+        nuv = np.ones(n) if m is None else nu
+        rows = convolution_relation_probe(f, g, cases, m=m, nu=None if m is None else nu)
+        for (e_out, e_f, e_g), got in zip(cases, rows):
             lhs = dense_modulation_norm(convolve(f, g), e_out, m, circ)
             rhs = (dense_modulation_norm(f, e_f, Weight.tensor(mm[:, 0], nuv))
                    * dense_modulation_norm(g, e_g, Weight.tensor(mm[:, 0], mm[0, :] / nuv)))
-            got = convolution_relation_probe(f, g, e_out, e_f, e_g, m=m, v=weights,
-                                             nu=None if m is None else nu)
             np.testing.assert_allclose(got, (lhs, rhs), rtol=1e-12, atol=0)
 
 
@@ -477,11 +479,35 @@ def test_convolution_probe_rejects_bad_exponents():
     spec = make_group([6], [3])
     f = Signal(spec, np.ones(6))
     with pytest.raises(ValueError):
-        convolution_relation_probe(f, f, (2, 1), (2, 4), (2, 4))   # inner split fails
+        convolution_relation_probe(f, f, [((2, 1), (2, 4), (2, 4))])   # inner split fails
     with pytest.raises(ValueError):
-        convolution_relation_probe(f, f, (1, 1), (1, 4), (1, 4))   # outer split fails
+        convolution_relation_probe(f, f, [((1, 1), (1, 4), (1, 4))])   # outer split fails
     with pytest.raises(ValueError):
-        convolution_relation_probe(f, f, (0.5, 1), (0.7, 2), (0.7, 2))
+        convolution_relation_probe(f, f, [((0.5, 1), (0.7, 2), (0.7, 2))])
+    with pytest.raises(ValueError):   # one bad case among good ones
+        convolution_relation_probe(f, f, [((1, 2), (1, 4), (1, 4)), ((2, 1), (2, 4), (2, 4))])
+
+
+@pytest.mark.parametrize("spec", [
+    make_group([64], [8]),
+    make_group([6, 2], [3, 2]),
+    GroupSpec((12,), (3,), 0.25),
+    make_group([8], [1]),
+    make_group([8], [8]),
+], ids=["z64", "z6xz2", "z12-mass", "z8-k-is-g", "z8-trivial-k"])
+def test_convolution_probe_rows_equal_one_case_oracle(spec):
+    # one convolution and three stacked norm calls give each case the pair
+    # that one probe call per case gave, bit for bit, weighted or not
+    rng = np.random.default_rng(19)
+    f = rand_signal(spec, rng)
+    g = rand_signal(spec, rng)
+    pxi = polynomial_weight(dual_spec(spec), 1.0)
+    m = Weight.tensor(polynomial_weight(spec, 1.0), pxi)
+    for weight, nu in ((None, None), (m, np.sqrt(pxi.values))):
+        rows = convolution_relation_probe(f, g, _CONVREL_CASES, m=weight, nu=nu)
+        want = [one_case_convolution_probe(f, g, *case, m=weight, v=weight, nu=nu)
+                for case in _CONVREL_CASES]
+        assert rows.tolist() == [list(pair) for pair in want]
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS[1:] + [pytest.param(make_group([8], [1]),
