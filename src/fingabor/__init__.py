@@ -105,10 +105,10 @@ from .operators import (
 )
 from .spectral import (
     DegenerateSpectrum,
-    EigenPair,
     NotHermitian,
     decay_comparison,
     decay_profiles,
+    eigenvector,
     hermitian_eigen,
 )
 

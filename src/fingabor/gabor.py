@@ -125,8 +125,8 @@ def gabor_system(g: Signal, lattice: QuasiLattice) -> GaborSystem:
     """S_{g,g} built and eigensolved once; (A, B) are its extreme eigenvalues
     whether or not the system is a frame, and the caller judges A against B."""
     S = frame_operator(g, g, lattice)
-    values = [p.value for p in hermitian_eigen(S)]
-    return GaborSystem(g, lattice, S, (float(min(values)), float(max(values))))
+    values = hermitian_eigen(S)[0].tolist()
+    return GaborSystem(g, lattice, S, (min(values), max(values)))
 
 
 class DualWindowMismatch(ValueError):

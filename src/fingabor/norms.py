@@ -124,13 +124,16 @@ def mixed_norm_stack(
 
     Each distinct inner p-sum is taken once for the whole list.  Entry
     [b, i] does not depend on the other rows of the stack or on the other
-    exponents of the list, bit for bit.
+    exponents of the list, bit for bit, whatever the layout of W: only in
+    C order is each row summed as a one-row stack would be, so W is copied
+    to C order when it is not.
     """
     if m is not None:
         if m.values.shape != (W.shape[1] * W.shape[2],):
             raise GroupMismatch("weight does not match the phase space")
-        # a C-ordered product sums each row as a one-row stack would
         W = np.multiply(W, m.values.reshape(W.shape[1:]), order="C")
+    else:
+        W = np.ascontiguousarray(W)
     out = np.empty((W.shape[0], len(exps)))
     inner: dict[float, np.ndarray] = {}
     for i, e in enumerate(exps):

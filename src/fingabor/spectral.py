@@ -1,16 +1,15 @@
 """Hermitian eigendecomposition and time-frequency decay diagnostics.
 
 The eigensolver symmetrizes the matrix and hands it to LAPACK through
-``np.linalg.eigh``.  Eigenpairs come out sorted by decreasing |lambda|
-(ties broken toward the larger lambda, then the lower LAPACK index) with
-each vector's first significant component rotated to the positive real
-axis, so results are reproducible bit for bit.  That rotation and the
-mass normalization run per vector on the first read of
-``EigenPair.vector``, with the same scalar code as an eager pass over all
-vectors, so a caller that reads only the values or the top few vectors
-pays for no others.  Within a degenerate eigenspace the basis is
-whichever one LAPACK returns; ``decay_comparison`` flags such eigenvalues
-in its ``ties`` field.
+``np.linalg.eigh``.  It returns the eigenvalues as one array, sorted by
+decreasing |lambda| (ties broken toward the larger lambda, then the lower
+LAPACK index), and LAPACK's columns in the same order.  ``eigenvector``
+turns one column into the eigenfunction: its first significant component
+rotated to the positive real axis and its mass-weighted norm 1, so
+results are reproducible bit for bit.  A caller normalizes only the
+columns it reads.  Within a degenerate eigenspace the basis is whichever
+one LAPACK returns; ``decay_comparison`` flags such eigenvalues in its
+``ties`` field.
 
 Decay profiles are modulation norms M^{gamma,gamma} for the window
 phi = 1_K and the window set K x K_perp, which ``norms.modulation_norms``
@@ -29,8 +28,6 @@ against the baseline its caller passes; it draws nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -51,41 +48,34 @@ class DegenerateSpectrum(ValueError):
     """Dominant eigenvalue too small to single out an eigenfunction."""
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """One eigenvalue and LAPACK's column for it.  The phase-rotated,
-    mass-normalized eigenvector is computed on first read of ``vector``."""
-
-    value: float
-    column: np.ndarray = field(repr=False)
-    group: GroupSpec = field(repr=False)
-
-    @cached_property
-    def vector(self) -> Signal:
-        vec = self.column.copy()
-        mags = np.abs(vec)
-        top = float(mags.max())
-        if top > 0.0:
-            j = int(np.argmax(mags > 1e-12 * top))
-            vec = vec * (np.conj(vec[j]) / abs(vec[j]))
-        vec = vec / (np.linalg.norm(vec) * math.sqrt(self.group.mass))
-        return Signal(self.group, vec)
-
-
-def hermitian_eigen(M: OperatorMatrix) -> list[EigenPair]:
-    """Full spectrum of a Hermitian matrix by LAPACK's Hermitian solver.
-
-    The pairs are sorted here; each pair's vector is rotated and
-    normalized when first read, bit-identical to doing it for all pairs.
-    """
+def hermitian_eigen(M: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum ``(values, columns)`` of a Hermitian matrix by LAPACK's
+    solver: the float64 eigenvalues in the order above, and LAPACK's
+    unrotated column ``columns[:, i]`` for ``values[i]``.  A NaN or infinite
+    entry, or an entry of A - A^H above 1e-10 max(1, ||A||_F), raises
+    NotHermitian before LAPACK sees the matrix."""
     A = M.entries
-    n = A.shape[0]
-    scale = float(np.linalg.norm(A))
-    if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(scale, 1.0):
+    if not np.isfinite(A).all():
+        raise NotHermitian("matrix has a NaN or infinite entry")
+    if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(float(np.linalg.norm(A)), 1.0):
         raise NotHermitian("matrix deviates from its conjugate transpose")
     values, V = np.linalg.eigh((A + A.conj().T) / 2.0)
-    order = sorted(range(n), key=lambda i: (-abs(values[i]), -values[i], i))
-    return [EigenPair(float(values[i]), V[:, i], M.group) for i in order]
+    order = np.lexsort((-values, -np.abs(values)))
+    return values[order], V[:, order]
+
+
+def eigenvector(spec: GroupSpec, column: np.ndarray) -> Signal:
+    """The eigenfunction of one eigensolver column: its first component
+    above 1e-12 of the largest modulus rotated to the positive real axis,
+    and its mass-weighted L2 norm 1."""
+    vec = column.copy()
+    mags = np.abs(vec)
+    top = float(mags.max())
+    if top > 0.0:
+        j = int(np.argmax(mags > 1e-12 * top))
+        vec = vec * (np.conj(vec[j]) / abs(vec[j]))
+    vec = vec / (np.linalg.norm(vec) * math.sqrt(spec.mass))
+    return Signal(spec, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +157,25 @@ def decay_comparison(
     if len(baseline) == 0:
         raise ValueError("decay_comparison needs a non-empty baseline")
     spec = A.group
-    pairs = hermitian_eigen(A)
-    if abs(pairs[0].value) <= 1e-8:
-        raise DegenerateSpectrum(f"dominant eigenvalue {pairs[0].value} is negligible")
-    top = pairs[: min(top_k, len(pairs))]
+    values, columns = hermitian_eigen(A)
+    if abs(values[0]) <= 1e-8:
+        raise DegenerateSpectrum(f"dominant eigenvalue {float(values[0])} is negligible")
+    k = min(top_k, len(values))
     # tied: another eigenvalue's modulus is within 1e-10 * lead; the moduli
     # are sorted, so the nearest other one is a neighbour
-    moduli = np.array([abs(p.value) for p in pairs])
+    moduli = np.abs(values)
     near = np.diff(moduli) >= -1e-10 * moduli[0]
-    ties = (np.append(False, near) | np.append(near, False))[: len(top)].tolist()
+    ties = (np.append(False, near) | np.append(near, False))[:k].tolist()
     if REF_GAMMA not in gammas:
         gammas = tuple(gammas) + (REF_GAMMA,)
-    norms, ratios = decay_profiles(spec, np.stack([p.vector.values for p in top]), gammas)
+    top = np.stack([eigenvector(spec, columns[:, i]).values for i in range(k)])
+    norms, ratios = decay_profiles(spec, top, gammas)
     v = ratios[:, list(gammas).index(REF_GAMMA), None]
     rank = np.count_nonzero(baseline < v, axis=1) + 0.5 * np.count_nonzero(baseline == v, axis=1)
     profiles = [[{"gamma": float(g), "norm": float(n), "ratio": float(r)}
                  for g, n, r in zip(gammas, ns, rs)] for ns, rs in zip(norms, ratios)]
     return {
-        "eigenvalues": [float(p.value) for p in top],
+        "eigenvalues": values[:k].tolist(),
         "profiles": profiles,
         "percentiles": (100.0 * rank / len(baseline)).tolist(),
         "ties": ties,

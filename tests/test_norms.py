@@ -552,6 +552,22 @@ def test_mixed_norm_stack_rows_equal_mixed_quasi_norm(spec):
         np.testing.assert_array_equal(mixed_norm_stack(W[lo:hi], grid, *masses), full[lo:hi])
 
 
+def test_mixed_norm_stack_rows_are_independent_for_any_layout():
+    # the weighted path's gather of the quotient magnitudes back onto
+    # (x, xi) is a strided stack; unweighted, each of its rows must still
+    # equal its one-row call, bit for bit
+    spec = make_group([64], [8])
+    rng = np.random.default_rng(31)
+    F = np.stack([rand_signal(spec, rng).values for _ in range(4)])
+    _, coset, eta = quotient_indices(spec)
+    W = norms._coset_magnitudes(spec, F)[:, coset][:, :, eta]
+    assert not W.flags.c_contiguous
+    masses = (spec.mass, spec.mass_dual)
+    full = mixed_norm_stack(W, _EXPONENT_GRID, *masses)
+    for b in range(len(F)):
+        np.testing.assert_array_equal(full[b], mixed_norm_stack(W[b:b + 1], _EXPONENT_GRID, *masses)[0])
+
+
 def _memoized(monkeypatch, name):
     """Replace oracles.<name> by a memo keyed on the identity of its first
     argument and on the others; the memo keeps the first argument alive, so

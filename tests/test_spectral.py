@@ -18,6 +18,7 @@ from fingabor.spectral import (
     check_seed,
     decay_comparison,
     decay_profiles,
+    eigenvector,
     haar_baseline,
     hermitian_eigen,
 )
@@ -38,31 +39,33 @@ def random_hermitian(spec, seed):
 def test_eigen_matches_reference_solver():
     spec = make_group([8], [2])
     M = random_hermitian(spec, 0)
-    pairs = hermitian_eigen(M)
-    mine = sorted(p.value for p in pairs)
+    values, columns = hermitian_eigen(M)
+    assert values.dtype == np.float64 and columns.shape == (spec.order, spec.order)
     ref = sorted(np.linalg.eigvalsh(M.entries))
-    np.testing.assert_allclose(mine, ref, atol=1e-10 * np.linalg.norm(M.entries))
+    np.testing.assert_allclose(sorted(values), ref, atol=1e-10 * np.linalg.norm(M.entries))
 
 
 def test_eigen_pairs_satisfy_the_equation():
     spec = GroupSpec((6,), (3,), 0.5)
     M = random_hermitian(spec, 1)
     scale = np.linalg.norm(M.entries)
-    for p in hermitian_eigen(M):
-        res = M.entries @ p.vector.values - p.value * p.vector.values
+    values, columns = hermitian_eigen(M)
+    for i, value in enumerate(values):
+        vec = eigenvector(spec, columns[:, i])
+        res = M.entries @ vec.values - value * vec.values
         assert np.linalg.norm(res) < 1e-9 * scale
         # unit in the mass-weighted inner product
-        assert norm_l2(p.vector) == pytest.approx(1.0, rel=1e-12)
+        assert norm_l2(vec) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_eigen_diagonal_matrix_is_exact():
     spec = make_group([4], [2])
     M = OperatorMatrix(spec, np.diag([3.0, -1.0, 0.5, 2.0]))
-    pairs = hermitian_eigen(M)
-    assert [p.value for p in pairs] == [3.0, 2.0, -1.0, 0.5]
+    values, columns = hermitian_eigen(M)
+    assert values.tolist() == [3.0, 2.0, -1.0, 0.5]
     # eigenvectors are coordinate vectors with positive real phase
-    for p, idx in zip(pairs, [0, 3, 1, 2]):
-        vec = p.vector.values
+    for i, idx in enumerate([0, 3, 1, 2]):
+        vec = eigenvector(spec, columns[:, i]).values
         assert vec[idx] == pytest.approx(1.0)
         assert np.abs(vec).sum() == pytest.approx(1.0)
 
@@ -70,16 +73,17 @@ def test_eigen_diagonal_matrix_is_exact():
 def test_eigen_ordering_breaks_magnitude_ties_downward():
     spec = make_group([3], [3])
     M = OperatorMatrix(spec, np.diag([-2.0, 1.0, 2.0]))
-    assert [p.value for p in hermitian_eigen(M)] == [2.0, -2.0, 1.0]
+    assert hermitian_eigen(M)[0].tolist() == [2.0, -2.0, 1.0]
 
 
 def test_eigen_phase_convention():
     spec = make_group([6], [3])
     M = random_hermitian(spec, 2)
-    for p in hermitian_eigen(M):
-        mags = np.abs(p.vector.values)
-        j = int(np.argmax(mags > 1e-12 * mags.max()))
-        lead = p.vector.values[j]
+    _, columns = hermitian_eigen(M)
+    for column in columns.T:
+        vec = eigenvector(spec, column).values
+        mags = np.abs(vec)
+        lead = vec[int(np.argmax(mags > 1e-12 * mags.max()))]
         assert abs(lead.imag) < 1e-12
         assert lead.real > 0
 
@@ -87,11 +91,10 @@ def test_eigen_phase_convention():
 def test_eigen_is_deterministic():
     spec = make_group([6], [2])
     M = random_hermitian(spec, 3)
-    a = hermitian_eigen(M)
-    b = hermitian_eigen(M)
-    assert [p.value for p in a] == [p.value for p in b]
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.vector.values, pb.vector.values)
+    a, b = hermitian_eigen(M), hermitian_eigen(M)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    for ca, cb in zip(a[1].T, b[1].T):
+        assert np.array_equal(eigenvector(spec, ca).values, eigenvector(spec, cb).values)
 
 
 def test_eigen_degenerate_top_eigenspace():
@@ -99,18 +102,19 @@ def test_eigen_degenerate_top_eigenspace():
     rng = np.random.default_rng(6)
     U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     M = OperatorMatrix(spec, U @ np.diag([2.0, 2.0, 1.0, 0.5, -0.25, 0.125]) @ U.conj().T)
-    pairs = hermitian_eigen(M)
-    np.testing.assert_allclose([p.value for p in pairs[:3]], [2.0, 2.0, 1.0], atol=1e-12)
-    for p in pairs:
-        vec = p.vector.values
-        assert np.linalg.norm(M.entries @ vec - p.value * vec) < 1e-12
-        assert norm_l2(p.vector) == pytest.approx(1.0, rel=1e-12)
+    values, columns = hermitian_eigen(M)
+    np.testing.assert_allclose(values[:3], [2.0, 2.0, 1.0], atol=1e-12)
+    vecs = [eigenvector(spec, column) for column in columns.T]
+    for value, v in zip(values, vecs):
+        vec = v.values
+        assert np.linalg.norm(M.entries @ vec - value * vec) < 1e-12
+        assert norm_l2(v) == pytest.approx(1.0, rel=1e-12)
         mags = np.abs(vec)
         lead = vec[int(np.argmax(mags > 1e-12 * mags.max()))]
         assert abs(lead.imag) < 1e-12
         assert lead.real > 0
     # the two vectors of the tied eigenvalue span its eigenspace
-    assert abs(np.vdot(pairs[0].vector.values, pairs[1].vector.values)) < 1e-12
+    assert abs(np.vdot(vecs[0].values, vecs[1].values)) < 1e-12
     rep = decay_comparison(M, haar_baseline(spec, 20, 0), top_k=3)
     assert rep["ties"] == [True, True, False]
 
@@ -132,49 +136,60 @@ def decay_localization_matrix():
 ], ids=["z8", "z6-mass", "z6xz2", "z64", "diagonal", "decay-z64"])
 def test_lazy_eigenvectors_equal_eager_oracle(make):
     M = make()
-    pairs = hermitian_eigen(M)
+    values, columns = hermitian_eigen(M)
     eager = eager_eigenpairs(M)
-    assert len(pairs) == len(eager)
-    # read in reverse so no vector depends on an earlier read
-    for p, (value, vec) in reversed(list(zip(pairs, eager))):
-        assert np.array_equal(p.value, value)
-        assert np.array_equal(p.vector.values, vec.values)
-        assert p.vector is p.vector
+    assert len(values) == len(eager) == columns.shape[1]
+    np.testing.assert_array_equal(values, [value for value, _ in eager])
+    # normalized in reverse so no vector depends on an earlier one
+    for i in reversed(range(len(eager))):
+        assert np.array_equal(eigenvector(M.group, columns[:, i]).values, eager[i][1].values)
 
 
-def recorded_eigen(monkeypatch, module):
-    """Patch module.hermitian_eigen to keep every list of pairs it returns."""
+def counted_eigenvector(monkeypatch):
+    """Patch spectral.eigenvector to count its calls."""
     calls = []
 
-    def wrapper(M):
-        pairs = hermitian_eigen(M)
-        calls.append(pairs)
-        return pairs
+    def wrapper(spec, column, _real=spectral.eigenvector):
+        calls.append(column)
+        return _real(spec, column)
 
-    monkeypatch.setattr(module, "hermitian_eigen", wrapper)
+    monkeypatch.setattr(spectral, "eigenvector", wrapper)
     return calls
 
 
 def test_decay_comparison_normalizes_only_the_vectors_it_reads(monkeypatch):
-    calls = recorded_eigen(monkeypatch, spectral)
+    calls = counted_eigenvector(monkeypatch)
     M = decay_localization_matrix()
     decay_comparison(M, haar_baseline(M.group, 20, 0), top_k=3)
-    (pairs,) = calls
-    assert ["vector" in p.__dict__ for p in pairs] == [True] * 3 + [False] * (len(pairs) - 3)
+    assert len(calls) == 3
 
 
 def test_frame_bounds_normalizes_no_vector(monkeypatch):
-    calls = recorded_eigen(monkeypatch, gabor)
+    calls = counted_eigenvector(monkeypatch)
     spec = make_group([6, 2], [3, 2])
     gabor.gabor_system(subgroup_indicator(spec), quasi_lattice(spec))
-    (pairs,) = calls
-    assert pairs and not any("vector" in p.__dict__ for p in pairs)
+    assert calls == []
 
 
 def test_eigen_rejects_non_hermitian():
     spec = make_group([4], [2])
     with pytest.raises(NotHermitian):
         hermitian_eigen(OperatorMatrix(spec, np.arange(16.0).reshape(4, 4)))
+
+
+@pytest.mark.parametrize("entries", [
+    np.diag([1.0, np.nan, 2.0, 0.5]),
+    np.diag([1.0, np.inf, 2.0, 0.5]),
+    np.where(np.arange(16).reshape(4, 4) == 1, np.inf, np.eye(4)),
+], ids=["nan-diagonal", "inf-diagonal", "inf-one-sided"])
+def test_eigen_rejects_non_finite(entries):
+    # LAPACK would return unsorted or all-NaN values for these; the check
+    # refuses them first, without a floating-point warning
+    spec = make_group([4], [2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian):
+            hermitian_eigen(OperatorMatrix(spec, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +399,9 @@ def test_decay_comparison_profiles_its_vectors_in_one_call(spec, monkeypatch):
     rep = decay_comparison(M, baseline, gammas, top_k=3)
     assert calls == [(3, spec.order)]
     monkeypatch.undo()
-    for pair, prof, pct in zip(hermitian_eigen(M), rep["profiles"], rep["percentiles"]):
-        (norms,), (ratios,) = decay_profiles(spec, pair.vector.values[None, :], gammas)
+    columns = hermitian_eigen(M)[1]
+    for column, prof, pct in zip(columns.T, rep["profiles"], rep["percentiles"]):
+        (norms,), (ratios,) = decay_profiles(spec, eigenvector(spec, column).values[None, :], gammas)
         assert [row["norm"] for row in prof] == norms.tolist()
         assert [row["ratio"] for row in prof] == ratios.tolist()
         v = ratios[0]
