@@ -565,7 +565,8 @@ def test_mixed_norm_stack_rows_are_independent_for_any_layout():
     masses = (spec.mass, spec.mass_dual)
     full = mixed_norm_stack(W, _EXPONENT_GRID, *masses)
     for b in range(len(F)):
-        np.testing.assert_array_equal(full[b], mixed_norm_stack(W[b:b + 1], _EXPONENT_GRID, *masses)[0])
+        one = mixed_norm_stack(W[b:b + 1], _EXPONENT_GRID, *masses)
+        np.testing.assert_array_equal(full[b:b + 1], one)
 
 
 def _memoized(monkeypatch, name):

@@ -140,9 +140,8 @@ def test_lazy_eigenvectors_equal_eager_oracle(make):
     eager = eager_eigenpairs(M)
     assert len(values) == len(eager) == columns.shape[1]
     np.testing.assert_array_equal(values, [value for value, _ in eager])
-    # normalized in reverse so no vector depends on an earlier one
-    for i in reversed(range(len(eager))):
-        assert np.array_equal(eigenvector(M.group, columns[:, i]).values, eager[i][1].values)
+    for i, (_, vec) in enumerate(eager):
+        assert np.array_equal(eigenvector(M.group, columns[:, i]).values, vec.values)
 
 
 def counted_eigenvector(monkeypatch):
