@@ -91,7 +91,6 @@ from .gabor import (
     synthesis,
 )
 from .operators import (
-    OperatorMatrix,
     convolution_relation_probe,
     gabor_matrix,
     gabor_matrix_closed_form,

@@ -58,7 +58,6 @@ from .norms import (
     rnorm_subadditivity_residual,
 )
 from .operators import (
-    OperatorMatrix,
     convolution_relation_probe,
     gabor_matrix_residual,
     kn_kernel_pairing_residual,
@@ -759,11 +758,9 @@ def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
         worst_kn = _worse(worst_kn, loc_kn_matrix_residual(a, psi1, psi2))
         M = localization_matrix(a, psi1, psi2)
         out = localization_apply(a, psi1, psi2, f)
-        worst_apply = _worse(
-            worst_apply, float(np.max(np.abs(M.entries @ f.values - out.values)))
-        )
+        worst_apply = _worse(worst_apply, float(np.max(np.abs(M @ f.values - out.values))))
         real_a = PhaseFunction(spec, np.abs(a.values).astype(np.complex128))
-        Mh = localization_matrix(real_a, psi1, psi1).entries
+        Mh = localization_matrix(real_a, psi1, psi1)
         worst_herm = _worse(worst_herm, float(np.max(np.abs(Mh - Mh.conj().T))))
     summary = _header("locop", spec, seed, trials)
     _verdict(summary, "localization-as-quantization", worst_kn)
@@ -816,12 +813,12 @@ def run_decay(
     A = localization_matrix(a, phi, phi)
     # the run's seed is also a control seed by default: draw each seed's baseline once
     baselines = {s: haar_baseline(spec, trials, s) for s in dict.fromkeys((seed, *control_seeds))}
-    report = {**decay_comparison(A, baselines[seed], tuple(gammas), top_k), "seed": seed}
+    report = {**decay_comparison(spec, A, baselines[seed], tuple(gammas), top_k), "seed": seed}
     rows = [row for prof in report["profiles"] for row in prof]
     controls = []
     for cs in control_seeds:
-        B = OperatorMatrix(spec, _control_matrix(spec.order, cs))
-        crep = decay_comparison(B, baselines[cs], tuple(gammas), top_k=1)
+        crep = decay_comparison(spec, _control_matrix(spec.order, cs), baselines[cs],
+                                tuple(gammas), top_k=1)
         rows += crep["profiles"][0]
         controls.append(
             {

@@ -29,7 +29,6 @@ from .group import (
     tile_cover,
 )
 from .norms import Exponents, mixed_norm_stack
-from .operators import OperatorMatrix
 from .signal import Signal, norm_l2, tf_shift_rows
 from .spectral import hermitian_eigen
 from .tfa import stft
@@ -86,29 +85,38 @@ def lattice_from_points(spec: GroupSpec, x: Sequence[int], xi: Sequence[int]) ->
     return QuasiLattice(spec, *arrays)
 
 
+def _check_lattice(lattice: QuasiLattice, *functions) -> None:
+    """GroupMismatch unless every signal or symbol lives on the lattice's group."""
+    if any(f.group != lattice.group for f in functions):
+        raise GroupMismatch("lattice and its signals live on different groups")
+
+
 # ---------------------------------------------------------------------------
 # analysis / synthesis / frame operator
 
 
 def analysis(g: Signal, lattice: QuasiLattice, f: Signal) -> np.ndarray:
     """Coefficients <f, pi(w) g> over the lattice, flat in lattice order."""
+    _check_lattice(lattice, g, f)
     V = tf_shift_rows(g, lattice.x, lattice.xi)
     return np.conj(V) @ f.values * f.group.mass
 
 
 def synthesis(g: Signal, lattice: QuasiLattice, coeffs: np.ndarray) -> Signal:
     """sum_w c_w pi(w) g."""
+    _check_lattice(lattice, g)
     V = tf_shift_rows(g, lattice.x, lattice.xi)
     return Signal(g.group, np.asarray(coeffs, dtype=np.complex128) @ V)
 
 
-def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> OperatorMatrix:
-    """S_{h,g} f = sum_w <f, pi(w) g> pi(w) h."""
+def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
+    """(order, order) matrix of S_{h,g} f = sum_w <f, pi(w) g> pi(w) h."""
     if h.group != g.group:
         raise GroupMismatch("both windows must live on the same group")
+    _check_lattice(lattice, g)
     G = tf_shift_rows(g, lattice.x, lattice.xi)
     H = G if h is g else tf_shift_rows(h, lattice.x, lattice.xi)
-    return OperatorMatrix(h.group, H.T @ np.conj(G) * g.group.mass)
+    return H.T @ np.conj(G) * g.group.mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +125,7 @@ class GaborSystem:
 
     window: Signal
     lattice: QuasiLattice
-    operator: OperatorMatrix
+    operator: np.ndarray
     bounds: tuple[float, float]
 
 
@@ -149,8 +157,8 @@ def dual_window(system: GaborSystem) -> Signal:
     A, B = system.bounds
     if A <= 1e-10 * B:
         raise NotAFrame(f"lower frame bound {A} vanishes against {B}")
-    h = Signal(g.group, np.linalg.solve(system.operator.entries, g.values))
-    r = np.max(np.abs(frame_operator(h, g, lattice).entries - np.eye(g.group.order)))
+    h = Signal(g.group, np.linalg.solve(system.operator, g.values))
+    r = np.max(np.abs(frame_operator(h, g, lattice) - np.eye(g.group.order)))
     if r > DUAL_SLACK * max(1.0, B):
         raise DualWindowMismatch(f"mixed frame operators deviate from identity by {r:.3e}")
     return h
@@ -162,10 +170,12 @@ def expansion_residuals(
     """Reconstruction errors of each f in ``fs`` with (analysis g, synthesis h)
     and swapped.  The shifted stacks of g and h are built once; each f takes
     the matrix-vector products of :func:`analysis` and :func:`synthesis`."""
+    _check_lattice(lattice, g, h)
     G = tf_shift_rows(g, lattice.x, lattice.xi)
     H = tf_shift_rows(h, lattice.x, lattice.xi)
     G_conj, H_conj = np.conj(G), np.conj(H)
     for f in fs:
+        _check_lattice(lattice, f)
         c_g = G_conj @ f.values * f.group.mass
         c_h = H_conj @ f.values * f.group.mass
         r1 = norm_l2(Signal(f.group, c_g @ H - f.values))
@@ -187,15 +197,19 @@ def discrete_modnorm(
     """Unweighted-mass l^{p,q} norm of the lattice STFT samples.
 
     Samples are grouped with D1 inner (exponent p) and D2 outer (exponent
-    q); masses are 1, as for sequence spaces.
+    q); masses are 1, as for sequence spaces.  The lattice must have the
+    points of the canonical one in its order; any other, even the same
+    points in another order, raises GroupMismatch.
     """
+    _check_lattice(lattice, f, g)
+    spec = lattice.group
+    canonical = quasi_lattice(spec)
+    if not (np.array_equal(lattice.x, canonical.x) and np.array_equal(lattice.xi, canonical.xi)):
+        raise GroupMismatch("sequence norm needs the canonical lattice in canonical order")
     c = np.abs(analysis(g, lattice, f))
     if m is not None:
         c = c * np.asarray(m, dtype=float)
-    spec = lattice.group
     d1, d2 = spec.annihilator_order, spec.subgroup_order      # |G/K|, |G^/K_perp|
-    if len(lattice.x) != d1 * d2:
-        raise GroupMismatch("sequence norm needs the full canonical lattice")
     return float(mixed_norm_stack(c.reshape(1, d1, d2), [Exponents.of(e)], 1.0, 1.0)[0, 0])
 
 
@@ -213,6 +227,7 @@ def representative_independence_residual(
     is the same, so the residual is exactly zero.  A NaN coefficient makes
     the residual NaN.
     """
+    _check_lattice(lattice, f, g)
     spec = f.group
     V = np.abs(stft(f, g).values)
     cover = tile_cover(spec, lattice.flat_indices)

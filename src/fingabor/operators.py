@@ -31,18 +31,12 @@ most order^2 entries on the canonical lattice (a = |G/K|, b = |G^/K_perp|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .group import (
-    GroupMismatch,
-    GroupSpec,
-    character_table,
-    coset_points,
-    diff_table,
-)
+from .gabor import QuasiLattice, _check_lattice
+from .group import GroupMismatch, character_table, coset_points, diff_table
 from .norms import Exponents, Weight, _inv, modulation_norm, modulation_norms
 from .signal import (
     PhaseFunction,
@@ -56,30 +50,6 @@ from .signal import (
     tf_shift_rows,
 )
 from .tfa import rihaczek, stft, window_constant
-
-if TYPE_CHECKING:
-    from .gabor import QuasiLattice
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense matrix acting on value vectors in canonical order."""
-
-    group: GroupSpec
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.group.order
-        ent = np.array(self.entries, dtype=np.complex128)
-        if ent.shape != (n, n):
-            raise GroupMismatch(f"expected a {n} x {n} matrix, got {ent.shape}")
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-
-    def apply(self, f: Signal) -> Signal:
-        if f.group != self.group:
-            raise GroupMismatch("operator and signal live on different groups")
-        return Signal(self.group, self.entries @ f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +92,9 @@ def kn_kernel_pairing_residual(sigma: PhaseFunction, f: Signal, g: Signal) -> fl
     return abs(lhs - rhs)
 
 
-def kn_matrix(sigma: PhaseFunction) -> OperatorMatrix:
-    """Matrix of the quantization; rows follow the kernel times the mass."""
-    return OperatorMatrix(sigma.group, kn_kernel(sigma) * sigma.group.mass)
+def kn_matrix(sigma: PhaseFunction) -> np.ndarray:
+    """(order, order) matrix of the quantization: the kernel times the mass."""
+    return kn_kernel(sigma) * sigma.group.mass
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +105,9 @@ def gabor_matrix(sigma: PhaseFunction, g: Signal, lattice: QuasiLattice) -> np.n
     """M[i, j] = <Op(sigma) pi(z_j) g, pi(z_i) g> for the lattice points z."""
     if sigma.group != g.group:
         raise GroupMismatch("symbol and window live on different groups")
-    spec = g.group
+    _check_lattice(lattice, g)
     V = tf_shift_rows(g, lattice.x, lattice.xi)
-    K = kn_matrix(sigma).entries
-    return np.conj(V) @ (K @ V.T) * spec.mass
+    return np.conj(V) @ (kn_matrix(sigma) @ V.T) * g.group.mass
 
 
 def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.ndarray:
@@ -164,6 +133,7 @@ def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.
     the canonical lattice a = |G/K| and b = |G^/K_perp|, so each holds
     order^2 entries.
     """
+    _check_lattice(lattice, sigma)
     spec = sigma.group
     T = character_table(spec)
     D = diff_table(spec)                                        # D[a, b] = index(a - b)
@@ -205,8 +175,8 @@ def localization_apply(
     return Signal(spec, np.sum(shifted * coeff, axis=0) * (spec.mass * spec.mass_dual))
 
 
-def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> OperatorMatrix:
-    """Dense matrix of the localization operator.
+def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> np.ndarray:
+    """Dense (order, order) matrix of the localization operator.
 
     L[y, y'] = c * sum_x A[x, y - y'] psi2(y - x) conj(psi1(y' - x)), with
     A = a @ T and c = mass^2 * mass_dual, is a convolution on G for each
@@ -221,7 +191,7 @@ def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> Operato
     h = psi2.values[:, None] * np.conj(psi1.values[D])
     Lp = T @ ((np.conj(T) @ (a.mat @ T)) * (np.conj(T) @ h)) / spec.order
     L = np.take_along_axis(Lp, D, axis=1)                       # L[y, y'] = Lp[y, y - y']
-    return OperatorMatrix(spec, L * (spec.mass ** 2 * spec.mass_dual))
+    return L * (spec.mass ** 2 * spec.mass_dual)
 
 
 def loc_to_kn_symbol(a: PhaseFunction, psi1: Signal, psi2: Signal) -> PhaseFunction:
@@ -232,8 +202,8 @@ def loc_to_kn_symbol(a: PhaseFunction, psi1: Signal, psi2: Signal) -> PhaseFunct
 def loc_kn_matrix_residual(a: PhaseFunction, psi1: Signal, psi2: Signal) -> float:
     """Max entry difference between the localization matrix and the
     quantization of the convolved symbol."""
-    direct = localization_matrix(a, psi1, psi2).entries
-    via_kn = kn_matrix(loc_to_kn_symbol(a, psi1, psi2)).entries
+    direct = localization_matrix(a, psi1, psi2)
+    via_kn = kn_matrix(loc_to_kn_symbol(a, psi1, psi2))
     return float(np.max(np.abs(direct - via_kn)))
 
 

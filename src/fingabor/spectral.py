@@ -31,9 +31,8 @@ import math
 
 import numpy as np
 
-from .group import GroupSpec
+from .group import GroupMismatch, GroupSpec
 from .norms import Exponents, modulation_norms
-from .operators import OperatorMatrix
 from .signal import Signal
 
 
@@ -48,13 +47,17 @@ class DegenerateSpectrum(ValueError):
     """Dominant eigenvalue too small to single out an eigenfunction."""
 
 
-def hermitian_eigen(M: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full spectrum ``(values, columns)`` of a Hermitian matrix by LAPACK's
     solver: the float64 eigenvalues in the order above, and LAPACK's
-    unrotated column ``columns[:, i]`` for ``values[i]``.  A NaN or infinite
-    entry, or an entry of A - A^H above 1e-10 max(1, ||A||_F), raises
-    NotHermitian before LAPACK sees the matrix."""
-    A = M.entries
+    unrotated column ``columns[:, i]`` for ``values[i]``.  A is taken as a
+    complex128 array, so a real matrix is solved as its complex copy.  A
+    matrix that is not square, has a NaN or infinite entry, or has an entry
+    of A - A^H above 1e-10 max(1, ||A||_F) raises NotHermitian before LAPACK
+    sees it."""
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise NotHermitian(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NotHermitian("matrix has a NaN or infinite entry")
     if np.max(np.abs(A - A.conj().T)) > 1e-10 * max(float(np.linalg.norm(A)), 1.0):
@@ -141,12 +144,14 @@ def haar_baseline(spec: GroupSpec, trials: int, seed: int) -> np.ndarray:
 
 
 def decay_comparison(
-    A: OperatorMatrix,
+    spec: GroupSpec,
+    A: np.ndarray,
     baseline: np.ndarray,
     gammas: tuple[float, ...] = (0.5, 1.0, 2.0),
     top_k: int = 3,
 ) -> dict:
-    """Decay profiles of the top eigenfunctions against a baseline of ratios.
+    """Decay profiles of the top eigenfunctions of the (order, order)
+    matrix A on ``spec`` against a baseline of ratios.
 
     Each of the top_k eigenfunctions gets a percentile rank, in [0, 100],
     of its REF_GAMMA ratio within ``baseline``, for instance
@@ -156,7 +161,8 @@ def decay_comparison(
     """
     if len(baseline) == 0:
         raise ValueError("decay_comparison needs a non-empty baseline")
-    spec = A.group
+    if np.shape(A) != (spec.order, spec.order):
+        raise GroupMismatch(f"expected a {spec.order} x {spec.order} matrix, got {np.shape(A)}")
     values, columns = hermitian_eigen(A)
     if abs(values[0]) <= 1e-8:
         raise DegenerateSpectrum(f"dominant eigenvalue {float(values[0])} is negligible")

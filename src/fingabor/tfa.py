@@ -7,8 +7,11 @@ Conventions, with mass factors written out:
 
 The canonical window is the indicator of the subgroup K; its STFT against
 itself is supported exactly on K x K_perp with constant value
-``subgroup_order * mass``, and that constant is always read off the
-computed transform rather than hard-coded.
+c = <phi, phi> = ``subgroup_order * mass``.  ``window_constant`` computes c
+as that inner product, and the window-transform-support check compares the
+computed transform with it; ``norms.modulation_norms`` and the closed forms
+of the ``frames`` experiment's painless system use the product
+``mass * subgroup_order`` instead.
 """
 
 from __future__ import annotations

@@ -218,14 +218,15 @@ def gather_gabor_matrix_closed_form(sigma, points):
     return np.conj(T[xi[None, :], dx]) * np.einsum("ijk,ijk->ij", inner_sum, A)
 
 
-def eager_eigenpairs(M):
-    """(value, vector) for every eigenpair of a Hermitian M, every vector
-    phase-rotated and mass-normalized up front, in hermitian_eigen's order."""
-    A = M.entries
+def eager_eigenpairs(spec, A):
+    """(value, vector) for every eigenpair of a Hermitian matrix A on spec,
+    every vector phase-rotated and mass-normalized up front, in
+    hermitian_eigen's order."""
+    A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
     values, V = np.linalg.eigh((A + A.conj().T) / 2.0)
     order = sorted(range(n), key=lambda i: (-abs(values[i]), -values[i], i))
-    mass = M.group.mass
+    mass = spec.mass
     pairs = []
     for i in order:
         vec = V[:, i].copy()
@@ -235,7 +236,7 @@ def eager_eigenpairs(M):
             j = int(np.argmax(mags > 1e-12 * top))
             vec = vec * (np.conj(vec[j]) / abs(vec[j]))
         vec = vec / (np.linalg.norm(vec) * math.sqrt(mass))
-        pairs.append((float(values[i]), Signal(M.group, vec)))
+        pairs.append((float(values[i]), Signal(spec, vec)))
     return pairs
 
 
@@ -289,7 +290,7 @@ def point_list_gabor_matrix_residual(sigma, points):
     spec = sigma.group
     phi = subgroup_indicator(spec)
     V = point_list_tf_shift_rows(phi, points)
-    direct = np.conj(V) @ (kn_matrix(sigma).entries @ V.T) * spec.mass
+    direct = np.conj(V) @ (kn_matrix(sigma) @ V.T) * spec.mass
     T = character_table(spec)
     D = diff_table(spec)
     neg_k = neg_index(spec)[subgroup_indices(spec)]

@@ -28,6 +28,7 @@ from fingabor.group import (
 )
 from fingabor import experiments
 from fingabor.experiments import run_frames, run_identities
+from fingabor.operators import gabor_matrix, gabor_matrix_closed_form
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.tfa import stft, window_constant
 from oracles import (one_signal_expansion_residual, quotient_coefficients, subgroup_points,
@@ -127,7 +128,7 @@ def test_frame_operator_matches_sum_of_projections():
         from fingabor.signal import tf_shift
 
         direct += c * tf_shift(h, x, xi).values
-    applied = frame_operator(h, g, lat).entries @ f.values
+    applied = frame_operator(h, g, lat) @ f.values
     np.testing.assert_allclose(applied, direct, atol=1e-12)
 
 
@@ -254,8 +255,8 @@ def test_mixed_frame_operators_deviate_equally(spec):
     lat = quasi_lattice(spec)
     h = dual_window(gabor_system(phi, lat))
     eye = np.eye(spec.order)
-    r_hg = np.max(np.abs(frame_operator(h, phi, lat).entries - eye))
-    r_gh = np.max(np.abs(frame_operator(phi, h, lat).entries - eye))
+    r_hg = np.max(np.abs(frame_operator(h, phi, lat) - eye))
+    r_gh = np.max(np.abs(frame_operator(phi, h, lat) - eye))
     assert abs(r_hg - r_gh) <= 1e-15
 
 
@@ -376,7 +377,7 @@ def test_window_on_K_has_the_painless_closed_forms(spec):
     system = gabor_system(Signal(spec, values), quasi_lattice(spec))
     c = spec.mass * spec.subgroup_order
     sq = np.abs(values[on_K]) ** 2
-    S = system.operator.entries
+    S = system.operator
     cosets = spec.order // spec.subgroup_order
     np.testing.assert_allclose(np.sort(np.diag(S).real), np.sort(np.tile(c * sq, cosets)),
                                rtol=1e-12, atol=0)
@@ -461,6 +462,51 @@ def test_discrete_modnorm_needs_full_lattice():
     f = Signal(spec, np.ones(4))
     with pytest.raises(GroupMismatch):
         discrete_modnorm(f, subgroup_indicator(spec), partial, (2, 2))
+
+
+def test_discrete_modnorm_needs_canonical_order(monkeypatch):
+    # the canonical points with D2 outer: the norm would group the samples
+    # along the wrong axis, so the lattice is refused before any analysis
+    import fingabor.gabor as gabor
+
+    spec = make_group([16], [4])
+    d1, d2 = coset_representatives(spec)
+    transposed = lattice_from_points(spec, np.tile(d1, len(d2)), np.repeat(d2, len(d1)))
+    lat = quasi_lattice(spec)
+    assert sorted(zip(transposed.x, transposed.xi)) == sorted(zip(lat.x, lat.xi))
+    rng = np.random.default_rng(9)
+    f, g = rand_signal(spec, rng), subgroup_indicator(spec)
+    assert discrete_modnorm(f, g, lattice_from_points(spec, lat.x, lat.xi), (0.5, 2)) == \
+        discrete_modnorm(f, g, lat, (0.5, 2))
+    monkeypatch.setattr(gabor, "analysis", None)
+    with pytest.raises(GroupMismatch, match="canonical order"):
+        discrete_modnorm(f, g, transposed, (0.5, 2))
+
+
+# every function that pairs a lattice with signals or a symbol: each gets
+# the canonical lattice of Z_16/4 and one signal or symbol of Z_16/2, a
+# group of the same order with another subgroup
+LATTICE_PAIRINGS = {
+    "analysis-window": lambda f, phi, sigma, lat: analysis(f, lat, phi),
+    "analysis-signal": lambda f, phi, sigma, lat: analysis(phi, lat, f),
+    "synthesis": lambda f, phi, sigma, lat: synthesis(f, lat, np.ones(len(lat.x))),
+    "frame-operator": lambda f, phi, sigma, lat: frame_operator(f, f, lat),
+    "expansion-windows": lambda f, phi, sigma, lat: next(expansion_residuals([phi], f, f, lat)),
+    "expansion-signal": lambda f, phi, sigma, lat: next(expansion_residuals([f], phi, phi, lat)),
+    "representatives": lambda f, phi, sigma, lat: representative_independence_residual(f, f, lat),
+    "discrete-modnorm": lambda f, phi, sigma, lat: discrete_modnorm(f, f, lat, (2, 2)),
+    "gabor-matrix": lambda f, phi, sigma, lat: gabor_matrix(sigma, f, lat),
+    "gabor-closed-form": lambda f, phi, sigma, lat: gabor_matrix_closed_form(sigma, lat),
+}
+
+
+@pytest.mark.parametrize("call", LATTICE_PAIRINGS.values(), ids=LATTICE_PAIRINGS.keys())
+def test_lattice_of_another_group_is_refused(call):
+    spec, other = make_group([16], [4]), make_group([16], [2])
+    f = subgroup_indicator(other)
+    sigma = PhaseFunction(other, np.ones(other.order ** 2))
+    with pytest.raises(GroupMismatch, match="lattice"):
+        call(f, subgroup_indicator(spec), sigma, quasi_lattice(spec))
 
 
 # ---------------------------------------------------------------------------

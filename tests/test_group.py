@@ -303,6 +303,12 @@ def test_index_work_stays_in_group():
         if path.name == "operators.py":
             # the closed form reads its coset points from group.coset_points
             assert not imported & {"neg_index", "subgroup_indices", "annihilator_indices"}
+        if path.name in ("spectral.py", "gabor.py"):
+            # operators are plain arrays, so neither module needs the operators layer
+            assert not any(isinstance(n, ast.ImportFrom)
+                           and (n.module or "").split(".")[-1] == "operators"
+                           for n in ast.walk(tree)), path.name
+            assert "operators" not in imported, path.name
         if path.name in ("tfa.py", "gabor.py"):
             assert not imported & {"residue_grid", "shift_index", "character_row"}, path.name
             if path.name == "tfa.py":

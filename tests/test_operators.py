@@ -12,7 +12,6 @@ from fingabor.group import (annihilator_indices, coset_points, coset_representat
                             subgroup_indices)
 from fingabor.norms import Weight, polynomial_weight
 from fingabor.operators import (
-    OperatorMatrix,
     convolution_relation_probe,
     gabor_matrix,
     gabor_matrix_closed_form,
@@ -79,7 +78,7 @@ def matrix_from_apply(spec, apply):
     cols = np.empty((n, n), dtype=np.complex128)
     for c in range(n):
         cols[:, c] = apply(delta(spec, c)).values
-    return OperatorMatrix(spec, cols)
+    return cols
 
 
 def shift_stack(spec, psi):
@@ -116,7 +115,7 @@ def test_unit_symbol_is_identity():
     rng = np.random.default_rng(0)
     f = rand_signal(spec, rng)
     np.testing.assert_allclose(kn_apply(sigma, f).values, f.values, atol=1e-12)
-    np.testing.assert_allclose(kn_matrix(sigma).entries, np.eye(6), atol=1e-12)
+    np.testing.assert_allclose(kn_matrix(sigma), np.eye(6), atol=1e-12)
 
 
 def test_time_symbol_is_multiplication():
@@ -145,9 +144,9 @@ def test_kn_matrix_matches_columnwise_application():
     sigma = rand_symbol(spec, rng)
     M = kn_matrix(sigma)
     C = matrix_from_apply(spec, lambda f: kn_apply(sigma, f))
-    np.testing.assert_allclose(M.entries, C.entries, atol=1e-12)
+    np.testing.assert_allclose(M, C, atol=1e-12)
     f = rand_signal(spec, rng)
-    np.testing.assert_allclose(M.apply(f).values, kn_apply(sigma, f).values, atol=1e-12)
+    np.testing.assert_allclose(M @ f.values, kn_apply(sigma, f).values, atol=1e-12)
 
 
 def test_kn_kernel_brute_force():
@@ -275,7 +274,7 @@ def test_unit_mask_reproduces_inversion_formula():
     psi1 = rand_signal(spec, rng)
     psi2 = rand_signal(spec, rng)
     a = PhaseFunction(spec, np.ones(64))
-    M = localization_matrix(a, psi1, psi2).entries
+    M = localization_matrix(a, psi1, psi2)
     np.testing.assert_allclose(M, inner(psi2, psi1) * np.eye(8), atol=1e-11)
 
 
@@ -287,7 +286,7 @@ def test_localization_matrix_matches_apply(spec):
     psi2 = rand_signal(spec, rng)
     M = localization_matrix(a, psi1, psi2)
     C = matrix_from_apply(spec, lambda f: localization_apply(a, psi1, psi2, f))
-    np.testing.assert_allclose(M.entries, C.entries, atol=1e-10)
+    np.testing.assert_allclose(M, C, atol=1e-10)
 
 
 def test_localization_matrix_rejects_mixed_groups():
@@ -309,7 +308,7 @@ def test_localization_kernels_match_shift_stack_oracle(spec):
     psi2 = rand_signal(spec, rng)
     f = rand_signal(spec, rng)
     np.testing.assert_allclose(
-        localization_matrix(a, psi1, psi2).entries,
+        localization_matrix(a, psi1, psi2),
         oracle_localization_matrix(a, psi1, psi2),
         atol=1e-10,
     )
@@ -325,7 +324,7 @@ def test_real_mask_gives_hermitian_operator():
     rng = np.random.default_rng(11)
     a = PhaseFunction(spec, rng.standard_normal(36))
     psi = rand_signal(spec, rng)
-    M = localization_matrix(a, psi, psi).entries
+    M = localization_matrix(a, psi, psi)
     assert np.max(np.abs(M - M.conj().T)) < 1e-10
 
 
@@ -335,10 +334,8 @@ def test_localization_adjoint_swaps_windows(spec):
     a = rand_symbol(spec, rng)
     psi1 = rand_signal(spec, rng)
     psi2 = rand_signal(spec, rng)
-    M = localization_matrix(a, psi1, psi2).entries
-    Madj = localization_matrix(
-        PhaseFunction(spec, np.conj(a.values)), psi2, psi1
-    ).entries
+    M = localization_matrix(a, psi1, psi2)
+    Madj = localization_matrix(PhaseFunction(spec, np.conj(a.values)), psi2, psi1)
     np.testing.assert_allclose(M.conj().T, Madj, atol=1e-11)
 
 
@@ -378,18 +375,6 @@ def test_loc_symbol_lives_on_phase_space():
                            rand_signal(spec, rng))
     assert sym.group == spec
     assert sym.values.shape == (16,)
-
-
-# ---------------------------------------------------------------------------
-# operator matrices
-
-
-def test_operator_matrix_validates_shape():
-    spec = make_group([4], [2])
-    with pytest.raises(GroupMismatch):
-        OperatorMatrix(spec, np.ones((3, 3)))
-    with pytest.raises(GroupMismatch):
-        OperatorMatrix(spec, np.ones((4, 4))).apply(Signal(make_group([6], [3]), np.ones(6)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from fingabor import experiments, gabor, spectral
 from fingabor.experiments import _control_matrix, bump_symbol, run_decay, stream_rng
 from fingabor.gabor import quasi_lattice
-from fingabor.group import GroupSpec, make_group
+from fingabor.group import GroupMismatch, GroupSpec, make_group
 from fingabor.norms import mixed_quasi_norm
-from fingabor.operators import OperatorMatrix, localization_matrix
+from fingabor.operators import localization_matrix
 from fingabor.signal import norm_l2, subgroup_indicator
 from fingabor.spectral import (
     DegenerateSpectrum,
@@ -29,7 +29,7 @@ def random_hermitian(spec, seed):
     rng = np.random.default_rng(seed)
     n = spec.order
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return OperatorMatrix(spec, (Z + Z.conj().T) / 2)
+    return (Z + Z.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -41,18 +41,18 @@ def test_eigen_matches_reference_solver():
     M = random_hermitian(spec, 0)
     values, columns = hermitian_eigen(M)
     assert values.dtype == np.float64 and columns.shape == (spec.order, spec.order)
-    ref = sorted(np.linalg.eigvalsh(M.entries))
-    np.testing.assert_allclose(sorted(values), ref, atol=1e-10 * np.linalg.norm(M.entries))
+    ref = sorted(np.linalg.eigvalsh(M))
+    np.testing.assert_allclose(sorted(values), ref, atol=1e-10 * np.linalg.norm(M))
 
 
 def test_eigen_pairs_satisfy_the_equation():
     spec = GroupSpec((6,), (3,), 0.5)
     M = random_hermitian(spec, 1)
-    scale = np.linalg.norm(M.entries)
+    scale = np.linalg.norm(M)
     values, columns = hermitian_eigen(M)
     for i, value in enumerate(values):
         vec = eigenvector(spec, columns[:, i])
-        res = M.entries @ vec.values - value * vec.values
+        res = M @ vec.values - value * vec.values
         assert np.linalg.norm(res) < 1e-9 * scale
         # unit in the mass-weighted inner product
         assert norm_l2(vec) == pytest.approx(1.0, rel=1e-12)
@@ -60,7 +60,7 @@ def test_eigen_pairs_satisfy_the_equation():
 
 def test_eigen_diagonal_matrix_is_exact():
     spec = make_group([4], [2])
-    M = OperatorMatrix(spec, np.diag([3.0, -1.0, 0.5, 2.0]))
+    M = np.diag([3.0, -1.0, 0.5, 2.0])
     values, columns = hermitian_eigen(M)
     assert values.tolist() == [3.0, 2.0, -1.0, 0.5]
     # eigenvectors are coordinate vectors with positive real phase
@@ -72,7 +72,7 @@ def test_eigen_diagonal_matrix_is_exact():
 
 def test_eigen_ordering_breaks_magnitude_ties_downward():
     spec = make_group([3], [3])
-    M = OperatorMatrix(spec, np.diag([-2.0, 1.0, 2.0]))
+    M = np.diag([-2.0, 1.0, 2.0])
     assert hermitian_eigen(M)[0].tolist() == [2.0, -2.0, 1.0]
 
 
@@ -101,13 +101,13 @@ def test_eigen_degenerate_top_eigenspace():
     spec = make_group([6], [3])
     rng = np.random.default_rng(6)
     U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    M = OperatorMatrix(spec, U @ np.diag([2.0, 2.0, 1.0, 0.5, -0.25, 0.125]) @ U.conj().T)
+    M = U @ np.diag([2.0, 2.0, 1.0, 0.5, -0.25, 0.125]) @ U.conj().T
     values, columns = hermitian_eigen(M)
     np.testing.assert_allclose(values[:3], [2.0, 2.0, 1.0], atol=1e-12)
     vecs = [eigenvector(spec, column) for column in columns.T]
     for value, v in zip(values, vecs):
         vec = v.values
-        assert np.linalg.norm(M.entries @ vec - value * vec) < 1e-12
+        assert np.linalg.norm(M @ vec - value * vec) < 1e-12
         assert norm_l2(v) == pytest.approx(1.0, rel=1e-12)
         mags = np.abs(vec)
         lead = vec[int(np.argmax(mags > 1e-12 * mags.max()))]
@@ -115,7 +115,7 @@ def test_eigen_degenerate_top_eigenspace():
         assert lead.real > 0
     # the two vectors of the tied eigenvalue span its eigenspace
     assert abs(np.vdot(vecs[0].values, vecs[1].values)) < 1e-12
-    rep = decay_comparison(M, haar_baseline(spec, 20, 0), top_k=3)
+    rep = decay_comparison(spec, M, haar_baseline(spec, 20, 0), top_k=3)
     assert rep["ties"] == [True, True, False]
 
 
@@ -123,25 +123,29 @@ def decay_localization_matrix():
     # decay's operator on Z_64/8: its top eigenspace is tied
     spec = make_group([64], [8])
     phi = subgroup_indicator(spec)
-    return localization_matrix(bump_symbol(spec), phi, phi)
+    return spec, localization_matrix(bump_symbol(spec), phi, phi)
+
+
+def hermitian_case(spec, seed):
+    return lambda: (spec, random_hermitian(spec, seed))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: random_hermitian(make_group([8], [2]), 7),
-    lambda: random_hermitian(GroupSpec((6,), (3,), 0.5), 8),
-    lambda: random_hermitian(make_group([6, 2], [3, 2]), 9),
-    lambda: random_hermitian(make_group([64], [8]), 10),
-    lambda: OperatorMatrix(make_group([4], [2]), np.diag([3.0, -1.0, 0.5, 2.0])),
+    hermitian_case(make_group([8], [2]), 7),
+    hermitian_case(GroupSpec((6,), (3,), 0.5), 8),
+    hermitian_case(make_group([6, 2], [3, 2]), 9),
+    hermitian_case(make_group([64], [8]), 10),
+    lambda: (make_group([4], [2]), np.diag([3.0, -1.0, 0.5, 2.0])),
     decay_localization_matrix,
 ], ids=["z8", "z6-mass", "z6xz2", "z64", "diagonal", "decay-z64"])
 def test_lazy_eigenvectors_equal_eager_oracle(make):
-    M = make()
+    spec, M = make()
     values, columns = hermitian_eigen(M)
-    eager = eager_eigenpairs(M)
+    eager = eager_eigenpairs(spec, M)
     assert len(values) == len(eager) == columns.shape[1]
     np.testing.assert_array_equal(values, [value for value, _ in eager])
     for i, (_, vec) in enumerate(eager):
-        assert np.array_equal(eigenvector(M.group, columns[:, i]).values, vec.values)
+        assert np.array_equal(eigenvector(spec, columns[:, i]).values, vec.values)
 
 
 def counted_eigenvector(monkeypatch):
@@ -158,8 +162,8 @@ def counted_eigenvector(monkeypatch):
 
 def test_decay_comparison_normalizes_only_the_vectors_it_reads(monkeypatch):
     calls = counted_eigenvector(monkeypatch)
-    M = decay_localization_matrix()
-    decay_comparison(M, haar_baseline(M.group, 20, 0), top_k=3)
+    spec, M = decay_localization_matrix()
+    decay_comparison(spec, M, haar_baseline(spec, 20, 0), top_k=3)
     assert len(calls) == 3
 
 
@@ -173,7 +177,35 @@ def test_frame_bounds_normalizes_no_vector(monkeypatch):
 def test_eigen_rejects_non_hermitian():
     spec = make_group([4], [2])
     with pytest.raises(NotHermitian):
-        hermitian_eigen(OperatorMatrix(spec, np.arange(16.0).reshape(4, 4)))
+        hermitian_eigen(np.arange(16.0).reshape(4, 4))
+
+
+def test_eigen_rejects_non_square():
+    for entries in (np.ones((3, 4)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(NotHermitian, match="square"):
+            hermitian_eigen(entries)
+
+
+@pytest.mark.parametrize("spec", [make_group([8], [2]), GroupSpec((6,), (3,), 0.5),
+                                  make_group([6, 2], [3, 2])], ids=["z8", "z6-mass", "z6xz2"])
+def test_real_matrix_is_solved_as_its_complex_copy(spec):
+    # LAPACK's real and complex solvers round differently; a real matrix goes
+    # through the complex one, so the results do not depend on the input dtype
+    Z = np.random.default_rng(20).standard_normal((spec.order, spec.order))
+    real = (Z + Z.T) / 2
+    values, columns = hermitian_eigen(real)
+    cvalues, ccolumns = hermitian_eigen(real.astype(np.complex128))
+    assert columns.dtype == np.complex128
+    assert np.array_equal(values, cvalues) and np.array_equal(columns, ccolumns)
+    baseline = haar_baseline(spec, 20, 0)
+    assert (decay_comparison(spec, real, baseline)
+            == decay_comparison(spec, real.astype(np.complex128), baseline))
+
+
+def test_decay_comparison_needs_a_matrix_of_the_group():
+    spec = make_group([4], [2])
+    with pytest.raises(GroupMismatch, match="4 x 4"):
+        decay_comparison(spec, np.eye(6), haar_baseline(spec, 5, 0))
 
 
 @pytest.mark.parametrize("entries", [
@@ -188,7 +220,7 @@ def test_eigen_rejects_non_finite(entries):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotHermitian):
-            hermitian_eigen(OperatorMatrix(spec, entries))
+            hermitian_eigen(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +331,7 @@ def test_delta_is_more_concentrated_than_flat():
 def test_decay_comparison_reports_consistent_fields():
     spec = make_group([8], [2])
     M = random_hermitian(spec, 4)
-    rep = decay_comparison(M, haar_baseline(spec, 50, 0), top_k=2)
+    rep = decay_comparison(spec, M, haar_baseline(spec, 50, 0), top_k=2)
     assert len(rep["eigenvalues"]) == 2
     assert len(rep["percentiles"]) == 2
     assert len(rep["ties"]) == 2
@@ -318,7 +350,7 @@ def test_decay_comparison_ranks_within_the_baseline_it_is_given():
     spec = make_group([8], [2])
     M = random_hermitian(spec, 4)
     baseline = haar_baseline(spec, 40, 0)
-    rep = decay_comparison(M, baseline, top_k=3)
+    rep = decay_comparison(spec, M, baseline, top_k=3)
     assert rep["trials"] == 40
     assert len(rep["percentiles"]) == 3
     for prof, pct in zip(rep["profiles"], rep["percentiles"]):
@@ -338,15 +370,16 @@ def test_decay_comparison_ranks_within_the_baseline_it_is_given():
     ([2.0, 1.0, 1.0 + 1e-9, 0.25], 4, [False, False, False, False]),
 ], ids=["pair", "none", "below-top-k", "within-tol", "outside-tol"])
 def test_decay_comparison_flags_tied_moduli(diag, top_k, ties):
-    M = OperatorMatrix(make_group([4], [2]), np.diag(diag))
-    assert decay_comparison(M, haar_baseline(M.group, 5, 0), top_k=top_k)["ties"] == ties
+    spec = make_group([4], [2])
+    assert decay_comparison(spec, np.diag(diag), haar_baseline(spec, 5, 0),
+                            top_k=top_k)["ties"] == ties
 
 
 def test_decay_comparison_is_deterministic():
     spec = make_group([6], [3])
     M = random_hermitian(spec, 5)
-    a = decay_comparison(M, haar_baseline(spec, 40, 11), top_k=1)
-    b = decay_comparison(M, haar_baseline(spec, 40, 11), top_k=1)
+    a = decay_comparison(spec, M, haar_baseline(spec, 40, 11), top_k=1)
+    b = decay_comparison(spec, M, haar_baseline(spec, 40, 11), top_k=1)
     assert a == b
 
 
@@ -374,7 +407,7 @@ def test_haar_baseline_blocks_equal_serial_profiles(spec):
     baseline = haar_baseline(spec, trials, seed=3)
     assert np.array_equal(baseline, serial[:, 0])
     # decay_comparison ranks against exactly this baseline
-    rep = decay_comparison(random_hermitian(spec, 6), baseline, top_k=1)
+    rep = decay_comparison(spec, random_hermitian(spec, 6), baseline, top_k=1)
     v = rep["profiles"][0][0]["ratio"]
     rank = np.count_nonzero(serial[:, 0] < v) + 0.5 * np.count_nonzero(serial[:, 0] == v)
     assert rep["percentiles"] == [100.0 * rank / trials]
@@ -395,7 +428,7 @@ def test_decay_comparison_profiles_its_vectors_in_one_call(spec, monkeypatch):
         return _real(spec, F, exps)
 
     monkeypatch.setattr(spectral, "modulation_norms", counting)
-    rep = decay_comparison(M, baseline, gammas, top_k=3)
+    rep = decay_comparison(spec, M, baseline, gammas, top_k=3)
     assert calls == [(3, spec.order)]
     monkeypatch.undo()
     columns = hermitian_eigen(M)[1]
@@ -430,9 +463,8 @@ def test_quotient_profiles_match_dense_oracle(spec):
 
 def test_decay_comparison_rejects_null_operator():
     spec = make_group([4], [2])
-    Z = OperatorMatrix(spec, np.zeros((4, 4)))
     with pytest.raises(DegenerateSpectrum):
-        decay_comparison(Z, haar_baseline(spec, 5, 0))
+        decay_comparison(spec, np.zeros((4, 4)), haar_baseline(spec, 5, 0))
 
 
 def test_decay_comparison_rejects_an_empty_baseline():
@@ -460,10 +492,10 @@ def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
     monkeypatch.undo()
     phi = subgroup_indicator(spec)
     A = localization_matrix(bump_symbol(spec), phi, phi)
-    assert summary["localization"] == {**decay_comparison(A, haar_baseline(spec, 40, 0)),
+    assert summary["localization"] == {**decay_comparison(spec, A, haar_baseline(spec, 40, 0)),
                                        "seed": 0}
     for control, cs in zip(summary["controls"], (0, 1, 0)):
-        rep = decay_comparison(OperatorMatrix(spec, _control_matrix(16, cs)),
-                               haar_baseline(spec, 40, cs), top_k=1)
+        rep = decay_comparison(spec, _control_matrix(16, cs), haar_baseline(spec, 40, cs),
+                               top_k=1)
         assert control["percentile"] == rep["percentiles"][0]
         assert control["top_ratio"] == rep["profiles"][0][0]["ratio"]
