@@ -121,7 +121,8 @@ def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaborSystem:
-    """``window`` over ``lattice``: its frame operator S_{g,g} and bounds (A, B)."""
+    """``window`` over ``lattice``: its frame operator S_{g,g}, read-only so
+    that it stays the matrix the bounds (A, B) were computed from."""
 
     window: Signal
     lattice: QuasiLattice
@@ -133,6 +134,7 @@ def gabor_system(g: Signal, lattice: QuasiLattice) -> GaborSystem:
     """S_{g,g} built and eigensolved once; (A, B) are its extreme eigenvalues
     whether or not the system is a frame, and the caller judges A against B."""
     S = frame_operator(g, g, lattice)
+    S.setflags(write=False)
     values = hermitian_eigen(S)[0].tolist()
     return GaborSystem(g, lattice, S, (min(values), max(values)))
 

@@ -185,6 +185,8 @@ def test_dual_of_indicator_is_rescaled_indicator():
     h = dual_window(system)
     A, _ = system.bounds
     np.testing.assert_allclose(h.values, phi.values / A, atol=1e-12)
+    # the record's operator is the one its bounds came from
+    assert not system.operator.flags.writeable
 
 
 def count_frame_work(monkeypatch):
