@@ -24,11 +24,12 @@ import numpy as np
 from .group import (
     GroupMismatch,
     GroupSpec,
+    common_group,
     coset_representatives,
     point_index,
     tile_cover,
 )
-from .norms import Exponents, mixed_norm_stack
+from .norms import Exponents, Weight, mixed_norm_stack
 from .signal import Signal, norm_l2, tf_shift_rows
 from .spectral import hermitian_eigen
 from .tfa import stft
@@ -85,38 +86,32 @@ def lattice_from_points(spec: GroupSpec, x: Sequence[int], xi: Sequence[int]) ->
     return QuasiLattice(spec, *arrays)
 
 
-def _check_lattice(lattice: QuasiLattice, *functions) -> None:
-    """GroupMismatch unless every signal or symbol lives on the lattice's group."""
-    if any(f.group != lattice.group for f in functions):
-        raise GroupMismatch("lattice and its signals live on different groups")
-
-
 # ---------------------------------------------------------------------------
 # analysis / synthesis / frame operator
 
 
 def analysis(g: Signal, lattice: QuasiLattice, f: Signal) -> np.ndarray:
     """Coefficients <f, pi(w) g> over the lattice, flat in lattice order."""
-    _check_lattice(lattice, g, f)
+    mass = common_group(lattice, g, f).mass
     V = tf_shift_rows(g, lattice.x, lattice.xi)
-    return np.conj(V) @ f.values * f.group.mass
+    return np.conj(V) @ f.values * mass
 
 
 def synthesis(g: Signal, lattice: QuasiLattice, coeffs: np.ndarray) -> Signal:
-    """sum_w c_w pi(w) g."""
-    _check_lattice(lattice, g)
-    V = tf_shift_rows(g, lattice.x, lattice.xi)
-    return Signal(g.group, np.asarray(coeffs, dtype=np.complex128) @ V)
+    """sum_w c_w pi(w) g, for one coefficient per lattice point."""
+    spec = common_group(lattice, g)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if coeffs.shape != lattice.x.shape:
+        raise GroupMismatch(f"{coeffs.shape} coefficients for {len(lattice.x)} lattice points")
+    return Signal(spec, coeffs @ tf_shift_rows(g, lattice.x, lattice.xi))
 
 
 def frame_operator(h: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
     """(order, order) matrix of S_{h,g} f = sum_w <f, pi(w) g> pi(w) h."""
-    if h.group != g.group:
-        raise GroupMismatch("both windows must live on the same group")
-    _check_lattice(lattice, g)
+    mass = common_group(lattice, g, h).mass
     G = tf_shift_rows(g, lattice.x, lattice.xi)
     H = G if h is g else tf_shift_rows(h, lattice.x, lattice.xi)
-    return H.T @ np.conj(G) * g.group.mass
+    return H.T @ np.conj(G) * mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,16 +167,16 @@ def expansion_residuals(
     """Reconstruction errors of each f in ``fs`` with (analysis g, synthesis h)
     and swapped.  The shifted stacks of g and h are built once; each f takes
     the matrix-vector products of :func:`analysis` and :func:`synthesis`."""
-    _check_lattice(lattice, g, h)
+    spec = common_group(lattice, g, h)
     G = tf_shift_rows(g, lattice.x, lattice.xi)
     H = tf_shift_rows(h, lattice.x, lattice.xi)
     G_conj, H_conj = np.conj(G), np.conj(H)
     for f in fs:
-        _check_lattice(lattice, f)
-        c_g = G_conj @ f.values * f.group.mass
-        c_h = H_conj @ f.values * f.group.mass
-        r1 = norm_l2(Signal(f.group, c_g @ H - f.values))
-        r2 = norm_l2(Signal(f.group, c_h @ G - f.values))
+        common_group(lattice, f)
+        c_g = G_conj @ f.values * spec.mass
+        c_h = H_conj @ f.values * spec.mass
+        r1 = norm_l2(Signal(spec, c_g @ H - f.values))
+        r2 = norm_l2(Signal(spec, c_h @ G - f.values))
         yield float(r1), float(r2)
 
 
@@ -190,27 +185,21 @@ def expansion_residuals(
 
 
 def discrete_modnorm(
-    f: Signal,
-    g: Signal,
-    lattice: QuasiLattice,
-    e: Exponents | Sequence[float],
-    m: np.ndarray | None = None,
+    f: Signal, g: Signal, e: Exponents | Sequence[float], m: Weight | None = None
 ) -> float:
-    """Unweighted-mass l^{p,q} norm of the lattice STFT samples.
+    """Unweighted-mass l^{p,q} norm of the STFT samples on the canonical
+    lattice :func:`quasi_lattice`, times m at each of its points if given.
 
     Samples are grouped with D1 inner (exponent p) and D2 outer (exponent
-    q); masses are 1, as for sequence spaces.  The lattice must have the
-    points of the canonical one in its order; any other, even the same
-    points in another order, raises GroupMismatch.
+    q); masses are 1, as for sequence spaces.
     """
-    _check_lattice(lattice, f, g)
-    spec = lattice.group
-    canonical = quasi_lattice(spec)
-    if not (np.array_equal(lattice.x, canonical.x) and np.array_equal(lattice.xi, canonical.xi)):
-        raise GroupMismatch("sequence norm needs the canonical lattice in canonical order")
+    spec = common_group(f, g)
+    lattice = quasi_lattice(spec)
+    if m is not None and m.values.shape != lattice.x.shape:
+        raise GroupMismatch(f"{m.values.size} weights for {len(lattice.x)} lattice points")
     c = np.abs(analysis(g, lattice, f))
     if m is not None:
-        c = c * np.asarray(m, dtype=float)
+        c = c * m.values
     d1, d2 = spec.annihilator_order, spec.subgroup_order      # |G/K|, |G^/K_perp|
     return float(mixed_norm_stack(c.reshape(1, d1, d2), [Exponents.of(e)], 1.0, 1.0)[0, 0])
 
@@ -229,8 +218,7 @@ def representative_independence_residual(
     is the same, so the residual is exactly zero.  A NaN coefficient makes
     the residual NaN.
     """
-    _check_lattice(lattice, f, g)
-    spec = f.group
+    spec = common_group(f, g, lattice)
     V = np.abs(stft(f, g).values)
     cover = tile_cover(spec, lattice.flat_indices)
     base = V[cover].max(axis=1)

@@ -136,6 +136,17 @@ def point_index(spec: GroupSpec, point: int) -> int:
     return i
 
 
+def common_group(*items) -> GroupSpec:
+    """The group of the first item; GroupMismatch, naming both groups, unless
+    every other item has the same one.  Each item is a signal, a symbol or a
+    lattice.  Every public function that combines data checks it here."""
+    spec = items[0].group
+    for item in items[1:]:
+        if item.group != spec:
+            raise GroupMismatch(f"data on {item.group!r} combined with data on {spec!r}")
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # characters
 

@@ -178,6 +178,8 @@ def modulation_norms(
     """Modulation norms [b, i] of each row F[b] for each exps[i], from one
     kernel call.  Unweighted, the multiplicities |K| and |K_perp| of the
     quotient go into the masses; a weight gets Q broadcast back to (x, xi)."""
+    if np.ndim(F) != 2 or np.shape(F)[1] != spec.order:
+        raise GroupMismatch(f"expected rows of {spec.order} values, got shape {np.shape(F)}")
     Q = _coset_magnitudes(spec, F)
     if m is None:
         mass = spec.mass * spec.subgroup_order

@@ -35,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gabor import QuasiLattice, _check_lattice
-from .group import GroupMismatch, character_table, coset_points, diff_table
+from .gabor import QuasiLattice
+from .group import character_table, common_group, coset_points, diff_table
 from .norms import Exponents, Weight, _inv, modulation_norm, modulation_norms
 from .signal import (
     PhaseFunction,
@@ -58,9 +58,7 @@ from .tfa import rihaczek, stft, window_constant
 
 def kn_apply(sigma: PhaseFunction, f: Signal) -> Signal:
     """Apply the quantization of sigma to f."""
-    if sigma.group != f.group:
-        raise GroupMismatch("symbol and signal live on different groups")
-    spec = f.group
+    spec = common_group(f, sigma)
     fhat = fourier(f).values
     T = character_table(spec)
     out = (sigma.mat * T.T) @ fhat * spec.mass_dual
@@ -103,11 +101,9 @@ def kn_matrix(sigma: PhaseFunction) -> np.ndarray:
 
 def gabor_matrix(sigma: PhaseFunction, g: Signal, lattice: QuasiLattice) -> np.ndarray:
     """M[i, j] = <Op(sigma) pi(z_j) g, pi(z_i) g> for the lattice points z."""
-    if sigma.group != g.group:
-        raise GroupMismatch("symbol and window live on different groups")
-    _check_lattice(lattice, g)
+    mass = common_group(lattice, sigma, g).mass
     V = tf_shift_rows(g, lattice.x, lattice.xi)
-    return np.conj(V) @ (kn_matrix(sigma) @ V.T) * g.group.mass
+    return np.conj(V) @ (kn_matrix(sigma) @ V.T) * mass
 
 
 def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.ndarray:
@@ -133,8 +129,7 @@ def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.
     the canonical lattice a = |G/K| and b = |G^/K_perp|, so each holds
     order^2 entries.
     """
-    _check_lattice(lattice, sigma)
-    spec = sigma.group
+    spec = common_group(lattice, sigma)
     T = character_table(spec)
     D = diff_table(spec)                                        # D[a, b] = index(a - b)
     x, xi = lattice.x, lattice.xi
@@ -167,9 +162,7 @@ def localization_apply(
 ) -> Signal:
     """A f = integral of a(z) V_psi1 f(z) pi(z) psi2 over phase space, as
     mass * mass_dual * sum_x psi2(y - x) ((a V_psi1 f) @ T)[x, y]."""
-    spec = f.group
-    if a.group != spec or psi1.group != spec or psi2.group != spec:
-        raise GroupMismatch("localization pieces live on different groups")
+    spec = common_group(f, a, psi1, psi2)
     coeff = (a.mat * stft(f, psi1).mat) @ character_table(spec)
     shifted = psi2.values[diff_table(spec).T]                   # [x, y] = psi2(y - x)
     return Signal(spec, np.sum(shifted * coeff, axis=0) * (spec.mass * spec.mass_dual))
@@ -183,9 +176,7 @@ def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> np.ndar
     d = y - y': L'[y, d] = T @ ((conj(T) @ A) * (conj(T) @ h)) / order with
     h[t, d] = psi2(t) conj(psi1(t - d)), then L[y, y'] = L'[y, y - y'].
     """
-    spec = a.group
-    if psi1.group != spec or psi2.group != spec:
-        raise GroupMismatch("localization pieces live on different groups")
+    spec = common_group(a, psi1, psi2)
     T = character_table(spec)
     D = diff_table(spec)                                        # D[y, y'] = index(y - y')
     h = psi2.values[:, None] * np.conj(psi1.values[D])

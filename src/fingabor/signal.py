@@ -18,6 +18,7 @@ from .group import (
     GroupSpec,
     character_row,
     character_table,
+    common_group,
     diff_rows,
     diff_table,
     dual_spec,
@@ -155,9 +156,7 @@ def inverse_fourier(F: Signal) -> Signal:
 
 def convolve(f: Signal, g: Signal) -> Signal:
     """(f * g)(x) = sum_y f(y) g(x - y) * mass, by direct summation."""
-    if f.group != g.group:
-        raise GroupMismatch("convolution needs both signals on the same group")
-    spec = f.group
+    spec = common_group(f, g)
     n = spec.order
     out = np.empty(n, dtype=np.complex128)
     for start in range(0, n, _CHUNK):
@@ -178,9 +177,7 @@ def convolve_phase(F: PhaseFunction, H: PhaseFunction) -> PhaseFunction:
     :func:`convolve` stays the direct sum, because the
     ``convolution-diagonalization`` identity checks this route against it.
     """
-    if F.group != H.group:
-        raise GroupMismatch("phase convolution needs a common base group")
-    spec = F.group
+    spec = common_group(F, H)
     n = spec.order
     T = character_table(spec)
     Tc = np.conj(T)
@@ -190,9 +187,8 @@ def convolve_phase(F: PhaseFunction, H: PhaseFunction) -> PhaseFunction:
 
 def inner(f: Signal, g: Signal) -> complex:
     """<f, g> = sum f conj(g) * mass; antilinear in the second slot."""
-    if f.group != g.group:
-        raise GroupMismatch("inner product needs both signals on the same group")
-    return complex(np.vdot(g.values, f.values) * f.group.mass)
+    mass = common_group(f, g).mass
+    return complex(np.vdot(g.values, f.values) * mass)
 
 
 def inner_phase(F: PhaseFunction, H: PhaseFunction) -> complex:

@@ -6,56 +6,34 @@ Conventions, with mass factors written out:
     R(f, g)(x, xi) = f(x) conj(Fg(xi)) conj(<xi, x>)
 
 The canonical window is the indicator of the subgroup K; its STFT against
-itself is supported exactly on K x K_perp with constant value
-c = <phi, phi> = ``subgroup_order * mass``.  ``window_constant`` computes c
-as that inner product, and the window-transform-support check compares the
-computed transform with it; ``norms.modulation_norms`` and the closed forms
-of the ``frames`` experiment's painless system use the product
-``mass * subgroup_order`` instead.
+itself is supported exactly on K x K_perp with the constant value
+c = <phi, phi> = mass |K| that ``window_constant`` returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .group import (
-    GroupMismatch,
-    GroupSpec,
-    character_table,
-    diff_table,
-)
-from .signal import (
-    PhaseFunction,
-    Signal,
-    fourier,
-    inner,
-    norm_l2,
-    subgroup_indicator,
-    tf_shift,
-)
+from .group import GroupSpec, character_table, common_group, diff_table
+from .signal import PhaseFunction, Signal, fourier, norm_l2, tf_shift
 
 
 def stft(f: Signal, g: Signal) -> PhaseFunction:
     """Full STFT of f against window g over every phase-space point."""
-    if f.group != g.group:
-        raise GroupMismatch("stft needs signal and window on the same group")
-    spec = f.group
+    spec = common_group(f, g)
     win = np.conj(g.values[diff_table(spec).T])   # win[x, y] = conj(g(y - x))
     V = (win * f.values[None, :]) @ np.conj(character_table(spec)).T * spec.mass
     return PhaseFunction(spec, V.reshape(-1))
 
 
 def window_constant(spec: GroupSpec) -> complex:
-    """c(K) = V_phi phi at the origin of phase space, that is <phi, phi>."""
-    phi = subgroup_indicator(spec)
-    return inner(phi, phi)
+    """c(K) = V_phi phi at the origin of phase space, <phi, phi> = mass |K|."""
+    return complex(spec.mass * spec.subgroup_order)
 
 
 def rihaczek(f: Signal, g: Signal) -> PhaseFunction:
     """R(f, g)(x, xi) = f(x) conj(Fg(xi)) conj(<xi, x>)."""
-    if f.group != g.group:
-        raise GroupMismatch("rihaczek needs both signals on the same group")
-    spec = f.group
+    spec = common_group(f, g)
     ghat = fourier(g)
     R = f.values[:, None] * np.conj(ghat.values)[None, :] * np.conj(character_table(spec).T)
     return PhaseFunction(spec, R.reshape(-1))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fingabor.group import (
 from fingabor import experiments
 from fingabor.experiments import run_frames, run_identities
 from fingabor.operators import gabor_matrix, gabor_matrix_closed_form
+from fingabor.norms import Weight
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.tfa import stft, window_constant
 from oracles import (one_signal_expansion_residual, quotient_coefficients, subgroup_points,
@@ -435,10 +437,10 @@ def test_discrete_modnorm_euclidean_case():
     g = rand_signal(spec, rng)
     lat = quasi_lattice(spec)
     c = analysis(g, lat, f)
-    assert discrete_modnorm(f, g, lat, (2, 2)) == pytest.approx(
+    assert discrete_modnorm(f, g, (2, 2)) == pytest.approx(
         float(np.linalg.norm(c)), rel=1e-12
     )
-    assert discrete_modnorm(f, g, lat, (math.inf, math.inf)) == pytest.approx(
+    assert discrete_modnorm(f, g, (math.inf, math.inf)) == pytest.approx(
         float(np.max(np.abs(c))), rel=1e-12
     )
 
@@ -452,42 +454,38 @@ def test_discrete_modnorm_weighted_and_grouped():
     d1, d2 = coset_representatives(spec)
     c = np.abs(analysis(g, lat, f)).reshape(len(d1), len(d2))
     m = 1.0 + rng.random(len(lat.x))
-    got = discrete_modnorm(f, g, lat, (1, 2), m)
+    got = discrete_modnorm(f, g, (1, 2), Weight(m))
     inner = (c * m.reshape(len(d1), len(d2))).sum(axis=0)
     assert got == pytest.approx(float(np.sqrt((inner ** 2).sum())), rel=1e-12)
 
 
-def test_discrete_modnorm_needs_full_lattice():
-    spec = make_group([4], [2])
-    lat = quasi_lattice(spec)
-    partial = lattice_from_points(spec, lat.x[:-1], lat.xi[:-1])
-    f = Signal(spec, np.ones(4))
-    with pytest.raises(GroupMismatch):
-        discrete_modnorm(f, subgroup_indicator(spec), partial, (2, 2))
-
-
-def test_discrete_modnorm_needs_canonical_order(monkeypatch):
-    # the canonical points with D2 outer: the norm would group the samples
-    # along the wrong axis, so the lattice is refused before any analysis
+def test_discrete_modnorm_weight_needs_one_value_per_point(monkeypatch):
+    # a single weight is not broadcast over the lattice, and the length is
+    # checked before any analysis runs
     import fingabor.gabor as gabor
 
-    spec = make_group([16], [4])
-    d1, d2 = coset_representatives(spec)
-    transposed = lattice_from_points(spec, np.tile(d1, len(d2)), np.repeat(d2, len(d1)))
-    lat = quasi_lattice(spec)
-    assert sorted(zip(transposed.x, transposed.xi)) == sorted(zip(lat.x, lat.xi))
-    rng = np.random.default_rng(9)
-    f, g = rand_signal(spec, rng), subgroup_indicator(spec)
-    assert discrete_modnorm(f, g, lattice_from_points(spec, lat.x, lat.xi), (0.5, 2)) == \
-        discrete_modnorm(f, g, lat, (0.5, 2))
+    spec = make_group([4], [2])
+    f, g = Signal(spec, [1, 2, 3, 4]), subgroup_indicator(spec)
+    assert discrete_modnorm(f, g, (2, 2), Weight(np.full(4, 2.0))) == pytest.approx(
+        2 * discrete_modnorm(f, g, (2, 2)), rel=1e-12)
     monkeypatch.setattr(gabor, "analysis", None)
-    with pytest.raises(GroupMismatch, match="canonical order"):
-        discrete_modnorm(f, g, transposed, (0.5, 2))
+    for m in (Weight([2.0]), Weight(np.full(5, 2.0))):
+        with pytest.raises(GroupMismatch, match="weights for 4 lattice points"):
+            discrete_modnorm(f, g, (2, 2), m)
+
+
+def test_synthesis_needs_one_coefficient_per_point():
+    spec = make_group([4], [2])
+    phi, lat = subgroup_indicator(spec), quasi_lattice(spec)
+    for coeffs in (np.ones(1), np.ones(3), np.ones((4, 4))):
+        with pytest.raises(GroupMismatch, match="coefficients for 4 lattice points"):
+            synthesis(phi, lat, coeffs)
 
 
 # every function that pairs a lattice with signals or a symbol: each gets
 # the canonical lattice of Z_16/4 and one signal or symbol of Z_16/2, a
-# group of the same order with another subgroup
+# group of the same order with another subgroup (discrete_modnorm takes the
+# lattice of its signal's group, so there the window is on Z_16/4)
 LATTICE_PAIRINGS = {
     "analysis-window": lambda f, phi, sigma, lat: analysis(f, lat, phi),
     "analysis-signal": lambda f, phi, sigma, lat: analysis(phi, lat, f),
@@ -496,7 +494,7 @@ LATTICE_PAIRINGS = {
     "expansion-windows": lambda f, phi, sigma, lat: next(expansion_residuals([phi], f, f, lat)),
     "expansion-signal": lambda f, phi, sigma, lat: next(expansion_residuals([f], phi, phi, lat)),
     "representatives": lambda f, phi, sigma, lat: representative_independence_residual(f, f, lat),
-    "discrete-modnorm": lambda f, phi, sigma, lat: discrete_modnorm(f, f, lat, (2, 2)),
+    "discrete-modnorm": lambda f, phi, sigma, lat: discrete_modnorm(phi, f, (2, 2)),
     "gabor-matrix": lambda f, phi, sigma, lat: gabor_matrix(sigma, f, lat),
     "gabor-closed-form": lambda f, phi, sigma, lat: gabor_matrix_closed_form(sigma, lat),
 }
@@ -507,8 +505,9 @@ def test_lattice_of_another_group_is_refused(call):
     spec, other = make_group([16], [4]), make_group([16], [2])
     f = subgroup_indicator(other)
     sigma = PhaseFunction(other, np.ones(other.order ** 2))
-    with pytest.raises(GroupMismatch, match="lattice"):
+    with pytest.raises(GroupMismatch, match=re.escape(repr(other))) as raised:
         call(f, subgroup_indicator(spec), sigma, quasi_lattice(spec))
+    assert repr(spec) in str(raised.value)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,23 @@ import cmath
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fingabor.gabor import (analysis, discrete_modnorm, expansion_residuals, frame_operator,
+                           quasi_lattice, representative_independence_residual, synthesis)
 from fingabor.group import (
     EmptyGroup,
+    GroupMismatch,
     GroupSpec,
     NonDivisor,
     annihilator_indices,
     character_row,
     character_table,
     circular_distance,
+    common_group,
     coset_representatives,
     diff_rows,
     diff_table,
@@ -29,6 +34,11 @@ from fingabor.group import (
     tile_cover,
     trivial_subgroup_spec,
 )
+from fingabor.operators import (gabor_matrix, gabor_matrix_closed_form, kn_apply,
+                                localization_apply, localization_matrix)
+from fingabor.signal import (PhaseFunction, convolve, convolve_phase, inner,
+                             subgroup_indicator)
+from fingabor.tfa import rihaczek, stft
 from oracles import (add, annihilator, character, index_of, neg, neg_index, phase_point,
                      residues, sub, tile_indices, translation_perm)
 
@@ -78,6 +88,60 @@ def test_json_roundtrip():
     blob = spec.to_json()
     again = GroupSpec(**json.loads(json.dumps(blob)))
     assert again == spec
+
+
+# ---------------------------------------------------------------------------
+# combining data of one group
+
+
+def _pieces(spec):
+    """A signal, a symbol and the canonical lattice of ``spec``."""
+    return SimpleNamespace(f=subgroup_indicator(spec), lat=quasi_lattice(spec),
+                           sigma=PhaseFunction(spec, np.ones(spec.order ** 2)))
+
+
+def test_common_group_is_the_first_items_group():
+    a, b = _pieces(make_group([8], [2])), _pieces(make_group([8], [2]))
+    assert common_group(a.lat, b.f) is a.lat.group
+    assert common_group(b.f, a.sigma, a.lat, a.f) is b.f.group
+
+
+# every function that combines signals, symbols or lattices; in each, one
+# piece of group b meets pieces of group a
+COMBINERS = {
+    "convolve": lambda a, b: convolve(a.f, b.f),
+    "convolve_phase": lambda a, b: convolve_phase(a.sigma, b.sigma),
+    "inner": lambda a, b: inner(a.f, b.f),
+    "stft": lambda a, b: stft(a.f, b.f),
+    "rihaczek": lambda a, b: rihaczek(a.f, b.f),
+    "kn_apply": lambda a, b: kn_apply(a.sigma, b.f),
+    "gabor_matrix": lambda a, b: gabor_matrix(a.sigma, b.f, a.lat),
+    "gabor_matrix_closed_form": lambda a, b: gabor_matrix_closed_form(b.sigma, a.lat),
+    "localization_apply": lambda a, b: localization_apply(a.sigma, a.f, b.f, a.f),
+    "localization_matrix": lambda a, b: localization_matrix(a.sigma, a.f, b.f),
+    "analysis": lambda a, b: analysis(a.f, a.lat, b.f),
+    "synthesis": lambda a, b: synthesis(b.f, a.lat, np.ones(len(a.lat.x))),
+    "frame_operator": lambda a, b: frame_operator(b.f, a.f, a.lat),
+    "expansion_residuals": lambda a, b: next(expansion_residuals([b.f], a.f, a.f, a.lat)),
+    "representative_independence_residual":
+        lambda a, b: representative_independence_residual(a.f, b.f, a.lat),
+    "discrete_modnorm": lambda a, b: discrete_modnorm(a.f, b.f, (2, 2)),
+}
+# groups that differ in their order, in their subgroup, or only in their mass
+OTHER_GROUPS = {
+    "order": (make_group([4], [2]), make_group([6], [3])),
+    "subgroup": (make_group([16], [4]), make_group([16], [2])),
+    "mass": (GroupSpec((16,), (4,), 0.5), make_group([16], [4])),
+}
+
+
+@pytest.mark.parametrize("groups", OTHER_GROUPS.values(), ids=OTHER_GROUPS.keys())
+@pytest.mark.parametrize("call", COMBINERS.values(), ids=COMBINERS.keys())
+def test_data_of_another_group_is_refused_naming_both(call, groups):
+    a, b = groups
+    with pytest.raises(GroupMismatch) as raised:
+        call(_pieces(a), _pieces(b))
+    assert repr(a) in str(raised.value) and repr(b) in str(raised.value)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +364,15 @@ def test_index_work_stays_in_group():
             assert not names & {"factors", "subgroup_divisors"}, path.name
         # a point is its canonical index: no module keeps residue tuples
         assert "residues" not in names, path.name
+        # data of two groups meet only in group.common_group
+        comparers = {getattr(top, "name", "<module>") for top in tree.body
+                     for n in ast.walk(top) if isinstance(n, ast.Compare)
+                     and any(isinstance(side, ast.Attribute) and side.attr == "group"
+                             for side in (n.left, *n.comparators))}
+        assert comparers == ({"common_group"} if path.name == "group.py" else set()), path.name
+        defined = {n.name for n in ast.walk(tree)
+                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert "_check_lattice" not in defined | imported, path.name
         if path.name == "operators.py":
             # the closed form reads its coset points from group.coset_points
             assert not imported & {"neg_index", "subgroup_indices", "annihilator_indices"}

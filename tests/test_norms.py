@@ -262,6 +262,18 @@ def test_modulation_norm_weight_shape_checked():
         modulation_norm(f, (2, 2), Weight(np.ones(spec.order)))
 
 
+@pytest.mark.parametrize("shape", [(1, 32), (1, 8), (16,), (1, 1, 16)])
+def test_stack_width_checked(shape):
+    # a stack is 2-D with one column per point: no prefix of a wider row is
+    # taken for the signal, and a bare row is not a stack of one
+    spec = make_group([16], [4])
+    F = np.ones(shape)
+    for call in (lambda: modulation_norms(spec, F, [Exponents(2.0, 2.0)]),
+                 lambda: decay_profiles(spec, F, (0.5,))):
+        with pytest.raises(GroupMismatch, match="rows of 16 values"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # maximal function oracle and modulation norm
 
