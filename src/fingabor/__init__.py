@@ -46,7 +46,6 @@ from .signal import (
     constant,
     convolve,
     convolve_phase,
-    delta,
     fourier,
     indicator,
     inner,
@@ -70,9 +69,10 @@ from .norms import (
     Exponents,
     NonPositiveExponent,
     Weight,
-    mixed_quasi_norm,
+    convolution_relation_probe,
     modulation_norm,
     polynomial_weight,
+    rihaczek_continuity_probe,
 )
 from .gabor import (
     DualWindowMismatch,
@@ -91,7 +91,6 @@ from .gabor import (
     synthesis,
 )
 from .operators import (
-    convolution_relation_probe,
     gabor_matrix,
     gabor_matrix_closed_form,
     kn_apply,
@@ -100,7 +99,6 @@ from .operators import (
     loc_to_kn_symbol,
     localization_apply,
     localization_matrix,
-    rihaczek_continuity_probe,
 )
 from .spectral import (
     DegenerateSpectrum,

@@ -50,6 +50,7 @@ from .norms import (
     Exponents,
     Weight,
     check_young_exponents,
+    convolution_relation_probe,
     inclusion_bound,
     inclusion_ratio,
     mixed_norm_stack,
@@ -58,7 +59,6 @@ from .norms import (
     rnorm_subadditivity_residual,
 )
 from .operators import (
-    convolution_relation_probe,
     gabor_matrix_residual,
     kn_kernel_pairing_residual,
     kn_weak_residual,
@@ -533,7 +533,7 @@ def _painless_residuals(system: GaborSystem, h: Signal | None) -> tuple[float, f
     """
     spec = system.lattice.group
     k = subgroup_indices(spec)
-    c = spec.mass * spec.subgroup_order
+    c = abs(window_constant(spec))
     g = system.window.values[k]
     sq, (A, B) = np.abs(g) ** 2, system.bounds
     lo, hi = c * sq.min(), c * sq.max()

@@ -26,7 +26,7 @@ mass-weighted sums.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from math import prod
 from typing import Iterable
@@ -68,12 +68,15 @@ class GroupSpec:
     ``factors[j]`` is the order of the j-th cyclic factor and
     ``subgroup_divisors[j]`` the step of the subgroup inside it.  ``mass``
     is the Haar mass of a single point of the group, and ``order`` the
-    number of points.
+    number of points.  ``mass_dual``, the mass of a point of the dual, is
+    ``1 / (mass * order)``, or on a dual the mass of its group, so that the
+    bidual equals the group; as a field it makes equal specs' duals equal.
     """
 
     factors: tuple[int, ...]
     subgroup_divisors: tuple[int, ...]
     mass: float = 1.0
+    mass_dual: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(int(n) for n in self.factors))
@@ -91,15 +94,12 @@ class GroupSpec:
                 raise NonDivisor(f"divisor {d} does not divide factor order {n}")
         if not self.mass > 0:
             raise GroupError(f"point mass must be positive, got {self.mass}")
-        # set once and kept outside the fields, so that equality, hashing,
-        # repr and to_json see only the three fields
+        # order is set once and kept outside the fields, so that equality,
+        # hashing and repr do not see it
         object.__setattr__(self, "order", prod(self.factors))
+        object.__setattr__(self, "mass_dual", 1.0 / (self.mass * self.order))
 
     # -- sizes and masses ------------------------------------------------
-
-    @property
-    def mass_dual(self) -> float:
-        return 1.0 / (self.mass * self.order)
 
     @property
     def subgroup_order(self) -> int:
@@ -325,9 +325,12 @@ def coset_representatives(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def dual_spec(spec: GroupSpec) -> GroupSpec:
-    """The dual group as a GroupSpec: subgroup K_perp, Plancherel mass."""
+    """The dual group as a GroupSpec: subgroup K_perp, Plancherel mass, and
+    the group's mass as its dual mass, so that the bidual is the group."""
     divisors = tuple(n // d for n, d in zip(spec.factors, spec.subgroup_divisors))
-    return GroupSpec(spec.factors, divisors, mass=spec.mass_dual)
+    dual = GroupSpec(spec.factors, divisors, mass=spec.mass_dual)
+    object.__setattr__(dual, "mass_dual", spec.mass)
+    return dual
 
 
 @lru_cache(maxsize=32)

@@ -27,7 +27,9 @@ for |K| points x and |K_perp| points xi:
                         ( mass |K| sum_j Q[j, eta]^p )^{q/p} )^{1/q}.
 
 A weight need not be constant on cosets, so a weighted norm broadcasts Q
-back to every (x, xi) and takes the weighted mixed norm there.
+back to every (x, xi) and takes the weighted mixed norm there.  The norm
+probes of the Rihaczek and convolution bounds pass a weight only when
+they are given one, so every unweighted norm takes the quotient.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .group import (GroupMismatch, GroupSpec, circular_distance, quotient_indices,
+from .group import (GroupMismatch, GroupSpec, circular_distance, diff_table, quotient_indices,
                      subgroup_character_table)
-from .signal import PhaseFunction, Signal
+from .signal import PhaseFunction, Signal, convolve
+from .tfa import rihaczek, window_constant
 
 
 class NonPositiveExponent(ValueError):
@@ -103,15 +106,6 @@ def polynomial_weight(spec: GroupSpec, s: float) -> Weight:
 
 # ---------------------------------------------------------------------------
 # norms
-
-
-def mixed_quasi_norm(
-    F: PhaseFunction, e: Exponents | Sequence[float], m: Weight | None = None
-) -> float:
-    """Weighted L^{p,q} quasi-norm on phase space, x inner, xi outer."""
-    spec = F.group
-    return float(mixed_norm_stack(np.abs(F.mat)[None], [Exponents.of(e)],
-                                  spec.mass, spec.mass_dual, m)[0, 0])
 
 
 def mixed_norm_stack(
@@ -239,7 +233,91 @@ def _inv(p: float) -> float:
 def check_young_exponents(e_out: Exponents, e_left: Exponents, e_right: Exponents) -> None:
     """Raise ValueError unless 1/p_i + 1/q_i = 1 + 1/r_i with all in [1, inf]."""
     for p, q, r in ((e_left.p, e_right.p, e_out.p), (e_left.q, e_right.q, e_out.q)):
-        if min(p, q, r) < 1.0:
-            raise ValueError("convolution inequality needs exponents >= 1")
-        if abs(_inv(p) + _inv(q) - 1.0 - _inv(r)) > 1e-12:
-            raise ValueError(f"exponents ({p}, {q}, {r}) are not convolution-admissible")
+        _check_young_axis(p, q, r)
+
+
+def _check_young_axis(p: float, q: float, r: float) -> None:
+    """Raise ValueError unless 1/p + 1/q = 1 + 1/r with p, q, r in [1, inf]."""
+    if min(p, q, r) < 1.0:
+        raise ValueError("convolution inequality needs exponents >= 1")
+    if abs(_inv(p) + _inv(q) - 1.0 - _inv(r)) > 1e-12:
+        raise ValueError(f"exponents ({p}, {q}, {r}) are not convolution-admissible")
+
+
+# ---------------------------------------------------------------------------
+# norm probes
+
+
+def rihaczek_continuity_probe(
+    g: Signal,
+    f: Signal,
+    e_out: Exponents | Sequence[float],
+    e_g: Exponents | Sequence[float],
+    e_f: Exponents | Sequence[float],
+    v: Weight | None = None,
+) -> tuple[float, float]:
+    """Realized pair (lhs, rhs) for the Rihaczek mapping bound.
+
+    lhs is the modulation norm of R(g, f) on the doubled group, computed
+    with window R(phi, phi) and weight 1 x (v o J^{-1}); rhs is the product
+    of the modulation norms of g and f with weight v.  R(phi, phi) is
+    c = <phi, phi> (``window_constant``) times the indicator of
+    K x K_perp (to rounding), the doubled group's own canonical window,
+    so the lhs is |c| times its canonical norm.  Without v every norm is
+    unweighted.
+    """
+    spec = f.group
+    R = rihaczek(g, f).as_signal()
+    c = abs(window_constant(spec))
+    w = None
+    if v is not None:
+        n = spec.order
+        # col[omega * n + u] = v(J^{-1}(omega, u)) = v(u, -omega); D[0, omega] = index(-omega)
+        col = v.values.reshape(n, n)[:, diff_table(spec)[0]].T.reshape(-1)
+        w = Weight(np.tile(col, n * n))
+    lhs = c * modulation_norm(R, e_out, w)
+    rhs = modulation_norm(g, e_g, v) * modulation_norm(f, e_f, v)
+    return float(lhs), float(rhs)
+
+
+def convolution_relation_probe(
+    f: Signal,
+    g: Signal,
+    cases: Sequence[tuple[Exponents | Sequence[float], ...]],
+    m: Weight | None = None,
+    nu: np.ndarray | None = None,
+) -> np.ndarray:
+    """Realized pairs [case, (lhs, rhs)] for the modulation-space convolution
+    bound, one row per exponent triple (e_out, e_f, e_g) of ``cases``.
+
+    lhs = norm of f * g in M^{r, gamma}_m computed with the self-convolved
+    window phi * phi = c 1_K, that is |c| times the canonical norm, where
+    c = mass |K| = <phi, phi> is the window constant; rhs = product of the
+    factor norms with marginal weights m1 x nu and m1 x (m2 / nu), both with
+    the canonical window, and unweighted when neither m nor nu is given.
+    Exponents must satisfy 1/u + 1/t = 1/gamma and either r >= 1 with
+    1/p + 1/q = 1 + 1/r or p = q = r < 1.  The convolution is taken once,
+    and each of f * g, f and g takes all its exponents in one norm call.
+    """
+    cases = [tuple(Exponents.of(e) for e in case) for case in cases]
+    for e_out, e_f, e_g in cases:
+        if abs(_inv(e_f.q) + _inv(e_g.q) - _inv(e_out.q)) > 1e-12:
+            raise ValueError("outer exponents do not split: need 1/u + 1/t = 1/gamma")
+        if e_out.p >= 1.0:
+            _check_young_axis(e_f.p, e_g.p, e_out.p)
+        elif not (e_f.p == e_g.p == e_out.p):
+            raise ValueError("below r = 1 the inner exponents must all coincide")
+    spec = f.group
+    e_out, e_f, e_g = (list(side) for side in zip(*cases))
+    c = abs(window_constant(spec))
+    lhs = c * modulation_norms(spec, convolve(f, g).values[None, :], e_out, m)[0]
+    w_f = w_g = None
+    if m is not None or nu is not None:
+        n = spec.order
+        # the marginals m1(x) = m(x, 0) and m2(xi) = m(0, xi)
+        m1, m2 = np.ones((2, n)) if m is None else (m.values[::n], m.values[:n])
+        nuvals = np.ones(n) if nu is None else np.asarray(nu, dtype=float)
+        w_f, w_g = Weight.tensor(m1, nuvals), Weight.tensor(m1, m2 / nuvals)
+    rhs = (modulation_norms(spec, f.values[None, :], e_f, w_f)[0]
+           * modulation_norms(spec, g.values[None, :], e_g, w_g)[0])
+    return np.stack([lhs, rhs], axis=1)

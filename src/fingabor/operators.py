@@ -31,17 +31,13 @@ most order^2 entries on the canonical lattice (a = |G/K|, b = |G^/K_perp|).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .gabor import QuasiLattice
 from .group import character_table, common_group, coset_points, diff_table
-from .norms import Exponents, Weight, _inv, modulation_norm, modulation_norms
 from .signal import (
     PhaseFunction,
     Signal,
-    convolve,
     convolve_phase,
     fourier,
     inner,
@@ -197,83 +193,3 @@ def loc_kn_matrix_residual(a: PhaseFunction, psi1: Signal, psi2: Signal) -> floa
     via_kn = kn_matrix(loc_to_kn_symbol(a, psi1, psi2))
     return float(np.max(np.abs(direct - via_kn)))
 
-
-# ---------------------------------------------------------------------------
-# norm probes
-
-
-def rihaczek_continuity_probe(
-    g: Signal,
-    f: Signal,
-    e_out: Exponents | Sequence[float],
-    e_g: Exponents | Sequence[float],
-    e_f: Exponents | Sequence[float],
-    v: Weight | None = None,
-) -> tuple[float, float]:
-    """Realized pair (lhs, rhs) for the Rihaczek mapping bound.
-
-    lhs is the modulation norm of R(g, f) on the doubled group, computed
-    with window R(phi, phi) and weight 1 x (v o J^{-1}); rhs is the product
-    of the modulation norms of g and f with weight v.  R(phi, phi) is
-    c = <phi, phi> (``window_constant``) times the indicator of
-    K x K_perp (to rounding), the doubled group's own canonical window,
-    so the lhs is |c| times its canonical norm.
-    """
-    spec = f.group
-    n = spec.order
-    R = rihaczek(g, f).as_signal()
-    c = abs(window_constant(spec))
-    if v is None:
-        vvals = np.ones(n * n)
-    else:
-        vvals = v.values
-    # col[omega * n + u] = v(J^{-1}(omega, u)) = v(u, -omega); D[0, omega] = index(-omega)
-    col = vvals.reshape(n, n)[:, diff_table(spec)[0]].T.reshape(-1)
-    wmat = Weight.tensor(np.ones(n * n), col)
-    lhs = c * modulation_norm(R, e_out, wmat)
-    rhs = modulation_norm(g, e_g, v) * modulation_norm(f, e_f, v)
-    return float(lhs), float(rhs)
-
-
-def convolution_relation_probe(
-    f: Signal,
-    g: Signal,
-    cases: Sequence[tuple[Exponents | Sequence[float], ...]],
-    m: Weight | None = None,
-    nu: np.ndarray | None = None,
-) -> np.ndarray:
-    """Realized pairs [case, (lhs, rhs)] for the modulation-space convolution
-    bound, one row per exponent triple (e_out, e_f, e_g) of ``cases``.
-
-    lhs = norm of f * g in M^{r, gamma}_m computed with the self-convolved
-    window phi * phi = c 1_K, that is |c| times the canonical norm, where
-    c = mass |K| = <phi, phi> is the window constant; rhs = product of the
-    factor norms with marginal weights m1 x nu and m1 x (m2 / nu), both with
-    the canonical window.  Exponents
-    must satisfy 1/u + 1/t = 1/gamma and either r >= 1 with
-    1/p + 1/q = 1 + 1/r or p = q = r < 1.  The convolution is taken once,
-    and each of f * g, f and g takes all its exponents in one norm call.
-    """
-    cases = [tuple(Exponents.of(e) for e in case) for case in cases]
-    for e_out, e_f, e_g in cases:
-        r, gamma = e_out.p, e_out.q
-        p, u = e_f.p, e_f.q
-        q, t = e_g.p, e_g.q
-        if abs(_inv(u) + _inv(t) - _inv(gamma)) > 1e-12:
-            raise ValueError("outer exponents do not split: need 1/u + 1/t = 1/gamma")
-        if r >= 1.0:
-            if min(p, q) < 1.0 or abs(_inv(p) + _inv(q) - 1.0 - _inv(r)) > 1e-12:
-                raise ValueError("inner exponents do not split: need 1/p + 1/q = 1 + 1/r")
-        elif not (p == q == r):
-            raise ValueError("below r = 1 the inner exponents must all coincide")
-    spec = f.group
-    n = spec.order
-    mvals = (m.values if m is not None else np.ones(n * n)).reshape(n, n)
-    nuvals = np.asarray(nu, dtype=float) if nu is not None else np.ones(n)
-    m1, m2 = mvals[:, 0], mvals[0, :]
-    e_out, e_f, e_g = (list(side) for side in zip(*cases))
-    c = abs(window_constant(spec))
-    lhs = c * modulation_norms(spec, convolve(f, g).values[None, :], e_out, m)[0]
-    rhs = (modulation_norms(spec, f.values[None, :], e_f, Weight.tensor(m1, nuvals))[0]
-           * modulation_norms(spec, g.values[None, :], e_g, Weight.tensor(m1, m2 / nuvals))[0])
-    return np.stack([lhs, rhs], axis=1)

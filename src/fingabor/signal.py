@@ -86,12 +86,6 @@ def zeros(spec: GroupSpec) -> Signal:
     return Signal(spec, np.zeros(spec.order, dtype=np.complex128))
 
 
-def delta(spec: GroupSpec, x: int = 0) -> Signal:
-    vals = np.zeros(spec.order, dtype=np.complex128)
-    vals[point_index(spec, x)] = 1.0
-    return Signal(spec, vals)
-
-
 def constant(spec: GroupSpec, value: complex = 1.0) -> Signal:
     return Signal(spec, np.full(spec.order, value, dtype=np.complex128))
 

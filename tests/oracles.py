@@ -18,6 +18,8 @@ one exponent triple at a time, and the frame expansion one signal at a
 time with its shifted stacks rebuilt for each.  The canonical window's self-convolution, the
 per-coset maxima of |V_g f| over a lattice, the annihilator as a list of
 characters and one Haar-random unit vector are built the direct way.
+The one-function mixed quasi-norm :func:`mixed_quasi_norm` and the point
+mass :func:`delta` are test helpers that the library does not need.
 
 The library's points are canonical indices.  Residue-tuple arithmetic is
 done here, one point at a time: :func:`residues`, :func:`index_of`,
@@ -44,6 +46,7 @@ from fingabor.group import (
     diff_table,
     dual_spec,
     phase_spec,
+    point_index,
     quotient_indices,
     residue_grid,
     subgroup_indices,
@@ -55,7 +58,7 @@ from fingabor.norms import (
     _coset_magnitudes,
     _inv,
     check_young_exponents,
-    mixed_quasi_norm,
+    mixed_norm_stack,
     modulation_norm,
     modulation_norms,
 )
@@ -151,6 +154,25 @@ def character(spec, xi, x):
 
 
 # ---------------------------------------------------------------------------
+# test helpers
+
+
+def mixed_quasi_norm(F, e, m=None):
+    """Weighted L^{p,q} quasi-norm on phase space, x inner, xi outer: the
+    one-row, one-exponent view of ``mixed_norm_stack``."""
+    spec = F.group
+    return float(mixed_norm_stack(np.abs(F.mat)[None], [Exponents.of(e)],
+                                  spec.mass, spec.mass_dual, m)[0, 0])
+
+
+def delta(spec, x=0):
+    """The point mass at the index x."""
+    vals = np.zeros(spec.order, dtype=np.complex128)
+    vals[point_index(spec, x)] = 1.0
+    return Signal(spec, vals)
+
+
+# ---------------------------------------------------------------------------
 # dense routes
 
 
@@ -241,15 +263,17 @@ def eager_eigenpairs(spec, A):
 
 
 def full_window_rihaczek_probe(g, f, e_out, e_g, e_f, v=None):
-    """rihaczek_continuity_probe with c read off the full R(phi, phi)."""
+    """rihaczek_continuity_probe with c read off the full R(phi, phi);
+    unweighted without v."""
     spec = f.group
     n = spec.order
     phi = subgroup_indicator(spec)
     R = rihaczek(g, f).as_signal()
     c = abs(rihaczek(phi, phi).values[0])
-    vvals = np.ones(n * n) if v is None else v.values
-    col = vvals.reshape(n, n)[:, neg_index(spec)].T.reshape(-1)
-    wmat = Weight.tensor(np.ones(n * n), col)
+    wmat = None
+    if v is not None:
+        col = v.values.reshape(n, n)[:, neg_index(spec)].T.reshape(-1)
+        wmat = Weight.tensor(np.ones(n * n), col)
     lhs = c * modulation_norm(R, e_out, wmat)
     rhs = modulation_norm(g, e_g, v) * modulation_norm(f, e_f, v)
     return float(lhs), float(rhs)
@@ -349,7 +373,8 @@ def broadcast_modulation_norm(f, e, m):
 def one_case_convolution_probe(f, g, e_out, e_f, e_g, m=None, v=None, nu=None):
     """Both sides (lhs, rhs) of the modulation-space convolution bound for one
     exponent triple, with one convolution and three modulation_norm calls;
-    rhs has the marginal weights m1 x nu and v1 x (v2 / nu)."""
+    rhs has the marginal weights m1 x nu and v1 x (v2 / nu), and no weight
+    when none of m, v and nu is given."""
     e_out = Exponents.of(e_out)
     e_f = Exponents.of(e_f)
     e_g = Exponents.of(e_g)
@@ -373,6 +398,8 @@ def one_case_convolution_probe(f, g, e_out, e_f, e_g, m=None, v=None, nu=None):
     v2 = vvals.reshape(n, n)[0, :]
     c = abs(window_constant(spec))
     lhs = c * modulation_norm(convolve(f, g), e_out, m)
+    if m is None and v is None and nu is None:
+        return float(lhs), float(modulation_norm(f, e_f) * modulation_norm(g, e_g))
     rhs = modulation_norm(f, e_f, Weight.tensor(m1, nuvals)) * modulation_norm(
         g, e_g, Weight.tensor(v1, v2 / nuvals)
     )

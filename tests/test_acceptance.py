@@ -38,12 +38,12 @@ from fingabor.norms import (
     Exponents,
     inclusion_bound,
     inclusion_ratio,
-    mixed_quasi_norm,
     modulation_norm,
     rnorm_subadditivity_residual,
 )
-from fingabor.signal import PhaseFunction, Signal, constant, delta, subgroup_indicator
+from fingabor.signal import PhaseFunction, Signal, constant, subgroup_indicator
 from fingabor.tfa import stft
+from oracles import delta, mixed_quasi_norm
 
 GROUPS = [([4], [2]), ([6], [3]), ([8], [2]), ([64], [8]), ([6, 2], [3, 2])]
 

@@ -36,8 +36,8 @@ from fingabor.group import (
 )
 from fingabor.operators import (gabor_matrix, gabor_matrix_closed_form, kn_apply,
                                 localization_apply, localization_matrix)
-from fingabor.signal import (PhaseFunction, convolve, convolve_phase, inner,
-                             subgroup_indicator)
+from fingabor.signal import (PhaseFunction, constant, convolve, convolve_phase, fourier, inner,
+                             inverse_fourier, subgroup_indicator)
 from fingabor.tfa import rihaczek, stft
 from oracles import (add, annihilator, character, index_of, neg, neg_index, phase_point,
                      residues, sub, tile_indices, translation_perm)
@@ -373,9 +373,14 @@ def test_index_work_stays_in_group():
         defined = {n.name for n in ast.walk(tree)
                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert "_check_lattice" not in defined | imported, path.name
+        # a private name stays in its module
+        assert not {name for name in imported if name.startswith("_")}, path.name
         if path.name == "operators.py":
             # the closed form reads its coset points from group.coset_points
             assert not imported & {"neg_index", "subgroup_indices", "annihilator_indices"}
+            # the norm probes live in norms, so operators needs no norm
+            assert not any(isinstance(n, ast.ImportFrom) and n.level == 1
+                           and n.module == "norms" for n in ast.walk(tree))
         if path.name in ("spectral.py", "gabor.py"):
             # operators are plain arrays, so neither module needs the operators layer
             assert not any(isinstance(n, ast.ImportFrom)
@@ -453,6 +458,31 @@ def test_dual_spec_involution():
     assert dual.factors == spec.factors
     assert dual.mass == pytest.approx(spec.mass_dual)
     assert dual_spec(dual) == spec
+
+
+@pytest.mark.parametrize("mass", [1 / 3, 0.3])
+def test_bidual_is_the_group(mass):
+    # 1 / (1 / (mass * 10) * 10) is not mass in floating point; the dual
+    # keeps the group's mass as its dual mass
+    spec = GroupSpec((10,), (1,), mass)
+    dual = dual_spec(spec)
+    assert (dual.mass, dual.mass_dual) == (spec.mass_dual, spec.mass)
+    assert dual_spec(dual) == spec
+    f = constant(spec)
+    assert inner(f, inverse_fourier(fourier(f))) == pytest.approx(10 * mass, rel=1e-15)
+
+
+def test_look_alike_of_the_dual_leaves_the_bidual():
+    # a fresh spec with the dual's fields has its own dual mass, so it is not
+    # the dual, and its cached dual and phase space are not the dual's
+    spec = GroupSpec((10,), (1,), 1 / 3)
+    look_alike = GroupSpec((10,), (10,), spec.mass_dual)
+    dual_spec(look_alike), phase_spec(look_alike)
+    assert look_alike != dual_spec(spec)
+    assert dual_spec(dual_spec(spec)) == spec
+    with pytest.raises(GroupMismatch) as info:
+        common_group(constant(look_alike), fourier(constant(spec)))
+    assert repr(look_alike) in str(info.value) and repr(dual_spec(spec)) in str(info.value)
 
 
 def test_derived_specs_are_cached():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fingabor import norms, operators
+from fingabor import norms
 from fingabor.experiments import (
     _EXPONENT_GRID,
     _YOUNG_AXIS,
@@ -38,7 +38,6 @@ from fingabor.norms import (
     inclusion_bound,
     inclusion_ratio,
     mixed_norm_stack,
-    mixed_quasi_norm,
     modulation_norm,
     modulation_norms,
     polynomial_weight,
@@ -47,8 +46,8 @@ from fingabor.norms import (
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.spectral import decay_profiles, haar_baseline
 from fingabor.tfa import stft
-from oracles import (dense_amalgam, gather_maximum, plain_norm_pointwise_trial, tile_indices,
-                     young_verify)
+from oracles import (dense_amalgam, gather_maximum, mixed_quasi_norm, plain_norm_pointwise_trial,
+                     tile_indices, young_verify)
 
 GRID = [0.5, 1.0, 2.0, math.inf]
 
@@ -694,13 +693,13 @@ def test_grid_sweeps_make_one_kernel_call_per_stack(monkeypatch):
     # run_convrel: one convolution per trial, and one kernel call each for
     # f * g, f and g with all the cases' exponents
     convolutions = []
-    convolve = operators.convolve
+    convolve = norms.convolve
 
     def counted_convolve(f, g):
         convolutions.append(None)
         return convolve(f, g)
 
-    monkeypatch.setattr(operators, "convolve", counted_convolve)
+    monkeypatch.setattr(norms, "convolve", counted_convolve)
     for spec in (make_group([64], [8]), make_group([6, 2], [3, 2])):
         calls.clear()
         convolutions.clear()

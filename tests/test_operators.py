@@ -11,9 +11,9 @@ from fingabor.gabor import lattice_from_points, quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
 from fingabor.group import (annihilator_indices, coset_points, coset_representatives, dual_spec,
                             subgroup_indices)
-from fingabor.norms import Weight, polynomial_weight
+from fingabor.norms import (Weight, convolution_relation_probe, polynomial_weight,
+                           rihaczek_continuity_probe)
 from fingabor.operators import (
-    convolution_relation_probe,
     gabor_matrix,
     gabor_matrix_closed_form,
     gabor_matrix_residual,
@@ -26,13 +26,11 @@ from fingabor.operators import (
     loc_to_kn_symbol,
     localization_apply,
     localization_matrix,
-    rihaczek_continuity_probe,
 )
 from fingabor.signal import (
     PhaseFunction,
     Signal,
     convolve,
-    delta,
     fourier,
     inner,
     inverse_fourier,
@@ -43,6 +41,7 @@ from fingabor.tfa import rihaczek, stft
 from oracles import (
     annihilator,
     coset_sums,
+    delta,
     dense_modulation_norm,
     full_window_rihaczek_probe,
     one_case_convolution_probe,
@@ -395,6 +394,33 @@ def test_rihaczek_probe_returns_finite_pair():
         assert lhs > 0 and rhs > 0
 
 
+def test_unweighted_rihaczek_probe_builds_no_phase_space_weight():
+    # without a weight every norm takes the quotient; an all-ones weight on
+    # the doubled group would hold order^4 = 2^24 values (128 MiB) here
+    spec = make_group([64], [8])
+    rng = np.random.default_rng(20)
+    g = rand_signal(spec, rng)
+    f = rand_signal(spec, rng)
+    tracemalloc.start()
+    try:
+        rihaczek_continuity_probe(g, f, (0.5, 0.5), (0.5, 0.5), (0.5, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_rihaczek_probe_is_an_identity_for_equal_exponents_at_order_256():
+    # for p = q the Rihaczek bound holds with equality on random signals
+    spec = make_group([256], [16])
+    rng = np.random.default_rng(21)
+    g = rand_signal(spec, rng)
+    f = rand_signal(spec, rng)
+    for p in (2.0, 1.0, 0.5):
+        lhs, rhs = rihaczek_continuity_probe(g, f, (p, p), (p, p), (p, p))
+        assert abs(lhs / rhs - 1.0) <= 1e-12, p
+
+
 def test_convolution_probe_returns_finite_pair():
     spec = make_group([6], [3])
     rng = np.random.default_rng(16)
@@ -460,6 +486,20 @@ def test_rihaczek_probe_constant_equals_full_window_oracle(spec):
         for v in (None, poly):
             assert (rihaczek_continuity_probe(g, f, e_out, e_g, e_f, v)
                     == full_window_rihaczek_probe(g, f, e_out, e_g, e_f, v))
+
+
+def test_convolution_probe_weighs_factors_by_nu_without_m():
+    # nu alone weights f by 1 x nu and g by 1 x (1 / nu), as with m = 1
+    spec = make_group([16], [4])
+    rng = np.random.default_rng(22)
+    f = rand_signal(spec, rng)
+    g = rand_signal(spec, rng)
+    nu = np.sqrt(polynomial_weight(dual_spec(spec), 1.0).values)
+    got = convolution_relation_probe(f, g, _CONVREL_CASES, nu=nu)
+    ones = convolution_relation_probe(f, g, _CONVREL_CASES, m=Weight(np.ones(256)), nu=nu)
+    assert got[:, 1].tolist() == ones[:, 1].tolist()
+    np.testing.assert_allclose(got[:, 0], ones[:, 0], rtol=1e-14)
+    assert not np.allclose(got[:, 1], convolution_relation_probe(f, g, _CONVREL_CASES)[:, 1])
 
 
 def test_convolution_probe_rejects_bad_exponents():

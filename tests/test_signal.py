@@ -19,7 +19,6 @@ from fingabor.signal import (
     constant,
     convolve,
     convolve_phase,
-    delta,
     fourier,
     indicator,
     inner,
@@ -35,7 +34,7 @@ from fingabor.signal import (
     zeros,
 )
 from fingabor.gabor import lattice_from_points
-from oracles import character, residues, sub
+from oracles import character, delta, residues, sub
 
 
 def rand_signal(spec, rng):

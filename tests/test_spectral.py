@@ -8,7 +8,6 @@ from fingabor import experiments, gabor, spectral
 from fingabor.experiments import _control_matrix, bump_symbol, run_decay, stream_rng
 from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, make_group
-from fingabor.norms import mixed_quasi_norm
 from fingabor.operators import localization_matrix
 from fingabor.signal import norm_l2, subgroup_indicator
 from fingabor.spectral import (
@@ -22,7 +21,7 @@ from fingabor.spectral import (
     haar_baseline,
     hermitian_eigen,
 )
-from oracles import dense_amalgam, eager_eigenpairs, haar_random_unit
+from oracles import dense_amalgam, eager_eigenpairs, haar_random_unit, mixed_quasi_norm
 
 
 def random_hermitian(spec, seed):
