@@ -17,10 +17,11 @@ x * order + xi; :func:`residue_grid` gives the residues of each index.
 Haar normalization: each point of the group carries ``mass`` and each point
 of the dual carries ``1 / (mass * order)``.  The product of the two masses
 times the order is 1, which is exactly what makes the Fourier transform
-unitary.  Groups constructed by :func:`make_group` use ``mass = 1``; the
-phase space G x G^ built by :func:`phase_spec` inherits the product mass
-``mass * mass_dual`` so that all pairings on it agree with the plain
-mass-weighted sums.
+unitary.  A dual or a product takes its dual mass exactly from its
+parts, so the bidual is the group.  Groups constructed by
+:func:`make_group` use ``mass = 1``; the phase space G x G^ built by
+:func:`phase_spec` inherits the product mass ``mass * mass_dual`` so that
+all pairings on it agree with the plain mass-weighted sums.
 """
 
 from __future__ import annotations
@@ -339,7 +340,8 @@ def phase_spec(spec: GroupSpec) -> GroupSpec:
 
     The point mass is ``mass * mass_dual`` so integrals over phase space
     written as plain mass-weighted sums match the product Haar measure.
-    Its dual is again a group of the same shape (representing G^ x G), and
+    Its dual is again a group of the same shape and point mass,
+    ``phase_spec(dual_spec(spec))`` (representing G^ x G), and
     the canonical product character realizes the pairing
     <(omega, u), (x, xi)> = <omega, x> <xi, u>.
     """
@@ -353,7 +355,10 @@ def trivial_subgroup_spec(spec: GroupSpec) -> GroupSpec:
 
 
 def product_spec(a: GroupSpec, b: GroupSpec) -> GroupSpec:
-    """Direct product with concatenated factors and product mass."""
-    return GroupSpec(
+    """Direct product with concatenated factors, product mass and product
+    dual mass, so that the dual of a product is the product of the duals."""
+    spec = GroupSpec(
         a.factors + b.factors, a.subgroup_divisors + b.subgroup_divisors, mass=a.mass * b.mass
     )
+    object.__setattr__(spec, "mass_dual", a.mass_dual * b.mass_dual)
+    return spec

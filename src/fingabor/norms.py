@@ -288,7 +288,8 @@ def convolution_relation_probe(
     nu: np.ndarray | None = None,
 ) -> np.ndarray:
     """Realized pairs [case, (lhs, rhs)] for the modulation-space convolution
-    bound, one row per exponent triple (e_out, e_f, e_g) of ``cases``.
+    bound, one row per exponent triple (e_out, e_f, e_g) = ((r, gamma),
+    (p, u), (q, t)) of ``cases``.
 
     lhs = norm of f * g in M^{r, gamma}_m computed with the self-convolved
     window phi * phi = c 1_K, that is |c| times the canonical norm, where

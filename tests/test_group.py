@@ -472,6 +472,17 @@ def test_bidual_is_the_group(mass):
     assert inner(f, inverse_fourier(fourier(f))) == pytest.approx(10 * mass, rel=1e-15)
 
 
+@pytest.mark.parametrize("mass", [1.0, 1 / 3])
+def test_dual_of_phase_space_is_phase_space_of_dual(mass):
+    # the dual of a product is the product of the duals, mass for mass, so
+    # G^ x G built either way is one group, and phase space is self-dual
+    for n in range(2, 60):
+        spec = GroupSpec((n,), (1,), mass)
+        ps = phase_spec(spec)
+        assert dual_spec(ps) == phase_spec(dual_spec(spec)), n
+        assert ps.mass == ps.mass_dual, n
+
+
 def test_look_alike_of_the_dual_leaves_the_bidual():
     # a fresh spec with the dual's fields has its own dual mass, so it is not
     # the dual, and its cached dual and phase space are not the dual's
