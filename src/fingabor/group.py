@@ -70,8 +70,9 @@ class GroupSpec:
     ``subgroup_divisors[j]`` the step of the subgroup inside it.  ``mass``
     is the Haar mass of a single point of the group, and ``order`` the
     number of points.  ``mass_dual``, the mass of a point of the dual, is
-    ``1 / (mass * order)``, or on a dual the mass of its group, so that the
-    bidual equals the group; as a field it makes equal specs' duals equal.
+    ``1 / (mass * order)``, except that :func:`dual_spec` and
+    :func:`product_spec` take it exactly from their parts; as a field it
+    makes equal specs' duals equal.
     """
 
     factors: tuple[int, ...]
