@@ -5,7 +5,7 @@ Two subcommands:
 * ``fingabor run CONFIG.json`` runs one experiment described by a JSON
   config and writes deterministic JSON/CSV artifacts.
 * ``fingabor list-identities`` prints the registry of verifiable
-  identities with their default tolerances.
+  identities with their tolerances, which no run can change.
 
 Exit codes: 0 on success, 1 on a configuration problem, 2 when the
 experiment ran but at least one check exceeded its tolerance, 3 when a
@@ -75,24 +75,14 @@ def _int_list(value, what: str) -> list[int]:
 
 
 def _identity_extras(cfg: dict) -> dict:
-    norm = {}
-    known = set(identity_names())
     names = cfg.get("identities")
-    if names is not None:
-        _expect(isinstance(names, list) and names,
-                "'identities' must be a non-empty list of names")
-        for n in names:
-            _expect(isinstance(n, str) and n in known, f"unknown identity: {n!r}")
-        norm["identities"] = list(names)
-    tols = cfg.get("tolerances")
-    if tols is not None:
-        _expect(isinstance(tols, dict), "'tolerances' must be an object")
-        for k, v in tols.items():
-            _expect(k in known, f"tolerance for unknown identity: {k!r}")
-            _expect(_is_finite_number(v) and v >= 0,
-                    f"tolerance for {k!r} must be a finite non-negative number")
-        norm["tolerances"] = {k: float(v) for k, v in tols.items()}
-    return norm
+    if names is None:
+        return {}
+    _expect(isinstance(names, list) and names, "'identities' must be a non-empty list of names")
+    known = set(identity_names())
+    for n in names:
+        _expect(isinstance(n, str) and n in known, f"unknown identity: {n!r}")
+    return {"identities": list(names)}
 
 
 def _decay_extras(cfg: dict) -> dict:
@@ -130,9 +120,8 @@ _EXPERIMENTS = {
     "identities": _Experiment(
         50,
         lambda spec, n: run_identities(spec, n["seed"], n["trials"],
-                                       names=n.get("identities"),
-                                       tolerances=n.get("tolerances")),
-        frozenset({"identities", "tolerances"}),
+                                       names=n.get("identities")),
+        frozenset({"identities"}),
         _identity_extras,
     ),
     "frames": _Experiment(100, lambda spec, n: run_frames(spec, n["seed"], n["trials"])),

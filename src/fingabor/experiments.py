@@ -412,6 +412,9 @@ _CHECKS: dict[str, dict[str, float]] = {
 
 def _header(experiment: str, spec: GroupSpec, seed: int, trials: int, **data) -> dict:
     """Summary of one run: what ran, its data keys, and the failure list."""
+    if trials < 1:
+        # a run of no trials checks nothing, so it must not report a pass
+        raise ValueError(f"{experiment} needs at least one trial, got {trials}")
     return {"experiment": experiment, "group": spec.to_json(), "seed": seed,
             "trials": trials, **data, "failures": []}
 
@@ -440,20 +443,16 @@ def run_identities(
     seed: int,
     trials: int,
     names: Sequence[str] | None = None,
-    tolerances: dict[str, float] | None = None,
 ) -> tuple[dict, dict]:
     """Run the registry on one group; returns (summary, {}).  A check's
     residual is the worst of its trials, one trial when not randomized."""
-    wanted = set(names) if names is not None else None
-    tolerances = tolerances or {}
     summary = _header("identities", spec, seed, trials, results={})
     for stream, check in enumerate(IDENTITY_REGISTRY):
-        if wanted is not None and check.name not in wanted:
+        if names is not None and check.name not in names:
             continue
-        tol = float(tolerances.get(check.name, check.tolerance))
         if check.max_order is not None and spec.order > check.max_order:
             summary["results"][check.name] = {
-                "tolerance": tol,
+                "tolerance": check.tolerance,
                 "summary": check.summary,
                 "skipped": True,
                 "reason": f"group order {spec.order} exceeds cap {check.max_order}",
@@ -464,7 +463,7 @@ def run_identities(
         worst = 0.0
         for _ in range(n_trials):
             worst = _worse(worst, check.trial(spec, rng))
-        entry = _verdict(summary, check.name, worst, tol)
+        entry = _verdict(summary, check.name, worst, check.tolerance)
         entry.update(summary=check.summary, trials=n_trials)
     return summary, {}
 

@@ -26,10 +26,11 @@ all pairings on it agree with the plain mass-weighted sums.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from math import prod
+from math import inf, prod
 from typing import Iterable
 
 import numpy as np
@@ -81,10 +82,12 @@ class GroupSpec:
     mass_dual: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(int(n) for n in self.factors))
-        object.__setattr__(
-            self, "subgroup_divisors", tuple(int(d) for d in self.subgroup_divisors)
-        )
+        # int() would truncate 6.7 and read True as 1; numpy integers pass
+        for name in ("factors", "subgroup_divisors"):
+            values = tuple(getattr(self, name))
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+                raise GroupError(f"{name} must be integers, got {values!r}")
+            object.__setattr__(self, name, tuple(map(operator.index, values)))
         if len(self.factors) == 0:
             raise EmptyGroup("group needs at least one cyclic factor")
         if len(self.subgroup_divisors) != len(self.factors):
@@ -94,12 +97,15 @@ class GroupSpec:
                 raise EmptyGroup(f"cyclic factor order must be positive, got {n}")
             if d <= 0 or n % d != 0:
                 raise NonDivisor(f"divisor {d} does not divide factor order {n}")
-        if not self.mass > 0:
-            raise GroupError(f"point mass must be positive, got {self.mass}")
+        mass = self.mass
+        if isinstance(mass, bool) or not isinstance(mass, numbers.Real) or not 0 < mass < inf:
+            raise GroupError(f"point mass must be a finite positive number, got {mass!r}")
         # order is set once and kept outside the fields, so that equality,
         # hashing and repr do not see it
         object.__setattr__(self, "order", prod(self.factors))
         object.__setattr__(self, "mass_dual", 1.0 / (self.mass * self.order))
+        if not 0 < self.mass_dual < inf:
+            raise GroupError(f"dual point mass 1 / (mass * order) is {self.mass_dual!r}")
 
     # -- sizes and masses ------------------------------------------------
 
@@ -351,8 +357,10 @@ def phase_spec(spec: GroupSpec) -> GroupSpec:
 
 @lru_cache(maxsize=32)
 def trivial_subgroup_spec(spec: GroupSpec) -> GroupSpec:
-    """The same group and point mass with the trivial subgroup K = {0}."""
-    return GroupSpec(spec.factors, spec.factors, spec.mass)
+    """The same group, point mass and dual mass with the trivial subgroup K = {0}."""
+    trivial = GroupSpec(spec.factors, spec.factors, spec.mass)
+    object.__setattr__(trivial, "mass_dual", spec.mass_dual)
+    return trivial
 
 
 def product_spec(a: GroupSpec, b: GroupSpec) -> GroupSpec:

@@ -79,14 +79,14 @@ class Exponents:
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Strictly positive weight, stored flat in canonical order."""
+    """Finite, strictly positive weight, stored flat in canonical order."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64).reshape(-1)
-        if vals.size == 0 or not np.all(vals > 0):
-            raise ValueError("weight must be strictly positive everywhere")
+        if vals.size == 0 or not np.all((vals > 0) & (vals < np.inf)):
+            raise ValueError("weight must be finite and strictly positive everywhere")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -156,11 +156,13 @@ def decay_comparison(
     Each of the top_k eigenfunctions gets a percentile rank, in [0, 100],
     of its REF_GAMMA ratio within ``baseline``, for instance
     ``haar_baseline(spec, trials, seed)``; the report's ``trials`` is
-    ``len(baseline)``.  An empty baseline ranks nothing and raises
-    ValueError.
+    ``len(baseline)``.  An empty baseline or ``top_k < 1`` ranks nothing
+    and raises ValueError.
     """
     if len(baseline) == 0:
         raise ValueError("decay_comparison needs a non-empty baseline")
+    if top_k < 1:
+        raise ValueError(f"decay_comparison needs top_k >= 1, got {top_k}")
     if np.shape(A) != (spec.order, spec.order):
         raise GroupMismatch(f"expected a {spec.order} x {spec.order} matrix, got {np.shape(A)}")
     values, columns = hermitian_eigen(A)

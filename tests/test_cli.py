@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from fingabor import experiments
 from fingabor.cli import ConfigError, main, validate_config
 from fingabor.experiments import (random_signal, run_convrel, run_identities, run_locop,
                                   run_norms, run_young)
@@ -128,12 +131,8 @@ def test_run_identities_ok(tmp_path, capsys):
     assert all(entry["passed"] for entry in data["results"].values())
 
 
-def test_run_identities_subset_and_tolerances(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        identities=["shift-commutation", "fourier-parseval"],
-        tolerances={"shift-commutation": 1e-10},
-    )
+def test_run_identities_subset(tmp_path, capsys):
+    cfg = write_config(tmp_path, identities=["shift-commutation", "fourier-parseval"])
     assert main(["run", str(cfg)]) == 0
     data = json.loads((tmp_path / "out" / "identities_summary.json").read_text())
     assert set(data["results"]) == {"shift-commutation", "fourier-parseval"}
@@ -415,12 +414,12 @@ def test_run_largest_seed_has_its_own_streams(tmp_path):
     assert ratios[0] != ratios[2**64 - 1]
 
 
-def test_run_reports_tolerance_failures(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        identities=["stft-shift"],
-        tolerances={"stft-shift": 1e-30},
-    )
+def test_run_reports_tolerance_failures(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "IDENTITY_REGISTRY", tuple(
+        dataclasses.replace(c, tolerance=1e-30) if c.name == "stft-shift" else c
+        for c in experiments.IDENTITY_REGISTRY
+    ))
+    cfg = write_config(tmp_path, identities=["stft-shift"])
     assert main(["run", str(cfg)]) == 2
     out = capsys.readouterr().out
     assert "failure: " in out
@@ -428,6 +427,21 @@ def test_run_reports_tolerance_failures(tmp_path, capsys):
     # artifacts are still written for inspection
     data = json.loads((tmp_path / "out" / "identities_summary.json").read_text())
     assert data["failures"]
+
+
+def test_run_refuses_a_tolerance_override(tmp_path, capsys):
+    # a tolerance is the one its check declares; no config can change it
+    cfg = write_config(tmp_path, tolerances={"stft-shift": 1.0})
+    assert main(["run", str(cfg)]) == 1
+    assert "unknown config keys: tolerances" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_identity_verdict_reads_its_declared_tolerance():
+    assert "tolerances" not in inspect.signature(run_identities).parameters
+    summary, _ = run_identities(make_group([4], [2]), 0, 1)
+    assert {name: entry["tolerance"] for name, entry in summary["results"].items()} == {
+        c.name: c.tolerance for c in experiments.IDENTITY_REGISTRY}
 
 
 def _reject_constant(name):

@@ -12,6 +12,7 @@ from fingabor.gabor import (analysis, discrete_modnorm, expansion_residuals, fra
                            quasi_lattice, representative_independence_residual, synthesis)
 from fingabor.group import (
     EmptyGroup,
+    GroupError,
     GroupMismatch,
     GroupSpec,
     NonDivisor,
@@ -74,6 +75,36 @@ def test_nondivisor_rejected():
 def test_empty_group_rejected():
     with pytest.raises(EmptyGroup):
         GroupSpec((), ())
+
+
+@pytest.mark.parametrize("factors,divisors", [
+    ((6.7,), (1,)),
+    ((6.0,), (1,)),
+    ((True, 4), (1, 2)),
+    ((4,), (np.True_,)),
+    ((4,), (2.0,)),
+    (("4",), (2,)),
+], ids=["float-factor", "integral-float-factor", "bool-factor", "numpy-bool-divisor",
+        "float-divisor", "str-factor"])
+def test_non_integer_factors_and_divisors_are_refused(factors, divisors):
+    # int() would truncate 6.7 to Z_6 and read True as a factor of 1
+    with pytest.raises(GroupError, match="must be integers"):
+        GroupSpec(factors, divisors)
+
+
+def test_numpy_integer_factors_are_python_ints():
+    spec = GroupSpec((np.int64(6), np.int32(2)), (np.uint8(3), 2))
+    assert spec == make_group([6, 2], [3, 2])
+    assert all(type(n) is int for n in spec.factors + spec.subgroup_divisors)
+
+
+@pytest.mark.parametrize("mass", [math.inf, math.nan, 0.0, -1.0, True, "1", 1e-320, 1e308],
+                         ids=["inf", "nan", "zero", "negative", "bool", "str",
+                              "dual-mass-inf", "dual-mass-zero"])
+def test_mass_must_be_finite_positive_with_a_finite_positive_dual(mass):
+    # mass inf gave dual mass 0.0, and 1e-320 on Z_10 a dual mass of inf
+    with pytest.raises(GroupError, match="mass"):
+        GroupSpec((10,), (1,), mass)
 
 
 def test_mass_invariant():
@@ -503,6 +534,15 @@ def test_derived_specs_are_cached():
         assert derive(spec) is derive(GroupSpec((6, 2), (3, 1), 0.5))
     trivial = trivial_subgroup_spec(spec)
     assert (trivial.factors, trivial.subgroup_divisors, trivial.mass) == ((6, 2), (6, 2), 0.5)
+
+
+@pytest.mark.parametrize("mass", [1 / 3, 0.3])
+def test_trivial_subgroup_spec_keeps_the_dual_mass(mass):
+    # rebuilt from its three fields, the trivial-subgroup spec of the dual had
+    # dual mass 0.33333333333333326, not the group's mass 1/3
+    dual = dual_spec(GroupSpec((10,), (1,), mass))
+    trivial = trivial_subgroup_spec(dual)
+    assert (trivial.mass, trivial.mass_dual) == (dual.mass, dual.mass_dual) == (dual.mass, mass)
 
 
 def test_phase_spec_shape_and_mass():

@@ -131,6 +131,15 @@ def test_weight_positivity_and_tensor():
     np.testing.assert_array_equal(w.values, [3.0, 5.0, 6.0, 10.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_weight_refuses_non_finite_values(bad):
+    # an infinite weight would make every weighted norm infinite
+    with pytest.raises(ValueError, match="finite"):
+        Weight(np.full(64, bad))
+    with pytest.raises(ValueError, match="finite"):
+        Weight([1.0, bad])
+
+
 def test_polynomial_weight_values():
     spec = make_group([6], [3])
     # circular distance on Z_6: 0 1 2 3 2 1

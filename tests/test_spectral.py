@@ -474,6 +474,12 @@ def test_decay_comparison_rejects_an_empty_baseline():
             run_decay(make_group([8], [2]), 0, 0, control_seeds=(0,))
 
 
+def test_decay_comparison_refuses_no_eigenfunctions():
+    spec = make_group([4], [2])
+    with pytest.raises(ValueError, match="top_k"):
+        decay_comparison(spec, np.eye(4), haar_baseline(spec, 5, 0), top_k=0)
+
+
 def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
     # seed 0 is also control seed 0: its baseline is drawn once and shared,
     # and every report equals the one with a baseline of its own
