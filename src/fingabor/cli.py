@@ -27,7 +27,7 @@ import numpy as np
 
 from .experiments import (
     IDENTITY_REGISTRY,
-    identity_names,
+    check_identity_names,
     run_convrel,
     run_decay,
     run_frames,
@@ -36,7 +36,8 @@ from .experiments import (
     run_norms,
     run_young,
 )
-from .group import GroupError, GroupSpec, TableLimit, make_group
+from .group import GroupSpec, TableLimit, make_group
+from .spectral import check_seed
 
 __all__ = ["ConfigError", "main", "validate_config"]
 
@@ -60,29 +61,18 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _is_seed(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
-
-
-def _int_list(value, what: str) -> list[int]:
-    _expect(isinstance(value, list) and value, f"{what} must be a non-empty list")
-    out = []
-    for v in value:
-        _expect(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-                f"{what} entries must be positive integers")
-        out.append(v)
-    return out
+def _ask(check: Callable, *args):
+    """``check(*args)``, a library rule; its refusal becomes a ConfigError
+    with the library's message."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _identity_extras(cfg: dict) -> dict:
     names = cfg.get("identities")
-    if names is None:
-        return {}
-    _expect(isinstance(names, list) and names, "'identities' must be a non-empty list of names")
-    known = set(identity_names())
-    for n in names:
-        _expect(isinstance(n, str) and n in known, f"unknown identity: {n!r}")
-    return {"identities": list(names)}
+    return {} if names is None else {"identities": _ask(check_identity_names, names)}
 
 
 def _decay_extras(cfg: dict) -> dict:
@@ -96,10 +86,8 @@ def _decay_extras(cfg: dict) -> dict:
             "'top_k' must be a positive integer")
     controls = cfg.get("control_seeds", list(range(10)))
     _expect(isinstance(controls, list), "'control_seeds' must be a list")
-    for c in controls:
-        _expect(_is_seed(c), "'control_seeds' entries must be integers in [0, 2**64)")
     return {"gammas": [float(g) for g in gammas], "top_k": top_k,
-            "control_seeds": list(controls)}
+            "control_seeds": [_ask(check_seed, c) for c in controls]}
 
 
 class _Experiment(NamedTuple):
@@ -140,7 +128,8 @@ _EXPERIMENTS = {
 
 
 def validate_config(cfg) -> dict:
-    """Check shape, types, and key names; returns a normalized config."""
+    """Check shape, types, and key names; returns a normalized config.  The
+    group, seed and identity-name rules are the library's own checks."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
     _expect("experiment" in cfg, "missing required key 'experiment'")
     exp = cfg["experiment"]
@@ -158,13 +147,8 @@ def validate_config(cfg) -> dict:
     _expect(not gunknown, f"unknown group keys: {', '.join(gunknown)}")
     _expect("factors" in grp and "subgroup_divisors" in grp,
             "'group' needs 'factors' and 'subgroup_divisors'")
-    factors = _int_list(grp["factors"], "group.factors")
-    divisors = _int_list(grp["subgroup_divisors"], "group.subgroup_divisors")
-    _expect(len(factors) == len(divisors),
-            "group.factors and group.subgroup_divisors must have equal length")
-
-    seed = cfg.get("seed", 0)
-    _expect(_is_seed(seed), "'seed' must be an integer in [0, 2**64)")
+    spec = _ask(make_group, grp["factors"], grp["subgroup_divisors"])
+    seed = _ask(check_seed, cfg.get("seed", 0))
     trials = cfg.get("trials", entry.trials)
     _expect(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1,
             "'trials' must be a positive integer")
@@ -174,8 +158,8 @@ def validate_config(cfg) -> dict:
 
     return {
         "experiment": exp,
-        "factors": factors,
-        "subgroup_divisors": divisors,
+        "factors": list(spec.factors),
+        "subgroup_divisors": list(spec.subgroup_divisors),
         "seed": seed,
         "trials": trials,
         "output_dir": output_dir,
@@ -259,7 +243,7 @@ def _cmd_run(config_path: str) -> int:
     except TableLimit as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, GroupError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -93,6 +93,7 @@ __all__ = [
     "IdentityCheck",
     "IDENTITY_REGISTRY",
     "identity_names",
+    "check_identity_names",
     "run_identities",
     "run_frames",
     "run_norms",
@@ -373,6 +374,17 @@ def identity_names() -> list[str]:
     return [c.name for c in IDENTITY_REGISTRY]
 
 
+def check_identity_names(names: Sequence[str]) -> list[str]:
+    """``names`` as a list if it is a non-empty list of registry names; an
+    empty or unknown subset would check nothing, so it raises ValueError."""
+    if isinstance(names, str) or not isinstance(names, Sequence) or not names:
+        raise ValueError("identity names must be a non-empty list of registry names")
+    for n in names:
+        if n not in identity_names():
+            raise ValueError(f"unknown identity: {n!r}")
+    return list(names)
+
+
 # ---------------------------------------------------------------------------
 # declared checks and the one verdict
 
@@ -400,10 +412,6 @@ _CHECKS: dict[str, dict[str, float]] = {
         "convolution-relation-spread": 10.0,  # max over cases of max_c / min_c
     },
     "locop": {
-        # the registry identity of the same name, at its tolerance
-        "localization-as-quantization": next(
-            c.tolerance for c in IDENTITY_REGISTRY if c.name == "localization-as-quantization"
-        ),
         "localization-apply": 1e-10,          # max |M f - apply(f)|
         "localization-hermitian": 1e-10,      # max |M - M^*| for a real symbol
     },
@@ -415,7 +423,7 @@ def _header(experiment: str, spec: GroupSpec, seed: int, trials: int, **data) ->
     if trials < 1:
         # a run of no trials checks nothing, so it must not report a pass
         raise ValueError(f"{experiment} needs at least one trial, got {trials}")
-    return {"experiment": experiment, "group": spec.to_json(), "seed": seed,
+    return {"experiment": experiment, "group": spec.to_json(), "seed": check_seed(seed),
             "trials": trials, **data, "failures": []}
 
 
@@ -444,8 +452,11 @@ def run_identities(
     trials: int,
     names: Sequence[str] | None = None,
 ) -> tuple[dict, dict]:
-    """Run the registry on one group; returns (summary, {}).  A check's
-    residual is the worst of its trials, one trial when not randomized."""
+    """Run the registry, or the subset ``names``, on one group; returns
+    (summary, {}).  A check's residual is the worst of its trials, one trial
+    when not randomized.  An empty or unknown ``names`` raises ValueError."""
+    if names is not None:
+        names = check_identity_names(names)
     summary = _header("identities", spec, seed, trials, results={})
     for stream, check in enumerate(IDENTITY_REGISTRY):
         if names is not None and check.name not in names:
@@ -746,7 +757,6 @@ def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
 
 def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     rng = stream_rng(seed, 0)
-    worst_kn = 0.0
     worst_herm = 0.0
     worst_apply = 0.0
     for _ in range(trials):
@@ -754,7 +764,6 @@ def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
         psi1 = random_signal(spec, rng)
         psi2 = random_signal(spec, rng)
         f = random_signal(spec, rng)
-        worst_kn = _worse(worst_kn, loc_kn_matrix_residual(a, psi1, psi2))
         M = localization_matrix(a, psi1, psi2)
         out = localization_apply(a, psi1, psi2, f)
         worst_apply = _worse(worst_apply, float(np.max(np.abs(M @ f.values - out.values))))
@@ -762,7 +771,6 @@ def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
         Mh = localization_matrix(real_a, psi1, psi1)
         worst_herm = _worse(worst_herm, float(np.max(np.abs(Mh - Mh.conj().T))))
     summary = _header("locop", spec, seed, trials)
-    _verdict(summary, "localization-as-quantization", worst_kn)
     _verdict(summary, "localization-apply", worst_apply)
     _verdict(summary, "localization-hermitian", worst_herm)
     return summary, {}

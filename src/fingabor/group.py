@@ -82,11 +82,13 @@ class GroupSpec:
     mass_dual: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # int() would truncate 6.7 and read True as 1; numpy integers pass
+        # int() would truncate 6.7 and read True as 1, and a lone number is
+        # no sequence of them; numpy integers pass
         for name in ("factors", "subgroup_divisors"):
-            values = tuple(getattr(self, name))
+            given = getattr(self, name)
+            values = tuple(given) if isinstance(given, Iterable) else (None,)
             if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
-                raise GroupError(f"{name} must be integers, got {values!r}")
+                raise GroupError(f"{name} must be integers, got {given!r}")
             object.__setattr__(self, name, tuple(map(operator.index, values)))
         if len(self.factors) == 0:
             raise EmptyGroup("group needs at least one cyclic factor")
@@ -131,7 +133,7 @@ class GroupSpec:
 
 def make_group(factors: Iterable[int], subgroup_divisors: Iterable[int]) -> GroupSpec:
     """Build a group from cyclic factor orders and per-factor divisors."""
-    return GroupSpec(tuple(factors), tuple(subgroup_divisors))
+    return GroupSpec(factors, subgroup_divisors)
 
 
 def point_index(spec: GroupSpec, point: int) -> int:

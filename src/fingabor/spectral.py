@@ -28,6 +28,7 @@ against the baseline its caller passes; it draws nothing.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -97,11 +98,14 @@ def decay_profiles(spec: GroupSpec, F: np.ndarray, gammas) -> tuple[np.ndarray, 
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` if it lies in [0, 2^64), the range of a Philox key word;
-    any other seed would wrap onto another seed's draws, so it raises."""
+    """``seed`` as an int if it is an integer in [0, 2^64), the range of a
+    Philox key word; numpy integers pass.  A bool, a float such as 1.5 or a
+    seed outside the range would draw another seed's streams, so it raises."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return seed
+    return int(seed)
 
 
 def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:

@@ -9,9 +9,11 @@ import pytest
 
 from fingabor import experiments
 from fingabor.cli import ConfigError, main, validate_config
-from fingabor.experiments import (random_signal, run_convrel, run_identities, run_locop,
-                                  run_norms, run_young)
+from fingabor.experiments import (check_identity_names, random_signal, run_convrel,
+                                  run_identities, run_locop, run_norms, run_young)
 from fingabor.group import make_group
+from fingabor.operators import localization_matrix
+from fingabor.spectral import check_seed
 from fingabor.signal import PhaseFunction, Signal, convolve_phase
 
 
@@ -75,8 +77,14 @@ def test_validate_fills_defaults():
     {"tolerances": {"shift-commutation": -1.0}},
     {"output_dir": ""},
     {"seed": 2**64},
+    {"seed": 1.5},
+    {"seed": True},
+    {"group": {"factors": 4, "subgroup_divisors": 2}},
+    {"group": {"factors": None, "subgroup_divisors": [2]}},
+    {"identities": []},
+    {"identities": "stft-shift"},
 ])
-def test_validate_rejects_malformed(broken):
+def test_validate_rejects_malformed(tmp_path, monkeypatch, broken):
     cfg = {
         "experiment": "identities",
         "group": {"factors": [4], "subgroup_divisors": [2]},
@@ -84,6 +92,32 @@ def test_validate_rejects_malformed(broken):
     cfg.update(broken)
     with pytest.raises(ConfigError):
         validate_config(cfg)
+    # the command line refuses it before any driver starts
+    for experiment in _EXPERIMENT_NAMES:
+        monkeypatch.setattr(f"fingabor.cli.run_{experiment}", _enter)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **cfg}))
+    assert main(["run", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+_DECAY = {"experiment": "decay", "group": {"factors": [4], "subgroup_divisors": [2]}}
+
+
+@pytest.mark.parametrize("refuse,cfg", [
+    (lambda: make_group([4], [3]), {**_DECAY, "group": {"factors": [4], "subgroup_divisors": [3]}}),
+    (lambda: check_seed(1.5), {**_DECAY, "seed": 1.5}),
+    (lambda: check_seed(True), {**_DECAY, "control_seeds": [0, True]}),
+    (lambda: check_identity_names(["no-such-identity"]),
+     {**_DECAY, "experiment": "identities", "identities": ["no-such-identity"]}),
+], ids=["group", "seed", "control-seed", "identity"])
+def test_validate_refusals_carry_the_library_message(refuse, cfg):
+    # one owner per rule: the config error is the library's own refusal
+    with pytest.raises(ValueError) as lib:
+        refuse()
+    with pytest.raises(ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value) == str(lib.value)
 
 
 def test_validate_decay_extras():
@@ -182,9 +216,10 @@ def _enter(*args, **kwargs):
     raise _Entered
 
 
-@pytest.mark.parametrize("experiment", [
-    "identities", "frames", "norms", "young", "convrel", "locop", "decay",
-])
+_EXPERIMENT_NAMES = ("identities", "frames", "norms", "young", "convrel", "locop", "decay")
+
+
+@pytest.mark.parametrize("experiment", _EXPERIMENT_NAMES)
 def test_run_calls_the_driver_bound_in_cli(tmp_path, monkeypatch, experiment):
     # a wrapper installed on fingabor.cli.run_<name> must see the call: the
     # benchmark's set-up probes stop there
@@ -310,10 +345,28 @@ def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypa
 
 def test_nan_localization_residual_fails(monkeypatch):
     monkeypatch.setattr("fingabor.experiments.loc_kn_matrix_residual", lambda *a: math.nan)
-    summary, _ = run_locop(make_group([4], [2]), seed=0, trials=2)
+    summary, _ = run_identities(make_group([4], [2]), seed=0, trials=2,
+                                names=["localization-as-quantization"])
     assert summary["failures"] == [
         "localization-as-quantization: residual nan exceeds tolerance 1.000e-09"]
     assert math.isnan(summary["results"]["localization-as-quantization"]["residual"])
+
+
+def test_locop_judges_only_its_own_checks(monkeypatch):
+    # localization-as-quantization is a registry identity, judged by run_identities
+    # alone; each trial builds the localization matrix of (a, psi1, psi2) once
+    # and the Hermitian one of (|a|, psi1, psi1) once
+    calls = []
+
+    def counted(a, psi1, psi2):
+        calls.append(psi1 is psi2)
+        return localization_matrix(a, psi1, psi2)
+
+    monkeypatch.setattr("fingabor.experiments.localization_matrix", counted)
+    monkeypatch.setattr("fingabor.operators.localization_matrix", counted)
+    summary, _ = run_locop(make_group([4], [2]), seed=0, trials=3)
+    assert set(summary["results"]) == {"localization-apply", "localization-hermitian"}
+    assert calls == [False, True] * 3
 
 
 def test_degenerate_convolution_relation_trial_fails_once(tmp_path, capsys, monkeypatch):

@@ -84,6 +84,18 @@ def test_run_identities_folds_one_trial_residuals(monkeypatch):
     assert summary["results"]["structural"]["residual"] == 0.5
 
 
+@pytest.mark.parametrize("names", [[], ["no-such-check"], ["stft-shift", "no-such-check"]],
+                         ids=["empty", "unknown", "one-unknown"])
+def test_an_empty_or_unknown_identity_subset_is_refused(monkeypatch, names):
+    # a subset that names no check would report a vacuous pass
+    def computed(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(experiments, "stream_rng", computed)
+    with pytest.raises(ValueError):
+        run_identities(make_group([4], [2]), 0, 1, names=names)
+
+
 def test_the_inclusion_and_the_trial_fold_have_one_judge():
     import fingabor
     from fingabor import norms

@@ -84,8 +84,9 @@ def test_empty_group_rejected():
     ((4,), (np.True_,)),
     ((4,), (2.0,)),
     (("4",), (2,)),
+    (4, (2,)),
 ], ids=["float-factor", "integral-float-factor", "bool-factor", "numpy-bool-divisor",
-        "float-divisor", "str-factor"])
+        "float-divisor", "str-factor", "lone-number-factor"])
 def test_non_integer_factors_and_divisors_are_refused(factors, divisors):
     # int() would truncate 6.7 to Z_6 and read True as a factor of 1
     with pytest.raises(GroupError, match="must be integers"):

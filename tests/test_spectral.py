@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fingabor import experiments, gabor, spectral
-from fingabor.experiments import _control_matrix, bump_symbol, run_decay, stream_rng
+from fingabor.experiments import (_control_matrix, bump_symbol, run_decay, run_identities,
+                                  stream_rng)
 from fingabor.gabor import quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, make_group
 from fingabor.operators import localization_matrix
@@ -276,6 +277,29 @@ def test_seeds_outside_64_bits_are_refused(seed):
         stream_rng(seed, 0)
     with pytest.raises(ValueError):
         _haar_rows(make_group([8], [2]), seed, range(3))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.True_, 7.0, "7"],
+                         ids=["float", "bool", "numpy-bool", "integral-float", "str"])
+def test_seeds_that_are_not_integers_are_refused(seed):
+    # int(1.5) and True would both draw seed 1's streams under another label
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_seed(seed)
+    with pytest.raises(ValueError):
+        stream_rng(seed, 0)
+    with pytest.raises(ValueError):
+        run_identities(make_group([4], [2]), seed, 1)
+
+
+def test_numpy_integer_seeds_draw_the_python_int_streams():
+    assert type(check_seed(np.uint64(7))) is int and check_seed(np.uint64(7)) == 7
+    assert np.array_equal(stream_rng(np.uint64(7), 3).standard_normal(8),
+                          stream_rng(7, 3).standard_normal(8))
+    spec = make_group([8], [2])
+    assert np.array_equal(_haar_rows(spec, np.int64(7), range(3)), _haar_rows(spec, 7, range(3)))
+    summary, _ = run_identities(make_group([4], [2]), np.uint64(7), 1, names=["stft-shift"])
+    assert type(summary["seed"]) is int
+    assert summary == run_identities(make_group([4], [2]), 7, 1, names=["stft-shift"])[0]
 
 
 @pytest.mark.parametrize("seed", [2**63 + 5, 2**64 - 1])

@@ -12,8 +12,10 @@ through ``fingabor.cli.main``.  Each run writes its JSON/CSV artifacts to
 ``OUTDIR/<factors>_<divisors>/seed<s>/<experiment>/``, and
 ``OUTDIR/manifest.txt`` gets one ``sha256  path`` line per artifact, sorted
 by path, with paths relative to OUTDIR.  Two trees whose manifests are
-identical wrote byte-identical artifacts.  Uses only the standard library
-and fingabor.
+identical wrote byte-identical artifacts.  A run whose checks failed (exit
+code 2) still writes its artifacts; it is printed as one ``check failed:
+<run dir>`` line, and the last line gives the count of such runs.  Uses only
+the standard library and fingabor.
 """
 import contextlib
 import hashlib
@@ -41,8 +43,10 @@ def _label(values) -> str:
     return "x".join(str(v) for v in values)
 
 
-def run_sweep(outdir: str) -> list[str]:
-    """Run every (group, seed, experiment) and return the manifest lines."""
+def run_sweep(outdir: str) -> tuple[list[str], list[str]]:
+    """Run every (group, seed, experiment); returns the manifest lines and
+    the run directories of the runs that failed a check."""
+    failed = []
     # the config's output_dir is where each run must write
     os.environ.pop("FINGABOR_OUTPUT_DIR", None)
     with tempfile.TemporaryDirectory() as configs:
@@ -58,7 +62,9 @@ def run_sweep(outdir: str) -> list[str]:
                                              "subgroup_divisors": divisors}}, fh)
                     with contextlib.redirect_stdout(io.StringIO()):
                         code = main(["run", config])
-                    if code not in (0, 2):          # 2: a check exceeded its tolerance
+                    if code == 2:                   # a check exceeded its tolerance
+                        failed.append(run_dir)
+                    elif code != 0:
                         raise SystemExit(f"{run_dir}: fingabor run exited with {code}")
     lines = []
     for root, _, files in os.walk(outdir):
@@ -69,7 +75,7 @@ def run_sweep(outdir: str) -> list[str]:
                 continue
             with open(path, "rb") as fh:
                 lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {rel}")
-    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1]), failed
 
 
 def _main(argv) -> int:
@@ -77,10 +83,13 @@ def _main(argv) -> int:
         print("usage: artifact_sweep.py OUTDIR", file=sys.stderr)
         return 1
     outdir = argv[0]
-    lines = run_sweep(outdir)
+    lines, failed = run_sweep(outdir)
     with open(os.path.join(outdir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
-    print(f"{len(lines)} artifacts, manifest {os.path.join(outdir, 'manifest.txt')}")
+    for run_dir in failed:
+        print(f"check failed: {run_dir}")
+    print(f"{len(lines)} artifacts, {len(failed)} runs failed a check, "
+          f"manifest {os.path.join(outdir, 'manifest.txt')}")
     return 0
 
 
