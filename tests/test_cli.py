@@ -13,8 +13,8 @@ from fingabor.experiments import (check_identity_names, random_signal, run_convr
                                   run_identities, run_locop, run_norms, run_young)
 from fingabor.group import make_group
 from fingabor.operators import localization_matrix
-from fingabor.spectral import check_seed
 from fingabor.signal import PhaseFunction, Signal, convolve_phase
+from fingabor.spectral import check_seed
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
