@@ -60,7 +60,6 @@ from .signal import (
     zeros,
 )
 from .tfa import (
-    moyal_residual,
     rihaczek,
     stft,
     window_constant,
@@ -82,12 +81,10 @@ from .gabor import (
     analysis,
     discrete_modnorm,
     dual_window,
-    expansion_residuals,
     frame_operator,
     gabor_system,
     lattice_from_points,
     quasi_lattice,
-    representative_independence_residual,
     synthesis,
 )
 from .operators import (

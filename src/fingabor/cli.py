@@ -28,6 +28,7 @@ import numpy as np
 from .experiments import (
     IDENTITY_REGISTRY,
     check_identity_names,
+    check_trials,
     run_convrel,
     run_decay,
     run_frames,
@@ -129,7 +130,8 @@ _EXPERIMENTS = {
 
 def validate_config(cfg) -> dict:
     """Check shape, types, and key names; returns a normalized config.  The
-    group, seed and identity-name rules are the library's own checks."""
+    group, seed, trial-count and identity-name rules are the library's own
+    checks."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
     _expect("experiment" in cfg, "missing required key 'experiment'")
     exp = cfg["experiment"]
@@ -149,9 +151,7 @@ def validate_config(cfg) -> dict:
             "'group' needs 'factors' and 'subgroup_divisors'")
     spec = _ask(make_group, grp["factors"], grp["subgroup_divisors"])
     seed = _ask(check_seed, cfg.get("seed", 0))
-    trials = cfg.get("trials", entry.trials)
-    _expect(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1,
-            "'trials' must be a positive integer")
+    trials = _ask(check_trials, cfg.get("trials", entry.trials))
     output_dir = cfg.get("output_dir", ".")
     _expect(isinstance(output_dir, str) and output_dir,
             "'output_dir' must be a non-empty string")
@@ -253,6 +253,9 @@ def _cmd_run(config_path: str) -> int:
         return 1
     for path in written:
         print(f"wrote {path}")
+    for name, result in summary.get("results", {}).items():
+        if result.get("skipped"):
+            print(f"skipped: {name}: {result['reason']}")
     failures = summary["failures"]
     if failures:
         for msg in failures:

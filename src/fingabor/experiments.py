@@ -7,23 +7,25 @@ identities, frames, locop and decay.  Randomness always flows through
 counter-based Philox streams keyed by (seed, stream), so reruns with the
 same configuration produce identical artifacts.
 
-Only this module folds residuals over trials and judges them; the library
-computes residuals and bounds.  Every check is declared with its tolerance:
-identities in IDENTITY_REGISTRY, each a one-trial residual, the other
-drivers' checks in _CHECKS.  A driver folds each check's residuals with
-_worse, which keeps a NaN, and hands the worst to _verdict, which writes
-``results[name] = {tolerance, residual, passed}`` and, when the residual is
-above the tolerance or is NaN, appends the line ``"<name>: residual <r:.3e>
-exceeds tolerance <tol:.3e>"`` to ``summary["failures"]``, the only failure
-list.  The decay driver has no tolerance check; it fails only on non-finite
-norms.
+Only this module forms residuals, folds them over trials and judges them;
+the library returns values: transforms, operators, norms, bounds and probe
+pairs.  Every check is declared with its tolerance: identities in
+IDENTITY_REGISTRY, each a ``trial(spec, rng)`` that draws its arguments and
+computes the residual of one trial, the other drivers' checks in _CHECKS.
+A driver folds each check's residuals with _worse, which keeps a NaN, and
+hands the worst to _verdict, which writes ``results[name] = {tolerance,
+residual, passed}`` and, when the residual is above the tolerance or is NaN,
+appends the line ``"<name>: residual <r:.3e> exceeds tolerance <tol:.3e>"``
+to ``summary["failures"]``, the only failure list.  The decay driver has
+no tolerance check; it fails only on non-finite norms.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,16 +33,18 @@ from .gabor import (
     DualWindowMismatch,
     GaborSystem,
     NotAFrame,
+    QuasiLattice,
     dual_window,
-    expansion_residuals,
     gabor_system,
     lattice_from_points,
     quasi_lattice,
-    representative_independence_residual,
 )
 from .group import (
     GroupSpec,
     character_row,
+    character_table,
+    common_group,
+    diff_table,
     dual_spec,
     subgroup_indices,
     tile_cover,
@@ -56,13 +60,14 @@ from .norms import (
     mixed_norm_stack,
     modulation_norms,
     polynomial_weight,
-    rnorm_subadditivity_residual,
 )
 from .operators import (
-    gabor_matrix_residual,
-    kn_kernel_pairing_residual,
-    kn_weak_residual,
-    loc_kn_matrix_residual,
+    gabor_matrix,
+    gabor_matrix_closed_form,
+    kn_apply,
+    kn_kernel,
+    kn_matrix,
+    loc_to_kn_symbol,
     localization_apply,
     localization_matrix,
 )
@@ -73,27 +78,24 @@ from .signal import (
     convolve_phase,
     fourier,
     inner,
+    inner_phase,
     inverse_fourier,
     modulate,
     norm_l2,
     subgroup_indicator,
+    tf_shift,
+    tf_shift_rows,
     translate,
 )
 from .spectral import check_seed, decay_comparison, haar_baseline
-from .tfa import (
-    magic_formula_residual,
-    moyal_residual,
-    rihaczek_covariance_residual,
-    stft,
-    stft_shift_identity_residual,
-    window_constant,
-)
+from .tfa import rihaczek, stft, window_constant
 
 __all__ = [
     "IdentityCheck",
     "IDENTITY_REGISTRY",
     "identity_names",
     "check_identity_names",
+    "check_trials",
     "run_identities",
     "run_frames",
     "run_norms",
@@ -176,12 +178,42 @@ def _shifted_pair_args(spec, rng):
             _random_point(spec, rng), _random_point(spec, rng))
 
 
-def _stft_shift(spec, rng):
-    return stft_shift_identity_residual(*_shifted_pair_args(spec, rng))
+def _stft_shift_identity_residual(spec, rng):
+    """STFT covariance rule under shifts of signal and window.
+
+    Compares V_{pi(y, eta) g}(pi(u, omega) f) against the phase-corrected
+    translate of V_g f over every phase-space point.  A shift by s is the
+    column D[:, index(-s)] of the difference table, and <xi, .> is T[xi].
+    """
+    f, g, u, omega, y, eta = _shifted_pair_args(spec, rng)
+    lhs = stft(tf_shift(f, u, omega), tf_shift(g, y, eta)).mat
+    V = stft(f, g).mat
+    T = character_table(spec)
+    D = diff_table(spec)                                       # D[a, b] = index(a - b)
+    shifted = V[D[:, D[u, y]]][:, D[:, D[omega, eta]]]
+    c1 = np.conj(T[u][D[:, omega]])                            # conj<xi - omega, u>
+    c2 = T[eta][D[:, u]]                                       # <eta, x - u>
+    rhs = c2[:, None] * c1[None, :] * shifted
+    return float(np.max(np.abs(lhs - rhs)))
 
 
-def _rihaczek_covariance(spec, rng):
-    return rihaczek_covariance_residual(*_shifted_pair_args(spec, rng))
+def _rihaczek_covariance_residual(spec, rng):
+    """Rihaczek covariance rule under time-frequency shifts of both arguments."""
+    f, g, x, xi, y, eta = args = _shifted_pair_args(spec, rng)
+    lhs = rihaczek(tf_shift(f, x, xi), tf_shift(g, y, eta)).mat
+    return float(np.max(np.abs(lhs - _covariant_rihaczek(*args))))
+
+
+def _covariant_rihaczek(f, g, x, xi, y, eta) -> np.ndarray:
+    """<eta, x - y> <xi - eta, a> <b, y - x> R(f, g)(a - x, b - eta) as an (a, b)
+    matrix, the covariance rule's right side, from the base group's tables."""
+    T = character_table(f.group)
+    D = diff_table(f.group)                                    # D[a, b] = index(a - b)
+    rhs = rihaczek(f, g).mat[D[:, x]][:, D[:, eta]]
+    rhs *= T[D[xi, eta]][:, None]
+    rhs *= T[D[y, x]][None, :]
+    rhs *= T[eta, D[x, y]]
+    return rhs
 
 
 def _check_window_support(spec, rng):
@@ -195,10 +227,33 @@ def _check_window_support(spec, rng):
     return _worse(on, off)
 
 
-def _magic(spec, rng):
-    return magic_formula_residual(
-        random_signal(spec, rng), random_signal(spec, rng), random_signal(spec, rng)
+def _magic_formula_residual(spec, rng):
+    """Product formula for the STFT of a Rihaczek distribution.
+
+    The outer STFT lives on the phase-space group; its dual variable
+    (omega, u) runs over G^ x G.  Both sides are compared on the full
+    four-index grid, so this is meant for small groups only.
+    """
+    psi, f, g = (random_signal(spec, rng) for _ in range(3))
+    n = spec.order
+    sigma = rihaczek(g, f).as_signal()
+    Phi = rihaczek(psi, psi).as_signal()
+    lhs = stft(sigma, Phi).values.reshape(n, n, n, n)          # [x, xi, omega, u]
+
+    T = character_table(spec)
+    Vg = stft(g, psi).mat
+    Vf = stft(f, psi).mat
+    D = diff_table(spec)                                        # D[a, b] = index(a - b)
+    add_idx = D[:, D[0]]                                        # [a, b] -> index(a + b)
+    phase = np.conj(T)                                          # conj<xi, u>
+    A = Vg[:, add_idx]                                          # [x, xi, omega] -> Vg(x, xi+omega)
+    B = np.conj(Vf[add_idx, :])                                 # [x, u, xi] -> conj Vf(x+u, xi)
+    rhs = (
+        phase[None, :, None, :]
+        * A[:, :, :, None]
+        * np.transpose(B, (0, 2, 1))[:, :, None, :]
     )
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _symbol_and_pair(spec, rng):
@@ -206,30 +261,51 @@ def _symbol_and_pair(spec, rng):
     return random_phase_function(spec, rng), random_signal(spec, rng), random_signal(spec, rng)
 
 
-def _kn_weak(spec, rng):
-    return kn_weak_residual(*_symbol_and_pair(spec, rng))
+def _kn_weak_residual(spec, rng):
+    """| <Op(sigma) f, g> - <sigma, R(g, f)> | with the phase-space pairing."""
+    sigma, f, g = _symbol_and_pair(spec, rng)
+    lhs = inner(kn_apply(sigma, f), g)
+    rhs = inner_phase(sigma, rihaczek(g, f))
+    return abs(lhs - rhs)
 
 
-def _kn_kernel(spec, rng):
-    return kn_kernel_pairing_residual(*_symbol_and_pair(spec, rng))
+def _kn_kernel_pairing_residual(spec, rng):
+    """<Op(sigma) f, g> against the kernel pairing on G x G."""
+    sigma, f, g = _symbol_and_pair(spec, rng)
+    k = kn_kernel(sigma)
+    lhs = inner(kn_apply(sigma, f), g)
+    rhs = complex(np.conj(g.values) @ k @ f.values * spec.mass ** 2)
+    return abs(lhs - rhs)
 
 
-def _gabor_matrix(spec, rng):
-    return gabor_matrix_residual(random_phase_function(spec, rng), quasi_lattice(spec))
+def _gabor_matrix_residual(spec, rng):
+    """Max entry difference between the direct and closed-form Gabor matrices
+    of a symbol on the canonical lattice."""
+    sigma, lattice = random_phase_function(spec, rng), quasi_lattice(spec)
+    direct = gabor_matrix(sigma, subgroup_indicator(spec), lattice)
+    closed = gabor_matrix_closed_form(sigma, lattice)
+    return float(np.max(np.abs(direct - closed)))
 
 
-def _loc_kn(spec, rng):
-    return loc_kn_matrix_residual(*_symbol_and_pair(spec, rng))
+def _loc_kn_matrix_residual(spec, rng):
+    """Max entry difference between the localization matrix and the
+    quantization of the convolved symbol."""
+    a, psi1, psi2 = _symbol_and_pair(spec, rng)
+    direct = localization_matrix(a, psi1, psi2)
+    via_kn = kn_matrix(loc_to_kn_symbol(a, psi1, psi2))
+    return float(np.max(np.abs(direct - via_kn)))
 
 
 def _unit(f: Signal) -> Signal:
     return Signal(f.group, f.values / norm_l2(f))
 
 
-def _moyal(spec, rng):
+def _moyal_residual(spec, rng):
+    """|  ||V_g f||^2_{phase} - ||f||^2 ||g||^2  | for unit f and g."""
     f = _unit(random_signal(spec, rng))
     g = _unit(random_signal(spec, rng))
-    return moyal_residual(f, g)
+    lhs = float(np.sum(np.abs(stft(f, g).values) ** 2) * spec.mass * spec.mass_dual)
+    return abs(lhs - norm_l2(f) ** 2 * norm_l2(g) ** 2)
 
 
 def _parseval(spec, rng):
@@ -250,10 +326,21 @@ def _conv_diag(spec, rng):
     return float(np.max(np.abs(lhs - fourier(f).values * fourier(g).values)))
 
 
-def _quotient(spec, rng):
-    return representative_independence_residual(
-        random_signal(spec, rng), subgroup_indicator(spec), quasi_lattice(spec)
-    )
+def _representative_independence_residual(spec, rng):
+    """Worst change of the per-coset maxima of |V_phi f| on the canonical
+    lattice under re-representation.
+
+    Every lattice point is replaced by every other representative of its
+    coset, one tile offset at a time for all points at once; the sweep set
+    is the same, so the residual is exactly zero.  A NaN coefficient makes
+    the residual NaN.
+    """
+    lattice = quasi_lattice(spec)
+    V = np.abs(stft(random_signal(spec, rng), subgroup_indicator(spec)).values)
+    cover = tile_cover(spec, lattice.flat_indices)
+    base = V[cover].max(axis=1)
+    moved = np.stack([V[tile_cover(spec, reps)].max(axis=1) for reps in cover.T])
+    return float(np.max(np.abs(moved - base)))
 
 
 def _covered_and_plain(spec: GroupSpec, f: Signal, phi: Signal) -> tuple[np.ndarray, np.ndarray]:
@@ -284,13 +371,13 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "stft-shift",
         "transforming a shifted pair shifts and twists the transform",
         1e-12,
-        _stft_shift,
+        _stft_shift_identity_residual,
     ),
     IdentityCheck(
         "rihaczek-covariance",
         "shifting both arguments rotates the cross spectrogram on phase space",
         1e-12,
-        _rihaczek_covariance,
+        _rihaczek_covariance_residual,
     ),
     IdentityCheck(
         "window-transform-support",
@@ -303,38 +390,38 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "stft-of-rihaczek",
         "the transform of a cross spectrogram factors into two window transforms",
         1e-10,
-        _magic,
+        _magic_formula_residual,
         max_order=16,
     ),
     IdentityCheck(
         "quantization-weak-form",
         "the operator pairing equals the symbol paired with the cross spectrogram",
         1e-11,
-        _kn_weak,
+        _kn_weak_residual,
     ),
     IdentityCheck(
         "quantization-kernel",
         "the integral kernel of the quantization reproduces the operator pairing",
         1e-11,
-        _kn_kernel,
+        _kn_kernel_pairing_residual,
     ),
     IdentityCheck(
         "channel-matrix-closed-form",
         "the sampled operator matrix matches its single-sum closed form",
         1e-10,
-        _gabor_matrix,
+        _gabor_matrix_residual,
     ),
     IdentityCheck(
         "localization-as-quantization",
         "masking in phase space equals quantizing a smoothed symbol",
         1e-9,
-        _loc_kn,
+        _loc_kn_matrix_residual,
     ),
     IdentityCheck(
         "transform-energy",
         "the phase-space energy of the transform equals the signal energies",
         1e-12,
-        _moyal,
+        _moyal_residual,
     ),
     IdentityCheck(
         "fourier-parseval",
@@ -358,7 +445,7 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "coset-representative-independence",
         "per-coset maxima of the transform do not depend on the representative",
         0.0,
-        _quotient,
+        _representative_independence_residual,
         max_order=16,
     ),
     IdentityCheck(
@@ -418,11 +505,17 @@ _CHECKS: dict[str, dict[str, float]] = {
 }
 
 
+def check_trials(trials: int) -> int:
+    """``trials`` as an int if it is an integer of at least 1; numpy integers
+    pass.  A run of no trials checks nothing and must not report a pass, and
+    a bool or 2.5 counts no trials, so each raises ValueError."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer of at least one trial, got {trials!r}")
+    return int(trials)
+
+
 def _header(experiment: str, spec: GroupSpec, seed: int, trials: int, **data) -> dict:
     """Summary of one run: what ran, its data keys, and the failure list."""
-    if trials < 1:
-        # a run of no trials checks nothing, so it must not report a pass
-        raise ValueError(f"{experiment} needs at least one trial, got {trials}")
     return {"experiment": experiment, "group": spec.to_json(), "seed": check_seed(seed),
             "trials": trials, **data, "failures": []}
 
@@ -455,6 +548,7 @@ def run_identities(
     """Run the registry, or the subset ``names``, on one group; returns
     (summary, {}).  A check's residual is the worst of its trials, one trial
     when not randomized.  An empty or unknown ``names`` raises ValueError."""
+    trials = check_trials(trials)
     if names is not None:
         names = check_identity_names(names)
     summary = _header("identities", spec, seed, trials, results={})
@@ -484,6 +578,7 @@ def run_identities(
 
 
 def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
+    trials = check_trials(trials)
     lattice = quasi_lattice(spec)
     g = subgroup_indicator(spec)
     canonical = gabor_system(g, lattice)
@@ -500,7 +595,7 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     else:
         rng = stream_rng(seed, 0)
         signals = (random_signal(spec, rng) for _ in range(trials))
-        residuals = (r for pair in expansion_residuals(signals, g, h, lattice) for r in pair)
+        residuals = (r for pair in _expansion_residuals(signals, g, h, lattice) for r in pair)
         expansion = functools.reduce(_worse, residuals, 0.0)
         summary["dual_window_norm"] = norm_l2(h)
     _verdict(summary, "frame-expansion", expansion)
@@ -528,6 +623,26 @@ def run_frames(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     _verdict(summary, "painless-frame-bounds", bounds_residual)
     _verdict(summary, "painless-dual", dual_residual)
     return summary, {}
+
+
+def _expansion_residuals(
+    fs: Iterable[Signal], g: Signal, h: Signal, lattice: QuasiLattice
+) -> Iterator[tuple[float, float]]:
+    """Reconstruction errors of each f in ``fs`` with (analysis g, synthesis h)
+    and swapped.  The shifted stacks of g and h are built once; each f takes
+    the matrix-vector products of :func:`fingabor.gabor.analysis` and
+    :func:`fingabor.gabor.synthesis`."""
+    spec = common_group(lattice, g, h)
+    G = tf_shift_rows(g, lattice.x, lattice.xi)
+    H = tf_shift_rows(h, lattice.x, lattice.xi)
+    G_conj, H_conj = np.conj(G), np.conj(H)
+    for f in fs:
+        common_group(lattice, f)
+        c_g = G_conj @ f.values * spec.mass
+        c_h = H_conj @ f.values * spec.mass
+        r1 = norm_l2(Signal(spec, c_g @ H - f.values))
+        r2 = norm_l2(Signal(spec, c_h @ G - f.values))
+        yield float(r1), float(r2)
 
 
 def _painless_residuals(system: GaborSystem, h: Signal | None) -> tuple[float, float]:
@@ -561,8 +676,23 @@ def _fmt_p(p: float) -> str:
     return "inf" if math.isinf(p) else (f"{p:g}")
 
 
+def _rnorm_subadditivity_residual(
+    F: PhaseFunction, H: PhaseFunction, exps: Sequence[Exponents]
+) -> np.ndarray:
+    """Row 0: ||F + H||^r - ||F||^r - ||H||^r for each exps[i], with
+    r = exps[i].r, nonpositive up to rounding; row 1: ||F|| for each exps[i].
+    The norms come from one kernel call on the stack (F + H, F, H)."""
+    spec = F.group
+    n = spec.order
+    W = np.abs(np.stack([F.values + H.values, F.values, H.values])).reshape(-1, n, n)
+    norms = mixed_norm_stack(W, exps, spec.mass, spec.mass_dual)
+    res = [b ** e.r - f ** e.r - h ** e.r for e, (b, f, h) in zip(exps, norms.T.tolist())]
+    return np.array([res, norms[1]])
+
+
 def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     """Covered-vs-plain norm comparison, subadditivity, and inclusion fuzzing."""
+    trials = check_trials(trials)
     phi = subgroup_indicator(spec)
     rng = stream_rng(seed, 0)
 
@@ -589,7 +719,7 @@ def run_norms(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
     for _ in range(trials):
         F = random_phase_function(spec, rng)
         H = random_phase_function(spec, rng)
-        res, norm_f = rnorm_subadditivity_residual(F, H, finite).tolist()
+        res, norm_f = _rnorm_subadditivity_residual(F, H, finite).tolist()
         for e, r, s in zip(finite, res, norm_f):
             sub_worst = _worse(sub_worst, r / (1.0 + s ** e.r))
     _verdict(summary, "rnorm-subadditivity", sub_worst)
@@ -664,6 +794,7 @@ def _young_block(spec: GroupSpec) -> int:
 
 
 def run_young(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
+    trials = check_trials(trials)
     rng = stream_rng(seed, 0)
     combos = [
         (ax1, ax2)
@@ -724,6 +855,7 @@ _CONVREL_CASES = (
 
 
 def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
+    trials = check_trials(trials)
     rng = stream_rng(seed, 0)
     pxi = polynomial_weight(dual_spec(spec), 1.0)
     m = Weight.tensor(polynomial_weight(spec, 1.0), pxi)
@@ -756,6 +888,7 @@ def run_convrel(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
 
 
 def run_locop(spec: GroupSpec, seed: int, trials: int) -> tuple[dict, dict]:
+    trials = check_trials(trials)
     rng = stream_rng(seed, 0)
     worst_herm = 0.0
     worst_apply = 0.0
@@ -816,6 +949,7 @@ def run_decay(
     control_seeds: Sequence[int] = tuple(range(10)),
 ) -> tuple[dict, dict]:
     a = bump_symbol(spec)
+    trials = check_trials(trials)
     phi = subgroup_indicator(spec)
     A = localization_matrix(a, phi, phi)
     # the run's seed is also a control seed by default: draw each seed's baseline once

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from .group import (
     tile_cover,
 )
 from .norms import Exponents, Weight, mixed_norm_stack
-from .signal import Signal, norm_l2, tf_shift_rows
+from .signal import Signal, tf_shift_rows
 from .spectral import hermitian_eigen
-from .tfa import stft
 
 
 # Largest deviation of the mixed frame operators from the identity that
@@ -161,25 +160,6 @@ def dual_window(system: GaborSystem) -> Signal:
     return h
 
 
-def expansion_residuals(
-    fs: Iterable[Signal], g: Signal, h: Signal, lattice: QuasiLattice
-) -> Iterator[tuple[float, float]]:
-    """Reconstruction errors of each f in ``fs`` with (analysis g, synthesis h)
-    and swapped.  The shifted stacks of g and h are built once; each f takes
-    the matrix-vector products of :func:`analysis` and :func:`synthesis`."""
-    spec = common_group(lattice, g, h)
-    G = tf_shift_rows(g, lattice.x, lattice.xi)
-    H = tf_shift_rows(h, lattice.x, lattice.xi)
-    G_conj, H_conj = np.conj(G), np.conj(H)
-    for f in fs:
-        common_group(lattice, f)
-        c_g = G_conj @ f.values * spec.mass
-        c_h = H_conj @ f.values * spec.mass
-        r1 = norm_l2(Signal(spec, c_g @ H - f.values))
-        r2 = norm_l2(Signal(spec, c_h @ G - f.values))
-        yield float(r1), float(r2)
-
-
 # ---------------------------------------------------------------------------
 # lattice sequence norms
 
@@ -203,24 +183,3 @@ def discrete_modnorm(
     d1, d2 = spec.annihilator_order, spec.subgroup_order      # |G/K|, |G^/K_perp|
     return float(mixed_norm_stack(c.reshape(1, d1, d2), [Exponents.of(e)], 1.0, 1.0)[0, 0])
 
-
-# ---------------------------------------------------------------------------
-# quotient (coset-level) coefficients
-
-
-def representative_independence_residual(
-    f: Signal, g: Signal, lattice: QuasiLattice
-) -> float:
-    """Worst change of the quotient coefficients under re-representation.
-
-    Every lattice point is replaced by every other representative of its
-    coset, one tile offset at a time for all points at once; the sweep set
-    is the same, so the residual is exactly zero.  A NaN coefficient makes
-    the residual NaN.
-    """
-    spec = common_group(f, g, lattice)
-    V = np.abs(stft(f, g).values)
-    cover = tile_cover(spec, lattice.flat_indices)
-    base = V[cover].max(axis=1)
-    moved = np.stack([V[tile_cover(spec, reps)].max(axis=1) for reps in cover.T])
-    return float(np.max(np.abs(moved - base)))

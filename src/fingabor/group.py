@@ -105,9 +105,13 @@ class GroupSpec:
         # order is set once and kept outside the fields, so that equality,
         # hashing and repr do not see it
         object.__setattr__(self, "order", prod(self.factors))
-        object.__setattr__(self, "mass_dual", 1.0 / (self.mass * self.order))
-        if not 0 < self.mass_dual < inf:
-            raise GroupError(f"dual point mass 1 / (mass * order) is {self.mass_dual!r}")
+        try:
+            mass_dual = 1.0 / (self.mass * self.order)
+        except OverflowError:                   # an order beyond the float range
+            mass_dual = 0.0
+        if not 0 < mass_dual < inf:
+            raise GroupError(f"dual point mass 1 / (mass * order) is {mass_dual!r}")
+        object.__setattr__(self, "mass_dual", mass_dual)
 
     # -- sizes and masses ------------------------------------------------
 

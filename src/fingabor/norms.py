@@ -42,7 +42,7 @@ import numpy as np
 
 from .group import (GroupMismatch, GroupSpec, circular_distance, diff_table, quotient_indices,
                      subgroup_character_table)
-from .signal import PhaseFunction, Signal, convolve
+from .signal import Signal, convolve
 from .tfa import rihaczek, window_constant
 
 
@@ -142,20 +142,6 @@ def mixed_norm_stack(
         # ndarray ** 2.0 squares instead and can differ in the last bit.
         out[:, i] = [s ** (1.0 / e.q) for s in outer.tolist()]
     return out
-
-
-def rnorm_subadditivity_residual(
-    F: PhaseFunction, H: PhaseFunction, exps: Sequence[Exponents]
-) -> np.ndarray:
-    """Row 0: ||F + H||^r - ||F||^r - ||H||^r for each exps[i], with
-    r = exps[i].r, nonpositive up to rounding; row 1: ||F|| for each exps[i].
-    The norms come from one kernel call on the stack (F + H, F, H)."""
-    spec = F.group
-    n = spec.order
-    W = np.abs(np.stack([F.values + H.values, F.values, H.values])).reshape(-1, n, n)
-    norms = mixed_norm_stack(W, exps, spec.mass, spec.mass_dual)
-    res = [b ** e.r - f ** e.r - h ** e.r for e, (b, f, h) in zip(exps, norms.T.tolist())]
-    return np.array([res, norms[1]])
 
 
 def modulation_norm(

@@ -35,16 +35,7 @@ import numpy as np
 
 from .gabor import QuasiLattice
 from .group import character_table, common_group, coset_points, diff_table
-from .signal import (
-    PhaseFunction,
-    Signal,
-    convolve_phase,
-    fourier,
-    inner,
-    inner_phase,
-    subgroup_indicator,
-    tf_shift_rows,
-)
+from .signal import PhaseFunction, Signal, convolve_phase, fourier, tf_shift_rows
 from .tfa import rihaczek, stft, window_constant
 
 
@@ -61,13 +52,6 @@ def kn_apply(sigma: PhaseFunction, f: Signal) -> Signal:
     return Signal(spec, out)
 
 
-def kn_weak_residual(sigma: PhaseFunction, f: Signal, g: Signal) -> float:
-    """| <Op(sigma) f, g> - <sigma, R(g, f)> | with the phase-space pairing."""
-    lhs = inner(kn_apply(sigma, f), g)
-    rhs = inner_phase(sigma, rihaczek(g, f))
-    return abs(lhs - rhs)
-
-
 def kn_kernel(sigma: PhaseFunction) -> np.ndarray:
     """Integral kernel k(x, u) = sum_xi sigma(x, xi) conj(<xi, u - x>) * mass_dual."""
     spec = sigma.group
@@ -75,15 +59,6 @@ def kn_kernel(sigma: PhaseFunction) -> np.ndarray:
     B = sigma.mat @ np.conj(T)                       # B[x, t] = sum_xi sigma conj<xi, t>
     idx = diff_table(spec).T                         # idx[x, u] = index(u - x)
     return np.take_along_axis(B, idx, axis=1) * spec.mass_dual
-
-
-def kn_kernel_pairing_residual(sigma: PhaseFunction, f: Signal, g: Signal) -> float:
-    """Residual of <Op(sigma) f, g> against the kernel pairing on G x G."""
-    spec = f.group
-    k = kn_kernel(sigma)
-    lhs = inner(kn_apply(sigma, f), g)
-    rhs = complex(np.conj(g.values) @ k @ f.values * spec.mass ** 2)
-    return abs(lhs - rhs)
 
 
 def kn_matrix(sigma: PhaseFunction) -> np.ndarray:
@@ -141,14 +116,6 @@ def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.
     return np.conj(T[xi[None, :], D[x[:, None], x]]) * Z[wi[:, None], ni[:, None], ni, wi]
 
 
-def gabor_matrix_residual(sigma: PhaseFunction, lattice: QuasiLattice) -> float:
-    """Max entry difference between the direct and closed-form Gabor matrices."""
-    phi = subgroup_indicator(sigma.group)
-    direct = gabor_matrix(sigma, phi, lattice)
-    closed = gabor_matrix_closed_form(sigma, lattice)
-    return float(np.max(np.abs(direct - closed)))
-
-
 # ---------------------------------------------------------------------------
 # localization operators
 
@@ -184,12 +151,4 @@ def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> np.ndar
 def loc_to_kn_symbol(a: PhaseFunction, psi1: Signal, psi2: Signal) -> PhaseFunction:
     """Quantization symbol of the localization operator: a * R(psi2, psi1)."""
     return convolve_phase(a, rihaczek(psi2, psi1))
-
-
-def loc_kn_matrix_residual(a: PhaseFunction, psi1: Signal, psi2: Signal) -> float:
-    """Max entry difference between the localization matrix and the
-    quantization of the convolved symbol."""
-    direct = localization_matrix(a, psi1, psi2)
-    via_kn = kn_matrix(loc_to_kn_symbol(a, psi1, psi2))
-    return float(np.max(np.abs(direct - via_kn)))
 

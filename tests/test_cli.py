@@ -83,6 +83,7 @@ def test_validate_fills_defaults():
     {"group": {"factors": None, "subgroup_divisors": [2]}},
     {"identities": []},
     {"identities": "stft-shift"},
+    {"group": {"factors": [10**400], "subgroup_divisors": [1]}},
 ])
 def test_validate_rejects_malformed(tmp_path, monkeypatch, broken):
     cfg = {
@@ -170,6 +171,20 @@ def test_run_identities_subset(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 0
     data = json.loads((tmp_path / "out" / "identities_summary.json").read_text())
     assert set(data["results"]) == {"shift-commutation", "fourier-parseval"}
+
+
+@pytest.mark.parametrize("order,extra,skipped", [
+    (64, {}, ["stft-of-rihaczek", "coset-representative-independence"]),
+    (64, {"identities": ["stft-of-rihaczek"]}, ["stft-of-rihaczek"]),
+    (16, {}, []),
+], ids=["z64", "z64-capped-subset", "z16"])
+def test_run_prints_each_skipped_identity(tmp_path, capsys, order, extra, skipped):
+    # a check above its order cap is named next to the failure lines
+    group = {"factors": [order], "subgroup_divisors": [order // 8 or 1]}
+    cfg = write_config(tmp_path, group=group, trials=1, **extra)
+    assert main(["run", str(cfg)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("skipped:")]
+    assert lines == [f"skipped: {name}: group order {order} exceeds cap 16" for name in skipped]
 
 
 def test_run_norms_writes_table(tmp_path, capsys):
@@ -344,7 +359,8 @@ def test_nan_young_ratio_fails_and_is_written_as_null(tmp_path, capsys, monkeypa
 
 
 def test_nan_localization_residual_fails(monkeypatch):
-    monkeypatch.setattr("fingabor.experiments.loc_kn_matrix_residual", lambda *a: math.nan)
+    monkeypatch.setattr("fingabor.experiments.kn_matrix",
+                        lambda sigma: np.full((sigma.group.order,) * 2, math.nan))
     summary, _ = run_identities(make_group([4], [2]), seed=0, trials=2,
                                 names=["localization-as-quantization"])
     assert summary["failures"] == [

@@ -10,6 +10,7 @@ from fingabor.experiments import (
     _EXPONENT_GRID,
     _YOUNG_AXIS,
     _pointwise_maximal,
+    _rnorm_subadditivity_residual,
     _worse,
     _young_block,
     random_phase_function,
@@ -41,7 +42,6 @@ from fingabor.norms import (
     modulation_norm,
     modulation_norms,
     polynomial_weight,
-    rnorm_subadditivity_residual,
 )
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.spectral import decay_profiles, haar_baseline
@@ -461,7 +461,7 @@ def test_rnorm_subadditivity(p, q):
     for _ in range(25):
         F = rand_phase(spec, rng)
         H = rand_phase(spec, rng)
-        res = rnorm_subadditivity_residual(F, H, [e])[0, 0]
+        res = _rnorm_subadditivity_residual(F, H, [e])[0, 0]
         scale = mixed_quasi_norm(F, e) ** e.r + mixed_quasi_norm(H, e) ** e.r
         assert res <= 1e-10 * (1.0 + scale)
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fingabor import operators
-from fingabor.experiments import _CONVREL_CASES, _gabor_matrix, random_phase_function, stream_rng
+from fingabor.experiments import (_CONVREL_CASES, _gabor_matrix_residual, _kn_kernel_pairing_residual,
+                                  _kn_weak_residual, _loc_kn_matrix_residual, random_phase_function,
+                                  stream_rng)
 from fingabor.gabor import lattice_from_points, quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
 from fingabor.group import (annihilator_indices, coset_points, coset_representatives, dual_spec,
@@ -16,13 +18,9 @@ from fingabor.norms import (Weight, convolution_relation_probe, polynomial_weigh
 from fingabor.operators import (
     gabor_matrix,
     gabor_matrix_closed_form,
-    gabor_matrix_residual,
     kn_apply,
     kn_kernel,
-    kn_kernel_pairing_residual,
     kn_matrix,
-    kn_weak_residual,
-    loc_kn_matrix_residual,
     loc_to_kn_symbol,
     localization_apply,
     localization_matrix,
@@ -167,13 +165,11 @@ def test_kn_kernel_brute_force():
 
 def test_quantization_pairing_residuals():
     spec = make_group([6, 2], [3, 1])
-    rng = np.random.default_rng(5)
+    # each trial draws (sigma, f, g) from its own generator of the same seed
+    weak_rng, kernel_rng = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(10):
-        sigma = rand_symbol(spec, rng)
-        f = rand_signal(spec, rng)
-        g = rand_signal(spec, rng)
-        assert kn_weak_residual(sigma, f, g) < 1e-11
-        assert kn_kernel_pairing_residual(sigma, f, g) < 1e-11
+        assert _kn_weak_residual(spec, weak_rng) < 1e-11
+        assert _kn_kernel_pairing_residual(spec, kernel_rng) < 1e-11
 
 
 def test_kn_apply_rejects_mixed_groups():
@@ -216,8 +212,7 @@ def test_closed_form_on_all_phase_points():
 def test_closed_form_on_lattice_points(spec):
     rng = np.random.default_rng(8)
     for _ in range(5):
-        sigma = rand_symbol(spec, rng)
-        assert gabor_matrix_residual(sigma, quasi_lattice(spec)) < 1e-12
+        assert _gabor_matrix_residual(spec, rng) < 1e-12
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS + [
@@ -344,10 +339,7 @@ def test_localization_agrees_with_its_quantization():
     spec = make_group([6, 2], [3, 2])
     rng = np.random.default_rng(13)
     for _ in range(10):
-        a = rand_symbol(spec, rng)
-        psi1 = rand_signal(spec, rng)
-        psi2 = rand_signal(spec, rng)
-        assert loc_kn_matrix_residual(a, psi1, psi2) < 1e-9
+        assert _loc_kn_matrix_residual(spec, rng) < 1e-9
 
 
 def test_structured_kernels_are_independent_routes(monkeypatch):
@@ -547,4 +539,4 @@ def test_channel_trials_equal_element_list_oracle(spec):
     points = [(int(x), int(xi)) for x in d1 for xi in d2]
     for _ in range(3):
         want = point_list_gabor_matrix_residual(random_phase_function(spec, oracle_rng), points)
-        assert np.array_equal(_gabor_matrix(spec, rng), want)
+        assert np.array_equal(_gabor_matrix_residual(spec, rng), want)

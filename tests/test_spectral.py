@@ -492,10 +492,12 @@ def test_decay_comparison_rejects_null_operator():
 
 def test_decay_comparison_rejects_an_empty_baseline():
     # zero trials draw an empty baseline: refused before any percentile is divided
+    # (run_decay refuses zero trials before it draws one)
+    spec = make_group([8], [2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-empty baseline"):
-            run_decay(make_group([8], [2]), 0, 0, control_seeds=(0,))
+            decay_comparison(spec, np.eye(8), haar_baseline(spec, 0, 0), (1.0,), 1)
 
 
 def test_decay_comparison_refuses_no_eigenfunctions():
