@@ -43,7 +43,6 @@ from .group import (
 from .signal import (
     PhaseFunction,
     Signal,
-    constant,
     convolve,
     convolve_phase,
     fourier,
@@ -54,10 +53,8 @@ from .signal import (
     modulate,
     norm_l2,
     subgroup_indicator,
-    tensor,
     tf_shift,
     translate,
-    zeros,
 )
 from .tfa import (
     rihaczek,

@@ -46,8 +46,9 @@ from .group import (
     common_group,
     diff_table,
     dual_spec,
+    phase_tiles,
+    quotient_indices,
     subgroup_indices,
-    tile_cover,
     trivial_subgroup_spec,
 )
 from .norms import (
@@ -220,7 +221,7 @@ def _check_window_support(spec, rng):
     phi = subgroup_indicator(spec)
     V = stft(phi, phi).mat
     mask = np.zeros(V.shape, dtype=bool)
-    mask.flat[tile_cover(spec, [0])[0]] = True
+    mask.flat[phase_tiles(spec)[0]] = True
     c = window_constant(spec)
     on = float(np.max(np.abs(V[mask] - c)))
     off = float(np.max(np.abs(V[~mask]))) if (~mask).any() else 0.0
@@ -327,20 +328,20 @@ def _conv_diag(spec, rng):
 
 
 def _representative_independence_residual(spec, rng):
-    """Worst change of the per-coset maxima of |V_phi f| on the canonical
-    lattice under re-representation.
+    """Worst change of the per-tile maxima of |V_phi f| under re-representation.
 
-    Every lattice point is replaced by every other representative of its
-    coset, one tile offset at a time for all points at once; the sweep set
-    is the same, so the residual is exactly zero.  A NaN coefficient makes
-    the residual NaN.
+    Each point (x, xi) of each tile of :func:`phase_tiles` names a tile by
+    its cosets x + K and xi + K_perp; the maximum of that tile must be the
+    maximum of the tile the point lies in, so the residual is exactly zero
+    unless a coset map is wrong.  A NaN coefficient makes the residual NaN.
     """
-    lattice = quasi_lattice(spec)
+    tiles = phase_tiles(spec)
     V = np.abs(stft(random_signal(spec, rng), subgroup_indicator(spec)).values)
-    cover = tile_cover(spec, lattice.flat_indices)
-    base = V[cover].max(axis=1)
-    moved = np.stack([V[tile_cover(spec, reps)].max(axis=1) for reps in cover.T])
-    return float(np.max(np.abs(moved - base)))
+    maxima = V[tiles].max(axis=1)
+    x, xi = np.divmod(tiles, spec.order)
+    named = (quotient_indices(spec)[1][x] * spec.subgroup_order
+             + quotient_indices(dual_spec(spec))[1][xi])
+    return float(np.max(np.abs(maxima[named] - maxima[:, None])))
 
 
 def _covered_and_plain(spec: GroupSpec, f: Signal, phi: Signal) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,10 @@ canonical window produces an orthogonal system with a single frame
 constant.  Lattice-indexed sequences are stored flat with D1 outer and D2
 inner, both lexicographic.  A lattice is its index arrays, the time
 indices ``x`` and frequency indices ``xi`` of its points, built from the
-transversals of :func:`fingabor.group.coset_representatives`.  The
-translates of the tile come from :func:`fingabor.group.tile_cover`, a
-gather in the base group's cached difference table; this module does no
-residue arithmetic.
+transversals of :func:`fingabor.group.coset_representatives`.  Its
+translates of the tile are the rows of :func:`fingabor.group.phase_tiles`,
+the outer product of the quotient splits of G and of G^, so the partition
+holds by construction; this module does no residue arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .group import (
     common_group,
     coset_representatives,
     point_index,
-    tile_cover,
 )
 from .norms import Exponents, Weight, mixed_norm_stack
 from .signal import Signal, tf_shift_rows
@@ -45,9 +44,9 @@ class NotAFrame(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class QuasiLattice:
-    """Finite family of phase-space points with the canonical tile attached:
-    point i is (x[i], xi[i]), a time and a frequency index, and the distinct
-    values are kept too: ``x == times[time_of]``, ``xi == freqs[freq_of]``."""
+    """Finite family of phase-space points: point i is (x[i], xi[i]), a time
+    and a frequency index, and the distinct values are kept too:
+    ``x == times[time_of]``, ``xi == freqs[freq_of]``."""
 
     group: GroupSpec
     x: np.ndarray
@@ -64,14 +63,10 @@ class QuasiLattice:
 
 @lru_cache(maxsize=16)
 def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
-    """Canonical quasi-lattice D1 x D2, with the tiling property verified."""
+    """Canonical quasi-lattice D1 x D2, column 0 of
+    :func:`fingabor.group.phase_tiles`; its tiles partition phase space."""
     d1, d2 = coset_representatives(spec)
-    lattice = lattice_from_points(spec, np.repeat(d1, len(d2)), np.tile(d2, len(d1)))
-    cover = tile_cover(spec, lattice.flat_indices)
-    counts = np.bincount(cover.reshape(-1), minlength=spec.order ** 2)
-    if not np.all(counts == 1):
-        raise GroupMismatch("quasi-lattice translates of the tile do not partition")
-    return lattice
+    return lattice_from_points(spec, np.repeat(d1, len(d2)), np.tile(d2, len(d1)))
 
 
 def lattice_from_points(spec: GroupSpec, x: Sequence[int], xi: Sequence[int]) -> QuasiLattice:

@@ -284,16 +284,6 @@ def coset_points(spec: GroupSpec, x: np.ndarray, xi: np.ndarray) -> tuple[np.nda
             D[np.asarray(xi)[:, None], D[0, annihilator_indices(spec)]])
 
 
-def tile_cover(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
-    """(len(flat), |K| |K_perp|) flat phase indices of p + u for each flat
-    phase point p and each u in the tile K x K_perp, K outer; the tile itself
-    is ``tile_cover(spec, [0])[0]``."""
-    x, xi = np.divmod(np.asarray(flat, dtype=np.int64), spec.order)
-    rows, cols = coset_points(spec, x, xi)
-    return (rows.astype(np.int64)[:, :, None] * spec.order
-            + cols[:, None, :]).reshape(len(x), spec.order)
-
-
 @lru_cache(maxsize=32)
 def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps of the split x = j + d c per factor, j < d, c in Z_{N/d}.
@@ -314,6 +304,18 @@ def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for a in (rows, coset, eta):
         a.setflags(write=False)
     return rows, coset, eta
+
+
+def phase_tiles(spec: GroupSpec) -> np.ndarray:
+    """(order, order) flat phase indices of the tiles z + K x K_perp: the
+    outer product of the quotient splits of G and of G^.  Row i holds the
+    tile of the i-th point of the canonical quasi-lattice D1 x D2 (D1 outer),
+    with K outer and K_perp inner, so column 0 is the lattice and row 0 the
+    tile K x K_perp.  A quotient split is a partition, so the rows partition
+    phase space; no table is built."""
+    rows, cols = quotient_indices(spec)[0], quotient_indices(dual_spec(spec))[0]
+    tiles = rows[:, None, :, None] * spec.order + cols[None, :, None, :]
+    return tiles.reshape(spec.order, spec.order)
 
 
 def subgroup_character_table(spec: GroupSpec) -> np.ndarray:

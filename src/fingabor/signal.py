@@ -24,7 +24,6 @@ from .group import (
     dual_spec,
     phase_spec,
     point_index,
-    product_spec,
     shift_index,
     subgroup_indices,
 )
@@ -80,14 +79,6 @@ class PhaseFunction:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def zeros(spec: GroupSpec) -> Signal:
-    return Signal(spec, np.zeros(spec.order, dtype=np.complex128))
-
-
-def constant(spec: GroupSpec, value: complex = 1.0) -> Signal:
-    return Signal(spec, np.full(spec.order, value, dtype=np.complex128))
 
 
 def indicator(spec: GroupSpec, indices: Sequence[int] | np.ndarray) -> Signal:
@@ -192,10 +183,3 @@ def inner_phase(F: PhaseFunction, H: PhaseFunction) -> complex:
 
 def norm_l2(f: Signal) -> float:
     return float(np.sqrt(f.group.mass) * np.linalg.norm(f.values))
-
-
-def tensor(f: Signal, g: Signal) -> Signal:
-    """(f x g)(s, t) = f(s) g(t) on the direct product group."""
-    spec = product_spec(f.group, g.group)
-    return Signal(spec, np.kron(f.values, g.values))
-

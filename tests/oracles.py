@@ -16,10 +16,11 @@ shared between exponents.  A weighted modulation norm is taken one
 exponent at a time through a dense phase function, the convolution probe
 one exponent triple at a time, and the frame expansion one signal at a
 time with its shifted stacks rebuilt for each.  The canonical window's self-convolution, the
-per-coset maxima of |V_g f| over a lattice, the annihilator as a list of
-characters and one Haar-random unit vector are built the direct way.
-The one-function mixed quasi-norm :func:`mixed_quasi_norm` and the point
-mass :func:`delta` are test helpers that the library does not need.
+per-coset maxima of |V_g f| over the canonical lattice, the annihilator as
+a list of characters and one Haar-random unit vector are built the direct
+way.  The one-function mixed quasi-norm :func:`mixed_quasi_norm`, the point
+mass :func:`delta` and the constructors :func:`zeros`, :func:`constant` and
+:func:`tensor` are test helpers that the library does not need.
 
 The library's points are canonical indices.  Residue-tuple arithmetic is
 done here, one point at a time: :func:`residues`, :func:`index_of`,
@@ -30,15 +31,15 @@ the one ``diff_table(spec)[0]`` is held to, and :func:`translation_perm`
 shifts the whole residue grid at once.  The subgroup is listed by residue
 steps (:func:`subgroup_points`), its annihilator by evaluating characters
 (:func:`annihilator`), their cosets one residue sum at a time
-(:func:`coset_sums`), and the tile K x K_perp that ``tile_cover(spec,
-[0])[0]`` is held to by residue steps (:func:`tile_indices`).
+(:func:`coset_sums`), and the tile K x K_perp that ``phase_tiles(spec)[0]``
+is held to by residue steps (:func:`tile_indices`).
 """
 import math
 
 import numpy as np
 
 from fingabor.experiments import _EXPONENT_GRID, _worse, random_signal
-from fingabor.gabor import QuasiLattice, analysis, synthesis
+from fingabor.gabor import analysis, synthesis
 from fingabor.group import (
     GroupSpec,
     annihilator_indices,
@@ -46,11 +47,12 @@ from fingabor.group import (
     diff_table,
     dual_spec,
     phase_spec,
+    phase_tiles,
     point_index,
+    product_spec,
     quotient_indices,
     residue_grid,
     subgroup_indices,
-    tile_cover,
 )
 from fingabor.norms import (
     Exponents,
@@ -170,6 +172,19 @@ def delta(spec, x=0):
     vals = np.zeros(spec.order, dtype=np.complex128)
     vals[point_index(spec, x)] = 1.0
     return Signal(spec, vals)
+
+
+def zeros(spec):
+    return Signal(spec, np.zeros(spec.order, dtype=np.complex128))
+
+
+def constant(spec, value=1.0):
+    return Signal(spec, np.full(spec.order, value, dtype=np.complex128))
+
+
+def tensor(f, g):
+    """(f x g)(s, t) = f(s) g(t) on the direct product group."""
+    return Signal(product_spec(f.group, g.group), np.kron(f.values, g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +437,10 @@ def gaussian_circ(spec: GroupSpec) -> Signal:
     return convolve(phi, phi)
 
 
-def quotient_coefficients(f: Signal, g: Signal, lattice: QuasiLattice) -> np.ndarray:
-    """Per-coset maxima of |V_g f| over the tile around each lattice point."""
-    V = np.abs(stft(f, g).values)
-    return V[tile_cover(f.group, lattice.flat_indices)].max(axis=1)
+def quotient_coefficients(f: Signal, g: Signal) -> np.ndarray:
+    """Per-coset maxima of |V_g f| over the tile around each point of the
+    canonical lattice, one row of ``phase_tiles`` each."""
+    return np.abs(stft(f, g).values)[phase_tiles(f.group)].max(axis=1)
 
 
 def annihilator(spec: GroupSpec) -> list[int]:

@@ -22,8 +22,8 @@ from fingabor.group import (
     coset_representatives,
     make_group,
     phase_spec,
+    phase_tiles,
     residue_grid,
-    tile_cover,
 )
 from fingabor import experiments
 from fingabor.experiments import (_expansion_residuals, _representative_independence_residual,
@@ -70,7 +70,7 @@ def test_quasi_lattice_partitions_phase_space(spec):
     grid = residue_grid(pspec)
     mods = np.array(pspec.factors)
     seen = np.zeros(pspec.order, dtype=int)
-    np.testing.assert_array_equal(tile_cover(spec, [0])[0], tile_indices(spec))
+    np.testing.assert_array_equal(phase_tiles(spec)[0], tile_indices(spec))
     for pt in lat.flat_indices:
         for off in tile_indices(spec):
             res = tuple(int(v) for v in (grid[pt] + grid[off]) % mods)
@@ -519,7 +519,7 @@ def test_quotient_coefficients_brute_force(spec):
     f = rand_signal(spec, rng)
     g = rand_signal(spec, rng)
     lat = quasi_lattice(spec)
-    q = quotient_coefficients(f, g, lat)
+    q = quotient_coefficients(f, g)
     assert q.shape == (len(lat.x),)
     pspec = phase_spec(spec)
     grid = residue_grid(pspec)
@@ -541,6 +541,24 @@ def test_representative_choice_is_immaterial(spec):
     rng = np.random.default_rng(10)
     for _ in range(2):
         assert _representative_independence_residual(spec, rng) == 0.0
+
+
+@pytest.mark.parametrize("spec", [make_group([16], [4]), make_group([6, 2], [3, 2]),
+                                  GroupSpec((12,), (3,), 0.25)],
+                         ids=["z16", "6x2", "z12-mass-quarter"])
+def test_wrong_coset_map_fails_the_representative_sweep(monkeypatch, spec):
+    # each point of a tile names its tile through the coset maps, so a map
+    # rolled by one makes the check fail
+    clean = experiments.quotient_indices
+    monkeypatch.setattr("fingabor.experiments.quotient_indices", lambda s: (
+        clean(s)[0], np.roll(clean(s)[1], 1), clean(s)[2]))
+    assert _representative_independence_residual(spec, np.random.default_rng(10)) > 0.0
+    summary, _ = run_identities(spec, seed=0, trials=2,
+                                names=["coset-representative-independence"])
+    assert summary["results"]["coset-representative-independence"]["passed"] is False
+    [failure] = summary["failures"]
+    assert re.fullmatch(r"coset-representative-independence: residual \S+ exceeds tolerance "
+                        r"0\.000e\+00", failure)
 
 
 def test_nan_transform_fails_the_representative_sweep(monkeypatch):

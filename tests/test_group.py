@@ -2,6 +2,7 @@ import ast
 import cmath
 import json
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,21 +28,21 @@ from fingabor.group import (
     dual_spec,
     make_group,
     phase_spec,
+    phase_tiles,
     point_index,
     residue_grid,
     shift_index,
     subgroup_character_table,
     subgroup_indices,
-    tile_cover,
     trivial_subgroup_spec,
 )
 from fingabor.operators import (gabor_matrix, gabor_matrix_closed_form, kn_apply,
                                 localization_apply, localization_matrix)
-from fingabor.signal import (PhaseFunction, constant, convolve, convolve_phase, fourier, inner,
+from fingabor.signal import (PhaseFunction, convolve, convolve_phase, fourier, inner,
                              inverse_fourier, subgroup_indicator)
 from fingabor.tfa import rihaczek, stft
-from oracles import (add, annihilator, character, index_of, neg, neg_index, phase_point,
-                     residues, sub, tile_indices, translation_perm)
+from oracles import (add, annihilator, character, constant, index_of, neg, neg_index,
+                     phase_point, residues, sub, tile_indices, translation_perm)
 
 
 def brute_character(spec, xi_res, x_res):
@@ -344,18 +345,34 @@ def test_diff_table_brute_force():
 
 @pytest.mark.parametrize("spec", [make_group([6, 2], [3, 2]), GroupSpec((12,), (3,), 0.25),
                                   make_group([4, 8], [2, 4]), make_group([8], [1])])
-def test_tile_cover_matches_residue_grid(spec):
-    # arbitrary phase points, not only lattice points, against residue sums
+def test_phase_tiles_match_residue_grid(spec):
+    # row i is the i-th canonical lattice point plus the tile offsets, summed
+    # residue by residue on the phase space
     pspec = phase_spec(spec)
     grid = residue_grid(pspec)
-    flat = np.random.default_rng(11).integers(pspec.order, size=20)
-    tile = tile_indices(spec)
-    np.testing.assert_array_equal(tile_cover(spec, [0])[0], tile)
+    tiles, tile, points = phase_tiles(spec), tile_indices(spec), quasi_lattice(spec).flat_indices
+    np.testing.assert_array_equal(tiles[0], tile)
+    np.testing.assert_array_equal(tiles[:, 0], points)
     offs = grid[tile]
     want = [[np.ravel_multi_index(tuple((grid[p] + o) % pspec.factors), pspec.factors)
-             for o in offs] for p in flat]
-    np.testing.assert_array_equal(tile_cover(spec, flat), want)
-    assert tile_cover(spec, flat[:0]).shape == (0, spec.order)
+             for o in offs] for p in points]
+    np.testing.assert_array_equal(tiles, want)
+
+
+def test_tiles_and_lattice_need_no_table(monkeypatch):
+    # the tiles and the canonical lattice are quotient splits, so they are
+    # built above the table limit too
+    def refuse(spec):
+        raise AssertionError("difference table built")
+    monkeypatch.setattr("fingabor.group.diff_table", refuse)
+    big = make_group([65, 64], [5, 8])
+    assert big.order == 4160 > 4096
+    lat = quasi_lattice(big)
+    assert len(lat.x) == big.order and len(np.unique(lat.flat_indices)) == big.order
+    spec = make_group([16], [4])
+    tiles = phase_tiles(spec)
+    np.testing.assert_array_equal(tiles[0], tile_indices(spec))
+    np.testing.assert_array_equal(np.sort(tiles.reshape(-1)), np.arange(spec.order ** 2))
 
 
 def test_index_work_stays_in_group():
@@ -371,9 +388,11 @@ def test_index_work_stays_in_group():
                     for a in n.names}
         # the residue-grid shift is a test oracle; the library shifts through
         # shift_index, negates through row 0 of diff_table and reads the tile
-        # K x K_perp as tile_cover(spec, [0])[0]
-        for oracle in ("translation_perm", "neg_index", "tile_indices"):
+        # K x K_perp as phase_tiles(spec)[0]: no name starting tile_, such as
+        # the tile_indices oracle or a second tile builder, appears in src
+        for oracle in ("translation_perm", "neg_index"):
             assert oracle not in path.read_text(), (path.name, oracle)
+        assert not re.search(r"\btile_", path.read_text()), path.name
         if path.name == "group.py":
             # K's product form is read by the spec, the quotient split and K's own
             # character table; every other index map is built from those
@@ -385,6 +404,13 @@ def test_index_work_stays_in_group():
             assert readers <= {"GroupSpec", "quotient_indices", "subgroup_character_table",
                                "make_group", "dual_spec", "phase_spec",
                                "trivial_subgroup_spec", "product_spec"}, readers
+            # the tiles of phase space are the quotient splits of G and of G^,
+            # built with no table and no phase-space residue grid
+            tiles = next(top for top in tree.body if getattr(top, "name", "") == "phase_tiles")
+            read = {n.id for n in ast.walk(tiles) if isinstance(n, ast.Name)}
+            assert not read & {"diff_table", "residue_grid"}, read
+            assert {n.func.id for n in ast.walk(tiles) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)} == {"quotient_indices", "dual_spec"}
             # one character formula
             assert sum(isinstance(n, ast.Attribute) and n.attr == "exp"
                        for n in ast.walk(tree)) == 1

@@ -27,10 +27,10 @@ from fingabor.group import (
     dual_spec,
     make_group,
     phase_spec,
+    phase_tiles,
     quotient_indices,
     residue_grid,
     subgroup_indices,
-    tile_cover,
 )
 from fingabor.norms import (
     Exponents,
@@ -175,7 +175,7 @@ def test_canonical_window_is_subgroup_tile():
     kk = subgroup_indices(spec)
     aa = annihilator_indices(spec)
     expected = sorted(int(k) * 6 + int(a) for k in kk for a in aa)
-    tile = tile_cover(spec, [0])[0]
+    tile = phase_tiles(spec)[0]
     assert np.array_equal(tile, tile_indices(spec))
     assert sorted(tile.tolist()) == expected
     assert len(tile) == spec.order  # |K| |K_perp| = |G|

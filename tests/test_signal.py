@@ -16,7 +16,6 @@ from fingabor.group import (
 from fingabor.signal import (
     PhaseFunction,
     Signal,
-    constant,
     convolve,
     convolve_phase,
     fourier,
@@ -27,14 +26,12 @@ from fingabor.signal import (
     modulate,
     norm_l2,
     subgroup_indicator,
-    tensor,
     tf_shift,
     tf_shift_rows,
     translate,
-    zeros,
 )
 from fingabor.gabor import lattice_from_points
-from oracles import character, delta, residues, sub
+from oracles import character, constant, delta, residues, sub, tensor, zeros
 
 
 def rand_signal(spec, rng):
