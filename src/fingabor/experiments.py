@@ -220,8 +220,7 @@ def _covariant_rihaczek(f, g, x, xi, y, eta) -> np.ndarray:
 def _check_window_support(spec, rng):
     phi = subgroup_indicator(spec)
     V = stft(phi, phi).mat
-    mask = np.zeros(V.shape, dtype=bool)
-    mask.flat[phase_tiles(spec)[0]] = True
+    mask = np.outer(phi.values != 0, subgroup_indicator(dual_spec(spec)).values != 0)
     c = window_constant(spec)
     on = float(np.max(np.abs(V[mask] - c)))
     off = float(np.max(np.abs(V[~mask]))) if (~mask).any() else 0.0
@@ -447,7 +446,6 @@ IDENTITY_REGISTRY: tuple[IdentityCheck, ...] = (
         "per-coset maxima of the transform do not depend on the representative",
         0.0,
         _representative_independence_residual,
-        max_order=16,
     ),
     IdentityCheck(
         "pointwise-covering-maximum",

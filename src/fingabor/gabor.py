@@ -45,16 +45,11 @@ class NotAFrame(ValueError):
 @dataclass(frozen=True, eq=False)
 class QuasiLattice:
     """Finite family of phase-space points: point i is (x[i], xi[i]), a time
-    and a frequency index, and the distinct values are kept too:
-    ``x == times[time_of]``, ``xi == freqs[freq_of]``."""
+    and a frequency index."""
 
     group: GroupSpec
     x: np.ndarray
     xi: np.ndarray
-    times: np.ndarray
-    time_of: np.ndarray
-    freqs: np.ndarray
-    freq_of: np.ndarray
 
     @property
     def flat_indices(self) -> np.ndarray:
@@ -74,10 +69,9 @@ def lattice_from_points(spec: GroupSpec, x: Sequence[int], xi: Sequence[int]) ->
     if len(x) != len(xi):
         raise GroupMismatch(f"{len(x)} time indices against {len(xi)} frequency indices")
     x, xi = (np.array([point_index(spec, i) for i in a], dtype=np.int64) for a in (x, xi))
-    arrays = (x, xi, *np.unique(x, return_inverse=True), *np.unique(xi, return_inverse=True))
-    for a in arrays:
+    for a in (x, xi):
         a.setflags(write=False)
-    return QuasiLattice(spec, *arrays)
+    return QuasiLattice(spec, x, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -275,15 +275,6 @@ def annihilator_indices(spec: GroupSpec) -> np.ndarray:
     return subgroup_indices(dual_spec(spec))
 
 
-def coset_points(spec: GroupSpec, x: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) with rows[i, k] = index(x_i + k) for k in K and
-    cols[i, kappa] = index(xi_i + kappa) for kappa in K_perp, both in
-    increasing order of k and kappa; gathered from the difference table."""
-    D = diff_table(spec)                                        # D[a, b] = index(a - b)
-    return (D[np.asarray(x)[:, None], D[0, subgroup_indices(spec)]],
-            D[np.asarray(xi)[:, None], D[0, annihilator_indices(spec)]])
-
-
 @lru_cache(maxsize=32)
 def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps of the split x = j + d c per factor, j < d, c in Z_{N/d}.

@@ -13,20 +13,14 @@ point; both routes are implemented independently so they can be compared.
 
 The Gabor matrices take a lattice's index arrays; the direct one gathers its
 shifted windows with :func:`fingabor.signal.tf_shift_rows`.  The structured
-kernels use only the base group's character table T[xi, x] = <xi, x> and
-difference table, never the route they are checked against.  With
-S = conj(R(phi, phi)) * mass * mass_dual for the canonical window phi, the
-Gabor matrix entry of row point (w, mu) and column point (u, nu), and the
-localization matrix (a convolution over x for each y - y'), are
+kernels use only the group's tables (the character table T[xi, x] =
+<xi, x>, the difference table, the quotient splits and the character
+tables of K and K_perp), never the route they are checked against.  For
+the canonical window the Gabor matrix is a 2-D transform of the symbol on
+each phase-space tile z + K x K_perp, and the localization matrix is a
+convolution over x for each y - y':
 
-    conj(T[nu, w - u]) * sum_{k in K} conj(T[mu - nu, w + k])
-        * sum_{kappa in K_perp} sigma(w + k, nu + kappa) S[k, kappa] conj(T[u - w, nu + kappa]),
     L[y, y'] = mass^2 * mass_dual * sum_x (a @ T)[x, y - y'] psi2(y - x) conj(psi1(y' - x)).
-
-The Gabor entry depends on the points only through their distinct time
-indices (a of them) and frequency indices (b of them), so both sums run on
-coset pairs: a^2 b |K| |K_perp| + a^2 b^2 |K| operations, with arrays of at
-most order^2 entries on the canonical lattice (a = |G/K|, b = |G^/K_perp|).
 """
 
 from __future__ import annotations
@@ -34,9 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from .gabor import QuasiLattice
-from .group import character_table, common_group, coset_points, diff_table
+from .group import (character_table, common_group, diff_table, dual_spec, phase_tiles,
+                    quotient_indices, subgroup_character_table)
 from .signal import PhaseFunction, Signal, convolve_phase, fourier, tf_shift_rows
-from .tfa import rihaczek, stft, window_constant
+from .tfa import rihaczek, stft
 
 
 # ---------------------------------------------------------------------------
@@ -78,42 +73,35 @@ def gabor_matrix(sigma: PhaseFunction, g: Signal, lattice: QuasiLattice) -> np.n
 
 
 def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.ndarray:
-    """Gabor matrix of the quantization for the canonical window phi.
+    """Gabor matrix of the quantization for the canonical window phi, on any lattice.
 
-    Entry (i, j), for row point (w_i, mu_i) and column point (u_j, nu_j), is
-    conj(T[nu_j, w_i - u_j]) times the sum over (k, kappa) in K x K_perp of
-    sigma(w_i + k, nu_j + kappa) conj(T[mu_i - nu_j, w_i + k])
-    conj(T[u_j - w_i, nu_j + kappa]) S[k, kappa], S = conj(R(phi, phi)) *
-    mass * mass_dual, which is the constant conj(<phi, phi>) * mass *
-    mass_dual on the tile.  The entry depends on the points only through
-    their time indices w, u (``lattice.times``, a values) and frequency
-    indices mu, nu (``lattice.freqs``, b values), so the sums run on them:
+    X is the symbol on each tile (a + K) x (b + K_perp) of :func:`phase_tiles`,
+    transformed by the character tables T_K and T_Kperp of K and K_perp:
 
-        Y[w, k, nu, u]  = sum_kappa sigma(w + k, nu + kappa) S[k, kappa]
-                                    conj(T[u - w, nu + kappa]),
-        Z[w, mu, nu, u] = sum_k Y[w, k, nu, u] conj(T[mu - nu, w + k]),
-        M[i, j]         = conj(T[nu_j, w_i - u_j]) Z[w_i, mu_i, nu_j, u_j].
+        X[tile(a, b), e, e'] = sum_{c, c'} conj(T_K[e, c]) sigma(a + d c, b + d' c') T_Kperp[e', c'].
 
-    That is a^2 b |K| |K_perp| + a^2 b^2 |K| operations.  Besides the (m, m)
-    result, the arrays are the symbol gather (a, |K|, b, |K_perp|), the
-    character gathers (a, a, b, |K_perp|) and (a, b, b, |K|), Y and Z; on
-    the canonical lattice a = |G/K| and b = |G^/K_perp|, so each holds
-    order^2 entries.
+    For row point (w, mu) and column point (u, nu), with a and b the
+    representatives of w + K and nu + K_perp and eta, eta_perp the K and
+    K_perp coordinates of :func:`quotient_indices`, the entry is
+
+        c * conj(<mu - nu, a>) * <b - nu, w - u> * X[tile(a, b), eta(mu - nu), eta_perp(w - u)],
+
+    c = <phi, phi> * mass * mass_dual = mass^2 * mass_dual * |K|.  So the
+    diagonal on the canonical lattice is c times the tile sums of the symbol.
     """
     spec = common_group(lattice, sigma)
-    T = character_table(spec)
-    D = diff_table(spec)                                        # D[a, b] = index(a - b)
+    T, D = character_table(spec), diff_table(spec)             # D[a, b] = index(a - b)
+    rows, coset, eta = quotient_indices(spec)
+    cols, coset_perp, eta_perp = quotient_indices(dual_spec(spec))
+    tiles = sigma.values[phase_tiles(spec)].reshape(len(rows), len(cols), -1, cols.shape[1])
+    TK, TKperp = subgroup_character_table(spec), subgroup_character_table(dual_spec(spec))
+    X = np.conj(TK) @ tiles @ TKperp.T                        # [D1, D2, eta, eta_perp]
     x, xi = lattice.x, lattice.xi
-    w, wi = lattice.times, lattice.time_of                      # distinct times: w, u
-    nu, ni = lattice.freqs, lattice.freq_of                     # distinct frequencies: mu, nu
-    rows, cols = coset_points(spec, w, nu)                      # index(w + k), index(nu + kappa)
-    S = np.full((rows.shape[1], cols.shape[1]),
-                np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
-    B = np.conj(T[D[w[None, :], w[:, None]][:, :, None, None], cols])   # [w, u, nu, kappa]
-    A = np.conj(T[D[nu[:, None], nu][None, :, :, None], rows[:, None, None, :]])  # [w, mu, nu, k]
-    Y = np.einsum("wknl,kl,wunl->wknu", sigma.mat[rows][:, :, cols], S, B)
-    Z = np.einsum("wknu,wmnk->wmnu", Y, A)
-    return np.conj(T[xi[None, :], D[x[:, None], x]]) * Z[wi[:, None], ni[:, None], ni, wi]
+    j1, j2 = coset[x][:, None], coset_perp[xi][None, :]         # tile (a, b) of each pair
+    dx, dxi = D[x[:, None], x], D[xi[:, None], xi]              # index(w - u), index(mu - nu)
+    phase = np.conj(T[dxi, rows[j1, 0]]) * T[D[cols[j2, 0], xi], dx]
+    c = spec.mass ** 2 * spec.mass_dual * spec.subgroup_order
+    return c * phase * X[j1, j2, eta[dxi], eta_perp[dx]]
 
 
 # ---------------------------------------------------------------------------

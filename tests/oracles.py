@@ -4,7 +4,7 @@ The amalgam norm of V_g f over a window set is evaluated the long way: the
 full STFT, a maximum over explicit phase-space translations, then the
 mixed quasi-norm.  Both sides of the convolution inequality are evaluated
 one pair of phase-space functions and one exponent triple at a time.  The
-Gabor matrix closed form is summed with one symbol gather per point pair.
+Gabor matrix closed form transforms one tile gathered per point pair.
 Eigenvectors are rotated and normalized eagerly, all of them, and the
 Rihaczek probe reads its window constant off the full R(phi, phi).  The
 Rihaczek covariance rule is checked on the phase-space group itself, with
@@ -31,8 +31,10 @@ the one ``diff_table(spec)[0]`` is held to, and :func:`translation_perm`
 shifts the whole residue grid at once.  The subgroup is listed by residue
 steps (:func:`subgroup_points`), its annihilator by evaluating characters
 (:func:`annihilator`), their cosets one residue sum at a time
-(:func:`coset_sums`), and the tile K x K_perp that ``phase_tiles(spec)[0]``
-is held to by residue steps (:func:`tile_indices`).
+(:func:`coset_sums`), their representatives and K coordinates by residue
+remainders (:func:`representative`, :func:`subgroup_coordinate`), and the
+tile K x K_perp that ``phase_tiles(spec)[0]`` is held to by residue steps
+(:func:`tile_indices`).
 """
 import math
 
@@ -42,7 +44,6 @@ from fingabor.experiments import _EXPONENT_GRID, _worse, random_signal
 from fingabor.gabor import analysis, synthesis
 from fingabor.group import (
     GroupSpec,
-    annihilator_indices,
     character_table,
     diff_table,
     dual_spec,
@@ -52,7 +53,7 @@ from fingabor.group import (
     product_spec,
     quotient_indices,
     residue_grid,
-    subgroup_indices,
+    subgroup_character_table,
 )
 from fingabor.norms import (
     Exponents,
@@ -226,33 +227,44 @@ def young_verify(F, H, e_out, e_left, e_right, m=None, v=None):
     return float(lhs), float(rhs)
 
 
+def representative(spec, i):
+    """Index of the representative of i + K: each residue reduced mod its step d_j."""
+    return index_of(spec, [r % d for r, d in zip(residues(spec, i), spec.subgroup_divisors)])
+
+
+def subgroup_coordinate(spec, i):
+    """Index of i mod N_j / d_j in the dual of K = Z_{N1/d1} x ..., residue by residue."""
+    sizes = [n // d for n, d in zip(spec.factors, spec.subgroup_divisors)]
+    return int(np.ravel_multi_index([r % s for r, s in zip(residues(spec, i), sizes)], sizes))
+
+
 def gather_gabor_matrix_closed_form(sigma, points):
     """Closed-form Gabor matrix for the canonical window at the (x, xi)
-    pairs ``points``, one pair at a time.
+    pairs ``points``, with one tile gathered per pair.
 
-    Entry (i, j) is conj(T[nu_j, w_i - u_j]) times the sum over K x K_perp of
-    sigma(w_i + k, nu_j + kappa) conj(T[mu_i - nu_j, w_i + k])
-    conj(T[u_j - w_i, nu_j + kappa]) S[k, kappa], with the symbol gathered
-    into an (m, |K|, m, |K_perp|) array for the m points.
+    The tile of pair (i, j) is (a_i + K) x (b_j + K_perp), a_i and b_j the
+    representatives of w_i + K and nu_j + K_perp, listed by residue sums
+    into an (m, m, |K|, |K_perp|) array for the m points; each is
+    transformed by the character tables of K and K_perp, and entry (i, j)
+    reads it at the K and K_perp coordinates of mu_i - nu_j and w_i - u_j.
     """
-    spec = sigma.group
+    spec, dual = sigma.group, dual_spec(sigma.group)
     T = character_table(spec)
-    D = diff_table(spec)
-    neg_k = neg_index(spec)[subgroup_indices(spec)]
-    neg_a = neg_index(spec)[annihilator_indices(spec)]
-    phi = subgroup_indicator(spec)
-    S = np.conj(rihaczek(phi, phi).values[tile_indices(spec)]) * (spec.mass * spec.mass_dual)
-    S = S.reshape(len(neg_k), len(neg_a))
     x, xi = np.array(points, dtype=np.int64).T
-    rows = D[x[:, None], neg_k]                                 # index(w_i + k)
-    cols = D[xi[:, None], neg_a]                                # index(nu_j + kappa)
-    dx = D[x[:, None], x]                                       # index(w_i - u_j)
-    dxi = D[xi[:, None], xi]                                    # index(mu_i - nu_j)
-    A = np.conj(T[dxi[:, :, None], rows[:, None, :]])           # [i, j, k]
-    B = np.conj(T[dx.T[:, :, None], cols[None, :, :]])          # [i, j, kappa]
-    G = sigma.mat[rows][:, :, cols]                             # [i, k, j, kappa]
-    inner_sum = np.einsum("ikjl,kl,ijl->ijk", G, S, B)
-    return np.conj(T[xi[None, :], dx]) * np.einsum("ijk,ijk->ij", inner_sum, A)
+    a = [representative(spec, w) for w in x]
+    b = [representative(dual, nu) for nu in xi]
+    rows, cols = (np.array(r) for r in coset_sums(spec, a, b))
+    G = sigma.mat[rows[:, None, :, None], cols[None, :, None, :]]          # [i, j, k, kappa]
+    X = np.conj(subgroup_character_table(spec)) @ G @ subgroup_character_table(dual).T
+    dx = np.array([[sub(spec, w, u) for u in x] for w in x])
+    dxi = np.array([[sub(spec, mu, nu) for nu in xi] for mu in xi])
+    eta = np.vectorize(lambda i: subgroup_coordinate(spec, i))(dxi)
+    eta_perp = np.vectorize(lambda i: subgroup_coordinate(dual, i))(dx)
+    phase = (np.conj(T[dxi, np.array(a)[:, None]])
+             * T[np.array([sub(spec, q, nu) for q, nu in zip(b, xi)])[None, :], dx])
+    c = spec.mass ** 2 * spec.mass_dual * spec.subgroup_order
+    m = len(x)
+    return c * phase * X[np.arange(m)[:, None], np.arange(m), eta, eta_perp]
 
 
 def eager_eigenpairs(spec, A):
@@ -327,26 +339,9 @@ def point_list_gabor_matrix_residual(sigma, points):
     """Channel-matrix residual with the direct and closed-form Gabor matrices
     evaluated on a list of (x, xi) pairs, turned into index arrays per call."""
     spec = sigma.group
-    phi = subgroup_indicator(spec)
-    V = point_list_tf_shift_rows(phi, points)
+    V = point_list_tf_shift_rows(subgroup_indicator(spec), points)
     direct = np.conj(V) @ (kn_matrix(sigma) @ V.T) * spec.mass
-    T = character_table(spec)
-    D = diff_table(spec)
-    neg_k = neg_index(spec)[subgroup_indices(spec)]
-    neg_a = neg_index(spec)[annihilator_indices(spec)]
-    S = np.full((len(neg_k), len(neg_a)),
-                np.conj(window_constant(spec)) * (spec.mass * spec.mass_dual))
-    x, xi = np.array(points, dtype=np.int64).T
-    w, wi = np.unique(x, return_inverse=True)
-    nu, ni = np.unique(xi, return_inverse=True)
-    rows = D[w[:, None], neg_k]
-    cols = D[nu[:, None], neg_a]
-    B = np.conj(T[D[w[None, :], w[:, None]][:, :, None, None], cols])
-    A = np.conj(T[D[nu[:, None], nu][None, :, :, None], rows[:, None, None, :]])
-    Y = np.einsum("wknl,kl,wunl->wknu", sigma.mat[rows][:, :, cols], S, B)
-    Z = np.einsum("wknu,wmnk->wmnu", Y, A)
-    closed = np.conj(T[xi[None, :], D[x[:, None], x]]) * Z[wi[:, None], ni[:, None], ni, wi]
-    return float(np.max(np.abs(direct - closed)))
+    return float(np.max(np.abs(direct - gather_gabor_matrix_closed_form(sigma, points))))
 
 
 def plain_norm_pointwise_trial(spec, rng):

@@ -174,7 +174,7 @@ def test_run_identities_subset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("order,extra,skipped", [
-    (64, {}, ["stft-of-rihaczek", "coset-representative-independence"]),
+    (64, {}, ["stft-of-rihaczek"]),
     (64, {"identities": ["stft-of-rihaczek"]}, ["stft-of-rihaczek"]),
     (16, {}, []),
 ], ids=["z64", "z64-capped-subset", "z16"])

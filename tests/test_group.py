@@ -3,6 +3,7 @@ import cmath
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from fingabor.experiments import _expansion_residuals
-from fingabor.gabor import analysis, discrete_modnorm, frame_operator, quasi_lattice, synthesis
+from fingabor.gabor import (QuasiLattice, analysis, discrete_modnorm, frame_operator, quasi_lattice,
+                            synthesis)
 from fingabor.group import (
     EmptyGroup,
     GroupError,
@@ -381,16 +383,20 @@ def test_index_work_stays_in_group():
     # experiments builds its groups through group
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fingabor").glob("*.py"))
     assert paths
+    # a lattice is its index arrays; the closed form needs no distinct-index arrays
+    assert [f.name for f in fields(QuasiLattice)] == ["group", "x", "xi"]
     for path in paths:
         tree = ast.parse(path.read_text())
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                     for a in n.names}
         # the residue-grid shift is a test oracle; the library shifts through
-        # shift_index, negates through row 0 of diff_table and reads the tile
-        # K x K_perp as phase_tiles(spec)[0]: no name starting tile_, such as
-        # the tile_indices oracle or a second tile builder, appears in src
-        for oracle in ("translation_perm", "neg_index"):
+        # shift_index, negates through row 0 of diff_table, reads the tiles as
+        # rows of phase_tiles and masks the tile K x K_perp as the outer product
+        # of the indicators of K and K_perp: no name starting tile_, such as
+        # the tile_indices oracle or a second tile builder, appears in src.
+        # The closed form transforms whole tiles, so no coset_points remains
+        for oracle in ("translation_perm", "neg_index", "coset_points"):
             assert oracle not in path.read_text(), (path.name, oracle)
         assert not re.search(r"\btile_", path.read_text()), path.name
         if path.name == "group.py":
@@ -434,7 +440,7 @@ def test_index_work_stays_in_group():
         # a private name stays in its module
         assert not {name for name in imported if name.startswith("_")}, path.name
         if path.name == "operators.py":
-            # the closed form reads its coset points from group.coset_points
+            # the closed form reads its tiles and coordinates from the quotient splits
             assert not imported & {"neg_index", "subgroup_indices", "annihilator_indices"}
             # the norm probes live in norms, so operators needs no norm
             assert not any(isinstance(n, ast.ImportFrom) and n.level == 1

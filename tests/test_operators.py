@@ -11,7 +11,7 @@ from fingabor.experiments import (_CONVREL_CASES, _gabor_matrix_residual, _kn_ke
                                   stream_rng)
 from fingabor.gabor import lattice_from_points, quasi_lattice
 from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
-from fingabor.group import (annihilator_indices, coset_points, coset_representatives, dual_spec,
+from fingabor.group import (annihilator_indices, coset_representatives, dual_spec, phase_tiles,
                             subgroup_indices)
 from fingabor.norms import (Weight, convolution_relation_probe, polynomial_weight,
                            rihaczek_continuity_probe)
@@ -38,7 +38,6 @@ from fingabor.signal import (
 from fingabor.tfa import rihaczek, stft
 from oracles import (
     annihilator,
-    coset_sums,
     delta,
     dense_modulation_norm,
     full_window_rihaczek_probe,
@@ -220,21 +219,15 @@ def test_closed_form_on_lattice_points(spec):
     pytest.param(make_group([4, 3], [4, 3]), id="z4xz3-trivial-k"),
 ])
 def test_subgroup_annihilator_and_coset_points_match_residue_oracles(spec):
-    # K and K_perp are the j = 0 cosets of the quotient splits of G and G^;
-    # the coset points the closed form reads are residue sums
+    # K and K_perp are the j = 0 cosets of the quotient splits of G and G^
     assert subgroup_indices(spec).tolist() == subgroup_points(spec)
     assert annihilator_indices(spec).tolist() == annihilator(spec)
-    x = np.random.default_rng(23).integers(spec.order, size=7)
-    xi = np.arange(spec.order)
-    rows, cols = coset_points(spec, x, xi)
-    want_rows, want_cols = coset_sums(spec, x, xi)
-    assert rows.tolist() == want_rows and cols.tolist() == want_cols
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS)
 def test_closed_form_matches_symbol_gather_oracle(spec):
-    # the coset-pair sums add the same products in the same order as the
-    # per-pair gather, so the two agree bit for bit
+    # the tile transforms add the same products in the same order as the
+    # per-pair tile gather, so the two agree bit for bit
     rng = np.random.default_rng(19)
     lat = quasi_lattice(spec)
     for _ in range(3):
@@ -243,9 +236,25 @@ def test_closed_form_matches_symbol_gather_oracle(spec):
                               gather_gabor_matrix_closed_form(sigma, list(zip(lat.x, lat.xi))))
 
 
+@pytest.mark.parametrize("spec", KERNEL_GROUPS + [
+    pytest.param(make_group([8], [1]), id="z8-k-is-g"),
+    pytest.param(make_group([4, 3], [4, 3]), id="z4xz3-trivial-k"),
+])
+def test_closed_form_diagonal_holds_the_tile_sums(spec):
+    # on the canonical lattice the diagonal is a Gabor multiplier: the
+    # symbol summed over each point's tile, times mass^2 mass_dual |K|
+    rng = np.random.default_rng(24)
+    sigma = rand_symbol(spec, rng)
+    diagonal = np.diag(gabor_matrix_closed_form(sigma, quasi_lattice(spec)))
+    c = spec.mass ** 2 * spec.mass_dual * spec.subgroup_order
+    want = c * sigma.values[phase_tiles(spec)].sum(axis=1)
+    assert np.max(np.abs(diagonal - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_closed_form_memory_stays_on_coset_pairs():
     # Z_256/16: the per-pair symbol gather alone is 256 * 16 * 256 * 16
-    # complex entries (268 MB); the coset-pair arrays hold 16^4 entries each
+    # complex entries (268 MB); the tile gather and its transform hold
+    # 256^2 entries each
     spec = make_group([256], [16])
     rng = np.random.default_rng(20)
     sigma = rand_symbol(spec, rng)
