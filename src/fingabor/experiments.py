@@ -219,12 +219,10 @@ def _covariant_rihaczek(f, g, x, xi, y, eta) -> np.ndarray:
 
 def _check_window_support(spec, rng):
     phi = subgroup_indicator(spec)
-    V = stft(phi, phi).mat
-    mask = np.outer(phi.values != 0, subgroup_indicator(dual_spec(spec)).values != 0)
-    c = window_constant(spec)
-    on = float(np.max(np.abs(V[mask] - c)))
-    off = float(np.max(np.abs(V[~mask]))) if (~mask).any() else 0.0
-    return _worse(on, off)
+    V = stft(phi, phi).mat[phase_tiles(spec)]
+    on = float(np.max(np.abs(V[0, 0] - window_constant(spec))))
+    V[0, 0] = 0.0                                   # block (0, 0) is the tile K x K_perp
+    return _worse(on, float(np.max(np.abs(V))))
 
 
 def _magic_formula_residual(spec, rng):
@@ -329,18 +327,16 @@ def _conv_diag(spec, rng):
 def _representative_independence_residual(spec, rng):
     """Worst change of the per-tile maxima of |V_phi f| under re-representation.
 
-    Each point (x, xi) of each tile of :func:`phase_tiles` names a tile by
+    Each point (x, xi) of each block of :func:`phase_tiles` names a tile by
     its cosets x + K and xi + K_perp; the maximum of that tile must be the
     maximum of the tile the point lies in, so the residual is exactly zero
     unless a coset map is wrong.  A NaN coefficient makes the residual NaN.
     """
-    tiles = phase_tiles(spec)
-    V = np.abs(stft(random_signal(spec, rng), subgroup_indicator(spec)).values)
-    maxima = V[tiles].max(axis=1)
-    x, xi = np.divmod(tiles, spec.order)
-    named = (quotient_indices(spec)[1][x] * spec.subgroup_order
-             + quotient_indices(dual_spec(spec))[1][xi])
-    return float(np.max(np.abs(maxima[named] - maxima[:, None])))
+    rows, cols = phase_tiles(spec)
+    V = np.abs(stft(random_signal(spec, rng), subgroup_indicator(spec)).mat)
+    maxima = V[rows, cols].max(axis=(2, 3))
+    named = maxima[quotient_indices(spec)[1][rows], quotient_indices(dual_spec(spec))[1][cols]]
+    return float(np.max(np.abs(named - maxima[:, :, None, None])))
 
 
 def _covered_and_plain(spec: GroupSpec, f: Signal, phi: Signal) -> tuple[np.ndarray, np.ndarray]:

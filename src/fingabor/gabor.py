@@ -8,9 +8,9 @@ constant.  Lattice-indexed sequences are stored flat with D1 outer and D2
 inner, both lexicographic.  A lattice is its index arrays, the time
 indices ``x`` and frequency indices ``xi`` of its points, built from the
 transversals of :func:`fingabor.group.coset_representatives`.  Its
-translates of the tile are the rows of :func:`fingabor.group.phase_tiles`,
-the outer product of the quotient splits of G and of G^, so the partition
-holds by construction; this module does no residue arithmetic.
+translates of the tile are the blocks of :func:`fingabor.group.phase_tiles`,
+built from the quotient splits of G and of G^, so the partition holds by
+construction; this module does no residue arithmetic.
 """
 
 from __future__ import annotations
@@ -51,15 +51,11 @@ class QuasiLattice:
     x: np.ndarray
     xi: np.ndarray
 
-    @property
-    def flat_indices(self) -> np.ndarray:
-        return self.x * self.group.order + self.xi
-
 
 @lru_cache(maxsize=16)
 def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
-    """Canonical quasi-lattice D1 x D2, column 0 of
-    :func:`fingabor.group.phase_tiles`; its tiles partition phase space."""
+    """Canonical quasi-lattice D1 x D2, the corner [:, :, 0, 0] of the blocks
+    of :func:`fingabor.group.phase_tiles`; its tiles partition phase space."""
     d1, d2 = coset_representatives(spec)
     return lattice_from_points(spec, np.repeat(d1, len(d2)), np.tile(d2, len(d1)))
 

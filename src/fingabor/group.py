@@ -36,9 +36,9 @@ from typing import Iterable
 import numpy as np
 
 # Full index/character tables are cached only up to this many points.
-# Above it, character_table and diff_table raise TableLimit, so every
-# transform and operator refuses such orders; convolve alone goes on,
-# through the on-demand rows of diff_rows, and single shifts need no table.
+# Above it, character_table and diff_table raise TableLimit, so fourier and
+# every operator refuse such orders; convolve (by rows of diff_rows), shifts,
+# phase_tiles, quasi_lattice, the modulation norms and convrel go on.
 _TABLE_LIMIT = 4096
 
 
@@ -142,8 +142,10 @@ def make_group(factors: Iterable[int], subgroup_divisors: Iterable[int]) -> Grou
 
 def point_index(spec: GroupSpec, point: int) -> int:
     """``point`` as a canonical index of ``spec``; GroupMismatch unless it
-    lies in 0 .. order - 1.  Every public function that takes a point
-    checks it here."""
+    lies in 0 .. order - 1, TypeError for a bool or a non-integer.  Every
+    public function that takes a point checks it here."""
+    if isinstance(point, bool):                 # operator.index reads True as 1
+        raise TypeError(f"a point must be an integer, got {point!r}")
     i = operator.index(point)
     if not 0 <= i < spec.order:
         raise GroupMismatch(f"point {i} out of range for group of order {spec.order}")
@@ -297,16 +299,14 @@ def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rows, coset, eta
 
 
-def phase_tiles(spec: GroupSpec) -> np.ndarray:
-    """(order, order) flat phase indices of the tiles z + K x K_perp: the
-    outer product of the quotient splits of G and of G^.  Row i holds the
-    tile of the i-th point of the canonical quasi-lattice D1 x D2 (D1 outer),
-    with K outer and K_perp inner, so column 0 is the lattice and row 0 the
-    tile K x K_perp.  A quotient split is a partition, so the rows partition
-    phase space; no table is built."""
+def phase_tiles(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair of the tiles z + K x K_perp, built from the quotient splits
+    of G and of G^: ``F.mat[phase_tiles(spec)]`` is the block grid (|G/K|,
+    |G^/K_perp|, |K|, |K_perp|).  Block (j1, j2) is the tile of the lattice
+    point (D1[j1], D2[j2]), K outer and K_perp inner; block (0, 0) is
+    K x K_perp and the corner [:, :, 0, 0] the lattice.  No table is built."""
     rows, cols = quotient_indices(spec)[0], quotient_indices(dual_spec(spec))[0]
-    tiles = rows[:, None, :, None] * spec.order + cols[None, :, None, :]
-    return tiles.reshape(spec.order, spec.order)
+    return rows[:, None, :, None], cols[None, :, None, :]
 
 
 def subgroup_character_table(spec: GroupSpec) -> np.ndarray:

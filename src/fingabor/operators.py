@@ -93,7 +93,7 @@ def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.
     T, D = character_table(spec), diff_table(spec)             # D[a, b] = index(a - b)
     rows, coset, eta = quotient_indices(spec)
     cols, coset_perp, eta_perp = quotient_indices(dual_spec(spec))
-    tiles = sigma.values[phase_tiles(spec)].reshape(len(rows), len(cols), -1, cols.shape[1])
+    tiles = sigma.mat[phase_tiles(spec)]                       # [D1, D2, K, K_perp]
     TK, TKperp = subgroup_character_table(spec), subgroup_character_table(dual_spec(spec))
     X = np.conj(TK) @ tiles @ TKperp.T                        # [D1, D2, eta, eta_perp]
     x, xi = lattice.x, lattice.xi

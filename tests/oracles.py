@@ -33,8 +33,10 @@ steps (:func:`subgroup_points`), its annihilator by evaluating characters
 (:func:`annihilator`), their cosets one residue sum at a time
 (:func:`coset_sums`), their representatives and K coordinates by residue
 remainders (:func:`representative`, :func:`subgroup_coordinate`), and the
-tile K x K_perp that ``phase_tiles(spec)[0]`` is held to by residue steps
-(:func:`tile_indices`).
+tile K x K_perp that block (0, 0) of ``phase_tiles(spec)`` is held to by
+residue steps (:func:`tile_indices`).  :func:`phase_blocks` and
+:func:`lattice_phase_points` read the tile blocks and a lattice as
+phase-space indices, one residue sum per point (:func:`phase_point`).
 """
 import math
 
@@ -313,6 +315,18 @@ def phase_point(spec, a, b):
     return index_of(phase_spec(spec), residues(spec, a) + residues(spec, b))
 
 
+def phase_blocks(spec):
+    """The (|G/K|, |G^/K_perp|, |K|, |K_perp|) block grid of ``phase_tiles``
+    as phase-space indices, each entry's pair (x, xi) through :func:`phase_point`."""
+    rows, cols = np.broadcast_arrays(*phase_tiles(spec))
+    return np.vectorize(lambda x, xi: phase_point(spec, x, xi), otypes=[np.int64])(rows, cols)
+
+
+def lattice_phase_points(lattice):
+    """Phase-space index of each lattice point, in lattice order, through :func:`phase_point`."""
+    return [phase_point(lattice.group, x, xi) for x, xi in zip(lattice.x, lattice.xi)]
+
+
 def phase_space_rihaczek_covariance(f, g, x, xi, y, eta):
     """Both sides (lhs, rhs) of the Rihaczek covariance rule, the right one
     as a translation and a modulation on the phase-space group; the
@@ -434,8 +448,8 @@ def gaussian_circ(spec: GroupSpec) -> Signal:
 
 def quotient_coefficients(f: Signal, g: Signal) -> np.ndarray:
     """Per-coset maxima of |V_g f| over the tile around each point of the
-    canonical lattice, one row of ``phase_tiles`` each."""
-    return np.abs(stft(f, g).values)[phase_tiles(f.group)].max(axis=1)
+    canonical lattice, one block of ``phase_tiles`` each, in lattice order."""
+    return np.abs(stft(f, g).mat)[phase_tiles(f.group)].max(axis=(2, 3)).reshape(-1)
 
 
 def annihilator(spec: GroupSpec) -> list[int]:

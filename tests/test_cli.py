@@ -177,9 +177,11 @@ def test_run_identities_subset(tmp_path, capsys):
     (64, {}, ["stft-of-rihaczek"]),
     (64, {"identities": ["stft-of-rihaczek"]}, ["stft-of-rihaczek"]),
     (16, {}, []),
-], ids=["z64", "z64-capped-subset", "z16"])
+    (1, {}, []),
+], ids=["z64", "z64-capped-subset", "z16", "z1"])
 def test_run_prints_each_skipped_identity(tmp_path, capsys, order, extra, skipped):
-    # a check above its order cap is named next to the failure lines
+    # a check above its order cap is named next to the failure lines; on Z_1
+    # the tile K x K_perp is all of phase space and every check still passes
     group = {"factors": [order], "subgroup_divisors": [order // 8 or 1]}
     cfg = write_config(tmp_path, group=group, trials=1, **extra)
     assert main(["run", str(cfg)]) == 0

@@ -32,8 +32,8 @@ from fingabor.operators import gabor_matrix, gabor_matrix_closed_form
 from fingabor.norms import Weight
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.tfa import stft, window_constant
-from oracles import (one_signal_expansion_residual, quotient_coefficients, subgroup_points,
-                     tile_indices)
+from oracles import (lattice_phase_points, one_signal_expansion_residual, phase_blocks,
+                     quotient_coefficients, subgroup_points, tile_indices)
 
 
 def rand_signal(spec, rng):
@@ -70,22 +70,23 @@ def test_quasi_lattice_partitions_phase_space(spec):
     grid = residue_grid(pspec)
     mods = np.array(pspec.factors)
     seen = np.zeros(pspec.order, dtype=int)
-    np.testing.assert_array_equal(phase_tiles(spec)[0], tile_indices(spec))
-    for pt in lat.flat_indices:
+    np.testing.assert_array_equal(phase_blocks(spec)[0, 0].reshape(-1), tile_indices(spec))
+    for pt in lattice_phase_points(lat):
         for off in tile_indices(spec):
             res = tuple(int(v) for v in (grid[pt] + grid[off]) % mods)
             seen[int(np.ravel_multi_index(res, pspec.factors))] += 1
     assert np.all(seen == 1)
 
 
-def test_flat_indices_match_points():
-    # D1 outer, D2 inner
+def test_lattice_points_are_the_tile_corners():
+    # D1 outer, D2 inner, as the corner [:, :, 0, 0] of the tile blocks
     spec = make_group([6], [2])
     lat = quasi_lattice(spec)
     d1, d2 = coset_representatives(spec)
     points = [(x, xi) for x in d1 for xi in d2]
     assert list(zip(lat.x, lat.xi)) == points
-    assert lat.flat_indices.tolist() == [x * 6 + xi for x, xi in points]
+    rows, cols = (a[:, :, 0, 0].reshape(-1) for a in np.broadcast_arrays(*phase_tiles(spec)))
+    assert list(zip(rows, cols)) == points
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +526,7 @@ def test_quotient_coefficients_brute_force(spec):
     grid = residue_grid(pspec)
     mods = np.array(pspec.factors)
     V = np.abs(stft(f, g).values)
-    for i, pt in enumerate(lat.flat_indices):
+    for i, pt in enumerate(lattice_phase_points(lat)):
         best = 0.0
         for off in tile_indices(spec):
             res = tuple(int(v) for v in (grid[pt] + grid[off]) % mods)

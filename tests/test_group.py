@@ -43,8 +43,9 @@ from fingabor.operators import (gabor_matrix, gabor_matrix_closed_form, kn_apply
 from fingabor.signal import (PhaseFunction, convolve, convolve_phase, fourier, inner,
                              inverse_fourier, subgroup_indicator)
 from fingabor.tfa import rihaczek, stft
-from oracles import (add, annihilator, character, constant, index_of, neg, neg_index,
-                     phase_point, residues, sub, tile_indices, translation_perm)
+from oracles import (add, annihilator, character, constant, index_of, lattice_phase_points, neg,
+                     neg_index, phase_blocks, phase_point, residues, sub, tile_indices,
+                     translation_perm)
 
 
 def brute_character(spec, xi_res, x_res):
@@ -348,33 +349,37 @@ def test_diff_table_brute_force():
 @pytest.mark.parametrize("spec", [make_group([6, 2], [3, 2]), GroupSpec((12,), (3,), 0.25),
                                   make_group([4, 8], [2, 4]), make_group([8], [1])])
 def test_phase_tiles_match_residue_grid(spec):
-    # row i is the i-th canonical lattice point plus the tile offsets, summed
-    # residue by residue on the phase space
+    # block (j1, j2) is the lattice point (D1[j1], D2[j2]) plus the tile
+    # offsets, summed residue by residue on the phase space
     pspec = phase_spec(spec)
     grid = residue_grid(pspec)
-    tiles, tile, points = phase_tiles(spec), tile_indices(spec), quasi_lattice(spec).flat_indices
-    np.testing.assert_array_equal(tiles[0], tile)
-    np.testing.assert_array_equal(tiles[:, 0], points)
+    blocks, tile = phase_blocks(spec), tile_indices(spec)
+    points = lattice_phase_points(quasi_lattice(spec))
+    assert blocks.shape == (spec.annihilator_order, spec.subgroup_order,
+                            spec.subgroup_order, spec.annihilator_order)
+    np.testing.assert_array_equal(blocks[0, 0].reshape(-1), tile)
+    np.testing.assert_array_equal(blocks[:, :, 0, 0].reshape(-1), points)
     offs = grid[tile]
     want = [[np.ravel_multi_index(tuple((grid[p] + o) % pspec.factors), pspec.factors)
              for o in offs] for p in points]
-    np.testing.assert_array_equal(tiles, want)
+    np.testing.assert_array_equal(blocks.reshape(spec.order, spec.order), want)
 
 
 def test_tiles_and_lattice_need_no_table(monkeypatch):
     # the tiles and the canonical lattice are quotient splits, so they are
-    # built above the table limit too
+    # built above the table limit too, and the tiles hold 2 * order indices
     def refuse(spec):
         raise AssertionError("difference table built")
     monkeypatch.setattr("fingabor.group.diff_table", refuse)
     big = make_group([65, 64], [5, 8])
     assert big.order == 4160 > 4096
     lat = quasi_lattice(big)
-    assert len(lat.x) == big.order and len(np.unique(lat.flat_indices)) == big.order
+    assert len(lat.x) == big.order and len(set(zip(lat.x.tolist(), lat.xi.tolist()))) == big.order
+    assert sum(a.size for a in phase_tiles(big)) == 2 * big.order
     spec = make_group([16], [4])
-    tiles = phase_tiles(spec)
-    np.testing.assert_array_equal(tiles[0], tile_indices(spec))
-    np.testing.assert_array_equal(np.sort(tiles.reshape(-1)), np.arange(spec.order ** 2))
+    blocks = phase_blocks(spec)
+    np.testing.assert_array_equal(blocks[0, 0].reshape(-1), tile_indices(spec))
+    np.testing.assert_array_equal(np.sort(blocks.reshape(-1)), np.arange(spec.order ** 2))
 
 
 def test_index_work_stays_in_group():
@@ -385,20 +390,24 @@ def test_index_work_stays_in_group():
     assert paths
     # a lattice is its index arrays; the closed form needs no distinct-index arrays
     assert [f.name for f in fields(QuasiLattice)] == ["group", "x", "xi"]
+    assert not hasattr(QuasiLattice, "flat_indices")
     for path in paths:
         tree = ast.parse(path.read_text())
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                     for a in n.names}
         # the residue-grid shift is a test oracle; the library shifts through
-        # shift_index, negates through row 0 of diff_table, reads the tiles as
-        # rows of phase_tiles and masks the tile K x K_perp as the outer product
-        # of the indicators of K and K_perp: no name starting tile_, such as
-        # the tile_indices oracle or a second tile builder, appears in src.
-        # The closed form transforms whole tiles, so no coset_points remains
+        # shift_index, negates through row 0 of diff_table and reads the tiles,
+        # the tile K x K_perp among them, as blocks of phase_tiles: no name
+        # starting tile_, such as the tile_indices oracle or a second tile
+        # builder, appears in src. The closed form transforms whole tiles, so
+        # no coset_points remains
         for oracle in ("translation_perm", "neg_index", "coset_points"):
             assert oracle not in path.read_text(), (path.name, oracle)
         assert not re.search(r"\btile_", path.read_text()), path.name
+        # no module builds or decodes flat phase indices: the tiles are blocks
+        # of index pairs, and a lattice keeps no flat indices
+        assert "divmod" not in path.read_text(), path.name
         if path.name == "group.py":
             # K's product form is read by the spec, the quotient split and K's own
             # character table; every other index map is built from those

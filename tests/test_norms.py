@@ -46,8 +46,8 @@ from fingabor.norms import (
 from fingabor.signal import PhaseFunction, Signal, norm_l2, subgroup_indicator
 from fingabor.spectral import decay_profiles, haar_baseline
 from fingabor.tfa import stft
-from oracles import (dense_amalgam, gather_maximum, mixed_quasi_norm, plain_norm_pointwise_trial,
-                     tile_indices, young_verify)
+from oracles import (dense_amalgam, gather_maximum, mixed_quasi_norm, phase_blocks,
+                     plain_norm_pointwise_trial, tile_indices, young_verify)
 
 GRID = [0.5, 1.0, 2.0, math.inf]
 
@@ -175,7 +175,9 @@ def test_canonical_window_is_subgroup_tile():
     kk = subgroup_indices(spec)
     aa = annihilator_indices(spec)
     expected = sorted(int(k) * 6 + int(a) for k in kk for a in aa)
-    tile = phase_tiles(spec)[0]
+    rows, cols = phase_tiles(spec)
+    assert np.array_equal(rows[0, 0, :, 0], kk) and np.array_equal(cols[0, 0, 0, :], aa)
+    tile = phase_blocks(spec)[0, 0].reshape(-1)
     assert np.array_equal(tile, tile_indices(spec))
     assert sorted(tile.tolist()) == expected
     assert len(tile) == spec.order  # |K| |K_perp| = |G|

@@ -247,7 +247,7 @@ def test_closed_form_diagonal_holds_the_tile_sums(spec):
     sigma = rand_symbol(spec, rng)
     diagonal = np.diag(gabor_matrix_closed_form(sigma, quasi_lattice(spec)))
     c = spec.mass ** 2 * spec.mass_dual * spec.subgroup_order
-    want = c * sigma.values[phase_tiles(spec)].sum(axis=1)
+    want = c * sigma.mat[phase_tiles(spec)].sum(axis=(2, 3)).reshape(-1)
     assert np.max(np.abs(diagonal - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -152,7 +152,7 @@ def test_tf_shift_is_modulate_translate():
     np.testing.assert_array_equal(out.values, ref.values)
 
 
-@pytest.mark.parametrize("point", [-1, 8])
+@pytest.mark.parametrize("point", [-1, 8, True])
 @pytest.mark.parametrize("shift", [
     pytest.param(translate, id="translate"),
     pytest.param(modulate, id="modulate"),
@@ -165,9 +165,10 @@ def test_tf_shift_is_modulate_translate():
 ])
 def test_points_outside_the_group_are_refused(shift, point):
     # neither numpy's negative indexing nor a bare IndexError: every point
-    # argument is checked against the order
+    # argument is checked against the order; a bool is no point, as
+    # operator.index alone would read True as 1
     f = constant(make_group([8], [2]))
-    with pytest.raises(GroupMismatch):
+    with pytest.raises(TypeError if isinstance(point, bool) else GroupMismatch):
         shift(f, point)
 
 
