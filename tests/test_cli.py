@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import json
 import math
@@ -44,6 +45,37 @@ def test_list_identities(capsys):
     assert any("stft-of-rihaczek" in ln for ln in lines)
     assert any("localization-as-quantization" in ln for ln in lines)
     assert any("coset-representative-independence" in ln and "exact" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("argv", [[], ["runn", "x.json"], ["run"], ["run", "a", "b"]],
+                         ids=["no-command", "unknown-command", "no-config", "extra-argument"])
+def test_usage_error_exits_1_with_argparse_usage(capsys, argv):
+    assert main(argv) == 1           # 2 means "a check exceeded its tolerance"
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fingabor")
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fingabor")
+
+
+@pytest.mark.parametrize("command", ["list-identities", "run"])
+def test_main_freezes_the_collector_on_return(tmp_path, capsys, command):
+    argv = [command]
+    if command == "run":
+        argv.append(str(write_config(tmp_path, experiment="young", trials=2,
+                                     group={"factors": [6, 2], "subgroup_divisors": [3, 2]})))
+    enabled = gc.isenabled()
+    gc.unfreeze()                    # what earlier in-process calls of main froze
+    try:
+        assert gc.get_freeze_count() == 0
+        assert main(argv) == 0
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled() == enabled
+    finally:
+        gc.unfreeze()
 
 
 # ---------------------------------------------------------------------------
