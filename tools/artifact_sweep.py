@@ -18,6 +18,7 @@ code 2) still writes its artifacts; it is printed as one ``check failed:
 the standard library and fingabor.
 """
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -62,6 +63,7 @@ def run_sweep(outdir: str) -> tuple[list[str], list[str]]:
                                              "subgroup_divisors": divisors}}, fh)
                     with contextlib.redirect_stdout(io.StringIO()):
                         code = main(["run", config])
+                    gc.unfreeze()                   # main froze what was alive at its return
                     if code == 2:                   # a check exceeded its tolerance
                         failed.append(run_dir)
                     elif code != 0:
