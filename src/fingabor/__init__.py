@@ -71,7 +71,6 @@ from .norms import (
     rihaczek_continuity_probe,
 )
 from .gabor import (
-    DualWindowMismatch,
     GaborSystem,
     NotAFrame,
     QuasiLattice,

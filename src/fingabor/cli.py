@@ -30,6 +30,7 @@ import numpy as np
 
 from .experiments import (
     IDENTITY_REGISTRY,
+    check_decay_options,
     check_identity_names,
     check_trials,
     run_convrel,
@@ -55,16 +56,6 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _is_finite_number(value) -> bool:
-    """JSON number that is not a bool, Infinity, NaN or beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _ask(check: Callable, *args):
     """``check(*args)``, a library rule; its refusal becomes a ConfigError
     with the library's message."""
@@ -81,17 +72,11 @@ def _identity_extras(cfg: dict) -> dict:
 
 def _decay_extras(cfg: dict) -> dict:
     gammas = cfg.get("gammas", [0.5, 1.0, 2.0])
-    _expect(isinstance(gammas, list) and gammas, "'gammas' must be a non-empty list")
-    for g in gammas:
-        _expect(_is_finite_number(g) and g > 0,
-                "'gammas' entries must be finite positive numbers")
-    top_k = cfg.get("top_k", 3)
-    _expect(isinstance(top_k, int) and not isinstance(top_k, bool) and top_k >= 1,
-            "'top_k' must be a positive integer")
     controls = cfg.get("control_seeds", list(range(10)))
+    _expect(isinstance(gammas, list), "'gammas' must be a list")
     _expect(isinstance(controls, list), "'control_seeds' must be a list")
-    return {"gammas": [float(g) for g in gammas], "top_k": top_k,
-            "control_seeds": [_ask(check_seed, c) for c in controls]}
+    gammas, top_k, controls = _ask(check_decay_options, gammas, cfg.get("top_k", 3), controls)
+    return {"gammas": gammas, "top_k": top_k, "control_seeds": controls}
 
 
 class _Experiment(NamedTuple):
@@ -133,8 +118,8 @@ _EXPERIMENTS = {
 
 def validate_config(cfg) -> dict:
     """Check shape, types, and key names; returns a normalized config.  The
-    group, seed, trial-count and identity-name rules are the library's own
-    checks."""
+    group, seed, trial-count, identity-name and decay-option rules are the
+    library's own checks."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
     _expect("experiment" in cfg, "missing required key 'experiment'")
     exp = cfg["experiment"]

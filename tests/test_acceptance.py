@@ -246,6 +246,8 @@ def test_representative_choice_never_matters():
     ("frames", {"trials": 10}),
     ("decay", {"trials": 25, "group": {"factors": [8], "subgroup_divisors": [2]},
                "top_k": 1, "control_seeds": [0, 1]}),
+    ("convrel", {"trials": 10}),
+    ("locop", {"trials": 5}),
 ])
 def test_artifacts_are_reproducible(tmp_path, capsys, experiment, extra):
     outputs = []

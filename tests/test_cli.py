@@ -10,8 +10,8 @@ import pytest
 
 from fingabor import experiments
 from fingabor.cli import ConfigError, main, validate_config
-from fingabor.experiments import (check_identity_names, random_signal, run_convrel,
-                                  run_identities, run_locop, run_norms, run_young)
+from fingabor.experiments import (check_decay_options, check_identity_names, random_signal,
+                                  run_convrel, run_identities, run_locop, run_norms, run_young)
 from fingabor.group import make_group
 from fingabor.operators import localization_matrix
 from fingabor.signal import PhaseFunction, Signal, convolve_phase
@@ -143,7 +143,9 @@ _DECAY = {"experiment": "decay", "group": {"factors": [4], "subgroup_divisors": 
     (lambda: check_seed(True), {**_DECAY, "control_seeds": [0, True]}),
     (lambda: check_identity_names(["no-such-identity"]),
      {**_DECAY, "experiment": "identities", "identities": ["no-such-identity"]}),
-], ids=["group", "seed", "control-seed", "identity"])
+    (lambda: check_decay_options([0.5, 0.0], 3, []), {**_DECAY, "gammas": [0.5, 0.0]}),
+    (lambda: check_decay_options([0.5], 0, []), {**_DECAY, "top_k": 0}),
+], ids=["group", "seed", "control-seed", "identity", "gamma", "top-k"])
 def test_validate_refusals_carry_the_library_message(refuse, cfg):
     # one owner per rule: the config error is the library's own refusal
     with pytest.raises(ValueError) as lib:

@@ -3,12 +3,14 @@ run_identities is the one fold of the identity registry."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fingabor import experiments
 from fingabor.cli import _jsonable, main
 from fingabor.experiments import (
     IdentityCheck,
+    check_decay_options,
     run_convrel,
     run_decay,
     run_frames,
@@ -98,8 +100,40 @@ def test_an_empty_or_unknown_identity_subset_is_refused(monkeypatch, names):
 
 def test_the_inclusion_and_the_trial_fold_have_one_judge():
     import fingabor
-    from fingabor import norms
+    from fingabor import gabor, norms
 
     assert not hasattr(experiments, "_worst")
     assert not hasattr(norms, "inclusion_check") and not hasattr(norms, "INCLUSION_SLACK")
     assert not hasattr(fingabor, "inclusion_check")
+    # the frames experiment is the one judge of a dual window
+    assert not hasattr(gabor, "DualWindowMismatch") and not hasattr(gabor, "DUAL_SLACK")
+    assert not hasattr(fingabor, "DualWindowMismatch")
+
+
+# each is refused before any matrix or baseline is built: the options by
+# check_decay_options, the run's seed by check_seed
+DECAY_REFUSALS = {
+    "top-k-fraction": {"top_k": 2.5},
+    "top-k-bool": {"top_k": True},
+    "no-gammas": {"gammas": []},
+    "gamma-infinity": {"gammas": [math.inf]},
+    "gamma-beyond-float": {"gammas": [10 ** 400]},
+    "late-control-seed": {"control_seeds": (0, 1, 2, 3, 4, 5, 6, 7, 8, -1)},
+    "run-seed": {"seed": 2**64},
+}
+
+
+@pytest.mark.parametrize("options", DECAY_REFUSALS.values(), ids=DECAY_REFUSALS.keys())
+def test_decay_options_are_refused_before_any_work(monkeypatch, options):
+    def built(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "localization_matrix", built)
+    monkeypatch.setattr(experiments, "haar_baseline", built)
+    with pytest.raises(ValueError):
+        run_decay(make_group([64], [8]), **{"seed": 0, "trials": 500, **options})
+
+
+def test_decay_options_are_normalized():
+    assert check_decay_options((0.5, np.float64(2), 1), np.int64(2), range(3)) == (
+        [0.5, 2.0, 1.0], 2, [0, 1, 2])

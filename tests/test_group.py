@@ -159,7 +159,7 @@ COMBINERS = {
     "localization_matrix": lambda a, b: localization_matrix(a.sigma, a.f, b.f),
     "analysis": lambda a, b: analysis(a.f, a.lat, b.f),
     "synthesis": lambda a, b: synthesis(b.f, a.lat, np.ones(len(a.lat.x))),
-    "frame_operator": lambda a, b: frame_operator(b.f, a.f, a.lat),
+    "frame_operator": lambda a, b: frame_operator(b.f, a.lat),
     "expansion_residuals": lambda a, b: next(_expansion_residuals([b.f], a.f, a.f, a.lat)),
     "discrete_modnorm": lambda a, b: discrete_modnorm(a.f, b.f, (2, 2)),
 }
