@@ -87,7 +87,7 @@ from .signal import (
     tf_shift_rows,
     translate,
 )
-from .spectral import check_seed, decay_comparison, haar_baseline
+from .spectral import check_seed, check_top_k, decay_comparison, haar_baseline
 from .tfa import rihaczek, stft, window_constant
 
 __all__ = [
@@ -121,15 +121,20 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _complex_draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Two standard normal draws of ``size``, the real and the imaginary parts."""
+    vals = np.empty(size, dtype=np.complex128)
+    vals.real = rng.standard_normal(size)
+    vals.imag = rng.standard_normal(size)
+    return vals
+
+
 def random_signal(spec: GroupSpec, rng: np.random.Generator) -> Signal:
-    vals = rng.standard_normal(spec.order) + 1j * rng.standard_normal(spec.order)
-    return Signal(spec, vals)
+    return Signal(spec, _complex_draw(rng, spec.order))
 
 
 def random_phase_function(spec: GroupSpec, rng: np.random.Generator) -> PhaseFunction:
-    n = spec.order
-    vals = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-    return PhaseFunction(spec, vals)
+    return PhaseFunction(spec, _complex_draw(rng, spec.order ** 2))
 
 
 def _random_point(spec: GroupSpec, rng: np.random.Generator) -> int:
@@ -940,11 +945,10 @@ def check_decay_options(
 ) -> tuple[list[float], int, list[int]]:
     """The options of :func:`run_decay` as ``(gammas, top_k, control_seeds)``
     of floats, an int and ints, if ``gammas`` is a non-empty list of finite
-    positive numbers, ``top_k`` an integer of at least 1 and each control
-    seed a seed of :func:`fingabor.spectral.check_seed`; numpy numbers pass.
-    An empty list profiles nothing, an infinite gamma or one beyond the float
-    range has no norm, and a bool or 2.5 counts no eigenvectors, so each
-    raises ValueError."""
+    positive numbers, ``top_k`` passes :func:`fingabor.spectral.check_top_k`
+    and each control seed :func:`fingabor.spectral.check_seed`; numpy numbers
+    pass.  An empty list profiles nothing and an infinite gamma or one beyond
+    the float range has no norm, so each raises ValueError."""
     gammas = list(gammas)
     if not gammas:
         raise ValueError("gammas must be a non-empty list of exponents")
@@ -955,9 +959,8 @@ def check_decay_options(
             ok = False
         if not ok:
             raise ValueError(f"gammas must be finite positive numbers, got {g!r:.40}")
-    if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral) or top_k < 1:
-        raise ValueError(f"top_k must be an integer of at least one, got {top_k!r}")
-    return [float(g) for g in gammas], int(top_k), [check_seed(s) for s in control_seeds]
+    return ([float(g) for g in gammas], check_top_k(top_k),
+            [check_seed(s) for s in control_seeds])
 
 
 def run_decay(

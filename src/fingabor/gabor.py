@@ -16,7 +16,6 @@ construction; this module does no residue arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .group import (
     GroupMismatch,
     GroupSpec,
+    cached,
     common_group,
     coset_representatives,
     point_index,
@@ -47,7 +47,7 @@ class QuasiLattice:
     xi: np.ndarray
 
 
-@lru_cache(maxsize=16)
+@cached(lambda spec: spec)
 def quasi_lattice(spec: GroupSpec) -> QuasiLattice:
     """Canonical quasi-lattice D1 x D2, the corner [:, :, 0, 0] of the blocks
     of :func:`fingabor.group.phase_tiles`; its tiles partition phase space."""

@@ -26,9 +26,12 @@ all pairings on it agree with the plain mass-weighted sums.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import operator
-from dataclasses import dataclass, field
+import threading
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache, wraps
 from math import inf, prod
 from typing import Iterable
@@ -40,6 +43,14 @@ import numpy as np
 # every operator refuse such orders; convolve (by rows of diff_rows), shifts,
 # phase_tiles, quasi_lattice, the modulation norms and convrel go on.
 _TABLE_LIMIT = 4096
+
+# Every cached array of the package is kept under this many bytes in all,
+# least recently used first out.  It holds one order-4096 group's character
+# table (16 * 4096**2 bytes = 256 MiB), difference table (4 * 4096**2 =
+# 64 MiB) and canonical lattice plan (at most 24 * 4096**2 = 384 MiB), 704 MiB
+# together, where entry counts alone let 8 character tables and 8 difference
+# tables of that order take 2.5 GiB.
+_CACHE_BYTES = 2**30
 
 
 class GroupError(ValueError):
@@ -164,23 +175,96 @@ def common_group(*items) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# characters
+# the byte-bounded cache
 
 
-def _per_factors(maxsize: int):
-    """lru_cache keyed on ``spec.factors`` alone, for a table that reads only
-    the factors: every spec with them (the dual, the trivial-subgroup spec,
-    any mass) gets one array, built for GroupSpec(factors, factors), and
-    ``cache_info``/``cache_clear`` count one miss per build."""
+CacheInfo = namedtuple("CacheInfo", "misses currsize nbytes")
+
+_stores: list[dict] = []            # one per cached function: key -> [value, nbytes, last use]
+_use = itertools.count()
+_admitting = threading.Lock()
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays a cached value holds: itself, its items or its fields."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(map(_nbytes, value))
+    if is_dataclass(value):
+        return sum(_nbytes(getattr(value, f.name)) for f in fields(value))
+    return 0
+
+
+def _admit(store: dict, key, value) -> None:
+    """Keep ``value`` in ``store`` after dropping the least recently used
+    entries of all stores until the cached bytes fit ``_CACHE_BYTES``; a
+    value above the budget on its own is not kept."""
+    size = _nbytes(value)
+    if size > _CACHE_BYTES:
+        return
+    with _admitting:
+        held = sum(e[1] for s in _stores for e in s.values())
+        while held + size > _CACHE_BYTES:
+            s, k = min(((s, k) for s in _stores for k in s), key=lambda sk: sk[0][sk[1]][2])
+            held -= s.pop(k)[1]
+        store[key] = [value, size, next(_use)]
+
+
+def cached(key):
+    """Decorator: keep a function's results, which must not be written to,
+    in the one byte-bounded cache of the package, under ``key(*args)``.
+
+    A hit is one dict lookup.  The function gains ``peek(*args)``, the cached
+    value or None with nothing built, and ``cache_info()``/``cache_clear()``,
+    which count one miss per build."""
     def decorate(build):
-        cached = lru_cache(maxsize=maxsize)(lambda factors: build(GroupSpec(factors, factors)))
-        table = wraps(build)(lambda spec: cached(spec.factors))
-        table.cache_info, table.cache_clear = cached.cache_info, cached.cache_clear
-        return table
+        store: dict = {}
+        _stores.append(store)
+        misses = 0
+
+        @wraps(build)
+        def lookup(*args):
+            k = key(*args)
+            entry = store.get(k)
+            if entry is not None:
+                entry[2] = next(_use)
+                return entry[0]
+            nonlocal misses
+            misses += 1
+            value = build(*args)
+            _admit(store, k, value)
+            return value
+
+        def peek(*args):
+            entry = store.get(key(*args))
+            return None if entry is None else entry[0]
+
+        def cache_info() -> CacheInfo:
+            return CacheInfo(misses, len(store), sum(e[1] for e in store.values()))
+
+        def cache_clear() -> None:
+            nonlocal misses
+            with _admitting:
+                store.clear()
+            misses = 0
+
+        lookup.peek, lookup.cache_info, lookup.cache_clear = peek, cache_info, cache_clear
+        return lookup
     return decorate
 
 
-@_per_factors(maxsize=32)
+def _factors(spec: GroupSpec) -> tuple[int, ...]:
+    """Key of a table that reads only the factors: every spec with them (the
+    dual, the trivial-subgroup spec, any mass) gets one array."""
+    return spec.factors
+
+
+# ---------------------------------------------------------------------------
+# characters
+
+
+@cached(_factors)
 def residue_grid(spec: GroupSpec) -> np.ndarray:
     """(order, k) int64 array of residue tuples in canonical order."""
     idx = np.arange(spec.order)
@@ -201,11 +285,14 @@ def _characters(spec: GroupSpec, xi, x) -> np.ndarray:
 
 
 def character_row(spec: GroupSpec, xi_index: int) -> np.ndarray:
-    """<xi, x> for a fixed xi over all x in canonical order."""
-    return _characters(spec, point_index(spec, xi_index), np.s_[:])
+    """<xi, x> for a fixed xi over all x in canonical order: the row of the
+    character table if it is cached, else the character formula; no table is
+    built."""
+    xi, T = point_index(spec, xi_index), character_table.peek(spec)
+    return _characters(spec, xi, np.s_[:]) if T is None else T[xi]
 
 
-@_per_factors(maxsize=8)
+@cached(_factors)
 def character_table(spec: GroupSpec) -> np.ndarray:
     """Full character table T[xi, x] = <xi, x>; only for small groups."""
     n = spec.order
@@ -230,12 +317,14 @@ def _difference(spec: GroupSpec, a, b) -> np.ndarray:
 
 
 def shift_index(spec: GroupSpec, x: int) -> np.ndarray:
-    """perm[y] = index(y - x) for all y, so that f.values[perm] is T_x f;
-    no table is built."""
-    return _difference(spec, np.s_[:], point_index(spec, x))
+    """int64 perm[y] = index(y - x) for all y, so that f.values[perm] is T_x f:
+    the column of the difference table if it is cached, else the difference
+    formula; no table is built."""
+    x, D = point_index(spec, x), diff_table.peek(spec)
+    return _difference(spec, np.s_[:], x) if D is None else D[:, x].astype(np.int64)
 
 
-@_per_factors(maxsize=8)
+@cached(_factors)
 def diff_table(spec: GroupSpec) -> np.ndarray:
     """table[a, b] = index(a - b), so row 0 is index(-b); cached for groups up
     to the table limit."""
@@ -277,7 +366,7 @@ def annihilator_indices(spec: GroupSpec) -> np.ndarray:
     return subgroup_indices(dual_spec(spec))
 
 
-@lru_cache(maxsize=32)
+@cached(lambda spec: spec)
 def quotient_indices(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps of the split x = j + d c per factor, j < d, c in Z_{N/d}.
 
@@ -309,6 +398,7 @@ def phase_tiles(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, None, :, None], cols[None, :, None, :]
 
 
+@cached(lambda spec: spec)
 def subgroup_character_table(spec: GroupSpec) -> np.ndarray:
     """Character table of K = Z_{N1/d1} x ... in its own coordinates c, the
     inner axis of :func:`quotient_indices`'s ``rows`` and the index ``eta``."""
@@ -324,6 +414,42 @@ def coset_representatives(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     :func:`quotient_indices` for the group and for its dual.
     """
     return quotient_indices(spec)[0][:, 0], quotient_indices(dual_spec(spec))[0][:, 0]
+
+
+@cached(lambda lattice: lattice)
+def lattice_plan(lattice) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """What the canonical-window Gabor matrix of ``lattice`` reads besides the
+    symbol, built once per lattice (whose index arrays must not be written to).
+
+    For row point (w, mu) and column point (u, nu), a and b the
+    representatives of w + K and nu + K_perp, it returns ``(tiles, flat,
+    phase)``: ``tiles`` is the index pair of the tiles (a + K) x (b + K_perp)
+    for the cosets a of the points' x and b of their xi, so that
+    ``F.mat[tiles]`` is their block grid (a, b, K, K_perp) in the order of
+    :func:`phase_tiles`; ``flat[i, j]`` is the flat index, into that grid's
+    shape, of the tile (a, b) of the pair at the coordinates eta(mu - nu) and
+    eta_perp(w - u) of :func:`quotient_indices`; and ``phase[i, j]`` is
+    conj(<mu - nu, a>) * <b - nu, w - u>.
+    """
+    spec = lattice.group
+    T, D = character_table(spec), diff_table(spec)             # D[a, b] = index(a - b)
+    rows, coset, eta = quotient_indices(spec)
+    cols, coset_perp, eta_perp = quotient_indices(dual_spec(spec))
+    x, xi = lattice.x, lattice.xi
+    # the cosets the lattice names, and each point's place among them; not by
+    # np.unique, whose sort code alone adds 0.4 MB of resident pages to a run
+    named1 = np.flatnonzero(np.bincount(coset[x], minlength=rows.shape[0]))
+    named2 = np.flatnonzero(np.bincount(coset_perp[xi], minlength=cols.shape[0]))
+    at1, at2 = np.searchsorted(named1, coset[x]), np.searchsorted(named2, coset_perp[xi])
+    j1, j2 = coset[x][:, None], coset_perp[xi][None, :]         # tile (a, b) of each pair
+    dx, dxi = D[x[:, None], x], D[xi[:, None], xi]              # index(w - u), index(mu - nu)
+    flat = np.ravel_multi_index((at1[:, None], at2[None, :], eta[dxi], eta_perp[dx]),
+                                (len(named1), len(named2), rows.shape[1], cols.shape[1]))
+    phase = np.conj(T[dxi, rows[j1, 0]]) * T[D[cols[j2, 0], xi], dx]
+    tiles = rows[named1][:, None, :, None], cols[named2][None, :, None, :]
+    for a in (*tiles, flat, phase):
+        a.setflags(write=False)
+    return tiles, flat, phase
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .gabor import QuasiLattice
-from .group import (character_table, common_group, diff_table, dual_spec, phase_tiles,
-                    quotient_indices, subgroup_character_table)
+from .group import (character_table, common_group, diff_table, dual_spec, lattice_plan,
+                    subgroup_character_table)
 from .signal import PhaseFunction, Signal, convolve_phase, fourier, tf_shift_rows
 from .tfa import rihaczek, stft
 
@@ -52,8 +52,11 @@ def kn_kernel(sigma: PhaseFunction) -> np.ndarray:
     spec = sigma.group
     T = character_table(spec)
     B = sigma.mat @ np.conj(T)                       # B[x, t] = sum_xi sigma conj<xi, t>
-    idx = diff_table(spec).T                         # idx[x, u] = index(u - x)
-    return np.take_along_axis(B, idx, axis=1) * spec.mass_dual
+    n = spec.order
+    # [u, x] = B[x, index(u - x)], transposed: the kernel stays F-ordered, as
+    # the pairing conj(g) @ k @ f takes its BLAS path by the memory order
+    k = np.take(B, diff_table(spec) + n * np.arange(n)).T
+    return k * spec.mass_dual
 
 
 def kn_matrix(sigma: PhaseFunction) -> np.ndarray:
@@ -75,8 +78,9 @@ def gabor_matrix(sigma: PhaseFunction, g: Signal, lattice: QuasiLattice) -> np.n
 def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.ndarray:
     """Gabor matrix of the quantization for the canonical window phi, on any lattice.
 
-    X is the symbol on each tile (a + K) x (b + K_perp) of :func:`phase_tiles`,
-    transformed by the character tables T_K and T_Kperp of K and K_perp:
+    X is the symbol on each tile (a + K) x (b + K_perp) whose cosets a and b
+    the lattice names, transformed by the character tables T_K and T_Kperp of
+    K and K_perp:
 
         X[tile(a, b), e, e'] = sum_{c, c'} conj(T_K[e, c]) sigma(a + d c, b + d' c') T_Kperp[e', c'].
 
@@ -88,20 +92,14 @@ def gabor_matrix_closed_form(sigma: PhaseFunction, lattice: QuasiLattice) -> np.
 
     c = <phi, phi> * mass * mass_dual = mass^2 * mass_dual * |K|.  So the
     diagonal on the canonical lattice is c times the tile sums of the symbol.
+    Everything but the symbol is the lattice's :func:`fingabor.group.lattice_plan`.
     """
     spec = common_group(lattice, sigma)
-    T, D = character_table(spec), diff_table(spec)             # D[a, b] = index(a - b)
-    rows, coset, eta = quotient_indices(spec)
-    cols, coset_perp, eta_perp = quotient_indices(dual_spec(spec))
-    tiles = sigma.mat[phase_tiles(spec)]                       # [D1, D2, K, K_perp]
+    tiles, flat, phase = lattice_plan(lattice)
     TK, TKperp = subgroup_character_table(spec), subgroup_character_table(dual_spec(spec))
-    X = np.conj(TK) @ tiles @ TKperp.T                        # [D1, D2, eta, eta_perp]
-    x, xi = lattice.x, lattice.xi
-    j1, j2 = coset[x][:, None], coset_perp[xi][None, :]         # tile (a, b) of each pair
-    dx, dxi = D[x[:, None], x], D[xi[:, None], xi]              # index(w - u), index(mu - nu)
-    phase = np.conj(T[dxi, rows[j1, 0]]) * T[D[cols[j2, 0], xi], dx]
+    X = np.conj(TK) @ sigma.mat[tiles] @ TKperp.T               # [a, b, eta, eta_perp]
     c = spec.mass ** 2 * spec.mass_dual * spec.subgroup_order
-    return c * phase * X[j1, j2, eta[dxi], eta_perp[dx]]
+    return c * phase * np.take(X, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +127,10 @@ def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> np.ndar
     """
     spec = common_group(a, psi1, psi2)
     T = character_table(spec)
-    D = diff_table(spec)                                        # D[y, y'] = index(y - y')
-    h = psi2.values[:, None] * np.conj(psi1.values[D])
-    Lp = T @ ((np.conj(T) @ (a.mat @ T)) * (np.conj(T) @ h)) / spec.order
-    L = np.take_along_axis(Lp, D, axis=1)                       # L[y, y'] = Lp[y, y - y']
+    D, n = diff_table(spec), spec.order                         # D[y, y'] = index(y - y')
+    h = psi2.values[:, None] * np.conj(np.take(psi1.values, D))
+    Lp = T @ ((np.conj(T) @ (a.mat @ T)) * (np.conj(T) @ h)) / n
+    L = np.take(Lp, D + n * np.arange(n)[:, None])              # L[y, y'] = Lp[y, y - y']
     return L * (spec.mass ** 2 * spec.mass_dual)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .group import (
     GroupMismatch,
     GroupSpec,
+    cached,
     character_row,
     character_table,
     common_group,
@@ -87,7 +88,9 @@ def indicator(spec: GroupSpec, indices: Sequence[int] | np.ndarray) -> Signal:
     return Signal(spec, vals)
 
 
+@cached(lambda spec: spec)
 def subgroup_indicator(spec: GroupSpec) -> Signal:
+    """The window 1_K, one read-only signal per spec."""
     return indicator(spec, subgroup_indices(spec))
 
 

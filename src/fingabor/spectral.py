@@ -108,6 +108,14 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def check_top_k(top_k: int) -> int:
+    """``top_k`` as an int if it is an integer of at least 1; numpy integers
+    pass.  A bool or 2.5 counts no eigenvectors, so it raises ValueError."""
+    if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral) or top_k < 1:
+        raise ValueError(f"top_k must be an integer of at least one, got {top_k!r}")
+    return int(top_k)
+
+
 def _haar_rows(spec: GroupSpec, seed: int, trials) -> np.ndarray:
     """Haar-uniform unit vectors, one row per trial t, each drawn from one
     Philox generator whose state is reset to that of a fresh (seed, t)-keyed
@@ -160,13 +168,12 @@ def decay_comparison(
     Each of the top_k eigenfunctions gets a percentile rank, in [0, 100],
     of its REF_GAMMA ratio within ``baseline``, for instance
     ``haar_baseline(spec, trials, seed)``; the report's ``trials`` is
-    ``len(baseline)``.  An empty baseline or ``top_k < 1`` ranks nothing
-    and raises ValueError.
+    ``len(baseline)``.  An empty baseline, or a ``top_k`` that
+    :func:`check_top_k` refuses, ranks nothing and raises ValueError.
     """
     if len(baseline) == 0:
         raise ValueError("decay_comparison needs a non-empty baseline")
-    if top_k < 1:
-        raise ValueError(f"decay_comparison needs top_k >= 1, got {top_k}")
+    top_k = check_top_k(top_k)
     if np.shape(A) != (spec.order, spec.order):
         raise GroupMismatch(f"expected a {spec.order} x {spec.order} matrix, got {np.shape(A)}")
     values, columns = hermitian_eigen(A)

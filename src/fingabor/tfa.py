@@ -21,7 +21,9 @@ from .signal import PhaseFunction, Signal, fourier
 def stft(f: Signal, g: Signal) -> PhaseFunction:
     """Full STFT of f against window g over every phase-space point."""
     spec = common_group(f, g)
-    win = np.conj(g.values[diff_table(spec).T])   # win[x, y] = conj(g(y - x))
+    # win[x, y] = conj(g(y - x)), F-ordered: the memory order picks the BLAS
+    # path of the product below, and so the last bits of V
+    win = np.conj(np.take(g.values, diff_table(spec))).T
     V = (win * f.values[None, :]) @ np.conj(character_table(spec)).T * spec.mass
     return PhaseFunction(spec, V.reshape(-1))
 

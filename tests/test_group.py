@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fingabor import group
 from fingabor.experiments import _expansion_residuals
 from fingabor.gabor import (QuasiLattice, analysis, discrete_modnorm, frame_operator, quasi_lattice,
                             synthesis)
@@ -28,10 +29,12 @@ from fingabor.group import (
     diff_rows,
     diff_table,
     dual_spec,
+    lattice_plan,
     make_group,
     phase_spec,
     phase_tiles,
     point_index,
+    quotient_indices,
     residue_grid,
     shift_index,
     subgroup_character_table,
@@ -491,6 +494,53 @@ def test_diff_rows_cached_and_on_demand():
     assert rows.shape == (160, big.order)
     for a, b in [(4000, 0), (4000, 4159), (4100, 77), (4159, 4159)]:
         assert rows[a - 4000, b] == sub(big, a, b)
+
+
+BYTE_CACHED = (residue_grid, character_table, diff_table, quotient_indices,
+               subgroup_character_table, lattice_plan, subgroup_indicator, quasi_lattice)
+
+
+def _cached_bytes():
+    return sum(table.cache_info().nbytes for table in BYTE_CACHED)
+
+
+def test_cached_bytes_stay_within_the_budget(monkeypatch):
+    # a character table of order n holds 16 n^2 bytes: 1024 at 8, 2304 at 12,
+    # 16384 at 32; under a 4 KiB budget the order-8 and order-12 tables fit
+    # together with their residue grids, and the order-32 table never does
+    monkeypatch.setattr(group, "_CACHE_BYTES", 4096)
+    for table in BYTE_CACHED:
+        table.cache_clear()
+    small, other = make_group([8], [2]), make_group([12], [3])
+    T_small, T_other = character_table(small), character_table(other)
+    assert _cached_bytes() <= 4096
+    assert character_table.peek(small) is T_small and character_table.peek(other) is T_other
+    assert character_table(dual_spec(small)) is T_small          # a hit makes it the most recent
+    diff_table(make_group([16], [4]))                             # 1024 bytes more
+    assert _cached_bytes() <= 4096
+    assert character_table.peek(other) is None                    # the least recently used left
+    assert character_table.peek(small) is T_small
+    misses = character_table.cache_info().misses
+    big = make_group([32], [4])
+    for _ in range(2):                                            # built and returned, not kept
+        assert character_table(big).shape == (32, 32)
+        assert character_table.peek(big) is None
+        assert _cached_bytes() <= 4096
+    assert character_table.cache_info().misses == misses + 2
+    assert character_table.peek(small) is T_small                 # nothing left for it
+
+
+def test_no_array_cache_is_bounded_by_entries_alone():
+    # every cache of src that holds an array is group's byte-bounded one; the
+    # entry-counted caches left hold derived specs
+    for path in (Path(__file__).resolve().parents[1] / "src" / "fingabor").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        counted = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                   for d in top.decorator_list if "lru_cache" in ast.unparse(d)}
+        assert counted <= {"dual_spec", "phase_spec", "trivial_subgroup_spec"}, path.name
+    assert len(group._stores) == len(BYTE_CACHED)
+    for table in BYTE_CACHED:
+        assert table.cache_info()._fields == ("misses", "currsize", "nbytes"), table.__name__
 
 
 def test_circular_distance():

@@ -10,7 +10,8 @@ from fingabor.experiments import (_CONVREL_CASES, _gabor_matrix_residual, _kn_ke
                                   _kn_weak_residual, _loc_kn_matrix_residual, random_phase_function,
                                   stream_rng)
 from fingabor.gabor import lattice_from_points, quasi_lattice
-from fingabor.group import GroupMismatch, GroupSpec, character_table, diff_table, make_group
+from fingabor.group import (GroupMismatch, GroupSpec, character_table, diff_table, lattice_plan,
+                            make_group)
 from fingabor.group import (annihilator_indices, coset_representatives, dual_spec, phase_tiles,
                             subgroup_indices)
 from fingabor.norms import (Weight, convolution_relation_probe, polynomial_weight,
@@ -249,6 +250,37 @@ def test_closed_form_diagonal_holds_the_tile_sums(spec):
     c = spec.mass ** 2 * spec.mass_dual * spec.subgroup_order
     want = c * sigma.mat[phase_tiles(spec)].sum(axis=(2, 3)).reshape(-1)
     assert np.max(np.abs(diagonal - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_closed_form_builds_one_plan_per_lattice():
+    # the lattice-only gather and phase are built once, not per call
+    spec = make_group([64], [8])
+    rng = np.random.default_rng(21)
+    lat = quasi_lattice(spec)
+    lattice_plan.cache_clear()
+    for _ in range(50):
+        gabor_matrix_closed_form(rand_symbol(spec, rng), lat)
+    assert lattice_plan.cache_info().misses == 1
+    gabor_matrix_closed_form(rand_symbol(spec, rng), lattice_from_points(spec, lat.x, lat.xi))
+    assert lattice_plan.cache_info().misses == 2
+
+
+def test_closed_form_transforms_only_the_named_tiles():
+    # 17 random points of Z_1024/32 name at most 17 x 17 of the 32 x 32
+    # tiles; transforming all of them took a 48 MiB peak
+    spec = make_group([1024], [32])
+    rng = np.random.default_rng(22)
+    lat = lattice_from_points(spec, rng.integers(1024, size=17), rng.integers(1024, size=17))
+    sigma = rand_symbol(spec, rng)
+    direct = gabor_matrix(sigma, subgroup_indicator(spec), lat)     # builds the tables
+    tracemalloc.start()
+    try:
+        closed = gabor_matrix_closed_form(sigma, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(closed - direct)) <= 1e-12
+    assert peak < 24 * 2**20
 
 
 def test_closed_form_memory_stays_on_coset_pairs():

@@ -327,6 +327,35 @@ def test_convolve_phase_builds_no_phase_space_table():
     np.testing.assert_allclose(out.values, spec.order, rtol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    make_group([64], [8]),
+    make_group([6, 2], [3, 2]),
+    make_group([16, 16], [4, 4]),
+], ids=["z64", "z6xz2", "z16xz16"])
+def test_shifts_read_cached_tables_and_build_none(spec, monkeypatch):
+    # a shift or a character row builds no table: without the tables it is
+    # the formula; with them, the table's column or row, with the same bytes
+    from fingabor import group
+    from fingabor.group import character_row, shift_index
+
+    diff_table.cache_clear()
+    character_table.cache_clear()
+    f = Signal(spec, np.arange(spec.order) * (1 + 1j))
+    x, xi = 5, spec.order - 3
+    formula = (shift_index(spec, x), character_row(spec, xi),
+               translate(f, x).values, modulate(f, xi).values)
+    assert diff_table.cache_info().misses == character_table.cache_info().misses == 0
+    diff_table(spec), character_table(spec)
+    for formula_name in ("_characters", "_difference"):
+        monkeypatch.setattr(group, formula_name, None)
+    read = (shift_index(spec, x), character_row(spec, xi),
+            translate(f, x).values, modulate(f, xi).values)
+    assert diff_table.cache_info().misses == character_table.cache_info().misses == 1
+    assert formula[0].dtype == read[0].dtype == np.int64
+    for a, b in zip(formula, read):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_fourier_and_inverse_share_one_character_table():
     # G and its dual have the same factors, so the round trip builds one table
     spec = make_group([64], [8])

@@ -506,6 +506,16 @@ def test_decay_comparison_refuses_no_eigenfunctions():
         decay_comparison(spec, np.eye(4), haar_baseline(spec, 5, 0), top_k=0)
 
 
+@pytest.mark.parametrize("top_k", [True, 2.5, 0], ids=["bool", "fraction", "zero"])
+def test_decay_comparison_refuses_a_top_k_of_no_eigenvector_count(top_k):
+    # spectral owns the rule: True ranked one eigenvector, and 2.5 ended in
+    # numpy's TypeError
+    spec = make_group([8], [2])
+    diag = np.diag(np.arange(1.0, 9.0))
+    with pytest.raises(ValueError, match="top_k must be an integer of at least one"):
+        decay_comparison(spec, diag, haar_baseline(spec, 20, 0), top_k=top_k)
+
+
 def test_run_decay_draws_each_seed_baseline_once(monkeypatch):
     # seed 0 is also control seed 0: its baseline is drawn once and shared,
     # and every report equals the one with a baseline of its own
