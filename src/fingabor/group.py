@@ -22,6 +22,9 @@ parts, so the bidual is the group.  Groups constructed by
 :func:`make_group` use ``mass = 1``; the phase space G x G^ built by
 :func:`phase_spec` inherits the product mass ``mass * mass_dual`` so that
 all pairings on it agree with the plain mass-weighted sums.
+
+Every cached array of the package, here and in the modules above, is kept
+by :func:`cached` under one byte budget, ``_CACHE_BYTES``.
 """
 
 from __future__ import annotations
@@ -216,8 +219,8 @@ def cached(key):
     in the one byte-bounded cache of the package, under ``key(*args)``.
 
     A hit is one dict lookup.  The function gains ``peek(*args)``, the cached
-    value or None with nothing built, and ``cache_info()``/``cache_clear()``,
-    which count one miss per build."""
+    value (a use, as a hit is) or None with nothing built, and
+    ``cache_info()``/``cache_clear()``, which count one miss per build."""
     def decorate(build):
         store: dict = {}
         _stores.append(store)
@@ -238,7 +241,10 @@ def cached(key):
 
         def peek(*args):
             entry = store.get(key(*args))
-            return None if entry is None else entry[0]
+            if entry is None:
+                return None
+            entry[2] = next(_use)
+            return entry[0]
 
         def cache_info() -> CacheInfo:
             return CacheInfo(misses, len(store), sum(e[1] for e in store.values()))
