@@ -53,8 +53,8 @@ def kn_kernel(sigma: PhaseFunction) -> np.ndarray:
     T = character_table(spec)
     B = sigma.mat @ np.conj(T)                       # B[x, t] = sum_xi sigma conj<xi, t>
     n = spec.order
-    # [u, x] = B[x, index(u - x)], transposed: the kernel stays F-ordered, as
-    # the pairing conj(g) @ k @ f takes its BLAS path by the memory order
+    # [u, x] = B[x, index(u - x)], transposed: the kernel is F-ordered, and the
+    # pairing conj(g) @ k @ f takes its BLAS path, so its last bits, by that
     k = np.take(B, diff_table(spec) + n * np.arange(n)).T
     return k * spec.mass_dual
 
