@@ -65,12 +65,12 @@ def _ask(check: Callable, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _identity_extras(cfg: dict) -> dict:
+def _identity_extras(cfg: dict, spec: GroupSpec) -> dict:
     names = cfg.get("identities")
-    return {} if names is None else {"identities": _ask(check_identity_names, names)}
+    return {} if names is None else {"identities": _ask(check_identity_names, names, spec)}
 
 
-def _decay_extras(cfg: dict) -> dict:
+def _decay_extras(cfg: dict, spec: GroupSpec) -> dict:
     gammas = cfg.get("gammas", [0.5, 1.0, 2.0])
     controls = cfg.get("control_seeds", list(range(10)))
     _expect(isinstance(gammas, list), "'gammas' must be a list")
@@ -90,7 +90,7 @@ class _Experiment(NamedTuple):
     trials: int
     run: Callable[[GroupSpec, dict], tuple[dict, dict]]
     keys: frozenset = frozenset()
-    extras: Callable[[dict], dict] = lambda cfg: {}
+    extras: Callable[[dict, GroupSpec], dict] = lambda cfg, spec: {}
 
 
 _EXPERIMENTS = {
@@ -118,8 +118,8 @@ _EXPERIMENTS = {
 
 def validate_config(cfg) -> dict:
     """Check shape, types, and key names; returns a normalized config.  The
-    group, seed, trial-count, identity-name and decay-option rules are the
-    library's own checks."""
+    group, seed, trial-count, identity-name (with the order caps) and
+    decay-option rules are the library's own checks."""
     _expect(isinstance(cfg, dict), "config must be a JSON object")
     _expect("experiment" in cfg, "missing required key 'experiment'")
     exp = cfg["experiment"]
@@ -151,7 +151,7 @@ def validate_config(cfg) -> dict:
         "seed": seed,
         "trials": trials,
         "output_dir": output_dir,
-        **entry.extras(cfg),
+        **entry.extras(cfg, spec),
     }
 
 

@@ -43,6 +43,7 @@ from .group import (
     character_row,
     character_table,
     common_group,
+    conj_character_table,
     diff_table,
     dual_spec,
     phase_tiles,
@@ -95,6 +96,7 @@ __all__ = [
     "IDENTITY_REGISTRY",
     "identity_names",
     "check_identity_names",
+    "above_order_cap",
     "check_trials",
     "check_decay_options",
     "run_identities",
@@ -122,10 +124,10 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _complex_draw(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Two standard normal draws of ``size``, the real and the imaginary parts."""
+    """One standard normal draw of ``2 * size``: the real parts, then the
+    imaginary parts."""
     vals = np.empty(size, dtype=np.complex128)
-    vals.real = rng.standard_normal(size)
-    vals.imag = rng.standard_normal(size)
+    vals.real, vals.imag = rng.standard_normal(2 * size).reshape(2, size)
     return vals
 
 
@@ -243,12 +245,11 @@ def _magic_formula_residual(spec, rng):
     Phi = rihaczek(psi, psi).as_signal()
     lhs = stft(sigma, Phi).values.reshape(n, n, n, n)          # [x, xi, omega, u]
 
-    T = character_table(spec)
     Vg = stft(g, psi).mat
     Vf = stft(f, psi).mat
     D = diff_table(spec)                                        # D[a, b] = index(a - b)
     add_idx = D[:, D[0]]                                        # [a, b] -> index(a + b)
-    phase = np.conj(T)                                          # conj<xi, u>
+    phase = conj_character_table(spec)                          # conj<xi, u>
     A = Vg[:, add_idx]                                          # [x, xi, omega] -> Vg(x, xi+omega)
     B = np.conj(Vf[add_idx, :])                                 # [x, u, xi] -> conj Vf(x+u, xi)
     rhs = (
@@ -461,14 +462,25 @@ def identity_names() -> list[str]:
     return [c.name for c in IDENTITY_REGISTRY]
 
 
-def check_identity_names(names: Sequence[str]) -> list[str]:
+def above_order_cap(check: IdentityCheck, spec: GroupSpec) -> bool:
+    """Whether ``spec`` is above ``check``'s order cap, so that a run skips it."""
+    return check.max_order is not None and spec.order > check.max_order
+
+
+def check_identity_names(names: Sequence[str], spec: GroupSpec | None = None) -> list[str]:
     """``names`` as a list if it is a non-empty list of registry names; an
-    empty or unknown subset would check nothing, so it raises ValueError."""
+    empty or unknown subset would check nothing, so it raises ValueError.
+    Given ``spec``, so does a subset whose every check is above its order cap."""
     if isinstance(names, str) or not isinstance(names, Sequence) or not names:
         raise ValueError("identity names must be a non-empty list of registry names")
     for n in names:
         if n not in identity_names():
             raise ValueError(f"unknown identity: {n!r}")
+    named = [c for c in IDENTITY_REGISTRY if c.name in names]
+    if spec is not None and all(above_order_cap(c, spec) for c in named):
+        caps = ", ".join(f"{c.name} (cap {c.max_order})" for c in named)
+        raise ValueError(f"every named identity is above its order cap at group order "
+                         f"{spec.order}, so the run would check nothing: {caps}")
     return list(names)
 
 
@@ -547,7 +559,8 @@ def run_identities(
 ) -> tuple[dict, dict]:
     """Run the registry, or the subset ``names``, on one group; returns
     (summary, {}).  A check's residual is the worst of its trials, one trial
-    when not randomized.  An empty or unknown ``names`` raises ValueError."""
+    when not randomized, and a check above its order cap is recorded as
+    skipped.  An empty or unknown ``names`` raises ValueError."""
     trials = check_trials(trials)
     if names is not None:
         names = check_identity_names(names)
@@ -555,7 +568,7 @@ def run_identities(
     for stream, check in enumerate(IDENTITY_REGISTRY):
         if names is not None and check.name not in names:
             continue
-        if check.max_order is not None and spec.order > check.max_order:
+        if above_order_cap(check, spec):
             summary["results"][check.name] = {
                 "tolerance": check.tolerance,
                 "summary": check.summary,

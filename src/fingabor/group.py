@@ -49,10 +49,10 @@ _TABLE_LIMIT = 4096
 
 # Every cached array of the package is kept under this many bytes in all,
 # least recently used first out.  It holds one order-4096 group's character
-# table (16 * 4096**2 bytes = 256 MiB), difference table (4 * 4096**2 =
-# 64 MiB) and canonical lattice plan (at most 24 * 4096**2 = 384 MiB), 704 MiB
-# together, where entry counts alone let 8 character tables and 8 difference
-# tables of that order take 2.5 GiB.
+# table and its conjugate (16 * 4096**2 bytes = 256 MiB each), difference
+# table (4 * 4096**2 = 64 MiB) and canonical lattice plan (at most
+# 24 * 4096**2 = 384 MiB), 960 MiB together, where entry counts alone let 8
+# character tables and 8 difference tables of that order take 2.5 GiB.
 _CACHE_BYTES = 2**30
 
 
@@ -309,6 +309,15 @@ def character_table(spec: GroupSpec) -> np.ndarray:
     return table
 
 
+@cached(_factors)
+def conj_character_table(spec: GroupSpec) -> np.ndarray:
+    """conj(T)[xi, x] = conj(<xi, x>), the table the forward transforms
+    multiply by, kept beside :func:`character_table` so that no call forms it."""
+    table = np.conj(character_table(spec))
+    table.setflags(write=False)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # index arithmetic
 
@@ -422,10 +431,17 @@ def coset_representatives(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     return quotient_indices(spec)[0][:, 0], quotient_indices(dual_spec(spec))[0][:, 0]
 
 
-@cached(lambda lattice: lattice)
+def _points(lattice) -> tuple:
+    """Key of a lattice plan: the group and the points, so that equal lattices
+    built apart share one plan."""
+    x, xi = (np.asarray(a, dtype=np.int64) for a in (lattice.x, lattice.xi))
+    return lattice.group, x.tobytes(), xi.tobytes()
+
+
+@cached(_points)
 def lattice_plan(lattice) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
     """What the canonical-window Gabor matrix of ``lattice`` reads besides the
-    symbol, built once per lattice (whose index arrays must not be written to).
+    symbol, built once per group and points.
 
     For row point (w, mu) and column point (u, nu), a and b the
     representatives of w + K and nu + K_perp, it returns ``(tiles, flat,

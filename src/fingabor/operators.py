@@ -28,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .gabor import QuasiLattice
-from .group import (character_table, common_group, diff_table, dual_spec, lattice_plan,
-                    subgroup_character_table)
+from .group import (character_table, common_group, conj_character_table, diff_table,
+                    dual_spec, lattice_plan, subgroup_character_table)
 from .signal import PhaseFunction, Signal, convolve_phase, fourier, tf_shift_rows
 from .tfa import rihaczek, stft
 
@@ -43,25 +43,28 @@ def kn_apply(sigma: PhaseFunction, f: Signal) -> Signal:
     spec = common_group(f, sigma)
     fhat = fourier(f).values
     T = character_table(spec)
-    out = (sigma.mat * T.T) @ fhat * spec.mass_dual
+    out = (sigma.mat * T.T) @ fhat
+    out *= spec.mass_dual
     return Signal(spec, out)
 
 
 def kn_kernel(sigma: PhaseFunction) -> np.ndarray:
     """Integral kernel k(x, u) = sum_xi sigma(x, xi) conj(<xi, u - x>) * mass_dual."""
     spec = sigma.group
-    T = character_table(spec)
-    B = sigma.mat @ np.conj(T)                       # B[x, t] = sum_xi sigma conj<xi, t>
+    B = sigma.mat @ conj_character_table(spec)       # B[x, t] = sum_xi sigma conj<xi, t>
     n = spec.order
     # [u, x] = B[x, index(u - x)], transposed: the kernel is F-ordered, and the
     # pairing conj(g) @ k @ f takes its BLAS path, so its last bits, by that
     k = np.take(B, diff_table(spec) + n * np.arange(n)).T
-    return k * spec.mass_dual
+    k *= spec.mass_dual
+    return k
 
 
 def kn_matrix(sigma: PhaseFunction) -> np.ndarray:
     """(order, order) matrix of the quantization: the kernel times the mass."""
-    return kn_kernel(sigma) * sigma.group.mass
+    k = kn_kernel(sigma)
+    k *= sigma.group.mass
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +116,10 @@ def localization_apply(
     mass * mass_dual * sum_x psi2(y - x) ((a V_psi1 f) @ T)[x, y]."""
     spec = common_group(f, a, psi1, psi2)
     coeff = (a.mat * stft(f, psi1).mat) @ character_table(spec)
-    shifted = psi2.values[diff_table(spec).T]                   # [x, y] = psi2(y - x)
-    return Signal(spec, np.sum(shifted * coeff, axis=0) * (spec.mass * spec.mass_dual))
+    shifted = np.take(psi2.values, diff_table(spec)).T          # [x, y] = psi2(y - x)
+    out = np.sum(shifted * coeff, axis=0)
+    out *= spec.mass * spec.mass_dual
+    return Signal(spec, out)
 
 
 def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> np.ndarray:
@@ -126,12 +131,16 @@ def localization_matrix(a: PhaseFunction, psi1: Signal, psi2: Signal) -> np.ndar
     h[t, d] = psi2(t) conj(psi1(t - d)), then L[y, y'] = L'[y, y - y'].
     """
     spec = common_group(a, psi1, psi2)
-    T = character_table(spec)
+    T, Tc = character_table(spec), conj_character_table(spec)
     D, n = diff_table(spec), spec.order                         # D[y, y'] = index(y - y')
-    h = psi2.values[:, None] * np.conj(np.take(psi1.values, D))
-    Lp = T @ ((np.conj(T) @ (a.mat @ T)) * (np.conj(T) @ h)) / n
+    h = psi2.values[:, None] * np.take(np.conj(psi1.values), D)
+    P = Tc @ (a.mat @ T)
+    P *= Tc @ h
+    Lp = T @ P
+    Lp /= n
     L = np.take(Lp, D + n * np.arange(n)[:, None])              # L[y, y'] = Lp[y, y - y']
-    return L * (spec.mass ** 2 * spec.mass_dual)
+    L *= spec.mass ** 2 * spec.mass_dual
+    return L
 
 
 def loc_to_kn_symbol(a: PhaseFunction, psi1: Signal, psi2: Signal) -> PhaseFunction:

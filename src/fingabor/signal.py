@@ -20,6 +20,7 @@ from .group import (
     character_row,
     character_table,
     common_group,
+    conj_character_table,
     diff_rows,
     diff_table,
     dual_spec,
@@ -129,13 +130,17 @@ def tf_shift_rows(f: Signal, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def fourier(f: Signal) -> Signal:
     """F f(xi) = sum_x f(x) conj(<xi, x>) * mass; lives on the dual group."""
     spec = f.group
-    return Signal(dual_spec(spec), np.conj(character_table(spec)) @ f.values * spec.mass)
+    F = conj_character_table(spec) @ f.values
+    F *= spec.mass
+    return Signal(dual_spec(spec), F)
 
 
 def inverse_fourier(F: Signal) -> Signal:
     """Inverse transform; lives on the dual of F's group (the bidual)."""
     spec = F.group
-    return Signal(dual_spec(spec), character_table(spec).T @ F.values * spec.mass)
+    f = character_table(spec).T @ F.values
+    f *= spec.mass
+    return Signal(dual_spec(spec), f)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +154,9 @@ def convolve(f: Signal, g: Signal) -> Signal:
     out = np.empty(n, dtype=np.complex128)
     for start in range(0, n, _CHUNK):
         rows = diff_rows(spec, start, start + _CHUNK)
-        out[start : start + rows.shape[0]] = g.values[rows] @ f.values
-    return Signal(spec, out * spec.mass)
+        out[start : start + rows.shape[0]] = np.take(g.values, rows) @ f.values
+    out *= spec.mass
+    return Signal(spec, out)
 
 
 def convolve_phase(F: PhaseFunction, H: PhaseFunction) -> PhaseFunction:
@@ -167,10 +173,12 @@ def convolve_phase(F: PhaseFunction, H: PhaseFunction) -> PhaseFunction:
     """
     spec = common_group(F, H)
     n = spec.order
-    T = character_table(spec)
-    Tc = np.conj(T)
-    P = (Tc @ F.mat @ Tc) * (Tc @ H.mat @ Tc)
-    return PhaseFunction(spec, T @ P @ T * (spec.mass * spec.mass_dual / (n * n)))
+    T, Tc = character_table(spec), conj_character_table(spec)
+    P = Tc @ F.mat @ Tc
+    P *= Tc @ H.mat @ Tc
+    out = T @ P @ T
+    out *= spec.mass * spec.mass_dual / (n * n)
+    return PhaseFunction(spec, out)
 
 
 def inner(f: Signal, g: Signal) -> complex:

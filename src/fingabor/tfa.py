@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import GroupSpec, character_table, common_group, diff_table
+from .group import GroupSpec, common_group, conj_character_table, diff_table
 from .signal import PhaseFunction, Signal, fourier
 
 
@@ -23,8 +23,9 @@ def stft(f: Signal, g: Signal) -> PhaseFunction:
     spec = common_group(f, g)
     # win[x, y] = conj(g(y - x)), F-ordered: the memory order picks the BLAS
     # path of the product below, and so the last bits of V
-    win = np.conj(np.take(g.values, diff_table(spec))).T
-    V = (win * f.values[None, :]) @ np.conj(character_table(spec)).T * spec.mass
+    win = np.take(np.conj(g.values), diff_table(spec)).T
+    V = (win * f.values[None, :]) @ conj_character_table(spec).T
+    V *= spec.mass
     return PhaseFunction(spec, V.reshape(-1))
 
 
@@ -37,6 +38,7 @@ def rihaczek(f: Signal, g: Signal) -> PhaseFunction:
     """R(f, g)(x, xi) = f(x) conj(Fg(xi)) conj(<xi, x>)."""
     spec = common_group(f, g)
     ghat = fourier(g)
-    R = f.values[:, None] * np.conj(ghat.values)[None, :] * np.conj(character_table(spec).T)
+    R = f.values[:, None] * np.conj(ghat.values)[None, :]
+    R *= conj_character_table(spec).T
     return PhaseFunction(spec, R.reshape(-1))
 

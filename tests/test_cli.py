@@ -209,10 +209,10 @@ def test_run_identities_subset(tmp_path, capsys):
 
 @pytest.mark.parametrize("order,extra,skipped", [
     (64, {}, ["stft-of-rihaczek"]),
-    (64, {"identities": ["stft-of-rihaczek"]}, ["stft-of-rihaczek"]),
+    (64, {"identities": ["stft-of-rihaczek", "fourier-parseval"]}, ["stft-of-rihaczek"]),
     (16, {}, []),
     (1, {}, []),
-], ids=["z64", "z64-capped-subset", "z16", "z1"])
+], ids=["z64", "z64-partly-capped-subset", "z16", "z1"])
 def test_run_prints_each_skipped_identity(tmp_path, capsys, order, extra, skipped):
     # a check above its order cap is named next to the failure lines; on Z_1
     # the tile K x K_perp is all of phase space and every check still passes
@@ -221,6 +221,27 @@ def test_run_prints_each_skipped_identity(tmp_path, capsys, order, extra, skippe
     assert main(["run", str(cfg)]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("skipped:")]
     assert lines == [f"skipped: {name}: group order {order} exceeds cap 16" for name in skipped]
+
+
+def test_run_refuses_an_identity_subset_that_checks_nothing(tmp_path, capsys, monkeypatch):
+    # every named check is above its order cap on Z_64: refused before any work
+    monkeypatch.setattr("fingabor.cli.run_identities", _enter)
+    cfg = write_config(tmp_path, group={"factors": [64], "subgroup_divisors": [8]},
+                       identities=["stft-of-rihaczek"])
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "group order 64" in err and "stft-of-rihaczek (cap 16)" in err
+    assert not (tmp_path / "out").exists()
+    # the library driver still runs it and records the skip
+    summary, _ = run_identities(make_group([64], [8]), 0, 1, names=["stft-of-rihaczek"])
+    assert summary["results"]["stft-of-rihaczek"]["skipped"]
+    monkeypatch.undo()
+    # the same subset runs at the cap
+    cfg = write_config(tmp_path, group={"factors": [16], "subgroup_divisors": [4]},
+                       trials=1, identities=["stft-of-rihaczek"])
+    assert main(["run", str(cfg)]) == 0
+    data = json.loads((tmp_path / "out" / "identities_summary.json").read_text())
+    assert data["results"]["stft-of-rihaczek"]["passed"]
 
 
 def test_run_norms_writes_table(tmp_path, capsys):

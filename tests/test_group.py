@@ -1,5 +1,6 @@
 import ast
 import cmath
+import itertools
 import json
 import math
 import re
@@ -25,6 +26,7 @@ from fingabor.group import (
     character_table,
     circular_distance,
     common_group,
+    conj_character_table,
     coset_representatives,
     diff_rows,
     diff_table,
@@ -41,11 +43,12 @@ from fingabor.group import (
     subgroup_indices,
     trivial_subgroup_spec,
 )
-from fingabor.operators import (gabor_matrix, gabor_matrix_closed_form, kn_apply,
+from fingabor.norms import modulation_norm
+from fingabor.operators import (gabor_matrix, gabor_matrix_closed_form, kn_apply, kn_matrix,
                                 localization_apply, localization_matrix)
-from fingabor.signal import (PhaseFunction, convolve, convolve_phase, fourier, inner,
+from fingabor.signal import (PhaseFunction, Signal, convolve, convolve_phase, fourier, inner,
                              inverse_fourier, subgroup_indicator)
-from fingabor.tfa import rihaczek, stft
+from fingabor.tfa import rihaczek, stft, window_constant
 from oracles import (add, annihilator, character, constant, index_of, lattice_phase_points, neg,
                      neg_index, phase_blocks, phase_point, residues, sub, tile_indices,
                      translation_perm)
@@ -496,7 +499,7 @@ def test_diff_rows_cached_and_on_demand():
         assert rows[a - 4000, b] == sub(big, a, b)
 
 
-BYTE_CACHED = (residue_grid, character_table, diff_table, quotient_indices,
+BYTE_CACHED = (residue_grid, character_table, conj_character_table, diff_table, quotient_indices,
                subgroup_character_table, lattice_plan, subgroup_indicator, quasi_lattice)
 
 
@@ -651,6 +654,53 @@ def test_trivial_subgroup_spec_keeps_the_dual_mass(mass):
     dual = dual_spec(GroupSpec((10,), (1,), mass))
     trivial = trivial_subgroup_spec(dual)
     assert (trivial.mass, trivial.mass_dual) == (dual.mass, dual.mass_dual) == (dual.mass, mass)
+
+
+# The mass exponent of each public function: at point mass m, with
+# mass_dual = 1 / (m * order), its output on the same values is m ** exponent
+# times its output at mass 1.  A dropped or doubled mass factor changes the
+# exponent at every mass, where runs at mass 1 see nothing.  The exponent of
+# a norm is a function of (p, q).
+MASS_EXPONENTS = {
+    fourier: 1, convolve: 1, inner: 1, stft: 1, rihaczek: 1, localization_matrix: 1,
+    gabor_matrix_closed_form: 1, frame_operator: 1, analysis: 1, window_constant: 1,
+    kn_matrix: 0,
+    convolve_phase: 0,          # mass * mass_dual = 1 / order per phase-space point
+    modulation_norm: lambda p, q: 1 + 1 / p - 1 / q,
+}
+_NORM_EXPONENTS = ((0.5, 0.5), (1.0, 2.0), (2.0, 2.0), (math.inf, 1.0))
+_MASS_CASES = [pytest.param(fn, None, id=fn.__name__)
+               for fn in MASS_EXPONENTS if fn is not modulation_norm] + [
+               pytest.param(modulation_norm, e, id=f"modulation_norm-{e[0]:g}-{e[1]:g}")
+               for e in _NORM_EXPONENTS]
+
+
+def _mass_output(fn, spec, e):
+    """fn's output on spec, for the same drawn values at every point mass."""
+    rng = np.random.default_rng(31)
+    n = spec.order
+    f, g = (Signal(spec, rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in "fg")
+    F, H = (PhaseFunction(spec, rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n))
+            for _ in "FH")
+    lattice = quasi_lattice(spec)
+    args = {fourier: (f,), convolve: (f, g), inner: (f, g), stft: (f, g), rihaczek: (f, g),
+            localization_matrix: (F, f, g), gabor_matrix_closed_form: (F, lattice),
+            frame_operator: (g, lattice), analysis: (g, lattice, f), window_constant: (spec,),
+            kn_matrix: (F,), convolve_phase: (F, H), modulation_norm: (f, e)}[fn]
+    out = fn(*args)
+    return np.asarray(getattr(out, "values", out))
+
+
+@pytest.mark.parametrize("factors,divisors", [((12,), (3,)), ((6, 2), (3, 2))],
+                         ids=["z12-3", "z6xz2-3x2"])
+@pytest.mark.parametrize("fn,e", _MASS_CASES)
+def test_mass_exponents(fn, e, factors, divisors):
+    want = MASS_EXPONENTS[fn] if e is None else MASS_EXPONENTS[fn](*e)
+    size = {m: np.linalg.norm(_mass_output(fn, GroupSpec(factors, divisors, m), e))
+            for m in (1.0, 0.25, 3.0)}
+    for a, b in itertools.combinations(size, 2):
+        got = math.log(size[b] / size[a]) / math.log(b / a)
+        assert abs(got - want) <= 1e-12, (a, b, got)
 
 
 def test_phase_spec_shape_and_mass():

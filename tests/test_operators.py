@@ -261,7 +261,11 @@ def test_closed_form_builds_one_plan_per_lattice():
     for _ in range(50):
         gabor_matrix_closed_form(rand_symbol(spec, rng), lat)
     assert lattice_plan.cache_info().misses == 1
+    # a lattice is keyed by its group and points: the same points built apart
+    # share the plan, other points get their own
     gabor_matrix_closed_form(rand_symbol(spec, rng), lattice_from_points(spec, lat.x, lat.xi))
+    assert lattice_plan.cache_info().misses == 1
+    gabor_matrix_closed_form(rand_symbol(spec, rng), lattice_from_points(spec, lat.x, lat.x))
     assert lattice_plan.cache_info().misses == 2
 
 

@@ -366,6 +366,41 @@ def test_fourier_and_inverse_share_one_character_table():
     np.testing.assert_allclose(back.values, f.values, atol=1e-10)
 
 
+def test_transforms_read_one_conjugate_character_table():
+    # each transform that multiplies by conj(T) reads it from the cache, one
+    # read-only table equal to the conjugate of T byte for byte; the outer
+    # transform of stft-of-rihaczek reads the table of the phase space too
+    from fingabor.experiments import _magic_formula_residual
+    from fingabor.group import conj_character_table
+    from fingabor.operators import kn_kernel, localization_matrix
+    from fingabor.tfa import rihaczek, stft
+
+    spec = make_group([16], [4])
+    rng = np.random.default_rng(13)
+    f, g = rand_signal(spec, rng), rand_signal(spec, rng)
+    F = PhaseFunction(spec, rng.standard_normal(spec.order ** 2))
+    readers = {
+        "fourier": (lambda: fourier(f), 1),
+        "convolve_phase": (lambda: convolve_phase(F, F), 1),
+        "stft": (lambda: stft(f, g), 1),
+        "rihaczek": (lambda: rihaczek(f, g), 1),
+        "kn_kernel": (lambda: kn_kernel(F), 1),
+        "localization_matrix": (lambda: localization_matrix(F, f, g), 1),
+        "stft-of-rihaczek": (lambda: _magic_formula_residual(spec, np.random.default_rng(0)), 2),
+    }
+    for name, (read, tables) in readers.items():
+        conj_character_table.cache_clear()
+        read()
+        assert conj_character_table.cache_info().misses == tables, name
+        assert conj_character_table.peek(spec) is not None, name
+    for read, _ in readers.values():
+        read()
+    assert conj_character_table.cache_info().misses == 2
+    Tc = conj_character_table(spec)
+    assert not Tc.flags.writeable
+    assert Tc.tobytes() == np.conj(character_table(spec)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # inner products, tensor
 
