@@ -432,10 +432,10 @@ def coset_representatives(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _points(lattice) -> tuple:
-    """Key of a lattice plan: the group and the points, so that equal lattices
-    built apart share one plan."""
-    x, xi = (np.asarray(a, dtype=np.int64) for a in (lattice.x, lattice.xi))
-    return lattice.group, x.tobytes(), xi.tobytes()
+    """Key of a lattice plan: the group and the int64 points of
+    :func:`fingabor.gabor.lattice_from_points`, so that equal lattices built
+    apart share one plan."""
+    return lattice.group, lattice.x.tobytes(), lattice.xi.tobytes()
 
 
 @cached(_points)

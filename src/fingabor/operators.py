@@ -43,8 +43,7 @@ def kn_apply(sigma: PhaseFunction, f: Signal) -> Signal:
     spec = common_group(f, sigma)
     fhat = fourier(f).values
     T = character_table(spec)
-    out = (sigma.mat * T.T) @ fhat
-    out *= spec.mass_dual
+    out = (sigma.mat * T.T) @ fhat * spec.mass_dual
     return Signal(spec, out)
 
 

@@ -138,9 +138,7 @@ def fourier(f: Signal) -> Signal:
 def inverse_fourier(F: Signal) -> Signal:
     """Inverse transform; lives on the dual of F's group (the bidual)."""
     spec = F.group
-    f = character_table(spec).T @ F.values
-    f *= spec.mass
-    return Signal(dual_spec(spec), f)
+    return Signal(dual_spec(spec), character_table(spec).T @ F.values * spec.mass)
 
 
 # ---------------------------------------------------------------------------
