@@ -126,8 +126,9 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 def _complex_draw(rng: np.random.Generator, size: int) -> np.ndarray:
     """One standard normal draw of ``2 * size``: the real parts, then the
     imaginary parts."""
+    draw = rng.standard_normal(2 * size)
     vals = np.empty(size, dtype=np.complex128)
-    vals.real, vals.imag = rng.standard_normal(2 * size).reshape(2, size)
+    vals.real, vals.imag = draw[:size], draw[size:]
     return vals
 
 
